@@ -15,6 +15,16 @@ stored packed into single big integers, base 2**64 per c-power.  The counts
 at our truncations are bounded by Catalan(15) * 3**8 < 2**36, far below the
 2**63 headroom, so packed addition and multiplication never carry between
 digits and decoding is exact.
+
+Both coefficient domains store one integer per slot and run one integer
+recursion.  The slot (w, n) spends E = (|w| + 3n)/2 propagators, and a split
+or a triangle removal uses up exactly one of them, weighted b between equal
+letters and a between unequal ones.  At symbolic c, (b, a) = (1, 2**64): the
+integer is the packed polynomial.  At a rational c0 = a/b in lowest terms
+(b > 0) the integer is b**E * p_w^(n), so the recursion never divides and
+pays no gcd.  Such a raw value turns into a Fraction only where it leaves
+the table: ``value_packed``, ``to_json``, ``to_ncseries`` and the failure
+values of residual reports.
 """
 
 from __future__ import annotations
@@ -107,16 +117,25 @@ def _words_by_length(nlet: int, maxlen: int) -> list:
     return out
 
 
-def _solve_dense(nlet: int, S: int, ng: int, symbolic: bool, c0):
+def _weights(spec: ModelSpec) -> tuple:
+    """(b, a): integer weights of an equal- and an unequal-letter propagator.
+
+    A rational c0 = a/b in lowest terms gives (b, a); symbolic c gives
+    (1, 2**_B), a shift by one packed c-power digit.
+    """
+    if spec.symbolic:
+        return 1, 1 << _B
+    c0 = Fraction(spec.c)
+    return c0.denominator, c0.numerator
+
+
+def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int):
     """Solve every coefficient with |w| + n <= S, n <= ng, |w| + n even.
 
-    Returns layers[(n, k)] = dict(packed word -> value); values are packed
-    integer polynomials in c (symbolic) or Fractions (numeric).
+    Returns layers[(n, k)] = dict(packed word -> raw integer value).
     """
     layers = {}
     words = _words_by_length(nlet, S)
-    zero = 0 if symbolic else Fraction(0)
-    one = 1 if symbolic else Fraction(1)
 
     for n in range(ng + 1):
         for k in range(S - n + 1):
@@ -126,7 +145,7 @@ def _solve_dense(nlet: int, S: int, ng: int, symbolic: bool, c0):
             layers[(n, k)] = d
             if k == 0:
                 if n == 0:
-                    d[0] = one
+                    d[0] = 1
                 continue
             # split data: position t strips letter j = w[t]; u = w[1:t], v = w[t+1:]
             splits = []
@@ -145,78 +164,102 @@ def _solve_dense(nlet: int, S: int, ng: int, symbolic: bool, c0):
             dprev = layers.get((n - 1, k + 1)) if n else None
             dprev_get = dprev.get if dprev else None
 
-            if symbolic:
-                for w in words[k]:
-                    i0 = w & 3
-                    acc = 0
-                    for shift_j, mask_u, shift_v, pairs in splits:
-                        u = (w >> 2) & mask_u
-                        v = w >> shift_v
-                        conv = 0
-                        for uget, vget in pairs:
-                            pu = uget(u)
-                            if pu is not None:
-                                pv = vget(v)
-                                if pv is not None:
-                                    conv += pu * pv
-                        if conv:
-                            if ((w >> shift_j) & 3) == i0:
-                                acc += conv
+            for w in words[k]:
+                i0 = w & 3
+                eq = ne = 0
+                for shift_j, mask_u, shift_v, pairs in splits:
+                    u = (w >> 2) & mask_u
+                    v = w >> shift_v
+                    conv = 0
+                    for uget, vget in pairs:
+                        pu = uget(u)
+                        if pu is not None:
+                            pv = vget(v)
+                            if pv is not None:
+                                conv += pu * pv
+                    if conv:
+                        if ((w >> shift_j) & 3) == i0:
+                            eq += conv
+                        else:
+                            ne += conv
+                if dprev_get is not None:
+                    u4 = (w >> 2) << 4
+                    for i in range(nlet):
+                        val = dprev_get(u4 | i | (i << 2))
+                        if val is not None:
+                            if i == i0:
+                                eq += val
                             else:
-                                acc += conv << _B
-                    if dprev_get is not None:
-                        u4 = (w >> 2) << 4
-                        for i in range(nlet):
-                            val = dprev_get(u4 | i | (i << 2))
-                            if val is not None:
-                                if i == i0:
-                                    acc += val
-                                else:
-                                    acc += val << _B
-                    if acc:
-                        d[w] = acc
-            else:
-                for w in words[k]:
-                    i0 = w & 3
-                    acc = zero
-                    for shift_j, mask_u, shift_v, pairs in splits:
-                        u = (w >> 2) & mask_u
-                        v = w >> shift_v
-                        conv = zero
-                        for uget, vget in pairs:
-                            pu = uget(u)
-                            if pu is not None:
-                                pv = vget(v)
-                                if pv is not None:
-                                    conv += pu * pv
-                        if conv:
-                            # unequal letters carry the propagator weight c
-                            if ((w >> shift_j) & 3) == i0:
-                                acc += conv
-                            else:
-                                acc += conv * c0
-                    if dprev_get is not None:
-                        u4 = (w >> 2) << 4
-                        for i in range(nlet):
-                            val = dprev_get(u4 | i | (i << 2))
-                            if val is not None:
-                                if i == i0:
-                                    acc += val
-                                else:
-                                    acc += val * c0
-                    if acc:
-                        d[w] = acc
+                                ne += val
+                acc = eq * b + ne * a
+                if acc:
+                    d[w] = acc
     return layers
 
 
-class _TableBase:
-    """Shared coefficient accessors over ``value_packed``."""
+def _rhs(raw, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
+    """Right-hand side of the edge-removal recursion at one slot, as a raw integer.
 
-    symbolic: bool
-    ng: int
+    ``raw(bits, k, n)`` reads the raw values of strictly lower grades.
+    """
+    if k == 0:
+        return 1 if n == 0 else 0
+    i0 = w & 3
+    eq = ne = 0
+    for t in range(1, k):
+        ulen = t - 1
+        vlen = k - 1 - t
+        u = (w >> 2) & ((1 << (2 * ulen)) - 1)
+        v = w >> (2 * (t + 1))
+        conv = 0
+        for m in range(n + 1):
+            if (ulen + m) & 1:
+                continue
+            pu = raw(u, ulen, m)
+            if pu:
+                pv = raw(v, vlen, n - m)
+                if pv:
+                    conv += pu * pv
+        if conv:
+            if ((w >> (2 * t)) & 3) == i0:
+                eq += conv
+            else:
+                ne += conv
+    if n:
+        u4 = (w >> 2) << 4
+        for i in range(nlet):
+            val = raw(u4 | i | (i << 2), k + 1, n - 1)
+            if val:
+                if i == i0:
+                    eq += val
+                else:
+                    ne += val
+    return eq * b + ne * a
+
+
+class _TableBase:
+    """Shared coefficient accessors over the raw integer values ``_raw``."""
+
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.ng = spec.ng
+        self.symbolic = spec.symbolic
+        self.c0 = None if spec.symbolic else Fraction(spec.c)
+        self._b, self._a = _weights(spec)
+
+    def _raw(self, bits: int, k: int, n: int) -> int:
+        raise NotImplementedError
+
+    def _fraction(self, v: int, e: int) -> Fraction:
+        """The exact value of a numeric-c raw integer at scale b**e."""
+        return Fraction(v, self._b**e)
 
     def value_packed(self, bits: int, k: int, n: int):
-        raise NotImplementedError
+        """Coefficient at one slot: packed polynomial (symbolic c) or Fraction."""
+        v = self._raw(bits, k, n)
+        if self.symbolic:
+            return v
+        return self._fraction(v, (k + 3 * n) // 2) if v else Fraction(0)
 
     def value_word(self, word: Word, n: int):
         return self.value_packed(word.bits, word.n, n)
@@ -256,24 +299,18 @@ class SolutionTable(_TableBase):
     """Dense solved table, complete on {|w| + n <= S, n <= ng}."""
 
     def __init__(self, spec: ModelSpec, S: int, layers: dict):
-        self.spec = spec
+        super().__init__(spec)
         self.S = S
-        self.ng = spec.ng
-        self.symbolic = spec.symbolic
-        self.c0 = None if spec.symbolic else Fraction(spec.c)
         self.layers = layers
-        self._zero = 0 if self.symbolic else Fraction(0)
         self._phi = None
 
     @property
     def grade_reached(self) -> int:
         return min(self.S, 2 * self.ng)
 
-    def value_packed(self, bits: int, k: int, n: int):
-        if (k + n) & 1:
-            return self._zero
-        if n < 0:
-            return self._zero
+    def _raw(self, bits: int, k: int, n: int) -> int:
+        if (k + n) & 1 or n < 0:
+            return 0
         if n > self.ng or k + n > self.S:
             raise TruncationError(
                 f"coefficient (|w|={k}, n={n}) outside solved region "
@@ -281,12 +318,16 @@ class SolutionTable(_TableBase):
             )
         d = self.layers.get((n, k))
         if not d:
-            return self._zero
-        return d.get(bits, self._zero)
+            return 0
+        return d.get(bits, 0)
 
     def slots(self):
-        """All (n, k) layers with their word dicts."""
+        """All (n, k) layers with their word dicts of raw values."""
         return self.layers.items()
+
+    def _public(self, v: int, k: int, n: int):
+        """A stored raw value as Poly (symbolic c) or Fraction."""
+        return unpack_poly(v) if self.symbolic else self._fraction(v, (k + 3 * n) // 2)
 
     @property
     def phi(self) -> NCSeries:
@@ -306,11 +347,8 @@ class SolutionTable(_TableBase):
                 if g is None:
                     g = [RF_ZERO] * (ng + 1)
                     terms[w] = g
-                g[n] = (
-                    RationalFunctionC.from_poly(unpack_poly(v))
-                    if self.symbolic
-                    else RationalFunctionC.constant(v)
-                )
+                val = self._public(v, k, n)
+                g[n] = RationalFunctionC.from_poly(val) if self.symbolic else RationalFunctionC.constant(val)
         return NCSeries(
             {w: GSeries(tuple(g), ng) for w, g in terms.items()}, lmax, ng
         )
@@ -322,14 +360,7 @@ class SolutionTable(_TableBase):
             if k > self.spec.ltarget:
                 continue
             for bits, v in d.items():
-                w = str(Word._raw(k, bits))
-                val = unpack_poly(v) if self.symbolic else v
-                s = str(val) if self.symbolic else (
-                    f"{val.numerator}/{val.denominator}"
-                    if val.denominator != 1
-                    else str(val.numerator)
-                )
-                out.setdefault(w, {})[str(n)] = s
+                out.setdefault(str(Word._raw(k, bits)), {})[str(n)] = str(self._public(v, k, n))
         return {w: dict(sorted(g.items(), key=lambda kv: int(kv[0]))) for w, g in sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))}
 
 
@@ -343,8 +374,7 @@ def solve_series(spec: ModelSpec) -> SolutionTable:
     longer.
     """
     S = spec.ltarget + spec.ng
-    c0 = None if spec.symbolic else Fraction(spec.c)
-    layers = _solve_dense(spec.nletters, S, spec.ng, spec.symbolic, c0)
+    layers = _solve_dense(spec.nletters, S, spec.ng, *_weights(spec))
     return SolutionTable(spec, S, layers)
 
 
@@ -358,71 +388,30 @@ class LazyTable(_TableBase):
     """
 
     def __init__(self, spec: ModelSpec, max_len: int):
-        self.spec = spec
-        self.ng = spec.ng
-        self.symbolic = spec.symbolic
-        self.c0 = None if spec.symbolic else Fraction(spec.c)
+        super().__init__(spec)
         self.max_len = max_len
         self.nlet = spec.nletters
-        self._zero = 0 if self.symbolic else Fraction(0)
-        self._one = 1 if self.symbolic else Fraction(1)
+        # memo key (bits, k, n) packed into one int; the k and n fields hold
+        # every k <= max_len and n <= ng, so distinct slots never share a key
+        self._kbits = max_len.bit_length()
+        self._nbits = spec.ng.bit_length()
         self._memo = {}
 
-    def value_packed(self, bits: int, k: int, n: int):
-        if (k + n) & 1:
-            return self._zero
-        if n < 0:
-            return self._zero
+    def _raw(self, bits: int, k: int, n: int) -> int:
+        if (k + n) & 1 or n < 0:
+            return 0
         if n > self.ng or k > self.max_len:
             raise TruncationError(
                 f"coefficient (|w|={k}, n={n}) beyond lazy-table guards "
                 f"(max_len={self.max_len}, ng={self.ng})"
             )
-        key = ((bits << 7) | k) << 4 | n
+        key = ((bits << self._kbits) | k) << self._nbits | n
         memo = self._memo
         v = memo.get(key)
         if v is None:
-            v = self._compute(bits, k, n)
+            v = _rhs(self._raw, self.nlet, self._b, self._a, bits, k, n)
             memo[key] = v
         return v
-
-    def _compute(self, w: int, k: int, n: int):
-        if k == 0:
-            return self._one if n == 0 else self._zero
-        symbolic = self.symbolic
-        c0 = self.c0
-        value = self.value_packed
-        i0 = w & 3
-        acc = self._zero
-        for t in range(1, k):
-            ulen = t - 1
-            vlen = k - 1 - t
-            u = (w >> 2) & ((1 << (2 * ulen)) - 1)
-            v = w >> (2 * (t + 1))
-            conv = self._zero
-            for m in range(n + 1):
-                if (ulen + m) & 1:
-                    continue
-                pu = value(u, ulen, m)
-                if pu:
-                    pv = value(v, vlen, n - m)
-                    if pv:
-                        conv += pu * pv
-            if conv:
-                if ((w >> (2 * t)) & 3) == i0:
-                    acc += conv
-                else:
-                    acc += (conv << _B) if symbolic else conv * c0
-        if n:
-            u4 = (w >> 2) << 4
-            for i in range(self.nlet):
-                val = value(u4 | i | (i << 2), k + 1, n - 1)
-                if val:
-                    if i == i0:
-                        acc += val
-                    else:
-                        acc += (val << _B) if symbolic else val * c0
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -466,53 +455,9 @@ def build_rhs_potts(phi: NCSeries, c="symbolic") -> NCSeries:
 # ---------------------------------------------------------------------------
 
 
-def _rhs_packed(table: SolutionTable, w: int, k: int, n: int):
-    """Right-hand-side value at one slot, re-read from the finished table."""
-    symbolic = table.symbolic
-    value = table.value_packed
-    c0 = table.c0
-    nlet = table.spec.nletters
-    if k == 0:
-        one = 1 if symbolic else Fraction(1)
-        zero = 0 if symbolic else Fraction(0)
-        return one if n == 0 else zero
-    i0 = w & 3
-    acc = 0 if symbolic else Fraction(0)
-    for t in range(1, k):
-        ulen, vlen = t - 1, k - 1 - t
-        u = (w >> 2) & ((1 << (2 * ulen)) - 1)
-        v = w >> (2 * (t + 1))
-        conv = 0 if symbolic else Fraction(0)
-        for m in range(n + 1):
-            if (ulen + m) & 1:
-                continue
-            pu = value(u, ulen, m)
-            if pu:
-                pv = value(v, vlen, n - m)
-                if pv:
-                    conv += pu * pv
-        if conv:
-            if ((w >> (2 * t)) & 3) == i0:
-                acc += conv
-            else:
-                acc += (conv << _B) if symbolic else conv * c0
-    if n:
-        u4 = (w >> 2) << 4
-        for i in range(nlet):
-            val = value(u4 | i | (i << 2), k + 1, n - 1)
-            if val:
-                if i == i0:
-                    acc += val
-                else:
-                    acc += (val << _B) if symbolic else val * c0
-    return acc
-
-
-def _prefix_split_sum(table, w: int, k: int, n: int, letter: int):
-    """Coefficient of w in Phi x_letter Phi (splits at every matching letter)."""
-    symbolic = table.symbolic
-    value = table.value_packed
-    acc = 0 if symbolic else Fraction(0)
+def _prefix_split_sum(raw, w: int, k: int, n: int, letter: int) -> int:
+    """Raw coefficient of w in Phi x_letter Phi (splits at every matching letter)."""
+    acc = 0
     for t in range(k):
         if ((w >> (2 * t)) & 3) != letter:
             continue
@@ -522,9 +467,9 @@ def _prefix_split_sum(table, w: int, k: int, n: int, letter: int):
         for m in range(n + 1):
             if (ulen + m) & 1:
                 continue
-            pu = value(u, ulen, m)
+            pu = raw(u, ulen, m)
             if pu:
-                pv = value(v, vlen, n - m)
+                pv = raw(v, vlen, n - m)
                 if pv:
                     acc += pu * pv
     return acc
@@ -569,6 +514,34 @@ def _signed_unpack(v: int) -> Poly:
     return Poly(digits)
 
 
+def _failure(table: _TableBase, k: int, w: int, n: int, v: int, e: int) -> tuple:
+    """A nonzero raw residual at scale b**e as (word, n, signed Poly or Fraction)."""
+    value = _signed_unpack(v) if table.symbolic else table._fraction(v, e)
+    return Word._raw(k, w), n, value
+
+
+def _recast_failures(table: _TableBase, words, k: int, n: int) -> list:
+    """Nonzero slots of the derivative (recast) form over words of length k at g^n.
+
+    The form (1+c) D0 Phi - (1+c-2c^2)(Phi x0 Phi + g D0^2 Phi) - c (D1 Phi + D2 Phi)
+    is evaluated with c = a/b and scaled by b**(E+1), E the propagator count of
+    D0 Phi: (b+a) d0 - (b^2+ab-2a^2)(quad+dd0) - a (d1+d2) on raw integers.
+    The scale is nonzero, so the form vanishes iff its raw value does.
+    """
+    raw = table._raw
+    b, a = table._b, table._a
+    bad = []
+    for w in words:
+        # prepending letter j to packed w is j | (w << 2)
+        d0 = raw(w << 2, k + 1, n)
+        d12 = raw(1 | (w << 2), k + 1, n) + raw(2 | (w << 2), k + 1, n)
+        qg = _prefix_split_sum(raw, w, k, n, 0) + raw(w << 4, k + 2, n - 1)
+        resid = (b + a) * d0 - (b * b + a * b - 2 * a * a) * qg - a * d12
+        if resid:
+            bad.append(_failure(table, k, w, n, resid, (k + 3 * n + 3) // 2))
+    return bad
+
+
 def generating_residual(table: SolutionTable, grade: Optional[int] = None) -> ResidualReport:
     """Residuals of the solved table, checked slot by slot.
 
@@ -576,52 +549,27 @@ def generating_residual(table: SolutionTable, grade: Optional[int] = None) -> Re
     of even |w| + n, and the derivative (recast) form
     (1+c) D0 Phi + (2c^2 - c - 1)(Phi x0 Phi + g D0^2 Phi) - c (D1 Phi + D2 Phi),
     whose content lives at odd |w| + n.  Both must vanish identically.
+    The fixed-point form re-reads the finished table slot by slot instead of
+    replaying the dense solve.
     """
     if grade is None:
         grade = table.grade_reached
-    symbolic = table.symbolic
-    c0 = table.c0
+    raw = table._raw
+    nlet, b, a = table.spec.nletters, table._b, table._a
     bad_fp = []
     bad_rc = []
-    words = _words_by_length(table.spec.nletters, min(grade, table.S))
-    for k in range(min(grade, table.S) + 1):
+    kmax = min(grade, table.S)
+    words = _words_by_length(nlet, kmax)
+    for k in range(kmax + 1):
         nmax = (grade - k) // 2
         for n in range(min(nmax, table.ng) + 1):
             if (k + n) & 1 == 0:
-                # fixed-point form
                 for w in words[k]:
-                    lhs = table.value_packed(w, k, n)
-                    rhs = _rhs_packed(table, w, k, n)
-                    if lhs != rhs:
-                        word = Word._raw(k, w)
-                        diff = (
-                            unpack_poly(lhs) - unpack_poly(rhs)
-                            if symbolic
-                            else lhs - rhs
-                        )
-                        bad_fp.append((word, n, diff))
-            else:
-                if table.spec.nletters != 3:
-                    continue
-                # recast form, evaluated as one signed combination;
-                # prepending letter a to packed w is a | (w << 2)
-                for w in words[k]:
-                    d0 = table.value_packed(w << 2, k + 1, n)
-                    d1 = table.value_packed(1 | (w << 2), k + 1, n)
-                    d2 = table.value_packed(2 | (w << 2), k + 1, n)
-                    quad = _prefix_split_sum(table, w, k, n, 0)
-                    dd0 = table.value_packed(w << 4, k + 2, n - 1) if n else (0 if symbolic else Fraction(0))
-                    if symbolic:
-                        qg = quad + dd0
-                        # (1+c) d0 - (1 + c - 2c^2) qg - c (d1 + d2) == 0
-                        resid = d0 + (d0 << _B) - qg - (qg << _B) + ((qg << (2 * _B)) << 1) - ((d1 + d2) << _B)
-                        if resid:
-                            bad_rc.append((Word._raw(k, w), n, _signed_unpack(resid)))
-                    else:
-                        D = 1 + c0 - 2 * c0 * c0
-                        resid = (1 + c0) * d0 - D * (quad + dd0) - c0 * (d1 + d2)
-                        if resid:
-                            bad_rc.append((Word._raw(k, w), n, resid))
+                    diff = raw(w, k, n) - _rhs(raw, nlet, b, a, w, k, n)
+                    if diff:
+                        bad_fp.append(_failure(table, k, w, n, diff, (k + 3 * n) // 2))
+            elif nlet == 3:
+                bad_rc += _recast_failures(table, words[k], k, n)
     return ResidualReport(bad_fp, bad_rc, grade)
 
 
@@ -631,31 +579,12 @@ def recast_residual_rect(table: _TableBase, kmax: int, ng: int) -> list:
     Works through the generic coefficient interface, so a demand-driven
     table serves it without a dense solve.  Returns the nonzero slots.
     """
-    symbolic = table.symbolic
-    c0 = table.c0
-    value = table.value_packed
     bad = []
     words = _words_by_length(3, kmax)
     for k in range(kmax + 1):
         for n in range(ng + 1):
-            if (k + n) & 1 == 0:
-                continue
-            for w in words[k]:
-                d0 = value(w << 2, k + 1, n)
-                d1 = value(1 | (w << 2), k + 1, n)
-                d2 = value(2 | (w << 2), k + 1, n)
-                quad = _prefix_split_sum(table, w, k, n, 0)
-                dd0 = value(w << 4, k + 2, n - 1) if n else (0 if symbolic else Fraction(0))
-                if symbolic:
-                    qg = quad + dd0
-                    resid = d0 + (d0 << _B) - qg - (qg << _B) + ((qg << (2 * _B)) << 1) - ((d1 + d2) << _B)
-                    if resid:
-                        bad.append((Word._raw(k, w), n, _signed_unpack(resid)))
-                else:
-                    D = 1 + c0 - 2 * c0 * c0
-                    resid = (1 + c0) * d0 - D * (quad + dd0) - c0 * (d1 + d2)
-                    if resid:
-                        bad.append((Word._raw(k, w), n, resid))
+            if (k + n) & 1:
+                bad += _recast_failures(table, words[k], k, n)
     return bad
 
 

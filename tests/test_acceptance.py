@@ -27,14 +27,14 @@ from pottsloop.solver import (
 NUMERIC_SPOTS = (Fraction(1, 5), Fraction(1, 4), Fraction(1, 3))
 
 
-@pytest.fixture(scope="module")
-def master():
-    return solve_series(ModelSpec(kind="potts3", c="symbolic", ng=8, ltarget=4))
+@pytest.fixture
+def master(master_table):
+    return master_table
 
 
-@pytest.fixture(scope="module")
-def lazy_symbolic():
-    return LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=6, ltarget=11), max_len=24)
+@pytest.fixture
+def lazy_symbolic(lazy_table):
+    return lazy_table
 
 
 def test_criterion_1_generating_equation_residuals(master):

@@ -1,11 +1,13 @@
 """Graded fixed-point solver: examples, symmetries, residuals, pure gravity."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from pottsloop.freealg import NCSeries, Word, all_words
+from pottsloop.loopcat import check_loops
 from pottsloop.ring import Poly
 from pottsloop.solver import (
     LazyTable,
@@ -15,6 +17,7 @@ from pottsloop.solver import (
     build_rhs_potts,
     generating_residual,
     pack_poly,
+    recast_residual_rect,
     solve_pure_gravity,
     solve_series,
     unpack_poly,
@@ -129,6 +132,45 @@ def test_lazy_matches_dense(small_table):
     for (n, k), d in small_table.slots():
         for bits, v in d.items():
             assert lazy.value_packed(bits, k, n) == v
+
+
+def test_lazy_memo_keys_do_not_collide():
+    # g-orders n >= 16 used to spill into the length field of the memo key
+    lazy = LazyTable(ModelSpec(kind="pure-gravity", ng=17, ltarget=1), max_len=18)
+    dense = solve_series(ModelSpec(kind="pure-gravity", ng=17, ltarget=1))
+    assert lazy.value_packed(0, 1, 1) == dense.value_packed(0, 1, 1)
+    assert lazy.value_packed(0, 1, 17) == dense.value_packed(0, 1, 17)
+    # lengths |w| >= 128 used to spill into the word bits: 0^130 against 10
+    lazy = LazyTable(ModelSpec(kind="potts3", c="1/4", ng=0, ltarget=2), max_len=130)
+    assert lazy.value_packed(1, 2, 0) == Fraction(1, 4)
+    assert lazy.value_packed(0, 130, 0) == math.comb(130, 65) // 66  # Catalan(65)
+
+
+@pytest.mark.parametrize("c0", [Fraction(-6, 7), Fraction(0), Fraction(1, 4), Fraction(5, 3), Fraction(2)])
+def test_numeric_tables_evaluate_the_symbolic_table(small_table, c0):
+    spec = ModelSpec(kind="potts3", c=c0, ng=small_table.ng, ltarget=small_table.spec.ltarget)
+    dense = solve_series(spec)
+    lazy = LazyTable(spec, max_len=small_table.S)
+    for k in range(small_table.S + 1):
+        for n in range(min(small_table.ng, small_table.S - k) + 1):
+            for word in all_words(k):
+                want = unpack_poly(small_table.value_packed(word.bits, k, n)).evaluate(c0)
+                for table in (dense, lazy):
+                    got = table.value_packed(word.bits, k, n)
+                    assert type(got) is Fraction and got == want, (str(word), n, got, want)
+
+
+def test_scaled_checks_detect_a_corrupted_raw_entry():
+    lazy = LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=2, ltarget=2), max_len=12)
+    lazy.value_packed(0, 0, 0)
+    before = set(lazy._memo)
+    assert lazy.value_packed(0, 2, 0) == 1
+    (key,) = set(lazy._memo) - before
+    assert lazy._memo[key] == 4  # p_00 = 1 stored as b**1 with b = 4
+    lazy._memo[key] += 1
+    bad = recast_residual_rect(lazy, 2, 2)
+    assert bad and bad[0][:2] == (Word.from_string("0"), 0)
+    assert not all(r.passed for r in check_loops(lazy, 2, 2))
 
 
 def test_lazy_guards_report_bounds():
