@@ -1,20 +1,33 @@
 """Moment constants, their recurrences, and the quintic spectral curve.
 
-The shifted resolvent y(x) = -x phi(x) - g/x^2 + 1/(1-c) satisfies a
-degree-five algebraic equation sum_k f_k(x) y^k = 0 whose x-polynomial
+The shifted resolvent y(x) = -x phi(x) - g/x^2 + 1/((1-c) x) satisfies a
+degree-five algebraic equation R = sum_k f_k(x) y^k = 0 whose x-polynomial
 coefficients f_0..f_5 are transcribed verbatim below, with four moment
 constants (series in g) substituted from the solved table.  Verifying that
 every Laurent coefficient of the residual vanishes, at symbolic c, is the
 headline check of the package.
+
+Polynomial coefficients.  The shift 1/((1-c) x) is the only rational
+function of c in the check, so the residual is computed for the scaled
+series ytilde = (1-c) yhat, with yhat = x^2 y as below: the sum
+(1-c)^5 R = x^-10 sum_k (1-c)^(5-k) (f_k x^(10-2k)) ytilde^k has
+polynomial coefficients throughout (constants at numeric c).  The factor
+(1-c)^5 is a nonzero constant in x and g, so it moves no slot and leaves
+the truncation argument below untouched, and the polynomials in c have no
+zero divisors, so a slot of (1-c)^5 R vanishes exactly when the same slot
+of R does.  Only the first nonzero slot a report prints is divided back to
+R (``curve_witness``).  That division is exact: each f_k carries a factor
+(1-c)^k, so R is itself a polynomial in c.
 
 Truncation note.  y starts at x^-2, and with negative exponents present an
 upper x-truncation is not stable under multiplication.  The residual is
 therefore computed in the rescaled variable yhat = x^2 y as a plain power
 series, R = x^-10 sum_k (f_k x^(10-2k)) yhat^k, and phi enters masked to
 the anti-diagonal region |word| + n <= M of the solved table.  Slots of
-yhat then satisfy (x-degree + g-order) >= 1, every monomial of f_k x^(10-2k)
-has combined degree >= 14 - k, and a short bookkeeping argument gives that
-all computed residual slots with x-degree + g-order <= M + 16 are exact.
+yhat (and of ytilde) then satisfy (x-degree + g-order) >= 1, every
+monomial of f_k x^(10-2k) has combined degree >= 14 - k, and a short
+bookkeeping argument gives that all computed residual slots with
+x-degree + g-order <= M + 16 are exact.
 The checker requires M >= nx + ng - 6 so the full reported rectangle is
 covered.
 """
@@ -23,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .freealg import Word
-from .ring import GSeries, Poly, RationalFunctionC, XLaurent
+from .ring import GSeries, Poly, XLaurent
 from .solver import SolutionTable, TruncationError, _TableBase, unpack_poly
 
 MOMENT_LABELS = ("1", "11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")
@@ -97,9 +111,9 @@ def check_recurrences(m: MomentSet) -> list:
         c (p1212 + p0121 - p1122 - p1120) = -(1 + c - 2c^2)(p12 - p1^2)
     """
     ng = m.ng
-    D = GSeries.constant(RationalFunctionC.from_poly(Poly((1, 1, -2))), ng)
-    cg = GSeries.constant(RationalFunctionC.from_poly(Poly((0, 1))), ng)
-    one_minus_c = GSeries.constant(RationalFunctionC.from_poly(Poly((1, -1))), ng)
+    D = GSeries.constant(Poly((1, 1, -2)), ng)
+    cg = GSeries.constant(Poly((0, 1)), ng)
+    one_minus_c = GSeries.constant(Poly((1, -1)), ng)
 
     r1 = (D * m.p11).shift_g(1) - one_minus_c * m.p1
     r2 = m.p12 - (D * m.p112).shift_g(1) - cg * m.p11
@@ -128,11 +142,11 @@ def implied_moment_relations(m: MomentSet) -> list:
         D^3 g^3 p1120 = (1 + c) D^2 g^2 p012 - 2c D g p12 + 2c^2 (1 - c) p1
     """
     ng = m.ng
-    D = GSeries.constant(RationalFunctionC.from_poly(Poly((1, 1, -2))), ng)
+    D = GSeries.constant(Poly((1, 1, -2)), ng)
     D2, D3 = D * D, D * D * D
 
     def const(*coeffs):
-        return GSeries.constant(RationalFunctionC.from_poly(Poly(coeffs)), ng)
+        return GSeries.constant(Poly(coeffs), ng)
 
     # c (2 + c)(1 - c) = 2c - c^2 - c^3
     r1 = (
@@ -196,11 +210,8 @@ def build_curve(m: MomentSet, ng: int, variant: str = "1202", c="symbolic") -> C
     c0 = None if symbolic else Fraction(c)
 
     def cp(*coeffs) -> XLaurent:
-        if symbolic:
-            rf = RationalFunctionC.from_poly(Poly(coeffs))
-        else:
-            rf = RationalFunctionC.constant(Poly(coeffs).evaluate(c0))
-        return XLaurent.constant(rf, NX, ng)
+        p = Poly(coeffs)
+        return XLaurent.constant(p if symbolic else p.evaluate(c0), NX, ng)
 
     def series(gs: GSeries) -> XLaurent:
         return XLaurent.constant(gs, NX, ng)
@@ -311,21 +322,22 @@ def build_curve(m: MomentSet, ng: int, variant: str = "1202", c="symbolic") -> C
 
 @dataclass(frozen=True)
 class ShiftedResolvent:
-    """yhat = x^2 y as a power series; y itself starts at x^-2.
+    """ytilde = (1-c) yhat = (1-c) x^2 y as a power series; y starts at x^-2.
 
     The shift is y = -x phi - g/x^2 + 1/((1-c) x).  The g^0 sector of the
     curve pins the additive constant to the x^-1 slot: with it at x^0, no
     root of the quintic restricted to g = 0 can equal the Gaussian
     resolvent (both independent coefficient ratios fail), while at x^-1
     both match identically.
+
+    Scaling by 1 - c clears the one rational function of c, so every
+    coefficient of ``ytilde`` is a polynomial in c (a constant at numeric
+    c, where 1 - c0 is nonzero because ``ModelSpec`` rejects c = 1).
     """
 
-    yhat: XLaurent
+    ytilde: XLaurent
     mask: int  # phi slots kept: |word| + g-order <= mask
-
-    @property
-    def y(self) -> XLaurent:
-        return self.yhat.shift_x(-2)
+    one_minus_c: Poly  # the scale: 1 - c, or the constant 1 - c0
 
 
 def build_shifted_resolvent(
@@ -336,7 +348,7 @@ def build_shifted_resolvent(
     *,
     constant_exponent: int = -1,
 ) -> ShiftedResolvent:
-    """yhat = -x^3 phi - g + x/(1-c), phi masked to the solved region.
+    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region.
 
     ``constant_exponent`` places the 1/(1-c) term in y; 0 reproduces the
     transcribed form of the shift, which demonstrably cannot satisfy the
@@ -345,49 +357,79 @@ def build_shifted_resolvent(
     if mask is None:
         mask = getattr(table, "S", nx + ng)
     NX = nx + 10
-    if table.symbolic:
-        inv_1mc = RationalFunctionC.from_poly(Poly((1,))) / RationalFunctionC.from_poly(Poly((1, -1)))
-    else:
-        inv_1mc = RationalFunctionC.constant(Fraction(1) / (1 - table.c0))
-    pairs = [(0, -GSeries.g_power(1, ng)), (constant_exponent + 2, GSeries.constant(inv_1mc, ng))]
+    one_minus_c = Poly((1, -1)) if table.symbolic else Poly.constant(1 - table.c0)
+    pairs = [(0, -GSeries.g_power(1, ng) * one_minus_c), (constant_exponent + 2, GSeries.one(ng))]
     for k in range(min(NX - 3, mask) + 1):
         nmax = min(ng, mask - k)
         if nmax < 0:
             continue
-        coeffs = [table.p_rf(Word([0] * k), n) if n <= nmax and (k + n) % 2 == 0 else None for n in range(ng + 1)]
+        coeffs = [table.p_coeff(Word([0] * k), n) if n <= nmax and (k + n) % 2 == 0 else None for n in range(ng + 1)]
         gs = GSeries([v if v is not None else 0 for v in coeffs], ng)
         if not gs.is_zero():
-            pairs.append((k + 3, -gs))
-    return ShiftedResolvent(XLaurent.from_coeffs(pairs, NX, ng), mask)
+            pairs.append((k + 3, -gs * one_minus_c))
+    return ShiftedResolvent(XLaurent.from_coeffs(pairs, NX, ng), mask, one_minus_c)
 
 
 def quintic_residual(shifted: ShiftedResolvent, coeffs: CurveCoefficients) -> XLaurent:
-    """sum_k f_k y^k as a Laurent series; identically zero on a solved table.
+    """(1-c)^5 R with R = sum_k f_k y^k, as a Laurent series.
+
+    Computed as sum_k (1-c)^(5-k) f_k ytilde^k, with polynomial coefficients
+    throughout.  The factor (1-c)^5 is nonzero, so the result vanishes
+    exactly where R does and R is identically zero on a solved table;
+    :func:`curve_witness` divides a reported slot back to R.
 
     Exact on the full reported rectangle provided the resolvent mask
     satisfies mask >= nx + ng - 6 (see module docstring).
     """
     ng = coeffs.ng
-    nx = shifted.yhat.nx - 10
+    nx = shifted.ytilde.nx - 10
     if shifted.mask < nx + ng - 6:
         raise TruncationError(
             f"resolvent mask {shifted.mask} too shallow for an exact residual at "
             f"x-order {nx}, g-order {ng}; need at least {nx + ng - 6}"
         )
     NX = nx + 10
-    yhat = shifted.yhat
-    if yhat.nx != NX:
+    ytilde = shifted.ytilde
+    if ytilde.nx != NX:
         raise ValueError("shifted resolvent truncation does not match the curve's")
     acc = XLaurent.zero(NX, ng)
     ypow = XLaurent.x_power(0, NX, ng)
     for k in range(6):
         fk = XLaurent(coeffs.fs[k].low + 10 - 2 * k, coeffs.fs[k].coeffs, NX, ng)
-        acc = acc + fk * ypow
+        acc = acc + fk * shifted.one_minus_c ** (5 - k) * ypow
         if k < 5:
-            ypow = ypow * yhat
+            ypow = ypow * ytilde
     if acc.is_zero():
         return XLaurent.zero(nx, ng)
     return XLaurent(acc.low - 10, acc.coeffs, nx, ng)
+
+
+def _divide_back(v: Poly, one_minus_c: Poly) -> str:
+    """v / (1-c)^5 as a string; at symbolic c by synthetic division."""
+    if one_minus_c.degree == 0:
+        return str(v.scale(1 / one_minus_c.coefficient(0) ** 5))
+    q = list(v.coeffs)
+    for _ in range(5):
+        # q = (1-c) r  <=>  r_i = q_0 + ... + q_i, exact iff q(1) = 0
+        q = list(accumulate(q))
+        if q.pop():
+            return f"({v})/(1-c)^5"
+    return str(Poly(q, v.den))
+
+
+def curve_witness(scaled: XLaurent, shifted: ShiftedResolvent) -> Optional[tuple]:
+    """First nonzero slot of R as (x power, g power, value of R), or None.
+
+    ``scaled`` is the (1-c)^5 R that :func:`quintic_residual` returns for
+    ``shifted``; only the reported slot is divided back.
+    """
+    from .loopcat import first_nonzero
+
+    fz = first_nonzero(scaled)
+    if fz is None:
+        return None
+    e, n, _ = fz
+    return e, n, _divide_back(scaled.coefficient(e)[n], shifted.one_minus_c)
 
 
 @dataclass
@@ -409,15 +451,12 @@ def check_curve(
     table: SolutionTable, nx: int, ng: int, variants: Sequence[str] = ("1202", "1212")
 ) -> list:
     """Quintic residual for each requested moment-variant mapping."""
-    from .loopcat import first_nonzero
-
     moments = compute_moments(table, ng)
     shifted = build_shifted_resolvent(table, nx, ng)
     out = []
     for variant in variants:
         coeffs = build_curve(moments, ng, variant, c=table.spec.c)
-        res = quintic_residual(shifted, coeffs)
-        fz = first_nonzero(res)
+        fz = curve_witness(quintic_residual(shifted, coeffs), shifted)
         out.append(CurveCheck(variant, fz is None, fz))
     return out
 

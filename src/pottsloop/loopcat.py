@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .freealg import EMPTY_WORD, Word
-from .ring import GSeries, Poly, RationalFunctionC, XLaurent
+from .ring import GSeries, Poly, XLaurent
 from .solver import _TableBase
 
 # coefficient polynomials in c, ascending powers
@@ -312,7 +312,7 @@ def extract_amplitude(
         for lab in labels:
             # appending 0-letters leaves the packed bits unchanged
             g = GSeries(
-                [table.p_rf_packed(lab.bits, lab.n + k + delta, n) for n in range(ng + 1)],
+                [table.p_coeff_packed(lab.bits, lab.n + k + delta, n) for n in range(ng + 1)],
                 ng,
             )
             acc = g if acc is None else acc + g
@@ -329,11 +329,7 @@ def _amp_series(table, amp: Amp, nx: int, ng: int) -> XLaurent:
 def _coeff_const(coeffs, table: _TableBase, ng: int) -> GSeries:
     """A c-polynomial as a GSeries constant, evaluated for numeric tables."""
     p = Poly(coeffs)
-    if table.symbolic:
-        rf = RationalFunctionC.from_poly(p)
-    else:
-        rf = RationalFunctionC.constant(p.evaluate(table.c0))
-    return GSeries.constant(rf, ng)
+    return GSeries.constant(p if table.symbolic else p.evaluate(table.c0), ng)
 
 
 def loop_residual(

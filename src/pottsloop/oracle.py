@@ -23,7 +23,7 @@ from math import factorial
 from typing import Optional
 
 from .freealg import Word
-from .ring import Poly, RationalFunctionC, RF_C, RF_ONE, rat_to_str
+from .ring import P_C, P_ONE, P_ZERO, Poly, rat_to_str
 from .solver import SolutionTable, TruncationError
 
 # desk-scale guard: matchings are enumerated explicitly
@@ -39,48 +39,49 @@ class PropagatorMatrix:
     @staticmethod
     def symbolic() -> "PropagatorMatrix":
         rows = tuple(
-            tuple(RF_ONE if i == j else RF_C for j in range(3)) for i in range(3)
+            tuple(P_ONE if i == j else P_C for j in range(3)) for i in range(3)
         )
         return PropagatorMatrix(rows)
 
     def kernel(self) -> tuple:
-        """The quadratic kernel [(1+2c) I - c J] / (1 + c - 2c^2)."""
-        d = RationalFunctionC.from_poly(Poly((1, 1, -2)))
-        one_2c = RationalFunctionC.from_poly(Poly((1, 2)))
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                num = one_2c - RF_C if i == j else -RF_C
-                row.append(num / d)
-            rows.append(tuple(row))
-        return tuple(rows)
+        """The quadratic kernel [(1+2c) I - c J] / D as (numerators, D).
+
+        D = 1 + c - 2c^2; the numerator matrix is (1+c) on the diagonal and
+        -c off it.
+        """
+        d = Poly((1, 1, -2))
+        one_2c = Poly((1, 2))
+        rows = tuple(
+            tuple(one_2c - P_C if i == j else -P_C for j in range(3)) for i in range(3)
+        )
+        return rows, d
 
 
 def verify_propagator(c="symbolic") -> bool:
     """Check K * G = I for the kernel K and propagator G, exactly.
 
+    The check is K_num * G = D * I with K = K_num / D, so it never divides.
     Numeric c sitting on a kernel pole (c in {1, -1/2}) raises
     ZeroDivisionError so the pole is reported rather than silently used.
     """
     G = PropagatorMatrix.symbolic()
-    K = G.kernel()
+    K, D = G.kernel()
     ge = G.entries
+    zero = P_ZERO
     if not (isinstance(c, str) and c == "symbolic"):
         c0 = Fraction(c)
-        if 1 + c0 - 2 * c0 * c0 == 0:
+        D = D.evaluate(c0)
+        if D == 0:
             raise ZeroDivisionError(f"propagator kernel is singular at c = {c0}")
         K = tuple(tuple(v.evaluate(c0) for v in row) for row in K)
         ge = tuple(tuple(v.evaluate(c0) for v in row) for row in ge)
-        one, zero = Fraction(1), Fraction(0)
-    else:
-        one, zero = RF_ONE, RF_ONE - RF_ONE
+        zero = Fraction(0)
     for i in range(3):
         for j in range(3):
             acc = zero
             for l in range(3):
                 acc = acc + K[i][l] * ge[l][j]
-            if acc != (one if i == j else zero):
+            if acc != (D if i == j else zero):
                 return False
     return True
 

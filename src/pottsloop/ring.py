@@ -2,13 +2,22 @@
 
 Three nested coefficient rings, all exact:
 
-  * ``Poly`` / ``RationalFunctionC``: univariate polynomials and reduced
-    rational functions in the spin-coupling parameter ``c`` over arbitrary
-    precision rationals (``fractions.Fraction``),
+  * ``Poly``: univariate polynomials in the spin-coupling parameter ``c``
+    with rational coefficients, stored as integers over one denominator,
   * ``GSeries``: power series in the triangle coupling ``g``, truncated at a
-    fixed order, with ``RationalFunctionC`` coefficients,
+    fixed order, with ``Poly`` coefficients,
   * ``XLaurent``: Laurent series in the boundary fugacity ``x``, truncated
     above, with ``GSeries`` coefficients.
+
+Every quantity the package computes is a polynomial in ``c``.  The one
+rational function of ``c`` in the equations, the 1/(1-c) shift of the
+curve's resolvent, is cleared where it arises (see ``curve``), and the
+oracle checks its propagator kernel multiplied through by the kernel's
+denominator, so no coefficient ever leaves the polynomial ring.
+
+Series products run on plain integer coefficient lists over one common
+denominator per operand; almost every polynomial has denominator 1, and
+those are never gcd-normalised.
 
 Everything is immutable after construction; all operations are pure.
 """
@@ -30,15 +39,6 @@ def rat_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
-# ---------------------------------------------------------------------------
-# integer-level polynomial helpers (coefficients ascending, no trailing zeros)
-# ---------------------------------------------------------------------------
-
-
 def _trim(coeffs: list) -> list:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -54,43 +54,6 @@ def _content(coeffs: Iterable[int]) -> int:
     return g
 
 
-def _pseudo_rem(a: tuple, b: tuple) -> tuple:
-    """Pseudo-remainder of integer polynomials (a mod b up to lc(b) powers)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    _trim(r)
-    while len(r) - 1 >= db and r:
-        top = r[-1]
-        dr = len(r) - 1
-        r = [lb * x for x in r]
-        shift = dr - db
-        for j, bj in enumerate(b):
-            r[shift + j] -= top * bj
-        _trim(r)
-    return tuple(r)
-
-
-def _int_poly_gcd(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd of integer coefficient tuples, positive leading coeff."""
-    a = tuple(a)
-    b = tuple(b)
-    if not a:
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        if r:
-            k = _content(r)
-            r = tuple(x // k for x in r)
-        a, b = b, r
-    if not a:
-        return ()
-    k = _content(a)
-    if a[-1] < 0:
-        k = -k
-    return tuple(x // k for x in a)
-
-
 class Poly:
     """Polynomial in ``c`` over the rationals.
 
@@ -101,7 +64,10 @@ class Poly:
     __slots__ = ("coeffs", "den")
 
     def __init__(self, coeffs: Iterable[int] = (), den: int = 1):
-        cs = _trim(list(int(a) for a in coeffs))
+        cs = _trim(list(map(int, coeffs)))
+        if den == 1:
+            self.coeffs, self.den = tuple(cs), 1
+            return
         den = int(den)
         if den == 0:
             raise ZeroDivisionError("polynomial denominator is zero")
@@ -133,17 +99,6 @@ class Poly:
         v = Fraction(v)
         return Poly((v.numerator,), v.denominator)
 
-    @staticmethod
-    def from_dict(d: dict) -> "Poly":
-        """Inverse of to_dict: exponent -> coefficient-string (or number) map."""
-        if not d:
-            return P_ZERO
-        items = {int(e): Fraction(v) for e, v in d.items()}
-        fr = [Fraction(0)] * (max(items) + 1)
-        for e, v in items.items():
-            fr[e] = v
-        return Poly.from_fractions(fr)
-
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -162,27 +117,22 @@ class Poly:
             return Fraction(self.coeffs[e], self.den)
         return Fraction(0)
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return Fraction(self.coeffs[-1], self.den)
-
-    def fractions(self) -> list:
-        return [Fraction(a, self.den) for a in self.coeffs]
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs, other.coeffs
         da, db = self.den, other.den
-        out = [
-            (a[i] if i < len(a) else 0) * db + (b[i] if i < len(b) else 0) * da
-            for i in range(n)
-        ]
-        return Poly(out, da * db)
+        if da != db:
+            a = [x * db for x in a]
+            b = [x * da for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return Poly(out, da if da == db else da * db)
 
     def __neg__(self) -> "Poly":
         p = object.__new__(Poly)
@@ -199,11 +149,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return P_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+        out = []
+        _addmul(out, a, b)
         return Poly(out, self.den * other.den)
 
     def __pow__(self, n: int) -> "Poly":
@@ -221,12 +168,6 @@ class Poly:
     def scale(self, v: Rat) -> "Poly":
         v = Fraction(v)
         return Poly([a * v.numerator for a in self.coeffs], self.den * v.denominator)
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by c**k."""
-        if not self.coeffs:
-            return P_ZERO
-        return Poly((0,) * k + self.coeffs, self.den)
 
     def evaluate(self, c0: Rat) -> Fraction:
         c0 = Fraction(c0)
@@ -270,212 +211,68 @@ class Poly:
                 parts.append(("+" if q > 0 else "-") + term)
         return "".join(parts)
 
-    def to_dict(self) -> dict:
-        """Exponent -> coefficient-string map (JSON form)."""
-        return {
-            str(e): rat_to_str(Fraction(a, self.den))
-            for e, a in enumerate(self.coeffs)
-            if a
-        }
-
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
 P_C = Poly((0, 1))
 
 
-def _poly_divmod(a: Poly, b: Poly) -> tuple:
-    """Exact long division over the rationals: a = q*b + r, deg r < deg b."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    ra = a.fractions()
-    rb = b.fractions()
-    lb = rb[-1]
-    q = [Fraction(0)] * max(len(ra) - len(rb) + 1, 0)
-    while len(ra) >= len(rb) and any(ra):
-        while ra and ra[-1] == 0:
-            ra.pop()
-        if len(ra) < len(rb):
-            break
-        f = ra[-1] / lb
-        k = len(ra) - len(rb)
-        q[k] = f
-        for j, bj in enumerate(rb):
-            ra[k + j] -= f * bj
-        assert ra[-1] == 0
-        ra.pop()
-    return Poly.from_fractions(q), Poly.from_fractions(ra)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (primitive integer PRS underneath)."""
-    g = _int_poly_gcd(a.coeffs, b.coeffs)
-    if not g:
-        return P_ZERO
-    return Poly(g, g[-1])
-
-
-class RationalFunctionC:
-    """Reduced rational function in ``c``: gcd-free, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = P_ONE, *, reduce: bool = True):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = P_ZERO, P_ONE
-            return
-        if reduce and not den.is_one():
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = _poly_divmod(num, g)
-                den, _ = _poly_divmod(den, g)
-        if not den.is_one():
-            lead = den.leading()
-            if lead != 1:
-                inv = 1 / lead
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RationalFunctionC":
-        r = object.__new__(RationalFunctionC)
-        r.num, r.den = p, P_ONE
-        return r
-
-    @staticmethod
-    def constant(v: Rat) -> "RationalFunctionC":
-        return RationalFunctionC.from_poly(Poly.constant(v))
-
-    # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
-    def evaluate(self, c0: Rat) -> Fraction:
-        d = self.den.evaluate(c0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of rational function at c = {c0}")
-        return self.num.evaluate(c0) / d
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionC.constant(other)
-        if not isinstance(other, RationalFunctionC):
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunctionC.from_poly(self.num + other.num)
-        num = self.num * other.den + other.num * self.den
-        return RationalFunctionC(num, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = object.__new__(RationalFunctionC)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionC.constant(other)
-        if not isinstance(other, RationalFunctionC):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunctionC(self.num.scale(other), self.den, reduce=False)
-        if not isinstance(other, RationalFunctionC):
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunctionC.from_poly(self.num * other.num)
-        return RationalFunctionC(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionC.constant(other)
-        if not isinstance(other, RationalFunctionC):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunctionC(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunctionC.constant(other) / self
-
-    def __pow__(self, n: int):
-        r = RF_ONE
-        base = self
-        if n < 0:
-            base = RF_ONE / base
-            n = -n
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
-
-    # -- structure ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionC.constant(other)
-        return (
-            isinstance(other, RationalFunctionC)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunctionC({self})"
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        ns = str(self.num)
-        if self.num.degree > 0 and ("+" in ns[1:] or "-" in ns[1:]):
-            ns = f"({ns})"
-        return f"{ns}/({self.den})"
-
-    def to_json(self) -> dict:
-        out = {"num": self.num.to_dict()}
-        if not self.den.is_one():
-            out["den"] = self.den.to_dict()
-        return out
-
-
-RF_ZERO = RationalFunctionC.from_poly(P_ZERO)
-RF_ONE = RationalFunctionC.from_poly(P_ONE)
-RF_C = RationalFunctionC.from_poly(P_C)
-
-
-def _as_rf(v) -> RationalFunctionC:
-    if isinstance(v, RationalFunctionC):
-        return v
+def _as_poly(v) -> Poly:
     if isinstance(v, Poly):
-        return RationalFunctionC.from_poly(v)
+        return v
     if isinstance(v, (int, Fraction)):
-        return RationalFunctionC.constant(v)
-    raise TypeError(f"cannot coerce {type(v).__name__} to RationalFunctionC")
+        return Poly.constant(v)
+    raise TypeError(f"cannot coerce {type(v).__name__} to Poly")
+
+
+# ---------------------------------------------------------------------------
+# integer kernels of the series products
+# ---------------------------------------------------------------------------
+
+
+def _addmul(acc: list, a: tuple, b: tuple) -> None:
+    """acc += a * b on ascending integer coefficient lists (acc grows as needed)."""
+    lb = len(b)
+    need = len(a) + lb - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                acc[j] += ai * bj
+
+
+def _int_rows(series) -> tuple:
+    """Integer coefficient tuples of g-series over one common denominator.
+
+    Returns (rows, den): rows[i][n] is the numerator tuple of
+    series[i][n] * den, or None for a zero series.
+    """
+    den = 1
+    for gs in series:
+        for p in gs.coeffs:
+            if p.den != 1:
+                den = den * p.den // gcd(den, p.den)
+    rows = []
+    for gs in series:
+        if gs.is_zero():
+            rows.append(None)
+        elif den == 1:
+            rows.append([p.coeffs for p in gs.coeffs])
+        else:
+            rows.append([tuple(a * (den // p.den) for a in p.coeffs) for p in gs.coeffs])
+    return rows, den
+
+
+def _series_addmul(out: list, a: list, b: list) -> None:
+    """out += a * b for g-series as integer rows, truncated at len(out) orders."""
+    size = len(out)
+    for m, am in enumerate(a):
+        if am:
+            for n in range(size - m):
+                bn = b[n]
+                if bn:
+                    _addmul(out[m + n], am, bn)
 
 
 class GSeries:
@@ -484,13 +281,21 @@ class GSeries:
     __slots__ = ("coeffs", "ng")
 
     def __init__(self, coeffs, ng: int):
-        coeffs = tuple(_as_rf(v) for v in coeffs)
+        coeffs = tuple(_as_poly(v) for v in coeffs)
         if len(coeffs) < ng + 1:
-            coeffs = coeffs + (RF_ZERO,) * (ng + 1 - len(coeffs))
+            coeffs = coeffs + (P_ZERO,) * (ng + 1 - len(coeffs))
         elif len(coeffs) > ng + 1:
             coeffs = coeffs[: ng + 1]
         self.coeffs = coeffs
         self.ng = ng
+
+    @staticmethod
+    def _from_ints(rows: list, den: int, ng: int) -> "GSeries":
+        """From ng + 1 integer coefficient lists over the denominator ``den``."""
+        s = object.__new__(GSeries)
+        s.coeffs = tuple(Poly(r, den) for r in rows)
+        s.ng = ng
+        return s
 
     @staticmethod
     def zero(ng: int) -> "GSeries":
@@ -498,17 +303,17 @@ class GSeries:
 
     @staticmethod
     def one(ng: int) -> "GSeries":
-        return GSeries((RF_ONE,), ng)
+        return GSeries((P_ONE,), ng)
 
     @staticmethod
     def g_power(k: int, ng: int) -> "GSeries":
         if k > ng:
             return GSeries.zero(ng)
-        return GSeries((RF_ZERO,) * k + (RF_ONE,), ng)
+        return GSeries((P_ZERO,) * k + (P_ONE,), ng)
 
     @staticmethod
     def constant(v, ng: int) -> "GSeries":
-        return GSeries((_as_rf(v),), ng)
+        return GSeries((_as_poly(v),), ng)
 
     def _check(self, other: "GSeries"):
         if self.ng != other.ng:
@@ -517,11 +322,11 @@ class GSeries:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.coeffs)
 
-    def __getitem__(self, n: int) -> RationalFunctionC:
+    def __getitem__(self, n: int) -> Poly:
         return self.coeffs[n]
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RationalFunctionC)):
+        if isinstance(other, (int, Fraction, Poly)):
             other = GSeries.constant(other, self.ng)
         if not isinstance(other, GSeries):
             return NotImplemented
@@ -534,7 +339,7 @@ class GSeries:
         return GSeries(tuple(-a for a in self.coeffs), self.ng)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RationalFunctionC)):
+        if isinstance(other, (int, Fraction, Poly)):
             other = GSeries.constant(other, self.ng)
         if not isinstance(other, GSeries):
             return NotImplemented
@@ -544,21 +349,19 @@ class GSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RationalFunctionC)):
-            v = _as_rf(other)
+        if isinstance(other, (int, Fraction, Poly)):
+            v = _as_poly(other)
             return GSeries(tuple(a * v for a in self.coeffs), self.ng)
         if not isinstance(other, GSeries):
             return NotImplemented
         self._check(other)
-        out = [RF_ZERO] * (self.ng + 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero():
-                continue
-            for j in range(self.ng + 1 - i):
-                bj = other.coeffs[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return GSeries(tuple(out), self.ng)
+        (a,), da = _int_rows((self,))
+        (b,), db = _int_rows((other,))
+        if a is None or b is None:
+            return GSeries.zero(self.ng)
+        out = [[] for _ in range(self.ng + 1)]
+        _series_addmul(out, a, b)
+        return GSeries._from_ints(out, da * db, self.ng)
 
     __rmul__ = __mul__
 
@@ -574,15 +377,12 @@ class GSeries:
 
     def shift_g(self, k: int) -> "GSeries":
         """Multiply by g**k, truncating."""
-        return GSeries((RF_ZERO,) * k + self.coeffs, self.ng)
+        return GSeries((P_ZERO,) * k + self.coeffs, self.ng)
 
     def retruncate(self, ng: int) -> "GSeries":
         if ng > self.ng:
             raise ValueError("cannot extend a truncated series")
         return GSeries(self.coeffs[: ng + 1], ng)
-
-    def evaluate_c(self, c0: Rat) -> list:
-        return [v.evaluate(c0) for v in self.coeffs]
 
     def evaluate(self, c0: Rat, g0: Rat) -> Fraction:
         g0 = Fraction(g0)
@@ -705,12 +505,8 @@ class XLaurent:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction, Poly, RationalFunctionC, GSeries)):
-            return XLaurent.constant(
-                other if isinstance(other, GSeries) else GSeries.constant(other, self.ng),
-                self.nx,
-                self.ng,
-            )
+        if isinstance(other, (int, Fraction, Poly, GSeries)):
+            return XLaurent.constant(other, self.nx, self.ng)
         return other
 
     def __add__(self, other):
@@ -744,7 +540,7 @@ class XLaurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RationalFunctionC, GSeries)):
+        if isinstance(other, (int, Fraction, Poly, GSeries)):
             v = other if isinstance(other, GSeries) else GSeries.constant(other, self.ng)
             return XLaurent(
                 self.low, tuple(a * v for a in self.coeffs), self.nx, self.ng
@@ -758,16 +554,16 @@ class XLaurent:
         size = min(self.nx - low, len(self.coeffs) + len(other.coeffs) - 2) + 1
         if size <= 0:
             return XLaurent.zero(self.nx, self.ng)
-        out = [GSeries.zero(self.ng)] * size
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero():
-                continue
-            jmax = min(len(other.coeffs), size - i)
-            for j in range(jmax):
-                bj = other.coeffs[j]
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return XLaurent(low, out, self.nx, self.ng)
+        a, da = _int_rows(self.coeffs)
+        b, db = _int_rows(other.coeffs)
+        out = [[[] for _ in range(self.ng + 1)] for _ in range(size)]
+        for i, ai in enumerate(a):
+            if ai is not None:
+                for j in range(min(len(b), size - i)):
+                    if b[j] is not None:
+                        _series_addmul(out[i + j], ai, b[j])
+        den = da * db
+        return XLaurent(low, [GSeries._from_ints(r, den, self.ng) for r in out], self.nx, self.ng)
 
     __rmul__ = __mul__
 
@@ -842,14 +638,15 @@ def xlaurent_grade_mask(a: XLaurent, cap: int, gweight: int = 1) -> XLaurent:
 def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None, gweight: int = 1) -> XLaurent:
     """Series inverse of a Laurent series whose (x^0, g^0) part is a unit.
 
-    Requires the rest of ``a`` to be topologically nilpotent within the
-    truncation, which holds whenever every other monomial carries a positive
-    power of g or of x.  With ``grade_cap`` the computation is restricted to
-    the sloped region described in :func:`xlaurent_grade_mask`, where it is
-    exact; slots beyond the cap come out zero.
+    The units of the coefficient ring are the nonzero constants.  Requires
+    the rest of ``a`` to be topologically nilpotent within the truncation,
+    which holds whenever every other monomial carries a positive power of g
+    or of x.  With ``grade_cap`` the computation is restricted to the sloped
+    region described in :func:`xlaurent_grade_mask`, where it is exact;
+    slots beyond the cap come out zero.
     """
     u = a.coefficient(0)[0]
-    if u.is_zero():
+    if u.degree != 0:
         raise ValueError("series inverse needs a unit constant term")
 
     def cap(v):
@@ -857,7 +654,7 @@ def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None, gweight: int 
 
     a = cap(a)
     one = XLaurent.x_power(0, a.nx, a.ng)
-    b = XLaurent.constant(GSeries.constant(RF_ONE / u, a.ng), a.nx, a.ng)
+    b = XLaurent.constant(1 / u.coefficient(0), a.nx, a.ng)
     # Newton doubling: b <- b*(2 - a*b)
     for _ in range(64):
         err = cap(one - a * b)

@@ -11,10 +11,13 @@ contributes three edge ends).
 Solved coefficients are polynomials in c with nonnegative integer
 coefficients: each one counts spin-decorated triangulations where every
 unequal-spin adjacency carries one factor of c.  In symbolic mode they are
-stored packed into single big integers, base 2**64 per c-power.  The counts
-at our truncations are bounded by Catalan(15) * 3**8 < 2**36, far below the
-2**63 headroom, so packed addition and multiplication never carry between
-digits and decoding is exact.
+stored packed into single big integers, base 2**64 per c-power.  Every
+digit of a count is at most its value at c = 1, 3**n times the one-matrix
+count of the slot, and a symbolic truncation whose bound (with the margin
+the signed recast residual needs) reaches the 2**62 digit guard is refused
+before any solve (``check_headroom``).  Within the accepted truncations
+packed addition and multiplication never carry between digits and decoding
+is exact.
 
 Both coefficient domains store one integer per slot and run one integer
 recursion.  The slot (w, n) spends E = (|w| + 3n)/2 propagators, and a split
@@ -34,18 +37,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .freealg import LETTERS, NCSeries, Word
-from .ring import (
-    GSeries,
-    Poly,
-    RationalFunctionC,
-    RF_ZERO,
-    XLaurent,
-    xlaurent_sqrt,
-)
+from .ring import P_C, P_ZERO, GSeries, Poly, XLaurent, xlaurent_sqrt
 
 _B = 64
 _DIGIT = (1 << _B) - 1
 _GUARD = 1 << 62
+_RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 value
 
 
 class TruncationError(Exception):
@@ -270,21 +267,20 @@ class _TableBase:
         v = self.value_packed(word.bits, word.n, n)
         return unpack_poly(v) if self.symbolic else v
 
-    def p_rf(self, word, n: int) -> RationalFunctionC:
+    def p_coeff(self, word, n: int) -> Poly:
+        """Coefficient of g**n for the word as a ring element (a constant at numeric c)."""
         word = _as_word(word)
-        return self.p_rf_packed(word.bits, word.n, n)
+        return self.p_coeff_packed(word.bits, word.n, n)
 
-    def p_rf_packed(self, bits: int, k: int, n: int) -> RationalFunctionC:
+    def p_coeff_packed(self, bits: int, k: int, n: int) -> Poly:
         v = self.value_packed(bits, k, n)
-        if self.symbolic:
-            return RationalFunctionC.from_poly(unpack_poly(v))
-        return RationalFunctionC.constant(v)
+        return unpack_poly(v) if self.symbolic else Poly.constant(v)
 
     def gseries(self, word, ng: Optional[int] = None) -> GSeries:
         """The full g-series of a word's coefficient."""
         word = _as_word(word)
         ng = self.ng if ng is None else ng
-        return GSeries([self.p_rf(word, n) for n in range(ng + 1)], ng)
+        return GSeries([self.p_coeff(word, n) for n in range(ng + 1)], ng)
 
 
 def _as_word(w) -> Word:
@@ -345,10 +341,9 @@ class SolutionTable(_TableBase):
                 w = Word._raw(k, bits)
                 g = terms.get(w)
                 if g is None:
-                    g = [RF_ZERO] * (ng + 1)
+                    g = [P_ZERO] * (ng + 1)
                     terms[w] = g
-                val = self._public(v, k, n)
-                g[n] = RationalFunctionC.from_poly(val) if self.symbolic else RationalFunctionC.constant(val)
+                g[n] = self._public(v, k, n)
         return NCSeries(
             {w: GSeries(tuple(g), ng) for w, g in terms.items()}, lmax, ng
         )
@@ -364,6 +359,27 @@ class SolutionTable(_TableBase):
         return {w: dict(sorted(g.items(), key=lambda kv: int(kv[0]))) for w, g in sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))}
 
 
+def check_headroom(spec: ModelSpec, kmax: int, S: int) -> None:
+    """Refuse a symbolic region whose packed digits could reach the guard.
+
+    The region is |w| <= kmax, |w| + n <= S, n <= ng.  Every digit of
+    p_w^(n) is at most its value at c = 1, which is nletters**n * pg(|w|, n)
+    with pg the one-matrix count (the same recursion on one letter).  The
+    signed recast combination stays within _RECAST_MARGIN times that, so a
+    bound below the guard makes every packed operation carry-free.
+    """
+    if not spec.symbolic:
+        return
+    pg = _solve_dense(1, S, spec.ng, 1, 1)
+    bound = _RECAST_MARGIN * max(spec.nletters**n * d.get(0, 0) for (n, k), d in pg.items() if k <= kmax)
+    if bound >= _GUARD:
+        raise ValueError(
+            f"truncation |w| <= {kmax}, |w| + n <= {S}, n <= {spec.ng} refused at symbolic c: "
+            f"packed digits may reach {bound} (a {bound.bit_length()}-bit bound), "
+            f"beyond the 2^62 digit guard"
+        )
+
+
 def solve_series(spec: ModelSpec) -> SolutionTable:
     """Solve the generating equation to the spec's truncations.
 
@@ -371,9 +387,11 @@ def solve_series(spec: ModelSpec) -> SolutionTable:
     what the grade induction consumes: each triangle removal trades one
     g-order for one extra letter, so reported words of length ltarget at
     order ng pull on words up to ltarget + ng at order zero and never
-    longer.
+    longer.  A symbolic region beyond the packed headroom is refused
+    (:func:`check_headroom`).
     """
     S = spec.ltarget + spec.ng
+    check_headroom(spec, S, S)
     layers = _solve_dense(spec.nletters, S, spec.ng, *_weights(spec))
     return SolutionTable(spec, S, layers)
 
@@ -388,6 +406,8 @@ class LazyTable(_TableBase):
     """
 
     def __init__(self, spec: ModelSpec, max_len: int):
+        # a slot (k, n) reads k + 1 letters at n - 1, down to max_len + ng at n = 0
+        check_headroom(spec, max_len, max_len + spec.ng)
         super().__init__(spec)
         self.max_len = max_len
         self.nlet = spec.nletters
@@ -427,9 +447,7 @@ def build_rhs_potts(phi: NCSeries, c="symbolic") -> NCSeries:
     with G_ii = 1 and G_ij = c for unequal spins, transcribed term by term.
     """
     ng, lmax = phi.ng, phi.lmax
-    from .ring import RF_C
-
-    cval = RF_C if (isinstance(c, str) and c == "symbolic") else RationalFunctionC.constant(Fraction(c))
+    cval = P_C if (isinstance(c, str) and c == "symbolic") else Fraction(c)
     cg = GSeries.constant(cval, ng)
     gmono = GSeries.g_power(1, ng)
     rhs = NCSeries.unit(lmax, ng)
@@ -493,12 +511,8 @@ class ResidualReport:
         ng = table.ng
         terms = {}
         for word, n, value in entries:
-            g = terms.setdefault(word, [RF_ZERO] * (ng + 1))
-            g[n] = (
-                RationalFunctionC.from_poly(value)
-                if isinstance(value, Poly)
-                else RationalFunctionC.constant(value)
-            )
+            g = terms.setdefault(word, [P_ZERO] * (ng + 1))
+            g[n] = value
         return NCSeries({w: GSeries(tuple(g), ng) for w, g in terms.items()}, self.grade, ng)
 
 

@@ -11,12 +11,13 @@ from pottsloop.curve import (
     check_curve,
     check_recurrences,
     compute_moments,
+    curve_witness,
     implied_moment_relations,
     numeric_branch_check,
     quintic_residual,
 )
 from pottsloop.loopcat import first_nonzero
-from pottsloop.ring import GSeries
+from pottsloop.ring import GSeries, Poly
 from pottsloop.solver import ModelSpec, solve_series
 
 
@@ -54,7 +55,7 @@ def test_curve_coefficient_degrees(master_table):
     assert [e for e, _ in f5.items()] == [6]
     g_orders = [n for n, v in enumerate(f5.coefficient(6).coeffs) if not v.is_zero()]
     assert g_orders == [3]
-    top = f5.coefficient(6)[3].num
+    top = f5.coefficient(6)[3]
     assert top.degree == 14
     assert top.coefficient(0) == -4
     assert top.evaluate(1) == 0  # the (c-1)^8 factor
@@ -76,11 +77,19 @@ def test_reduction_chain_equations_hold(medium_table):
         assert res.is_zero(), f"entry {index}"
 
 
+# The residual R of the quintic at its first nonzero slot, pinned exactly.
+W1212_X6G6 = (
+    "8*c^3+48*c^4-8*c^5-448*c^6-56*c^7+1968*c^8-648*c^9-4224*c^10"
+    "+4080*c^11+2176*c^12-5616*c^13+3680*c^14-1088*c^15+128*c^16"
+)
+W_LITERAL_SHIFT_X1G3 = "26*c^2+118*c^3+42*c^4-406*c^5-284*c^6+552*c^7+272*c^8-320*c^9"
+
+
 def test_variant_discrimination_at_depth(master_table):
     checks = {c.variant: c for c in check_curve(master_table, nx=6, ng=6)}
     assert checks["1202"].passed
     assert not checks["1212"].passed
-    assert checks["1212"].first_nonzero[:2] == (6, 6)
+    assert checks["1212"].first_nonzero == (6, 6, W1212_X6G6)
 
 
 def test_literal_shift_constant_fails(medium_table):
@@ -90,7 +99,20 @@ def test_literal_shift_constant_fails(medium_table):
     shifted = build_shifted_resolvent(medium_table, 3, 3, constant_exponent=0)
     coeffs = build_curve(moments, 3, "1202")
     res = quintic_residual(shifted, coeffs)
-    assert first_nonzero(res) is not None
+    assert curve_witness(res, shifted) == (1, 3, W_LITERAL_SHIFT_X1G3)
+
+
+def test_witness_divides_the_scale_back_exactly():
+    from pottsloop.curve import _divide_back
+
+    r = Poly((1, 2))
+    one_minus_c = Poly((1, -1))
+    assert _divide_back(r * one_minus_c**5, one_minus_c) == "1+2*c"
+    v = r * one_minus_c**4  # (1-c)^5 does not divide it
+    assert _divide_back(v, one_minus_c) == f"({v})/(1-c)^5"
+    # at numeric c the scale is the nonzero constant 1 - c0
+    q = Poly.constant(Fraction(3, 4))
+    assert _divide_back(Poly.constant(-7) * q**5, q) == "-7"
 
 
 def test_quintic_sensitive_to_moment_perturbation(master_table):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pottsloop.freealg import EMPTY_WORD, NCSeries, Word, all_words, apply_operator_string
-from pottsloop.ring import GSeries, RF_C, RF_ONE
+from pottsloop.ring import GSeries
 
 
 def w(s):

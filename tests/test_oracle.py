@@ -51,6 +51,7 @@ def test_propagator_identity():
     assert verify_propagator()
     assert verify_propagator(0)
     assert verify_propagator(Fraction(1, 4))
+    assert verify_propagator(2)
     with pytest.raises(ZeroDivisionError):
         verify_propagator(1)
     with pytest.raises(ZeroDivisionError):
@@ -58,15 +59,28 @@ def test_propagator_identity():
 
 
 def test_kernel_entries():
-    from pottsloop.ring import RationalFunctionC
-
-    K = PropagatorMatrix.symbolic().kernel()
+    K, D = PropagatorMatrix.symbolic().kernel()
     # diagonal (1+c)/D, off-diagonal -c/D with D = 1 + c - 2c^2
-    D = Poly((1, 1, -2))
-    assert K[0][0] == RationalFunctionC(Poly((1, 1)), D)
-    assert K[0][1] == RationalFunctionC(Poly((0, -1)), D)
+    assert D == Poly((1, 1, -2))
+    assert K[0][0] == Poly((1, 1))
+    assert K[0][1] == Poly((0, -1))
     assert K[0][1] == K[1][2]
     assert K[0][0] == K[2][2]
+
+
+@pytest.mark.parametrize("c", ["symbolic", Fraction(1, 4), 2])
+def test_propagator_check_rejects_a_perturbed_kernel(monkeypatch, c):
+    kernel = PropagatorMatrix.kernel
+
+    def perturbed(self):
+        K, D = kernel(self)
+        rows = [list(row) for row in K]
+        rows[1][2] = rows[1][2] + Poly((0, 0, 1))
+        return tuple(tuple(row) for row in rows), D
+
+    assert verify_propagator(c)
+    monkeypatch.setattr(PropagatorMatrix, "kernel", perturbed)
+    assert not verify_propagator(c)
 
 
 def test_pruning_independence():

@@ -15,6 +15,7 @@ from pottsloop.solver import (
     SolutionTable,
     TruncationError,
     build_rhs_potts,
+    check_headroom,
     generating_residual,
     pack_poly,
     recast_residual_rect,
@@ -54,9 +55,9 @@ def test_constant_term_is_one(small_table):
 def test_build_rhs_on_unit_series():
     one = NCSeries.unit(4, 2)
     rhs = build_rhs_potts(one)
-    assert rhs.coefficient(Word.from_string("00"))[0] == 1
+    assert rhs.coefficient(Word.from_string("00"))[0] == Poly((1,))
     assert str(rhs.coefficient(Word.from_string("01"))[0]) == "c"
-    assert rhs.coefficient(Word([]))[0] == 1
+    assert rhs.coefficient(Word([]))[0] == Poly((1,))
 
 
 def test_rhs_fixed_point_matches_ncseries_path(small_table):
@@ -179,6 +180,42 @@ def test_lazy_guards_report_bounds():
         lazy.value_packed(0, 6, 0)
     with pytest.raises(TruncationError):
         lazy.value_packed(0, 2, 4)
+
+
+def test_headroom_guard_refuses_before_solving(monkeypatch):
+    import pottsloop.solver as solver
+
+    one_letter = solver._solve_dense
+
+    def no_potts_solve(nlet, *args):
+        assert nlet == 1, "a refused truncation reached the three-letter solve"
+        return one_letter(nlet, *args)
+
+    monkeypatch.setattr(solver, "_solve_dense", no_potts_solve)
+    # 4 * 3**n * pg(|w|, n) peaks at 71 bits over (S 30, ng 14)
+    with pytest.raises(ValueError, match=r"\|w\| \+ n <= 30, n <= 14 .* 71-bit bound"):
+        solve_series(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16))
+    with pytest.raises(ValueError, match=r"\|w\| <= 30, \|w\| \+ n <= 44, n <= 14 "):
+        LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16), max_len=30)
+    # numeric-c raw values are plain integers and need no digit room
+    LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=14, ltarget=16), max_len=30)
+
+
+@pytest.mark.parametrize(
+    "kind, kmax, S, ng",
+    [
+        ("potts3", 7, 7, 3),  # small_table
+        ("potts3", 11, 11, 3),  # medium_table
+        ("potts3", 12, 12, 8),  # master_table
+        ("potts3", 24, 30, 6),  # lazy_table
+        ("potts3", 10, 10, 6),  # benchmark dense solve
+        ("potts3", 18, 23, 5),  # benchmark catalog tables
+        ("pure-gravity", 20, 20, 10),  # pure-gravity closed form to order 10
+        ("pure-gravity", 18, 35, 17),  # deep one-matrix lazy table
+    ],
+)
+def test_shipped_truncations_fit_the_headroom(kind, kmax, S, ng):
+    check_headroom(ModelSpec(kind=kind, c="symbolic", ng=ng), kmax, S)
 
 
 def test_region_guard_reports_bounds(small_table):
