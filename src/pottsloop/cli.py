@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -238,10 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_negative_c(argv: list) -> list:
+    """Join ``--c -2/3`` into ``--c=-2/3``.
+
+    argparse reads a token that starts with '-' and is not a plain decimal
+    number as an option, so a negative rational after ``--c`` would be lost.
+    """
+    out = []
+    for a in argv:
+        if out and out[-1] == "--c" and re.fullmatch(r"-[0-9./]+", a):
+            out[-1] = "--c=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_c(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -4,10 +4,15 @@ A boundary condition of a triangulated disk is a word in the letters
 ``{0, 1, 2}`` (one letter per boundary edge, read from the marked edge).
 ``NCSeries`` maps words to ``GSeries`` coefficients and carries the boundary
 derivative operators that add or strip letters on either side.
+
+A disk amplitude is a trace, so it is invariant under cyclic rotation of its
+word, under reversal (transposition) and under relabelling of the spins;
+``orbit_rep`` names one word per orbit of that group.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 from .ring import GSeries
@@ -129,6 +134,49 @@ class Word:
 
 EMPTY_WORD = Word()
 
+# letters of one packed byte (four letters, first letter lowest) as a string
+_BYTE_LETTERS = [a + b + c + d for d in "0123" for c in "0123" for b in "0123" for a in "0123"]
+_RUNS = re.compile(r"0+|1+|2+")
+# first-occurrence relabelling of a string that starts with x and whose first other letter is y
+_FIRST_OCCURRENCE = {
+    (x, y): str.maketrans(x + y + "012".replace(x, "").replace(y, ""), "012")
+    for x in "012"
+    for y in "012"
+    if x != y
+}
+
+
+def orbit_rep(bits: int, k: int) -> int:
+    """Packed representative of a word's rotation/reversal/relabelling orbit.
+
+    The representative is the lexicographically least first-occurrence
+    relabelling of the k rotations of the word and of its reversal.  Each of
+    those strings starts with its first run of equal letters renamed to 0s,
+    so only images that start at a longest cyclic run, in either reading
+    direction, can be least; the others are never built.
+    """
+    s = "".join(map(_BYTE_LETTERS.__getitem__, bits.to_bytes((k + 3) >> 2, "little")))[:k]
+    e = len(s.rstrip(s[:1]))
+    if not e:
+        return 0  # empty or one-letter word
+    # rotate so that r starts where a cyclic run starts and ends where one ends
+    r = s[e:] + s[:e]
+    lens = list(map(len, _RUNS.findall(r)))
+    longest = max(lens)
+    r2 = r + r
+    rev2 = r2[::-1]
+    best = "3"  # every candidate starts with 0, so it sorts before this
+    end = 0
+    for length in lens:
+        end += length
+        if length == longest:
+            # the run r[end - longest:end] read forwards and read backwards
+            for t in (r2[end - longest : end - longest + k], rev2[k - end : 2 * k - end]):
+                t = t.translate(_FIRST_OCCURRENCE[t[0], t[longest]])
+                if t < best:
+                    best = t
+    return int(best[::-1], 4)
+
 
 def all_words(length: int):
     """All words of the given length in lexicographic letter order."""
@@ -211,15 +259,17 @@ class NCSeries:
     def __mul__(self, other: "NCSeries") -> "NCSeries":
         """Concatenation (Cauchy) product; words beyond lmax dropped."""
         self._check(other)
+        by_len: dict = {}
+        for v, bv in other.terms.items():
+            by_len.setdefault(v.n, []).append((v, bv))
         out: dict = {}
         for u, au in self.terms.items():
-            for v, bv in other.terms.items():
-                if len(u) + len(v) > self.lmax:
-                    continue
-                w = u + v
-                p = au * bv
-                cur = out.get(w)
-                out[w] = p if cur is None else cur + p
+            for vlen in range(self.lmax - u.n + 1):
+                for v, bv in by_len.get(vlen, ()):
+                    w = u + v
+                    p = au * bv
+                    cur = out.get(w)
+                    out[w] = p if cur is None else cur + p
         return NCSeries(out, self.lmax, self.ng)
 
     def mul_letter_left(self, a: int) -> "NCSeries":

@@ -28,6 +28,18 @@ integer is the packed polynomial.  At a rational c0 = a/b in lowest terms
 pays no gcd.  Such a raw value turns into a Fraction only where it leaves
 the table: ``value_packed``, ``to_json``, ``to_ncseries`` and the failure
 values of residual reports.
+
+A coefficient p_w^(n) = <tr X_w> at g^n is invariant under cyclic rotation
+of w (trace), reversal (transposition) and S3 relabelling of the spins.
+``LazyTable`` therefore runs the recursion once per orbit and g-order: a
+memo miss maps w to its orbit representative (``freealg.orbit_rep``), only
+representatives run ``_rhs`` and every other word copies its
+representative's value.  This is exact in both domains: a numeric-c raw
+value b**E * p depends on (w, n) only through p and E = (|w| + 3n)/2, and
+both are orbit invariants.  The dense solve stays unreduced, so it keeps
+checking the symmetry instead of assuming it: criterion 8 and
+``test_cyclic_symmetry`` read dense tables, and ``test_lazy_matches_dense``
+compares the orbit table with dense tables on every slot.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .freealg import LETTERS, NCSeries, Word
+from .freealg import LETTERS, NCSeries, Word, orbit_rep
 from .ring import P_C, P_ZERO, GSeries, Poly, XLaurent, xlaurent_sqrt
 
 _B = 64
@@ -273,8 +285,11 @@ class _TableBase:
         return self.p_coeff_packed(word.bits, word.n, n)
 
     def p_coeff_packed(self, bits: int, k: int, n: int) -> Poly:
-        v = self.value_packed(bits, k, n)
-        return unpack_poly(v) if self.symbolic else Poly.constant(v)
+        v = self._raw(bits, k, n)
+        if self.symbolic:
+            return unpack_poly(v)
+        # b**e * p over b**e: the Poly constructor reduces it once
+        return Poly((v,), self._b ** ((k + 3 * n) // 2))
 
     def gseries(self, word, ng: Optional[int] = None) -> GSeries:
         """The full g-series of a word's coefficient."""
@@ -400,9 +415,12 @@ class LazyTable(_TableBase):
     """Demand-driven solved table (memoised recursion on the same grading).
 
     Used for deep amplitude extraction where dense enumeration of all words
-    would be prohibitive.  Values agree with the dense solver wherever both
-    are defined (tested), since both implement the same well-founded
-    recursion.
+    would be prohibitive.  The recursion runs once per rotation, reversal
+    and relabelling orbit (see the module docstring); ``_memo`` holds every
+    slot read, representative or not, under its own packed key, and
+    ``rhs_evaluations`` counts the slots the recursion solved.  Values agree
+    with the unreduced dense solver wherever both are defined (tested on
+    every slot of a dense table).
     """
 
     def __init__(self, spec: ModelSpec, max_len: int):
@@ -416,6 +434,12 @@ class LazyTable(_TableBase):
         self._kbits = max_len.bit_length()
         self._nbits = spec.ng.bit_length()
         self._memo = {}
+        self._rhs_evaluations = 0
+
+    @property
+    def rhs_evaluations(self) -> int:
+        """Slots solved by running the recursion: one per orbit and g-order read."""
+        return self._rhs_evaluations
 
     def _raw(self, bits: int, k: int, n: int) -> int:
         if (k + n) & 1 or n < 0:
@@ -429,7 +453,12 @@ class LazyTable(_TableBase):
         memo = self._memo
         v = memo.get(key)
         if v is None:
-            v = _rhs(self._raw, self.nlet, self._b, self._a, bits, k, n)
+            rep = orbit_rep(bits, k)
+            if rep != bits:
+                v = self._raw(rep, k, n)
+            else:
+                v = _rhs(self._raw, self.nlet, self._b, self._a, bits, k, n)
+                self._rhs_evaluations += 1
             memo[key] = v
         return v
 

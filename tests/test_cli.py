@@ -21,6 +21,16 @@ def test_solve_json_gaussian(capsys):
     assert data["01"] == {"0": "c"}
 
 
+def test_negative_rational_coupling_as_separate_argument(capsys):
+    code, out = run(capsys, "solve", "--ng", "0", "--lmax", "2", "--c", "-2/3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["00"] == {"0": "1"}
+    assert data["01"] == {"0": "-2/3"}
+    _, joined = run(capsys, "solve", "--ng", "0", "--lmax", "2", "--c=-2/3", "--format", "json")
+    assert joined == out
+
+
 def test_check_recurrences(capsys):
     code, out = run(capsys, "check-recurrences", "--ng", "4")
     assert code == 0
@@ -39,6 +49,16 @@ def test_check_loops_printed_catalog_fails(capsys):
     code, out = run(capsys, "check-loops", "--nx", "2", "--ng", "2", "--catalog", "printed")
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_printed_catalog_witness_at_numeric_c(capsys):
+    code, out = run(capsys, "check-loops", "--nx", "2", "--ng", "2", "--catalog", "printed", "--c", "1/4", "--format", "json")
+    assert code == 1
+    entries = {e["index"]: e for e in json.loads(out)["equations"]}
+    for index in (20, 21):
+        # -2c^2 - 4c^3 + 8c^4 - 2c^5 at c = 1/4
+        assert entries[index]["first_nonzero"] == {"x_power": 1, "g_power": 1, "value": "-81/512"}
+    assert all(e["status"] == "PASS" for i, e in entries.items() if i not in (20, 21))
 
 
 def test_check_sd(capsys):

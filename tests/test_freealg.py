@@ -1,10 +1,19 @@
 """Words, non-commutative series and the boundary derivative operators."""
 
+import itertools
 import random
 
 import pytest
 
-from pottsloop.freealg import EMPTY_WORD, NCSeries, Word, all_words, apply_operator_string
+from pottsloop.freealg import (
+    EMPTY_WORD,
+    LETTERS,
+    NCSeries,
+    Word,
+    all_words,
+    apply_operator_string,
+    orbit_rep,
+)
 from pottsloop.ring import GSeries
 
 
@@ -101,6 +110,50 @@ def test_nc_mul_associative_and_unital_random():
         a, b, c = rnd(), rnd(), rnd()
         assert (a * b) * c == a * (b * c)
         assert a * one == a and one * a == a
+
+
+def test_nc_mul_matches_pairwise_product_random():
+    rng = random.Random(11)
+    ng = 2
+    for _ in range(30):
+        lmax = rng.randrange(6)
+
+        def rnd():
+            terms = {}
+            for _ in range(rng.randrange(8)):
+                word = Word([rng.randrange(3) for _ in range(rng.randrange(lmax + 1))])
+                terms[word] = GSeries([rng.randint(-2, 2) for _ in range(ng + 1)], ng)
+            return NCSeries(terms, lmax, ng)
+
+        a, b = rnd(), rnd()
+        want = {}
+        for u, au in a.terms.items():
+            for v, bv in b.terms.items():
+                if len(u) + len(v) <= lmax:
+                    want[u + v] = want.get(u + v, GSeries.zero(ng)) + au * bv
+        assert a * b == NCSeries(want, lmax, ng)
+
+
+def test_orbit_rep_names_each_orbit_once():
+    perms = list(itertools.permutations(LETTERS))
+    norbits = []
+    for k in range(8):
+        seen = set()
+        reps = set()
+        for word in all_words(k):
+            if word in seen:
+                continue
+            orbit = {img.relabel(p) for d in (word, word.reverse()) for img in d.rotations() for p in perms}
+            rep = orbit_rep(word.bits, k)
+            assert Word._raw(k, rep) in orbit
+            for img in orbit:
+                assert orbit_rep(img.bits, k) == rep, (str(img), str(word))
+            assert rep not in reps, str(word)  # words of different orbits never share one
+            reps.add(rep)
+            seen |= orbit
+        assert len(seen) == 3**k
+        norbits.append(len(reps))
+    assert norbits == [1, 1, 2, 3, 6, 9, 22, 40]
 
 
 def test_apply_operator_string_prefix_extraction():

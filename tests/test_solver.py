@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pottsloop.freealg import NCSeries, Word, all_words
-from pottsloop.loopcat import check_loops
+from pottsloop.loopcat import check_loops, check_sd
 from pottsloop.ring import Poly
 from pottsloop.solver import (
     LazyTable,
@@ -128,11 +128,28 @@ def test_c_to_zero_limit_matches_pure_gravity(small_table):
                 assert sym.coefficient(0) == pure.p_poly(Word([0] * k), n).coefficient(0)
 
 
-def test_lazy_matches_dense(small_table):
-    lazy = LazyTable(small_table.spec, max_len=small_table.S)
-    for (n, k), d in small_table.slots():
-        for bits, v in d.items():
-            assert lazy.value_packed(bits, k, n) == v
+def test_lazy_matches_dense(medium_table):
+    # the dense solve runs the recursion on every word, so comparing every slot
+    # checks the rotation, reversal and relabelling symmetry the lazy table relies on
+    quarter = solve_series(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=3, ltarget=6))
+    for dense, nonzero_slots in ((medium_table, 98_413), (quarter, 10_933)):
+        lazy = LazyTable(dense.spec, max_len=dense.S)
+        nonzero = 0
+        for (n, k), d in dense.slots():
+            for word in all_words(k):
+                want = d.get(word.bits, 0)
+                assert lazy._raw(word.bits, k, n) == want, (str(word), n)
+                nonzero += want != 0
+        assert nonzero == nonzero_slots
+        assert lazy.rhs_evaluations < nonzero // 20
+
+
+def test_lazy_table_solves_once_per_orbit():
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
+    assert lazy.rhs_evaluations == 0
+    assert all(r.passed for r in check_sd(lazy, 2, 2))
+    # one recursion per orbit and g-order; solving word by word would make these equal
+    assert 0 < 4 * lazy.rhs_evaluations < len(lazy._memo)
 
 
 def test_lazy_memo_keys_do_not_collide():
