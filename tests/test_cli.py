@@ -1,16 +1,75 @@
 """Command line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 from pottsloop.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (golden file stem, argv, formats, exit code)
+GOLDEN_CASES = (
+    ("check-loops", "check-loops --nx 3 --ng 3", ("json", "text"), 0),
+    ("check-loops-printed-c1_4", "check-loops --nx 3 --ng 3 --catalog printed --c 1/4", ("json", "text"), 1),
+    ("check-sd", "check-sd --nx 3 --ng 3", ("json", "text"), 0),
+    ("check-sd-c-2_3", "check-sd --nx 3 --ng 3 --c -2/3", ("json", "text"), 0),
+    ("check-curve", "check-curve --nx 4 --ng 4", ("json", "text"), 0),
+    ("check-curve-c1_4", "check-curve --nx 4 --ng 4 --c 1/4", ("json", "text"), 0),
+    ("check-curve-1212", "check-curve --nx 4 --ng 4 --moment-variant 1212", ("json", "text"), 0),
+    ("check-curve-6-6", "check-curve --nx 6 --ng 6", ("json",), 0),
+    ("check-recurrences", "check-recurrences --ng 4", ("json", "text"), 0),
+    ("export", "export --ng 4", ("json", "text"), 0),
+    ("compare", "compare --max-len 3", ("json", "text"), 0),
+    ("compare-c1_4", "compare --max-len 3 --c 1/4", ("json", "text"), 0),
+    ("solve", "solve", ("json", "text"), 0),
+    ("solve-c1_4", "solve --c 1/4", ("json", "text"), 0),
+    ("solve-pure-gravity", "solve --kind pure-gravity", ("json", "text"), 0),
+    ("oracle", "oracle --word 0112 --nvertices 2", ("json", "text"), 0),
+)
+
+
+def _cli_output(argv: list) -> tuple:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def _golden_runs():
+    for stem, cmd, formats, code in GOLDEN_CASES:
+        for fmt in formats:
+            yield stem, cmd.split() + ["--format", fmt], GOLDEN / f"{stem}.{'json' if fmt == 'json' else 'txt'}", code
+
+
+def write_golden() -> None:
+    """Rewrite every file under tests/golden from the current CLI."""
+    GOLDEN.mkdir(exist_ok=True)
+    for _stem, argv, path, _code in _golden_runs():
+        path.write_text(_cli_output(argv)[1])
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize(
+    "argv, path, code", [pytest.param(a, p, c, id=p.name) for _s, a, p, c in _golden_runs()]
+)
+def test_cli_output_matches_golden(argv, path, code):
+    """json and text output, byte for byte, against files written by an earlier tree.
+
+    Regenerate (only when an output change is intended) from the repository root with
+    ``PYTHONPATH=src python -c "import tests.test_cli as t; t.write_golden()"``.
+    """
+    got_code, out = _cli_output(argv)
+    assert got_code == code
+    assert out == path.read_text()
 
 
 def test_solve_json_gaussian(capsys):
