@@ -41,14 +41,18 @@ from typing import Optional, Sequence
 
 from .freealg import Word
 from .ring import GSeries, Poly, XLaurent
-from .solver import SolutionTable, TruncationError, _TableBase, unpack_poly
+from .solver import ModelSpec, SolutionTable, TruncationError, _TableBase
 
 MOMENT_LABELS = ("1", "11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """The moment constants entering the curve and its recurrences."""
+    """The moment constants entering the curve and its recurrences.
+
+    ``spec`` is the model the moments were read at; every check built from
+    them takes its c-constants from it (:meth:`ModelSpec.const`).
+    """
 
     p1: GSeries
     p11: GSeries
@@ -60,13 +64,18 @@ class MomentSet:
     p1202: GSeries
     p1212: GSeries
     p0121: GSeries
+    spec: ModelSpec = ModelSpec()
 
     @property
     def ng(self) -> int:
         return self.p1.ng
 
     def retruncate(self, ng: int) -> "MomentSet":
-        return MomentSet(*(getattr(self, "p" + lab).retruncate(ng) for lab in MOMENT_LABELS))
+        return MomentSet(*(getattr(self, "p" + lab).retruncate(ng) for lab in MOMENT_LABELS), self.spec)
+
+    def const(self, *coeffs: int) -> GSeries:
+        """The c-polynomial with these ascending coefficients as a g-series constant."""
+        return GSeries.constant(self.spec.const(Poly(coeffs)), self.ng)
 
 
 def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:
@@ -76,7 +85,7 @@ def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:
     carrying the required depth.
     """
     ng = table.ng if ng is None else ng
-    return MomentSet(*(table.gseries(Word.from_string(lab), ng) for lab in MOMENT_LABELS))
+    return MomentSet(*(table.gseries(Word.from_string(lab), ng) for lab in MOMENT_LABELS), table.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +119,9 @@ def check_recurrences(m: MomentSet) -> list:
         p12 - g (1 + c - 2c^2) p112     = c p11
         c (p1212 + p0121 - p1122 - p1120) = -(1 + c - 2c^2)(p12 - p1^2)
     """
-    ng = m.ng
-    D = GSeries.constant(Poly((1, 1, -2)), ng)
-    cg = GSeries.constant(Poly((0, 1)), ng)
-    one_minus_c = GSeries.constant(Poly((1, -1)), ng)
+    D = m.const(1, 1, -2)
+    cg = m.const(0, 1)
+    one_minus_c = m.const(1, -1)
 
     r1 = (D * m.p11).shift_g(1) - one_minus_c * m.p1
     r2 = m.p12 - (D * m.p112).shift_g(1) - cg * m.p11
@@ -141,25 +149,21 @@ def implied_moment_relations(m: MomentSet) -> list:
         D^3 g^3 p1122 = (1 + 2c^2) D g p12 + c D^2 g - c (2 + c)(1 - c) p1
         D^3 g^3 p1120 = (1 + c) D^2 g^2 p012 - 2c D g p12 + 2c^2 (1 - c) p1
     """
-    ng = m.ng
-    D = GSeries.constant(Poly((1, 1, -2)), ng)
+    D = m.const(1, 1, -2)
     D2, D3 = D * D, D * D * D
-
-    def const(*coeffs):
-        return GSeries.constant(Poly(coeffs), ng)
 
     # c (2 + c)(1 - c) = 2c - c^2 - c^3
     r1 = (
         (D3 * m.p1122).shift_g(3)
-        - (const(1, 0, 2) * D * m.p12).shift_g(1)
-        - (const(0, 1) * D2).shift_g(1)
-        + const(0, 2, -1, -1) * m.p1
+        - (m.const(1, 0, 2) * D * m.p12).shift_g(1)
+        - (m.const(0, 1) * D2).shift_g(1)
+        + m.const(0, 2, -1, -1) * m.p1
     )
     r2 = (
         (D3 * m.p1120).shift_g(3)
-        - (const(1, 1) * D2 * m.p012).shift_g(2)
-        + (const(0, 2) * D * m.p12).shift_g(1)
-        - const(0, 0, 2, -2) * m.p1  # 2c^2 (1 - c)
+        - (m.const(1, 1) * D2 * m.p012).shift_g(2)
+        + (m.const(0, 2) * D * m.p12).shift_g(1)
+        - m.const(0, 0, 2, -2) * m.p1  # 2c^2 (1 - c)
     )
     out = []
     for name, r in (
@@ -192,26 +196,23 @@ class CurveCoefficients:
         return out
 
 
-def build_curve(m: MomentSet, ng: int, variant: str = "1202", c="symbolic") -> CurveCoefficients:
+def build_curve(m: MomentSet, ng: int, variant: str = "1202") -> CurveCoefficients:
     """Transcription of the six curve coefficients, term by term.
 
     The coefficients are x-polynomials of degree six, so they are built at
     that fixed truncation.  ``variant`` selects the word supplying the
     fourth moment constant; the source is ambiguous between the cyclically
     distinct words 1202 and 1212, so both are accepted and the residual
-    check adjudicates.  Numeric ``c`` evaluates every constant at that
-    coupling (to pair with a numerically solved table).
+    check adjudicates.  Every c-constant is taken at the coupling the
+    moments were read at.
     """
     if variant not in ("1202", "1212"):
         raise ValueError("moment variant must be '1202' or '1212'")
     NX = 6
     m = m.retruncate(ng)
-    symbolic = isinstance(c, str) and c == "symbolic"
-    c0 = None if symbolic else Fraction(c)
 
     def cp(*coeffs) -> XLaurent:
-        p = Poly(coeffs)
-        return XLaurent.constant(p if symbolic else p.evaluate(c0), NX, ng)
+        return XLaurent.constant(m.const(*coeffs), NX, ng)
 
     def series(gs: GSeries) -> XLaurent:
         return XLaurent.constant(gs, NX, ng)
@@ -341,12 +342,7 @@ class ShiftedResolvent:
 
 
 def build_shifted_resolvent(
-    table: _TableBase,
-    nx: int,
-    ng: int,
-    mask: Optional[int] = None,
-    *,
-    constant_exponent: int = -1,
+    table: _TableBase, nx: int, ng: int, *, constant_exponent: int = -1
 ) -> ShiftedResolvent:
     """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region.
 
@@ -354,10 +350,9 @@ def build_shifted_resolvent(
     transcribed form of the shift, which demonstrably cannot satisfy the
     curve (kept for the witness tests).
     """
-    if mask is None:
-        mask = getattr(table, "S", nx + ng)
+    mask = getattr(table, "S", nx + ng)
     NX = nx + 10
-    one_minus_c = Poly((1, -1)) if table.symbolic else Poly.constant(1 - table.c0)
+    one_minus_c = table.spec.const(Poly((1, -1)))
     pairs = [(0, -GSeries.g_power(1, ng) * one_minus_c), (constant_exponent + 2, GSeries.one(ng))]
     for k in range(min(NX - 3, mask) + 1):
         nmax = min(ng, mask - k)
@@ -455,7 +450,7 @@ def check_curve(
     shifted = build_shifted_resolvent(table, nx, ng)
     out = []
     for variant in variants:
-        coeffs = build_curve(moments, ng, variant, c=table.spec.c)
+        coeffs = build_curve(moments, ng, variant)
         fz = curve_witness(quintic_residual(shifted, coeffs), shifted)
         out.append(CurveCheck(variant, fz is None, fz))
     return out
@@ -499,13 +494,7 @@ def _phi_value(table: SolutionTable, c0: Fraction, g0: Fraction, x0: Fraction, n
         gp = Fraction(1)
         for n in range(nmax + 1):
             if (k + n) % 2 == 0:
-                v = table.value_packed(0, k, n)
-                if table.symbolic:
-                    pv = unpack_poly(v).evaluate(c0) if v else Fraction(0)
-                else:
-                    pv = v
-                if pv:
-                    term += pv * gp
+                term += table.p_coeff_packed(0, k, n).evaluate(c0) * gp
             gp *= g0
         contrib = term * x0**k
         acc += contrib
@@ -521,15 +510,14 @@ def numeric_branch_check(
     xs: Sequence,
     *,
     ng: Optional[int] = None,
-    variant: str = "1202",
-    tie_rtol: float = 1e-9,
 ) -> NumericBranchReport:
     """Solve the quintic numerically on a grid and track the series branch.
 
-    The truncated series for y is evaluated exactly at rational points and
-    floated only at the comparison; the nearest quintic root must agree and
-    the deviation must shrink as truncation orders grow.  Two roots closer
-    together than the tie tolerance are reported as an ambiguity.
+    The fourth moment comes from the word 1202.  The truncated series for y
+    is evaluated exactly at rational points and floated only at the
+    comparison; the nearest quintic root must agree and the deviation must
+    shrink as truncation orders grow.  Two roots whose distances to the
+    series agree to a relative 1e-9 are reported as an ambiguity.
     """
     import numpy as np
 
@@ -539,7 +527,7 @@ def numeric_branch_check(
         raise ValueError("numeric table was solved at a different coupling")
     ng = table.ng if ng is None else ng
     moments = compute_moments(table, ng)
-    coeffs = build_curve(moments, ng, variant, c=table.spec.c)
+    coeffs = build_curve(moments, ng)
     fs_eval = []
     for f in coeffs.fs:
         fs_eval.append([(e, gs) for e, gs in f.items()])
@@ -569,7 +557,7 @@ def numeric_branch_check(
         y_f = float(y_exact)
         dists = sorted(abs(r - y_f) for r in roots)
         dev = float(dists[0])
-        tie = len(dists) > 1 and abs(dists[1] - dists[0]) <= tie_rtol * max(1.0, dists[0])
+        tie = len(dists) > 1 and abs(dists[1] - dists[0]) <= 1e-9 * max(1.0, dists[0])
         if tie:
             ties += 1
         best = min(roots, key=lambda r: abs(r - y_f))

@@ -280,13 +280,6 @@ class NCSeries:
                 out[w.prepend(a)] = v
         return NCSeries(out, self.lmax, self.ng)
 
-    def mul_letter_right(self, a: int) -> "NCSeries":
-        out = {}
-        for w, v in self.terms.items():
-            if len(w) + 1 <= self.lmax:
-                out[w.append(a)] = v
-        return NCSeries(out, self.lmax, self.ng)
-
     def left_delta(self, a: int) -> "NCSeries":
         """Strip a leading ``a``; words starting otherwise are annihilated."""
         out = {}

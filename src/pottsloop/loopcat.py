@@ -327,9 +327,8 @@ def _amp_series(table, amp: Amp, nx: int, ng: int) -> XLaurent:
 
 
 def _coeff_const(coeffs, table: _TableBase, ng: int) -> GSeries:
-    """A c-polynomial as a GSeries constant, evaluated for numeric tables."""
-    p = Poly(coeffs)
-    return GSeries.constant(p if table.symbolic else p.evaluate(table.c0), ng)
+    """A c-polynomial as a GSeries constant at the table's coupling."""
+    return GSeries.constant(table.spec.const(Poly(coeffs)), ng)
 
 
 def loop_residual(
@@ -466,6 +465,14 @@ def sd_residual(rep: Reparameterisation, table: _TableBase, nx: int, ng: int) ->
     return shifted
 
 
+def _reproduces_catalog(
+    rep: Reparameterisation, residual: XLaurent, table: _TableBase, nx: int, ng: int, variant: str
+) -> bool:
+    """``residual`` (of ``rep``) equals npieces times the paired catalog residual."""
+    paired = loop_residual(CATALOG[rep.index - 1], table, nx, ng, variant=variant)
+    return (residual - paired * len(rep.pieces)).is_zero()
+
+
 def sd_matches_catalog(
     rep: Reparameterisation, table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
 ) -> bool:
@@ -475,10 +482,7 @@ def sd_matches_catalog(
     series-level equality of the two constructions, which pins the catalog
     transcription against the generator.
     """
-    eq = CATALOG[rep.index - 1]
-    lhs = sd_residual(rep, table, nx, ng)
-    rhs = loop_residual(eq, table, nx, ng, variant=variant) * len(rep.pieces)
-    return (lhs - rhs).is_zero()
+    return _reproduces_catalog(rep, sd_residual(rep, table, nx, ng), table, nx, ng, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +527,7 @@ def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
     return out
 
 
-def check_sd(table: _TableBase, nx: int, ng: int, *, match_catalog: bool = True) -> list:
+def check_sd(table: _TableBase, nx: int, ng: int) -> list:
     """Residuals of all reparameterisation identities, plus catalog pairing."""
     out = []
     for rep in SD_DESCRIPTORS:
@@ -531,9 +535,8 @@ def check_sd(table: _TableBase, nx: int, ng: int, *, match_catalog: bool = True)
         fz = first_nonzero(res)
         ok = fz is None
         label = str(rep)
-        if ok and match_catalog:
-            if not sd_matches_catalog(rep, table, nx, ng):
-                ok = False
-                label += "  (does not reproduce its catalog pairing)"
+        if ok and not _reproduces_catalog(rep, res, table, nx, ng, "emended"):
+            ok = False
+            label += "  (does not reproduce its catalog pairing)"
         out.append(CheckResult(rep.index, label, ok, fz))
     return out

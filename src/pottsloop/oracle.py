@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 from .freealg import Word
 from .ring import P_C, P_ONE, P_ZERO, Poly, rat_to_str
@@ -306,13 +305,12 @@ class CompareReport:
         return not self.mismatches
 
 
-def compare_with_solver(
-    table: SolutionTable, max_n: int, max_len: int, *, words: Optional[list] = None
-) -> CompareReport:
+def compare_with_solver(table: SolutionTable, max_n: int, max_len: int) -> CompareReport:
     """Every table coefficient up to the bounds must equal the oracle's.
 
-    Oracle values are computed once per cyclic class; the table is read per
-    word, so cyclic symmetry of the table is exercised as well.
+    Oracle values are computed once per cyclic class, as polynomials in c,
+    and compared at the table's coupling; the table is read per word, so
+    cyclic symmetry of the table is exercised as well.
     """
     from .freealg import all_words
 
@@ -320,20 +318,17 @@ def compare_with_solver(
     cache: dict = {}
     checked = 0
     mismatches = []
-    if words is None:
-        words = [w for k in range(max_len + 1) for w in all_words(k) if max(w.letters(), default=0) < nlet]
+    words = [w for k in range(max_len + 1) for w in all_words(k) if max(w.letters(), default=0) < nlet]
     for w in words:
         for n in range(max_n + 1):
             if (len(w) + n) % 2:
                 continue
             key = (min(r.bits for r in w.rotations()), len(w), n)
             if key not in cache:
-                cache[key] = planar_moment(w, n, nletters=nlet)
+                cache[key] = table.spec.const(planar_moment(w, n, nletters=nlet))
             expect = cache[key]
-            if not table.symbolic:
-                expect = expect.evaluate(table.c0)
             try:
-                got = table.p_poly(w, n)
+                got = table.p_coeff(w, n)
             except TruncationError:
                 continue
             checked += 1

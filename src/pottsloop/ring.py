@@ -45,15 +45,6 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _content(coeffs: Iterable[int]) -> int:
-    g = 0
-    for a in coeffs:
-        g = gcd(g, a)
-        if g == 1:
-            return 1
-    return g
-
-
 class Poly:
     """Polynomial in ``c`` over the rationals.
 
@@ -77,7 +68,7 @@ class Poly:
         if den < 0:
             cs = [-a for a in cs]
             den = -den
-        k = gcd(_content(cs), den)
+        k = gcd(den, *cs)
         if k > 1:
             cs = [a // k for a in cs]
             den //= k
@@ -615,17 +606,17 @@ class XLaurent:
         return " + ".join(parts) if parts else "0"
 
 
-def xlaurent_grade_mask(a: XLaurent, cap: int, gweight: int = 1) -> XLaurent:
-    """Zero every slot with x-degree + gweight * g-degree above ``cap``.
+def xlaurent_grade_mask(a: XLaurent, cap: int) -> XLaurent:
+    """Zero every slot with x-degree + g-degree above ``cap``.
 
     Truncated Laurent arithmetic is exact on such a sloped region whenever
-    every negative x power carries at least 1/gweight as many powers of g:
-    slot grades are then nonnegative and add under multiplication, so
+    every negative x power carries at least as many powers of g: slot
+    grades are then nonnegative and add under multiplication, so
     contributions from beyond the cap can never land inside it.
     """
     out = []
     for e, gs in zip(range(a.low, a.low + len(a.coeffs)), a.coeffs):
-        nmax = (cap - e) // gweight if e <= cap else -1
+        nmax = cap - e
         if nmax >= a.ng:
             out.append(gs)
         elif nmax < 0:
@@ -635,7 +626,7 @@ def xlaurent_grade_mask(a: XLaurent, cap: int, gweight: int = 1) -> XLaurent:
     return XLaurent(a.low, out, a.nx, a.ng)
 
 
-def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None, gweight: int = 1) -> XLaurent:
+def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
     """Series inverse of a Laurent series whose (x^0, g^0) part is a unit.
 
     The units of the coefficient ring are the nonzero constants.  Requires
@@ -650,7 +641,7 @@ def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None, gweight: int 
         raise ValueError("series inverse needs a unit constant term")
 
     def cap(v):
-        return xlaurent_grade_mask(v, grade_cap, gweight) if grade_cap is not None else v
+        return xlaurent_grade_mask(v, grade_cap) if grade_cap is not None else v
 
     a = cap(a)
     one = XLaurent.x_power(0, a.nx, a.ng)
@@ -664,14 +655,14 @@ def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None, gweight: int 
     raise ArithmeticError("series inverse did not converge; input not invertible")
 
 
-def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None, gweight: int = 1) -> XLaurent:
+def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
     """Square root of a Laurent series whose (x^0, g^0) part is 1."""
     u = a.coefficient(0)[0]
     if not u.is_one():
         raise ValueError("series square root needs constant term 1")
 
     def cap(v):
-        return xlaurent_grade_mask(v, grade_cap, gweight) if grade_cap is not None else v
+        return xlaurent_grade_mask(v, grade_cap) if grade_cap is not None else v
 
     a = cap(a)
     half = Fraction(1, 2)
@@ -680,6 +671,6 @@ def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None, gweight: int = 1
         err = cap(a - b * b)
         if err.is_zero():
             return b
-        binv = xlaurent_inverse(b, grade_cap=grade_cap, gweight=gweight)
+        binv = xlaurent_inverse(b, grade_cap=grade_cap)
         b = cap(b + (err * binv) * half)
     raise ArithmeticError("series square root did not converge")

@@ -111,6 +111,15 @@ class ModelSpec:
     def nletters(self) -> int:
         return 3 if self.kind == "potts3" else 1
 
+    def const(self, p: Poly) -> Poly:
+        """A c-polynomial constant of an exact check, at this coupling.
+
+        ``p`` itself at symbolic c, the constant p(c0) at a rational c0.
+        Every check takes its constants here, so they always match the
+        coupling its table was solved at.
+        """
+        return p if self.symbolic else Poly.constant(p.evaluate(Fraction(self.c)))
+
 
 def _words_by_length(nlet: int, maxlen: int) -> list:
     """Packed words (two bits per letter, first letter lowest) per length."""
@@ -468,16 +477,16 @@ class LazyTable(_TableBase):
 # ---------------------------------------------------------------------------
 
 
-def build_rhs_potts(phi: NCSeries, c="symbolic") -> NCSeries:
+def build_rhs_potts(phi: NCSeries) -> NCSeries:
     """One application of the generating-equation right-hand side.
 
     rhs = 1 + sum_i x_i Phi (sum_j G_ij x_j) Phi
             + g sum_i (sum_j G_ij x_j) Delta_i^2 Phi
-    with G_ii = 1 and G_ij = c for unequal spins, transcribed term by term.
+    with G_ii = 1 and G_ij = c for unequal spins, transcribed term by term,
+    at symbolic c.
     """
     ng, lmax = phi.ng, phi.lmax
-    cval = P_C if (isinstance(c, str) and c == "symbolic") else Fraction(c)
-    cg = GSeries.constant(cval, ng)
+    cg = GSeries.constant(P_C, ng)
     gmono = GSeries.g_power(1, ng)
     rhs = NCSeries.unit(lmax, ng)
     for i in LETTERS:
@@ -721,8 +730,7 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
         for (k, n) in sorted(variant.keys() | {(1, 1), (2, 2)}, key=lambda t: (t[0] + 2 * t[1], t)):
             if n > min(ng, 4) or k > min(lx, 6):
                 continue
-            mine = table.p_poly(Word([0] * k), n)
-            mine_v = Fraction(mine.coefficient(0)) if isinstance(mine, Poly) else mine
+            mine_v = table.p_poly(Word([0] * k), n).coefficient(0)
             if variant.get((k, n), Fraction(0)) != mine_v:
                 first_mismatch = (k, n, variant.get((k, n), Fraction(0)), mine_v)
                 break

@@ -96,6 +96,13 @@ def test_check_recurrences(capsys):
     assert out.count("[PASS]") == 3
 
 
+@pytest.mark.parametrize("c", ["1/4", "0"])
+def test_check_recurrences_at_numeric_c(capsys, c):
+    code, out = run(capsys, "check-recurrences", "--ng", "4", "--c", c)
+    assert code == 0
+    assert out.count("[PASS]") == 3
+
+
 def test_check_loops_text(capsys):
     code, out = run(capsys, "check-loops", "--nx", "2", "--ng", "2")
     assert code == 0

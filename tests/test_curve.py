@@ -33,6 +33,16 @@ def test_recurrences_hold(small_table):
         assert rep.passed, rep.line()
 
 
+@pytest.mark.parametrize("c", [0, Fraction(1, 4), Fraction(-2, 3), 2])
+def test_recurrences_hold_at_numeric_c(c):
+    """The constants of every identity are taken at the coupling the moments were read at."""
+    spec = ModelSpec(kind="potts3", c=c, ng=4, ltarget=4)
+    m = compute_moments(solve_series(spec))
+    for rep in check_recurrences(m) + implied_moment_relations(m):
+        assert rep.passed, rep.line()
+    assert m.spec == spec and m.retruncate(2).spec == spec
+
+
 def test_recurrence_low_order_values(small_table):
     m = compute_moments(small_table)
     # p12|0 = c and p11|0 = 1 realise the first-order slot of the second identity

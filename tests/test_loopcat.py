@@ -1,5 +1,6 @@
 """Loop equation catalog and the reparameterisation generator."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,19 @@ def test_sd_residuals_vanish_and_match_catalog(medium_table):
         res = sd_residual(rep, medium_table, 2, 3)
         assert res.is_zero(), f"descriptor {rep.index}"
         assert sd_matches_catalog(rep, medium_table, 2, 3), f"descriptor {rep.index}"
+
+
+def test_check_sd_reports_a_broken_catalog_pairing(medium_table, monkeypatch):
+    """An altered catalog term fails its own pairing and no other."""
+    from pottsloop import loopcat
+
+    eq = CATALOG[9]  # entry 10: phi(1) - g D phi(11) - c D0 phi(resolvent) = 0
+    altered = replace(eq, terms=(replace(eq.terms[0], coeff=(2,)),) + eq.terms[1:])
+    monkeypatch.setattr(loopcat, "CATALOG", CATALOG[:9] + (altered,) + CATALOG[10:])
+    results = check_sd(medium_table, 2, 2)
+    assert [r.index for r in results if not r.passed] == [10]
+    assert results[9].label.endswith("(does not reproduce its catalog pairing)")
+    assert results[9].first_nonzero is None  # the generated residual itself vanishes
 
 
 def test_sd_gaussian_limit():
