@@ -141,9 +141,8 @@ def cmd_check_recurrences(args) -> int:
 
 def cmd_oracle(args) -> int:
     word = Word.from_string(args.word)
-    nlet = 3 if args.kind == "potts3" else 1
-    value = oracle.planar_moment(word, args.nvertices, nletters=nlet, c=None if args.c == "symbolic" else args.c)
-    s = oracle.moment_to_string(value)
+    spec = ModelSpec(kind=args.kind, c=args.c)
+    s = str(spec.const(oracle.planar_moment(word, args.nvertices, nletters=spec.nletters)))
     _emit(args, {"word": str(word), "nvertices": args.nvertices, "value": s}, s + "\n")
     return 0
 

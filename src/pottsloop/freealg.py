@@ -7,12 +7,15 @@ derivative operators that add or strip letters on either side.
 
 A disk amplitude is a trace, so it is invariant under cyclic rotation of its
 word, under reversal (transposition) and under relabelling of the spins;
-``orbit_rep`` names one word per orbit of that group.
+``orbit_rep`` names one word per orbit of that group, ``word_orbits`` lists
+the orbits of one word length and ``GENERATORS`` maps lists of packed words
+by the four generators of the group.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .ring import GSeries
@@ -176,6 +179,100 @@ def orbit_rep(bits: int, k: int) -> int:
                 if t < best:
                     best = t
     return int(best[::-1], 4)
+
+
+def packed_words(nlet: int, maxlen: int) -> list:
+    """Packed words over the first ``nlet`` letters, one list per length up to maxlen."""
+    out = [[0]]
+    for k in range(1, maxlen + 1):
+        prev = out[-1]
+        shift = 2 * (k - 1)
+        cur = []
+        for a in range(nlet):
+            abits = a << shift
+            cur.extend(w | abits for w in prev)
+        out.append(cur)
+    return out
+
+
+# the four letters of one packed byte in reverse order
+_REVERSED_BYTE = bytes((b >> 6) | ((b >> 2) & 12) | ((b << 2) & 48) | ((b & 3) << 6) for b in range(256))
+
+# The maps below take a list of packed k-letter words and return the list of
+# their images, one comprehension per map rather than one call per word.
+
+
+def _low_bits(k: int) -> int:
+    """The low bit of each of k packed letters."""
+    return ((1 << (2 * k)) - 1) // 3
+
+
+def _rotate(words: list, k: int) -> list:
+    # the first letter moves to the end
+    top = 2 * (k - 1)
+    return [(w >> 2) | ((w & 3) << top) for w in words]
+
+
+def _reverse(words: list, k: int) -> list:
+    # reverse the bytes, then the four letters within each byte, then drop the padding letters
+    nbytes = (k + 3) >> 2
+    pad = 2 * (4 * nbytes - k)
+    return [int.from_bytes(w.to_bytes(nbytes, "big").translate(_REVERSED_BYTE), "little") >> pad for w in words]
+
+
+def _swap01(words: list, k: int) -> list:
+    # letters 0 (00) and 1 (01) differ in the low bit; flip it where the high bit is clear
+    low = _low_bits(k)
+    return [w ^ (low & ~(w >> 1)) for w in words]
+
+
+def _swap12(words: list, k: int) -> list:
+    # letters 1 (01) and 2 (10) swap their two bits, and 0 (00) keeps them
+    low = _low_bits(k)
+    return [((w & low) << 1) | ((w >> 1) & low) for w in words]
+
+
+# the four generators of the orbit group: one rotation, the reversal, (01) and (12);
+# a set of words that holds the image of each of its words under all four is a union of orbits
+GENERATORS = (_rotate, _reverse, _swap01, _swap12)
+
+
+def _orbit_images(bits: int, k: int) -> set:
+    """Every packed word in the rotation/reversal/relabelling orbit of a k-letter word."""
+    if k == 0:
+        return {0}
+    dihedral = [bits, *_reverse([bits], k)]
+    for _ in range(k - 1):
+        dihedral += _rotate(dihedral[-2:], k)
+    s = _swap01(dihedral, k)
+    t = _swap12(dihedral, k)
+    ts = _swap12(s, k)
+    return {*dihedral, *s, *t, *ts, *_swap01(t, k), *_swap01(ts, k)}
+
+
+def reflection_least(words: list, k: int) -> list:
+    """The words of a list closed under reversal and (12) that are least in their class."""
+    rev = _reverse(words, k)
+    return [w for w, r, s, rs in zip(words, rev, _swap12(words, k), _swap12(rev, k)) if w <= min(r, s, rs)]
+
+
+@lru_cache(maxsize=None)
+def word_orbits(k: int) -> tuple:
+    """The rotation/reversal/relabelling orbits of the 3-letter words of length k.
+
+    One ``(orbit_rep, images)`` pair per orbit, ``images`` a tuple of every
+    packed word of the orbit.  The sweep takes the first word not seen yet,
+    names its orbit with ``orbit_rep`` and marks its images, so ``orbit_rep``
+    runs once per orbit.  Cached: the dense solve and its residual share it.
+    """
+    seen = set()
+    out = []
+    for w in packed_words(3, k)[k]:
+        if w not in seen:
+            images = _orbit_images(w, k)
+            seen |= images
+            out.append((orbit_rep(w, k), tuple(images)))
+    return tuple(out)
 
 
 def all_words(length: int):

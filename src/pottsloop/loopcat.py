@@ -18,7 +18,10 @@ Jacobian comes from the split rule (the resolvent splits the trace at each
 X0) and the merge rule (each explicit X0 in A or B splits off a closed
 trace), the action variation inserts S'(X0) at the end of the trace, and
 expectations factorise in the planar limit.  Each generated residual is
-checked to vanish and to reproduce its paired catalog entry term by term.
+checked to vanish.  Its pairing with the catalog entry (generated residual
+= npieces times the catalog residual) is checked on the solved table only,
+where both sides vanish; there it is implied by ``check_loops`` and says
+nothing about the two constructions term by term.
 """
 
 from __future__ import annotations
@@ -478,9 +481,9 @@ def sd_matches_catalog(
 ) -> bool:
     """The generated residual equals npieces times the paired catalog entry.
 
-    Both sides vanish on a solved table, so the meaningful content is the
-    series-level equality of the two constructions, which pins the catalog
-    transcription against the generator.
+    Evaluated on ``table``.  On a solved table both sides vanish, so there
+    the equality is implied by the two residuals vanishing and does not
+    compare the constructions term by term.
     """
     return _reproduces_catalog(rep, sd_residual(rep, table, nx, ng), table, nx, ng, variant)
 
@@ -528,7 +531,12 @@ def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
 
 
 def check_sd(table: _TableBase, nx: int, ng: int) -> list:
-    """Residuals of all reparameterisation identities, plus catalog pairing."""
+    """Residuals of all reparameterisation identities, plus their catalog pairing.
+
+    The pairing is evaluated on the solved table, where both the generated
+    and the catalog residual vanish, so it is implied by ``check_loops``
+    and adds no term-by-term comparison of the two constructions.
+    """
     out = []
     for rep in SD_DESCRIPTORS:
         res = sd_residual(rep, table, nx, ng)

@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import factorial
 
 from .freealg import Word
-from .ring import P_C, P_ONE, P_ZERO, Poly, rat_to_str
-from .solver import SolutionTable, TruncationError
+from .ring import P_C, P_ONE, P_ZERO, Poly
+from .solver import ModelSpec, SolutionTable, TruncationError
 
 # desk-scale guard: matchings are enumerated explicitly
 _MAX_POINTS = 16
@@ -60,27 +60,22 @@ def verify_propagator(c="symbolic") -> bool:
     """Check K * G = I for the kernel K and propagator G, exactly.
 
     The check is K_num * G = D * I with K = K_num / D, so it never divides.
-    Numeric c sitting on a kernel pole (c in {1, -1/2}) raises
-    ZeroDivisionError so the pole is reported rather than silently used.
+    The entries take the coupling through ``ModelSpec.const``, so numeric c
+    on a kernel pole (c in {1, -1/2}) raises ValueError there, as it does
+    for every other check.
     """
+    spec = ModelSpec(c=c)
     G = PropagatorMatrix.symbolic()
     K, D = G.kernel()
-    ge = G.entries
-    zero = P_ZERO
-    if not (isinstance(c, str) and c == "symbolic"):
-        c0 = Fraction(c)
-        D = D.evaluate(c0)
-        if D == 0:
-            raise ZeroDivisionError(f"propagator kernel is singular at c = {c0}")
-        K = tuple(tuple(v.evaluate(c0) for v in row) for row in K)
-        ge = tuple(tuple(v.evaluate(c0) for v in row) for row in ge)
-        zero = Fraction(0)
+    D = spec.const(D)
+    K = tuple(tuple(spec.const(v) for v in row) for row in K)
+    ge = tuple(tuple(spec.const(v) for v in row) for row in G.entries)
     for i in range(3):
         for j in range(3):
-            acc = zero
+            acc = P_ZERO
             for l in range(3):
                 acc = acc + K[i][l] * ge[l][j]
-            if acc != (D if i == j else zero):
+            if acc != (D if i == j else P_ZERO):
                 return False
     return True
 
@@ -251,17 +246,17 @@ def enumerate_diagrams(word: Word, n: int, nletters: int = 3):
             yield DiagramInstance(word, n, spins, matching, genus)
 
 
-def planar_moment(word, n: int, *, nletters: int = 3, c=None):
+def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
     """Coefficient of g^n in the normalised planar moment of the word.
 
-    Returns a Poly in c (or its value at numeric c).  Parity violations
-    return the exact zero; inputs beyond desk scale are rejected with a
-    cost estimate.
+    Returns a Poly in c; ``ModelSpec.const`` evaluates it at a numeric c.
+    Parity violations return the exact zero; inputs beyond desk scale are
+    rejected with a cost estimate.
     """
     word = word if isinstance(word, Word) else Word.from_string(str(word))
     k = len(word)
     if (k + 3 * n) % 2:
-        return Poly() if c is None else Fraction(0)
+        return Poly()
     points = k + 3 * n
     if points > _MAX_POINTS:
         est = 1
@@ -273,15 +268,14 @@ def planar_moment(word, n: int, *, nletters: int = 3, c=None):
         )
     if k == 0:
         # normalised expectation of the identity; vacuum parts cancel
-        base = Poly((1,)) if n == 0 else Poly()
-        return base if c is None else base.evaluate(c)
+        return Poly((1,)) if n == 0 else Poly()
     acc = Poly()
     for matching, _genus in _enumerate_matchings(k, n, planar_only=True):
         acc = acc + _matching_weight_poly(word, n, matching, nletters)
     norm = factorial(n) * 3**n
     out = acc.scale(Fraction(1, norm))
     assert out.den == 1, "vertex normalisation must divide the labelled count"
-    return out if c is None else out.evaluate(c)
+    return out
 
 
 def all_genus_moments(word, n: int = 0) -> dict:
@@ -336,8 +330,3 @@ def compare_with_solver(table: SolutionTable, max_n: int, max_len: int) -> Compa
                 mismatches.append((w, n, got, expect))
     return CompareReport(checked, mismatches)
 
-
-def moment_to_string(value) -> str:
-    if isinstance(value, Poly):
-        return str(value)
-    return rat_to_str(value)

@@ -30,25 +30,45 @@ the table: ``value_packed``, ``to_json``, ``to_ncseries`` and the failure
 values of residual reports.
 
 A coefficient p_w^(n) = <tr X_w> at g^n is invariant under cyclic rotation
-of w (trace), reversal (transposition) and S3 relabelling of the spins.
-``LazyTable`` therefore runs the recursion once per orbit and g-order: a
-memo miss maps w to its orbit representative (``freealg.orbit_rep``), only
-representatives run ``_rhs`` and every other word copies its
-representative's value.  This is exact in both domains: a numeric-c raw
-value b**E * p depends on (w, n) only through p and E = (|w| + 3n)/2, and
-both are orbit invariants.  The dense solve stays unreduced, so it keeps
-checking the symmetry instead of assuming it: criterion 8 and
-``test_cyclic_symmetry`` read dense tables, and ``test_lazy_matches_dense``
-compares the orbit table with dense tables on every slot.
+of w (trace), reversal (transposition) and S3 relabelling of the spins, so
+both solvers run the recursion once per orbit and g-order.  This is exact
+in both domains: a numeric-c raw value b**E * p depends on (w, n) only
+through p and E = (|w| + 3n)/2, and both are orbit invariants.
+``LazyTable`` maps a memo miss to its orbit representative
+(``freealg.orbit_rep``); only representatives run ``_rhs`` and every other
+word copies its representative's value.  The dense solve takes the orbit
+partition of each word length (``freealg.word_orbits``), runs on the
+representatives and stores each value under every word of the orbit, so
+its layers are the same plain dicts as a word-by-word solve.
+
+``generating_residual`` therefore checks the symmetry instead of assuming
+it: every stored slot must equal its images under the four generators of
+the group, and the fixed point is then checked once per orbit.  The
+singleton partition (``_singletons``) turns the same solve loop and the
+same residual into the unreduced referee, which runs the recursion and the
+fixed point on every word.  The tests keep that referee at the benchmark
+region (|w| + n <= 10, n <= 6): it must match the orbit solve slot for
+slot, and criterion 8, ``test_cyclic_symmetry`` and
+``test_lazy_matches_dense`` read tables solved word by word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Union
 
-from .freealg import LETTERS, NCSeries, Word, orbit_rep
+from .freealg import (
+    LETTERS,
+    NCSeries,
+    GENERATORS,
+    Word,
+    orbit_rep,
+    packed_words,
+    reflection_least,
+    word_orbits,
+)
 from .ring import P_C, P_ZERO, GSeries, Poly, XLaurent, xlaurent_sqrt
 
 _B = 64
@@ -121,20 +141,6 @@ class ModelSpec:
         return p if self.symbolic else Poly.constant(p.evaluate(Fraction(self.c)))
 
 
-def _words_by_length(nlet: int, maxlen: int) -> list:
-    """Packed words (two bits per letter, first letter lowest) per length."""
-    out = [[0]]
-    for k in range(1, maxlen + 1):
-        prev = out[-1]
-        shift = 2 * (k - 1)
-        cur = []
-        for a in range(nlet):
-            abits = a << shift
-            cur.extend(w | abits for w in prev)
-        out.append(cur)
-    return out
-
-
 def _weights(spec: ModelSpec) -> tuple:
     """(b, a): integer weights of an equal- and an unequal-letter propagator.
 
@@ -147,13 +153,35 @@ def _weights(spec: ModelSpec) -> tuple:
     return c0.denominator, c0.numerator
 
 
-def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int):
+def _orbit_partition(nlet: int, S: int) -> list:
+    """The canonical orbits of the words of each length up to S.
+
+    Three letters: one entry per rotation/reversal/relabelling orbit
+    (``freealg.word_orbits``).  One letter: each word is its own orbit.
+    """
+    if nlet == 3:
+        return [word_orbits(k) for k in range(S + 1)]
+    return _singletons(nlet, S)
+
+
+def _singletons(nlet: int, S: int) -> list:
+    """The partition of the words of each length up to S into one-word orbits."""
+    return [[(w, (w,)) for w in words] for words in packed_words(nlet, S)]
+
+
+def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int, orbits: list):
     """Solve every coefficient with |w| + n <= S, n <= ng, |w| + n even.
+
+    ``orbits[k]`` partitions the words of length k into (representative,
+    images) pairs.  The recursion runs on representatives only, and a
+    nonzero value is stored under every image.  The canonical partition
+    (:func:`_orbit_partition`) solves once per orbit; the singleton
+    partition (:func:`_singletons`) solves every word and so assumes no
+    symmetry.
 
     Returns layers[(n, k)] = dict(packed word -> raw integer value).
     """
     layers = {}
-    words = _words_by_length(nlet, S)
 
     for n in range(ng + 1):
         for k in range(S - n + 1):
@@ -182,7 +210,7 @@ def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int):
             dprev = layers.get((n - 1, k + 1)) if n else None
             dprev_get = dprev.get if dprev else None
 
-            for w in words[k]:
+            for w, images in orbits[k]:
                 i0 = w & 3
                 eq = ne = 0
                 for shift_j, mask_u, shift_v, pairs in splits:
@@ -211,7 +239,8 @@ def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int):
                                 ne += val
                 acc = eq * b + ne * a
                 if acc:
-                    d[w] = acc
+                    for x in images:
+                        d[x] = acc
     return layers
 
 
@@ -383,18 +412,19 @@ class SolutionTable(_TableBase):
         return {w: dict(sorted(g.items(), key=lambda kv: int(kv[0]))) for w, g in sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))}
 
 
-def check_headroom(spec: ModelSpec, kmax: int, S: int) -> None:
-    """Refuse a symbolic region whose packed digits could reach the guard.
+def check_headroom(spec: ModelSpec, kmax: int, S: int) -> Optional[int]:
+    """Bound the packed digits of a symbolic region; refuse it if the bound reaches the guard.
 
     The region is |w| <= kmax, |w| + n <= S, n <= ng.  Every digit of
     p_w^(n) is at most its value at c = 1, which is nletters**n * pg(|w|, n)
     with pg the one-matrix count (the same recursion on one letter).  The
     signed recast combination stays within _RECAST_MARGIN times that, so a
-    bound below the guard makes every packed operation carry-free.
+    bound below the guard makes every packed operation carry-free.  Returns
+    that bound, or None at numeric c, whose raw values are plain integers.
     """
     if not spec.symbolic:
-        return
-    pg = _solve_dense(1, S, spec.ng, 1, 1)
+        return None
+    pg = _solve_dense(1, S, spec.ng, 1, 1, _singletons(1, S))
     bound = _RECAST_MARGIN * max(spec.nletters**n * d.get(0, 0) for (n, k), d in pg.items() if k <= kmax)
     if bound >= _GUARD:
         raise ValueError(
@@ -402,6 +432,7 @@ def check_headroom(spec: ModelSpec, kmax: int, S: int) -> None:
             f"packed digits may reach {bound} (a {bound.bit_length()}-bit bound), "
             f"beyond the 2^62 digit guard"
         )
+    return bound
 
 
 def solve_series(spec: ModelSpec) -> SolutionTable:
@@ -411,12 +442,14 @@ def solve_series(spec: ModelSpec) -> SolutionTable:
     what the grade induction consumes: each triangle removal trades one
     g-order for one extra letter, so reported words of length ltarget at
     order ng pull on words up to ltarget + ng at order zero and never
-    longer.  A symbolic region beyond the packed headroom is refused
+    longer.  The recursion runs once per orbit (:func:`_orbit_partition`).
+    A symbolic region beyond the packed headroom is refused
     (:func:`check_headroom`).
     """
     S = spec.ltarget + spec.ng
     check_headroom(spec, S, S)
-    layers = _solve_dense(spec.nletters, S, spec.ng, *_weights(spec))
+    nlet = spec.nletters
+    layers = _solve_dense(nlet, S, spec.ng, *_weights(spec), _orbit_partition(nlet, S))
     return SolutionTable(spec, S, layers)
 
 
@@ -533,15 +566,21 @@ def _prefix_split_sum(raw, w: int, k: int, n: int, letter: int) -> int:
 
 @dataclass
 class ResidualReport:
-    """Nonzero residual slots of the two generating-equation forms."""
+    """Nonzero residual slots of the two generating-equation forms, and symmetry breaks.
+
+    ``fixed_point`` and ``recast`` hold (word, n, value); ``symmetry`` holds
+    (word, n, image) for stored slots whose image under a generator of the
+    orbit group carries another value.
+    """
 
     fixed_point: list
     recast: list
+    symmetry: list
     grade: int
 
     @property
     def ok(self) -> bool:
-        return not self.fixed_point and not self.recast
+        return not self.fixed_point and not self.recast and not self.symmetry
 
     def as_ncseries(self, table, which: str = "fixed_point") -> NCSeries:
         """Sparse NCSeries of the nonzero residual coefficients (empty = 0)."""
@@ -594,35 +633,99 @@ def _recast_failures(table: _TableBase, words, k: int, n: int) -> list:
     return bad
 
 
-def generating_residual(table: SolutionTable, grade: Optional[int] = None) -> ResidualReport:
-    """Residuals of the solved table, checked slot by slot.
+def _symmetry_failures(table: SolutionTable, grade: int) -> list:
+    """Stored slots of grade <= ``grade`` that differ from an image under a generator.
 
-    Two forms are evaluated: the fixed-point form Phi - rhs(Phi), over slots
-    of even |w| + n, and the derivative (recast) form
-    (1+c) D0 Phi + (2c^2 - c - 1)(Phi x0 Phi + g D0^2 Phi) - c (D1 Phi + D2 Phi),
-    whose content lives at odd |w| + n.  Both must vanish identically.
-    The fixed-point form re-reads the finished table slot by slot instead of
-    replaying the dense solve.
+    The generators are one rotation, the reversal, (01) and (12)
+    (``freealg.GENERATORS``).  Reading stored slots suffices: if an
+    orbit mixes stored and missing words, some stored word has a missing
+    image under a generator.  Entries are (word, n, image).
     """
-    if grade is None:
-        grade = table.grade_reached
+    bad = []
+    for (n, k), d in table.slots():
+        if k == 0 or k + 2 * n > grade:
+            continue
+        words, values = list(d), list(d.values())
+        broken = {}
+        for image_of in GENERATORS:
+            images = image_of(words, k)
+            if list(map(d.get, images, repeat(0))) != values:
+                for w, x, v in zip(words, images, values):
+                    if d.get(x, 0) != v:
+                        broken.setdefault(w, x)
+        bad += [(Word._raw(k, w), n, Word._raw(k, x)) for w, x in broken.items()]
+    return bad
+
+
+def _recast_words(orbits_k, k: int) -> list:
+    """The least word of each <reversal, (12)> class inside each orbit of length k.
+
+    Both maps fix the letter 0 that the recast form prepends, and on an
+    orbit-symmetric table the form takes one value on each class.  A
+    one-word orbit is its own class, so the singleton partition keeps
+    every word.
+    """
+    out = []
+    for _, images in orbits_k:
+        if len(images) == 1:
+            out.append(images[0])
+        else:
+            out += reflection_least(images, k)
+    return out
+
+
+def _residual(table: SolutionTable, grade: int, orbits: list) -> ResidualReport:
+    """Both generating-equation forms over an orbit partition of the words.
+
+    The fixed point runs at each representative of ``orbits``, zero or not.
+    The recast form runs at the words of :func:`_recast_words`, or at every
+    word once the symmetry check has failed.  With the singleton partition
+    (:func:`_singletons`) both run slot by slot.
+    """
     raw = table._raw
     nlet, b, a = table.spec.nletters, table._b, table._a
+    symmetry = _symmetry_failures(table, grade) if nlet == 3 else []
     bad_fp = []
     bad_rc = []
-    kmax = min(grade, table.S)
-    words = _words_by_length(nlet, kmax)
-    for k in range(kmax + 1):
-        nmax = (grade - k) // 2
-        for n in range(min(nmax, table.ng) + 1):
+    for k in range(min(grade, table.S) + 1):
+        recast_words = None
+        for n in range(min((grade - k) // 2, table.ng) + 1):
             if (k + n) & 1 == 0:
-                for w in words[k]:
+                for w, _ in orbits[k]:
                     diff = raw(w, k, n) - _rhs(raw, nlet, b, a, w, k, n)
                     if diff:
                         bad_fp.append(_failure(table, k, w, n, diff, (k + 3 * n) // 2))
             elif nlet == 3:
-                bad_rc += _recast_failures(table, words[k], k, n)
-    return ResidualReport(bad_fp, bad_rc, grade)
+                if recast_words is None:
+                    if symmetry:
+                        recast_words = [x for _, images in orbits[k] for x in images]
+                    else:
+                        recast_words = _recast_words(orbits[k], k)
+                bad_rc += _recast_failures(table, recast_words, k, n)
+    return ResidualReport(bad_fp, bad_rc, symmetry, grade)
+
+
+def generating_residual(table: SolutionTable, grade: Optional[int] = None) -> ResidualReport:
+    """Residuals of the solved table, checked once per orbit.
+
+    Two forms are evaluated: the fixed-point form Phi - rhs(Phi), over slots
+    of even |w| + n, and the derivative (recast) form
+    (1+c) D0 Phi + (2c^2 - c - 1)(Phi x0 Phi + g D0^2 Phi) - c (D1 Phi + D2 Phi),
+    whose content lives at odd |w| + n.  Both must vanish identically, and
+    the table must be invariant under rotation, reversal and relabelling.
+
+    The symmetry is checked first: every stored slot must equal its images
+    under the four generators of the orbit group (``symmetry``).  The
+    fixed point is then checked at one representative per orbit, whether
+    its value is zero or not.  That suffices: by induction on the grade, a
+    symmetric table that satisfies the recursion at its representatives
+    equals the solution everywhere.  The recast form, once the symmetry
+    holds, is evaluated at one word per class of <reversal, (12)>.  Each
+    form re-reads the finished table instead of replaying the dense solve.
+    """
+    if grade is None:
+        grade = table.grade_reached
+    return _residual(table, grade, _orbit_partition(table.spec.nletters, min(grade, table.S)))
 
 
 def recast_residual_rect(table: _TableBase, kmax: int, ng: int) -> list:
@@ -632,7 +735,7 @@ def recast_residual_rect(table: _TableBase, kmax: int, ng: int) -> list:
     table serves it without a dense solve.  Returns the nonzero slots.
     """
     bad = []
-    words = _words_by_length(3, kmax)
+    words = packed_words(3, kmax)
     for k in range(kmax + 1):
         for n in range(ng + 1):
             if (k + n) & 1:

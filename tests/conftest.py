@@ -1,6 +1,15 @@
 import pytest
 
-from pottsloop.solver import LazyTable, ModelSpec, solve_series
+from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, _singletons, _solve_dense, _weights, solve_series
+
+
+def solve_unreduced(spec: ModelSpec) -> SolutionTable:
+    """``solve_series`` on the singleton partition: the recursion runs on every
+    word and assumes no rotation, reversal or relabelling symmetry, so tables
+    solved this way referee the orbit-reduced solve and the orbit memo."""
+    S = spec.ltarget + spec.ng
+    layers = _solve_dense(spec.nletters, S, spec.ng, *_weights(spec), _singletons(spec.nletters, S))
+    return SolutionTable(spec, S, layers)
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +22,13 @@ def small_table():
 def master_table():
     """Symbolic Potts table, region |w| + n <= 12 (acceptance scale)."""
     return solve_series(ModelSpec(kind="potts3", c="symbolic", ng=8, ltarget=4))
+
+
+@pytest.fixture(scope="session")
+def referee_table():
+    """Unreduced symbolic Potts table, region |w| + n <= 10, n <= 6: the
+    benchmark's dense region, solved word by word (:func:`solve_unreduced`)."""
+    return solve_unreduced(ModelSpec(kind="potts3", c="symbolic", ng=6, ltarget=4))
 
 
 @pytest.fixture(scope="session")

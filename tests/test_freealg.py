@@ -7,12 +7,15 @@ import pytest
 
 from pottsloop.freealg import (
     EMPTY_WORD,
+    GENERATORS,
     LETTERS,
     NCSeries,
     Word,
     all_words,
     apply_operator_string,
     orbit_rep,
+    reflection_least,
+    word_orbits,
 )
 from pottsloop.ring import GSeries
 
@@ -153,7 +156,46 @@ def test_orbit_rep_names_each_orbit_once():
             seen |= orbit
         assert len(seen) == 3**k
         norbits.append(len(reps))
+        # the enumerator lists the same orbits, each named by orbit_rep
+        assert {rep for rep, _ in word_orbits(k)} == reps
+        for rep, images in word_orbits(k):
+            word = Word._raw(k, rep)
+            orbit = {img.relabel(p) for d in (word, word.reverse()) for img in d.rotations() for p in perms}
+            assert {Word._raw(k, x) for x in images} == orbit
     assert norbits == [1, 1, 2, 3, 6, 9, 22, 40]
+
+
+def test_word_orbits_partition_the_words_up_to_ten_letters():
+    counts = []
+    for k in range(11):
+        covered = []
+        for rep, images in word_orbits(k):
+            assert all(orbit_rep(x, k) == rep for x in images)
+            covered += images
+        # every word in exactly one orbit: 3**k distinct k-letter words, none with the letter 3
+        low = int("01" * k or "0", 2)
+        assert len(covered) == len(set(covered)) == 3**k
+        assert all(x >> (2 * k) == 0 and not x & (x >> 1) & low for x in covered)
+        counts.append(len(word_orbits(k)))
+    assert counts == [1, 1, 2, 3, 6, 9, 22, 40, 100, 225, 582]
+
+
+def test_packed_images_match_the_word_operations():
+    for k in range(1, 7):
+        words = list(all_words(k))
+        rot, rev, s01, s12 = (image_of([word.bits for word in words], k) for image_of in GENERATORS)
+        for i, word in enumerate(words):
+            ls = word.letters()
+            assert rot[i] == Word(ls[1:] + ls[:1]).bits
+            assert rev[i] == word.reverse().bits
+            assert s01[i] == word.relabel((1, 0, 2)).bits
+            assert s12[i] == word.relabel((0, 2, 1)).bits
+    for k in range(8):
+        least = set()
+        for word in all_words(k):
+            images = (word, word.reverse(), word.relabel((0, 2, 1)), word.reverse().relabel((0, 2, 1)))
+            least.add(min(img.bits for img in images))
+        assert set(reflection_least([word.bits for word in all_words(k)], k)) == least
 
 
 def test_apply_operator_string_prefix_extraction():

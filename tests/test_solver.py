@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from pottsloop.freealg import NCSeries, Word, all_words
+from conftest import solve_unreduced
+from pottsloop.freealg import NCSeries, Word, all_words, word_orbits
 from pottsloop.loopcat import check_loops, check_sd
 from pottsloop.ring import Poly
 from pottsloop.solver import (
@@ -23,6 +24,7 @@ from pottsloop.solver import (
     solve_series,
     unpack_poly,
 )
+from pottsloop.solver import _residual, _singletons
 
 
 def test_pack_roundtrip():
@@ -84,27 +86,28 @@ def test_c_zero_decouples_colors():
     assert tab.p_poly("0001", 2) == Fraction(4)  # = p(000,1) * p(1,1), oracle-pinned
 
 
-def test_cyclic_symmetry(small_table):
+def test_cyclic_symmetry(referee_table):
+    # the referee table is solved word by word, so its symmetry is a result, not an assumption
     rng = random.Random(2)
     for _ in range(200):
         k = rng.randrange(1, 6)
         word = Word([rng.randrange(3) for _ in range(k)])
-        n = rng.choice([m for m in range(4) if (k + m) % 2 == 0 and k + m <= small_table.S])
-        ref = small_table.p_poly(word, n)
+        n = rng.choice([m for m in range(4) if (k + m) % 2 == 0 and k + m <= referee_table.S])
+        ref = referee_table.p_poly(word, n)
         for rot in word.rotations():
-            assert small_table.p_poly(rot, n) == ref
+            assert referee_table.p_poly(rot, n) == ref
 
 
-def test_s3_invariance(small_table):
+def test_s3_invariance(referee_table):
     perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
     rng = random.Random(4)
     for _ in range(150):
         k = rng.randrange(6)
         word = Word([rng.randrange(3) for _ in range(k)])
-        n = rng.choice([m for m in range(4) if (k + m) % 2 == 0 and k + m <= small_table.S])
-        ref = small_table.p_poly(word, n)
+        n = rng.choice([m for m in range(4) if (k + m) % 2 == 0 and k + m <= referee_table.S])
+        ref = referee_table.p_poly(word, n)
         for perm in perms:
-            assert small_table.p_poly(word.relabel(perm), n) == ref
+            assert referee_table.p_poly(word.relabel(perm), n) == ref
 
 
 def test_parity_vanishing(small_table):
@@ -128,11 +131,12 @@ def test_c_to_zero_limit_matches_pure_gravity(small_table):
                 assert sym.coefficient(0) == pure.p_poly(Word([0] * k), n).coefficient(0)
 
 
-def test_lazy_matches_dense(medium_table):
-    # the dense solve runs the recursion on every word, so comparing every slot
+def test_lazy_matches_dense():
+    # the unreduced solve runs the recursion on every word, so comparing every slot
     # checks the rotation, reversal and relabelling symmetry the lazy table relies on
-    quarter = solve_series(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=3, ltarget=6))
-    for dense, nonzero_slots in ((medium_table, 98_413), (quarter, 10_933)):
+    medium = solve_unreduced(ModelSpec(kind="potts3", c="symbolic", ng=3, ltarget=8))
+    quarter = solve_unreduced(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=3, ltarget=6))
+    for dense, nonzero_slots in ((medium, 98_413), (quarter, 10_933)):
         lazy = LazyTable(dense.spec, max_len=dense.S)
         nonzero = 0
         for (n, k), d in dense.slots():
@@ -142,6 +146,54 @@ def test_lazy_matches_dense(medium_table):
                 nonzero += want != 0
         assert nonzero == nonzero_slots
         assert lazy.rhs_evaluations < nonzero // 20
+
+
+@pytest.mark.parametrize("c", ["symbolic", Fraction(1, 4), Fraction(0), Fraction(-2, 3)])
+def test_orbit_solve_matches_unreduced_solve(referee_table, c):
+    spec = ModelSpec(kind="potts3", c=c, ng=6, ltarget=4)
+    unreduced = referee_table if c == "symbolic" else solve_unreduced(spec)
+    # every layer, key for key and value for value
+    assert solve_series(spec).layers == unreduced.layers
+
+
+def test_unreduced_residual_checks_every_slot(referee_table):
+    """The referee: the fixed point at every word and the recast form at every
+    word, on the table solved word by word."""
+    report = _residual(referee_table, 10, _singletons(3, 10))
+    assert report.ok, (report.fixed_point[:3], report.recast[:3], report.symmetry[:3])
+    assert report == generating_residual(referee_table, 10)
+
+
+def _corrupted(table, n, k, words):
+    """A copy of the table with 1 added to the given words of layer (n, k)."""
+    layers = {key: dict(d) for key, d in table.layers.items()}
+    for w in words:
+        layers[(n, k)][w] += 1
+    return SolutionTable(table.spec, table.S, layers)
+
+
+def test_residual_flags_a_corrupted_image_as_a_symmetry_break(small_table):
+    # the top-grade layer: no other slot of the checked region reads it
+    n, k = 0, 6
+    rep, images = next((r, i) for r, i in word_orbits(k) if len(i) > 1 and r in small_table.layers[(n, k)])
+    image = next(x for x in images if x != rep)
+    report = generating_residual(_corrupted(small_table, n, k, [image]), grade=6)
+    assert not report.ok
+    assert not report.fixed_point  # the fixed point only reads representatives
+    assert Word._raw(k, image) in {word for word, _, _ in report.symmetry}
+    assert all(m == n for _, m, _ in report.symmetry)
+
+
+def test_residual_flags_a_corrupted_representative_at_the_fixed_point(small_table):
+    n, k = 1, 3
+    rep, images = next((r, i) for r, i in word_orbits(k) if r in small_table.layers[(n, k)])
+    report = generating_residual(_corrupted(small_table, n, k, [rep]))
+    assert (Word._raw(k, rep), n) in [(word, m) for word, m, _ in report.fixed_point]
+    assert report.symmetry
+    # corrupted on its whole orbit, the table stays symmetric and only the fixed point sees it
+    report = generating_residual(_corrupted(small_table, n, k, images))
+    assert not report.symmetry
+    assert (Word._raw(k, rep), n) in [(word, m) for word, m, _ in report.fixed_point]
 
 
 def test_lazy_table_solves_once_per_orbit():
@@ -233,6 +285,19 @@ def test_headroom_guard_refuses_before_solving(monkeypatch):
 )
 def test_shipped_truncations_fit_the_headroom(kind, kmax, S, ng):
     check_headroom(ModelSpec(kind=kind, c="symbolic", ng=ng), kmax, S)
+
+
+def _largest_digit(table) -> int:
+    values = {v for d in table.layers.values() for v in d.values()}
+    return max(max(unpack_poly(v).coeffs) for v in values)
+
+
+def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
+    for table in (referee_table, master_table):
+        assert check_headroom(table.spec, table.S, table.S) >= _largest_digit(table)
+    # the benchmark's dense region, whose trace reports solver.max_digit_bits 20
+    assert _largest_digit(referee_table).bit_length() == 20
+    assert check_headroom(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=6), 10, 10) is None
 
 
 def test_region_guard_reports_bounds(small_table):
