@@ -13,12 +13,23 @@ the cycles of (rotation o matching), and the Euler characteristic
 V - E + F selects the genus.  The vertex normalisation (g/3)^n / n! is
 divided out at the end; boundary-rooted diagrams have no automorphisms, so
 the division is exact over the integers (asserted).
+
+The matchings depend only on (|w|, n), not on the letters.  They are
+enumerated once per (|w|, n) and collapsed into weight classes: a matching
+weighs a spin assignment only through its chord endpoints (a boundary
+position or a triangle), so a class is the multiset of endpoint pairs,
+taken up to relabelling of the n triangles, and its value is the number of
+matchings in it.  A word's moment sums the 3^n triangle spin assignments
+once per class, times the multiplicity.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import permutations, product
 from math import factorial
 
 from .freealg import Word
@@ -218,46 +229,42 @@ def _enumerate_matchings(k: int, n: int, *, planar_only: bool, prune: bool = Tru
     yield from rec(list(range(total)))
 
 
-def _matching_weight_poly(word: Word, n: int, matching, nletters: int) -> Poly:
-    """Sum over vertex spin assignments of c^(number of unequal-spin pairs)."""
-    k = len(word)
-    bspins = word.letters()
-    counts = [0] * ((k + 3 * n) // 2 + 1)
-    import itertools
+@cache
+def _weight_classes(k: int, n: int) -> tuple:
+    """The planar matchings of (k, n) collapsed into weight classes.
 
-    for spins in itertools.product(range(nletters), repeat=n):
-        ne = 0
-        for a, b in matching:
-            sa = bspins[a] if a < k else spins[(a - k) // 3]
-            sb = bspins[b] if b < k else spins[(b - k) // 3]
-            if sa != sb:
-                ne += 1
-        counts[ne] += 1
-    return Poly(counts)
+    A matching weighs a spin assignment through its chord endpoints only, so
+    matchings with the same multiset of endpoint pairs weigh alike, and the
+    sum over all assignments is unchanged by relabelling the n triangles.
+    Returns ``(chords, multiplicity)`` pairs; ``chords`` is the least sorted
+    endpoint-pair tuple over the n! relabellings.  Cached, so the matchings
+    of (k, n) are enumerated once per process; the desk-scale guard keeps
+    the cache to sizes with k + 3n <= 16.
+    """
+    # chord endpoint of each half-edge: its boundary position, or k + triangle
+    end = [h if h < k else k + (h - k) // 3 for h in range(k + 3 * n)]
+    raw = Counter(
+        tuple(sorted((end[a], end[b]) for a, b in matching))
+        for matching, _genus in _enumerate_matchings(k, n, planar_only=True)
+    )
+    maps = [tuple(range(k)) + perm for perm in permutations(range(k, k + n))]
+    classes: Counter = Counter()
+    for chords, mult in raw.items():
+        key = min(tuple(sorted(tuple(sorted((m[a], m[b]))) for a, b in chords)) for m in maps)
+        classes[key] += mult
+    return tuple(classes.items())
 
 
 def enumerate_diagrams(word: Word, n: int, nletters: int = 3):
     """All planar boundary-attached diagrams, spin assignments expanded."""
-    import itertools
-
     k = len(word)
     for matching, genus in _enumerate_matchings(k, n, planar_only=True):
-        for spins in itertools.product(range(nletters), repeat=n):
+        for spins in product(range(nletters), repeat=n):
             yield DiagramInstance(word, n, spins, matching, genus)
 
 
-def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
-    """Coefficient of g^n in the normalised planar moment of the word.
-
-    Returns a Poly in c; ``ModelSpec.const`` evaluates it at a numeric c.
-    Parity violations return the exact zero; inputs beyond desk scale are
-    rejected with a cost estimate.
-    """
-    word = word if isinstance(word, Word) else Word.from_string(str(word))
-    k = len(word)
-    if (k + 3 * n) % 2:
-        return Poly()
-    points = k + 3 * n
+def _check_desk_scale(points: int) -> None:
+    """Refuse an input of more half-edges than the enumerator handles, with its cost."""
     if points > _MAX_POINTS:
         est = 1
         for m in range(points - 1, 0, -2):
@@ -266,14 +273,34 @@ def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
             f"oracle input {points} half-edges exceeds desk scale "
             f"({est} matchings to enumerate)"
         )
+
+
+def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
+    """Coefficient of g^n in the normalised planar moment of the word.
+
+    Returns a Poly in c; ``ModelSpec.const`` evaluates it at a numeric c.
+    Each weight class of (|w|, n) is summed over the triangle spins once and
+    counted with its multiplicity.  Parity violations return the exact zero;
+    inputs beyond desk scale are rejected with a cost estimate.
+    """
+    word = word if isinstance(word, Word) else Word.from_string(str(word))
+    k = len(word)
+    if (k + 3 * n) % 2:
+        return Poly()
+    points = k + 3 * n
+    _check_desk_scale(points)
     if k == 0:
         # normalised expectation of the identity; vacuum parts cancel
         return Poly((1,)) if n == 0 else Poly()
-    acc = Poly()
-    for matching, _genus in _enumerate_matchings(k, n, planar_only=True):
-        acc = acc + _matching_weight_poly(word, n, matching, nletters)
+    classes = _weight_classes(k, n)
+    letters = word.letters()
+    counts = [0] * (points // 2 + 1)  # by power of c: chords between unequal spins
+    for spins in product(range(nletters), repeat=n):
+        spin = letters + spins
+        for chords, mult in classes:
+            counts[sum(spin[a] != spin[b] for a, b in chords)] += mult
     norm = factorial(n) * 3**n
-    out = acc.scale(Fraction(1, norm))
+    out = Poly(counts).scale(Fraction(1, norm))
     assert out.den == 1, "vertex normalisation must divide the labelled count"
     return out
 
@@ -304,10 +331,16 @@ def compare_with_solver(table: SolutionTable, max_n: int, max_len: int) -> Compa
 
     Oracle values are computed once per cyclic class, as polynomials in c,
     and compared at the table's coupling; the table is read per word, so
-    cyclic symmetry of the table is exercised as well.
+    cyclic symmetry of the table is exercised as well.  The planar matchings
+    of each (|w|, n) are enumerated once and collapsed into weight classes,
+    which every cyclic class of that length and order reuses.  A range that
+    reaches beyond desk scale is refused before any enumeration.
     """
     from .freealg import all_words
 
+    _check_desk_scale(
+        max((k + 3 * n for k in range(max_len + 1) for n in range(max_n + 1) if (k + n) % 2 == 0), default=0)
+    )
     nlet = table.spec.nletters
     cache: dict = {}
     checked = 0

@@ -80,8 +80,9 @@ def test_criterion_4_spectral_curve(master):
 
 
 def test_criterion_5_oracle_equivalence(master):
-    rep = compare_with_solver(master, 3, 4)
+    rep = compare_with_solver(master, 3, 6)
     assert rep.ok, rep.mismatches[:3]
+    assert rep.checked == 2186  # every word of up to six letters, two parity-allowed orders each
     pure = solve_series(ModelSpec(kind="pure-gravity", ng=2, ltarget=6))
     rep_pure = compare_with_solver(pure, 2, 6)
     assert rep_pure.ok, rep_pure.mismatches[:3]

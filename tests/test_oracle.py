@@ -1,15 +1,21 @@
 """The contraction oracle: normalisation, genus filter, solver agreement."""
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from pottsloop.freealg import Word
+from pottsloop import oracle
+from pottsloop.cli import main
+from pottsloop.freealg import Word, word_orbits
 from pottsloop.oracle import (
     PropagatorMatrix,
     _enumerate_matchings,
+    _weight_classes,
     all_genus_moments,
     compare_with_solver,
+    enumerate_diagrams,
     planar_moment,
     verify_propagator,
 )
@@ -124,10 +130,68 @@ def test_numeric_c_agreement():
 
 
 def test_enumerate_diagrams_structure():
-    from pottsloop.oracle import enumerate_diagrams
-
     diagrams = list(enumerate_diagrams(Word.from_string("0"), 1))
     # three planar matchings, each with three possible vertex spins
     assert len(diagrams) == 9
     assert all(d.genus == 0 for d in diagrams)
     assert all(len(d.matching) == 2 for d in diagrams)
+
+
+@pytest.fixture
+def fresh_classes():
+    """An empty weight-class cache, so the test sees every enumeration."""
+    _weight_classes.cache_clear()
+    yield
+    _weight_classes.cache_clear()
+
+
+# every parity-allowed (|w|, n) with |w| >= 1 and |w| + 3n <= 12
+SMALL_SIZES = [(k, n) for k in range(1, 13) for n in range((12 - k) // 3 + 1) if (k + n) % 2 == 0]
+
+
+@pytest.mark.parametrize("k, n", SMALL_SIZES)
+def test_weight_classes_equal_the_per_diagram_sum(k, n):
+    # Referee built from the expanded diagrams, with no weight classes: a
+    # diagram weighs c^(chords between unequal spins), and its weight reads
+    # only the letter at each chord end, a boundary position 0..k-1 of the
+    # word or a triangle spin, written k + spin.  Diagrams with the same
+    # sorted chord ends are tallied together, which leaves the sum exact.
+    tally = Counter()
+    for d in enumerate_diagrams(Word([0] * k), n):
+        end = tuple(range(k)) + tuple(k + s for s in d.spins for _ in range(3))
+        tally[tuple(sorted((end[a], end[b]) for a, b in d.matching))] += 1
+    norm = factorial(n) * 3**n
+    for rep, _images in word_orbits(k):
+        word = Word._raw(k, rep)
+        letter = word.letters() + (0, 1, 2)
+        counts = [0] * ((k + 3 * n) // 2 + 1)
+        for chords, mult in tally.items():
+            counts[sum(letter[x] != letter[y] for x, y in chords)] += mult
+        assert all(v % norm == 0 for v in counts)
+        assert planar_moment(word, n) == Poly([v // norm for v in counts]), str(word)
+
+
+def test_compare_enumerates_each_size_once(monkeypatch, fresh_classes, small_table):
+    calls = Counter()
+    enumerate_matchings = oracle._enumerate_matchings
+
+    def counted(k, n, **kwargs):
+        calls[k, n] += 1
+        return enumerate_matchings(k, n, **kwargs)
+
+    monkeypatch.setattr(oracle, "_enumerate_matchings", counted)
+    assert compare_with_solver(small_table, 2, 3).ok
+    # |w| = 0 needs no matchings; each other parity-allowed size is enumerated once
+    assert calls == Counter({(1, 1): 1, (2, 0): 1, (2, 2): 1, (3, 1): 1})
+
+
+def test_oversize_compare_refused_before_any_enumeration(monkeypatch, fresh_classes, small_table, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matchings enumerated before the desk-scale check")
+
+    monkeypatch.setattr(oracle, "_enumerate_matchings", refuse)
+    # |w| = 6 at g^4 has 18 half-edges, beyond the 16 the enumerator accepts
+    with pytest.raises(ValueError, match="18 half-edges exceeds desk scale"):
+        compare_with_solver(small_table, 4, 6)
+    assert main(["compare", "--max-n", "4", "--max-len", "6"]) == 2
+    assert "error: oracle input 18 half-edges exceeds desk scale" in capsys.readouterr().err
