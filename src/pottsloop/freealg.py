@@ -18,7 +18,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ring import GSeries
+from .ring import GSeries, _int_rows, _series_addmul
 
 LETTERS = (0, 1, 2)
 
@@ -351,23 +351,37 @@ class NCSeries:
     def scale(self, v) -> "NCSeries":
         return NCSeries({w: g * v for w, g in self.terms.items()}, self.lmax, self.ng)
 
+    def shift_g(self, k: int) -> "NCSeries":
+        """Multiply every coefficient by g**k, truncating."""
+        return NCSeries({w: g.shift_g(k) for w, g in self.terms.items()}, self.lmax, self.ng)
+
     # -- products and operators -------------------------------------------------
 
     def __mul__(self, other: "NCSeries") -> "NCSeries":
-        """Concatenation (Cauchy) product; words beyond lmax dropped."""
+        """Concatenation (Cauchy) product; words beyond lmax dropped.
+
+        Each operand's coefficients become integer rows over one common
+        denominator, each output word accumulates its products in one row
+        set, and every output coefficient is built once at the end.
+        """
         self._check(other)
+        ng = self.ng
+        a, da = _int_rows(self.terms.values())
+        b, db = _int_rows(other.terms.values())
         by_len: dict = {}
-        for v, bv in other.terms.items():
+        for v, bv in zip(other.terms, b):
             by_len.setdefault(v.n, []).append((v, bv))
         out: dict = {}
-        for u, au in self.terms.items():
+        for u, au in zip(self.terms, a):
             for vlen in range(self.lmax - u.n + 1):
                 for v, bv in by_len.get(vlen, ()):
                     w = u + v
-                    p = au * bv
-                    cur = out.get(w)
-                    out[w] = p if cur is None else cur + p
-        return NCSeries(out, self.lmax, self.ng)
+                    rows = out.get(w)
+                    if rows is None:
+                        rows = out[w] = [[] for _ in range(ng + 1)]
+                    _series_addmul(rows, au, bv)
+        den = da * db
+        return NCSeries({w: GSeries._from_ints(rows, den, ng) for w, rows in out.items()}, self.lmax, ng)
 
     def mul_letter_left(self, a: int) -> "NCSeries":
         """Multiply by the letter ``a`` on the left."""

@@ -141,9 +141,15 @@ def _enumerate_matchings(k: int, n: int, *, planar_only: bool, prune: bool = Tru
     above zero are abandoned early; each closed face is detected the moment
     its last chord is drawn.
     """
+    if k == 0:
+        # The empty boundary is still a vertex: alone it is a sphere with one
+        # face (genus 0), and triangles could only form vacuum components.
+        if n == 0:
+            yield (), 0
+        return
     total = k + 3 * n
     sigma = _rotation(k, n)
-    V = (1 if k else 0) + n
+    V = 1 + n
     E = total // 2
     alpha: dict = {}
     pairs: list = []
@@ -152,8 +158,6 @@ def _enumerate_matchings(k: int, n: int, *, planar_only: bool, prune: bool = Tru
     parent = list(range(n + 1))
     open_count = [k] + [3] * n
     has_boundary = [True] + [False] * n
-    if k == 0:
-        has_boundary[0] = True  # degenerate: nothing to attach
 
     def find(a):
         while parent[a] != a:

@@ -17,7 +17,11 @@ denominator, so no coefficient ever leaves the polynomial ring.
 
 Series products run on plain integer coefficient lists over one common
 denominator per operand; almost every polynomial has denominator 1, and
-those are never gcd-normalised.
+those are never gcd-normalised.  A product accumulates all its terms into
+integer rows (``_series_addmul``) and builds each output coefficient once,
+at the end; ``XLaurent`` products and the ``NCSeries`` concatenation product
+of ``freealg`` share these kernels.  The series square root refines the root
+and its reciprocal together, so it runs no series inverse of its own.
 
 Everything is immutable after construction; all operations are pure.
 """
@@ -656,7 +660,21 @@ def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
 
 
 def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
-    """Square root of a Laurent series whose (x^0, g^0) part is 1."""
+    """Square root of a Laurent series whose (x^0, g^0) part is 1.
+
+    Coupled Newton iteration (Karp & Markstein, ACM TOMS 1997): the root b
+    and its reciprocal z are refined together,
+
+        b <- b + (a - b^2) z / 2,    z <- z + z (1 - b z),
+
+    starting from b = z = 1.  If b errs at order p and z at order q in the
+    nilpotent part of ``a``, the next b errs at order min(2p, p + q) and the
+    next z at min(2q, that), so both orders double each step: at most four
+    products a step and no nested inverse.
+    With ``grade_cap`` every step is masked to the sloped region of
+    :func:`xlaurent_grade_mask`, where it is exact; the loop stops once
+    ``a - b^2`` vanishes there.
+    """
     u = a.coefficient(0)[0]
     if not u.is_one():
         raise ValueError("series square root needs constant term 1")
@@ -666,11 +684,13 @@ def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
 
     a = cap(a)
     half = Fraction(1, 2)
-    b = XLaurent.x_power(0, a.nx, a.ng)
+    one = XLaurent.x_power(0, a.nx, a.ng)
+    b = z = one
+    err = cap(a - one)
     for _ in range(64):
+        b = cap(b + cap(err * z) * half)
         err = cap(a - b * b)
         if err.is_zero():
             return b
-        binv = xlaurent_inverse(b, grade_cap=grade_cap)
-        b = cap(b + (err * binv) * half)
+        z = cap(z + z * cap(one - b * z))
     raise ArithmeticError("series square root did not converge")

@@ -519,22 +519,20 @@ def build_rhs_potts(phi: NCSeries) -> NCSeries:
     at symbolic c.
     """
     ng, lmax = phi.ng, phi.lmax
-    cg = GSeries.constant(P_C, ng)
-    gmono = GSeries.g_power(1, ng)
     rhs = NCSeries.unit(lmax, ng)
     for i in LETTERS:
         right = NCSeries.zero(lmax, ng)
         for j in LETTERS:
             piece = phi.mul_letter_left(j)
             if i != j:
-                piece = piece.scale(cg)
+                piece = piece.scale(P_C)
             right = right + piece
         rhs = rhs + (phi * right).mul_letter_left(i)
-        dd = phi.left_delta(i).left_delta(i)
+        gdd = phi.left_delta(i).left_delta(i).shift_g(1)
         for j in LETTERS:
-            piece = dd.mul_letter_left(j).scale(gmono)
+            piece = gdd.mul_letter_left(j)
             if i != j:
-                piece = piece.scale(cg)
+                piece = piece.scale(P_C)
             rhs = rhs + piece
     return rhs
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from pottsloop.freealg import (
     reflection_least,
     word_orbits,
 )
-from pottsloop.ring import GSeries
+from pottsloop.ring import GSeries, Poly
 
 
 def w(s):
@@ -115,26 +116,49 @@ def test_nc_mul_associative_and_unital_random():
         assert a * one == a and one * a == a
 
 
+def _random_ncseries(rng, lmax, ng, coeff):
+    terms = {}
+    for _ in range(rng.randrange(8)):
+        word = Word([rng.randrange(3) for _ in range(rng.randrange(lmax + 1))])
+        terms[word] = GSeries([coeff() for _ in range(ng + 1)], ng)
+    return NCSeries(terms, lmax, ng)
+
+
+def _pairwise_product(a, b):
+    want = {}
+    for u, au in a.terms.items():
+        for v, bv in b.terms.items():
+            if len(u) + len(v) <= a.lmax:
+                want[u + v] = want.get(u + v, GSeries.zero(a.ng)) + au * bv
+    return NCSeries(want, a.lmax, a.ng)
+
+
 def test_nc_mul_matches_pairwise_product_random():
     rng = random.Random(11)
     ng = 2
     for _ in range(30):
         lmax = rng.randrange(6)
+        a, b = (_random_ncseries(rng, lmax, ng, lambda: rng.randint(-2, 2)) for _ in range(2))
+        assert a * b == _pairwise_product(a, b)
 
-        def rnd():
-            terms = {}
-            for _ in range(rng.randrange(8)):
-                word = Word([rng.randrange(3) for _ in range(rng.randrange(lmax + 1))])
-                terms[word] = GSeries([rng.randint(-2, 2) for _ in range(ng + 1)], ng)
-            return NCSeries(terms, lmax, ng)
 
-        a, b = rnd(), rnd()
-        want = {}
-        for u, au in a.terms.items():
-            for v, bv in b.terms.items():
-                if len(u) + len(v) <= lmax:
-                    want[u + v] = want.get(u + v, GSeries.zero(ng)) + au * bv
-        assert a * b == NCSeries(want, lmax, ng)
+def test_nc_mul_matches_pairwise_product_over_denominators_random():
+    # Fraction and c-polynomial coefficients put each operand over a common denominator
+    rng = random.Random(13)
+    ng = 2
+
+    def coeff():
+        return Poly.from_fractions(
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6))) for _ in range(rng.randrange(4))
+        )
+
+    dens = set()
+    for _ in range(30):
+        lmax = rng.randrange(1, 6)
+        a, b = (_random_ncseries(rng, lmax, ng, coeff) for _ in range(2))
+        dens |= {p.den for s in (a, b) for gs in s.terms.values() for p in gs.coeffs}
+        assert a * b == _pairwise_product(a, b)
+    assert {2, 3, 4} <= dens
 
 
 def test_orbit_rep_names_each_orbit_once():

@@ -30,6 +30,15 @@ def test_gaussian_genus_split_classical():
     assert all_genus_moments("00000000") == {0: 14, 1: 70, 2: 21}
 
 
+def test_empty_word_is_one_planar_vertex():
+    # <tr 1> is a sphere with one vertex and one face; triangles alone form vacuum parts
+    assert all_genus_moments("") == {0: 1}
+    assert [d.genus for d in enumerate_diagrams(Word(), 0)] == [0]
+    assert list(enumerate_diagrams(Word(), 2)) == []
+    assert planar_moment("", 0) == Poly((1,))
+    assert planar_moment("", 2).is_zero()
+
+
 def test_planar_moment_examples():
     assert planar_moment("00", 0) == Poly((1,))
     assert str(planar_moment("0011", 0)) == "1+c^2"

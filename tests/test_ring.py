@@ -12,6 +12,7 @@ from pottsloop.ring import (
     Poly,
     XLaurent,
     rat_to_str,
+    xlaurent_grade_mask,
     xlaurent_inverse,
     xlaurent_sqrt,
 )
@@ -188,6 +189,42 @@ def test_xlaurent_inverse_and_sqrt():
     assert s * s == a
     # the square root carries the den != 1 coefficients of (1 + u)^(1/2)
     assert s.coefficient(1)[1] == Poly.constant(Fraction(1, 2))
+
+
+def test_sqrt_of_the_pure_gravity_discriminant_within_the_grade_cap():
+    # (1 - g/x)^2 - 4 x^2 (1 - g/x - g p1): negative x powers carry as many g powers
+    nx, ng = 8, 8
+    cap = nx + ng + 2
+    one = XLaurent.x_power(0, cap, ng)
+    x = XLaurent.x_power(1, cap, ng)
+    g = XLaurent.constant(GSeries.g_power(1, ng), cap, ng)
+    p1 = GSeries([0, 2, 0, Fraction(-1, 3), P_C], ng)
+    b = one - g * XLaurent.x_power(-1, cap, ng)
+    disc = b * b - 4 * (x * x) * (b - g * p1)
+    s = xlaurent_sqrt(disc, grade_cap=cap)
+    assert xlaurent_grade_mask(s * s - disc, cap).is_zero()
+    assert s.coefficient(0)[0] == P_ONE
+    assert s == xlaurent_grade_mask(s, cap)
+
+
+def test_sqrt_with_denominators():
+    nx, ng = 5, 3
+    one = XLaurent.x_power(0, nx, ng)
+    x = XLaurent.x_power(1, nx, ng)
+    g = XLaurent.constant(GSeries.g_power(1, ng), nx, ng)
+    a = one + x * Fraction(2, 3) - g * x * poly(Fraction(1, 5), 1) + g * g * Fraction(7, 2)
+    s = xlaurent_sqrt(a)
+    assert s * s == a
+    assert s.coefficient(0)[0] == P_ONE
+    assert s.coefficient(1)[0] == Poly.constant(Fraction(1, 3))
+
+
+def test_sqrt_refuses_a_constant_term_other_than_one():
+    nx, ng = 3, 2
+    x = XLaurent.x_power(1, nx, ng)
+    for const in (4, Fraction(1, 4), P_C, poly(1, 1)):
+        with pytest.raises(ValueError):
+            xlaurent_sqrt(XLaurent.constant(const, nx, ng) + x)
 
 
 def test_rational_string_forms():

@@ -9,7 +9,7 @@ import pytest
 from conftest import solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, word_orbits
 from pottsloop.loopcat import check_loops, check_sd
-from pottsloop.ring import Poly
+from pottsloop.ring import GSeries, Poly, XLaurent, xlaurent_grade_mask
 from pottsloop.solver import (
     LazyTable,
     ModelSpec,
@@ -341,6 +341,21 @@ def test_pure_gravity_solution_and_branches():
         assert tab.p_poly("", n).is_zero()  # only one trivial triangulation
     assert (pg.branch - pg.phi).is_zero()
     assert not (pg.branch_other - pg.phi).is_zero()
+
+
+def test_pure_gravity_branches_satisfy_vieta():
+    # x^2 Phi^2 - b Phi + k = 0 with b = 1 - g/x and k = 1 - g/x - g p1
+    ng = lx = 8
+    pg = solve_pure_gravity(ng, lx, check_variant=False)
+    g = XLaurent.constant(GSeries.g_power(1, ng), lx, ng)
+    b = XLaurent.x_power(0, lx, ng) - g * XLaurent.x_power(-1, lx, ng)
+    k = b - g * pg.table.gseries("0", ng)
+    r1, r2 = pg.branch, pg.branch_other
+    assert r2.low == -3  # the rejected branch starts -g/x^3 + 1/x^2
+    assert r1 + r2 == b.shift_x(-2)
+    # x^2 r2 and k have no negative grade, so the product is exact up to grade lx
+    assert xlaurent_grade_mask(r1 * r2.shift_x(2) - k, lx).is_zero()
+    assert not xlaurent_grade_mask(r1 * r1.shift_x(2) - k, lx).is_zero()
 
 
 def test_pure_gravity_variant_refuted_by_boundary_condition():
