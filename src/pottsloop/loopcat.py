@@ -22,17 +22,25 @@ checked to vanish.  Its pairing with the catalog entry (generated residual
 = npieces times the catalog residual) is checked on the solved table only,
 where both sides vanish; there it is implied by ``check_loops`` and says
 nothing about the two constructions term by term.
+
+Every residual is evaluated on integer rows, like the ``NCSeries``
+product: a series is (rows, den), rows[e][n] the integer c-digits of den
+times its x^e g^n coefficient.  Table values are read raw (``_read``),
+products and term sums run on the row kernel of the ``XLaurent`` product
+(``ring._laurent_addmul``), a term sum over the lcm of its denominators,
+and a ``Poly`` is built only for the first nonzero slot a check reports.
+The public functions convert to ``XLaurent`` once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .freealg import EMPTY_WORD, Word
-from .ring import GSeries, Poly, XLaurent
-from .solver import _TableBase
+from .ring import P_ONE, Poly, XLaurent, _laurent_addmul
+from .solver import _TableBase, unpack_digits
 
 # coefficient polynomials in c, ascending powers
 _ONE = (1,)
@@ -41,7 +49,6 @@ _ND = (-1, -1, 2)  # -(1 + c - 2c^2)
 _ND2 = (-2, -2, 4)  # -2(1 + c - 2c^2)
 _NC = (0, -1)  # -c
 _NC2 = (0, -2)  # -2c
-D_POLY = Poly((1, 1, -2))
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,6 @@ class Amp:
     label: str
     delta: int = 0  # power of the x0 coefficient shift applied
     sym: bool = False  # average with the reversed label
-
-    def __str__(self):
-        s = f"phi({self.label or 'resolvent'})"
-        if self.sym:
-            s = f"sym {s}"
-        if self.delta:
-            s = f"D0^{self.delta} {s}" if self.delta > 1 else f"D0 {s}"
-        return s
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,8 @@ class LoopEquation:
         return self.terms
 
 
-def _t(coeff, amps, p=None, g=0, x=0):
-    return Term(tuple(coeff), tuple(amps), p, g, x)
+def _t(coeff, *amps, p=None, g=0, x=0):
+    return Term(tuple(coeff), amps, p, g, x)
 
 
 def _a(label, d=0, s=False):
@@ -105,187 +104,252 @@ def _a(label, d=0, s=False):
 
 CATALOG = (
     LoopEquation(1, "x0...x0", (
-        _t(_PC, [_a("", 1)]),
-        _t(_ND, [_a(""), _a("")], x=1),
-        _t(_ND, [_a("", 2)], g=1),
-        _t(_NC2, [_a("1")]),
+        _t(_PC, _a("", 1)),
+        _t(_ND, _a(""), _a(""), x=1),
+        _t(_ND, _a("", 2), g=1),
+        _t(_NC2, _a("1")),
     )),
     LoopEquation(2, "x1 x0...x0 x1", (
-        _t(_PC, [_a("101")]),
-        _t(_ND, [_a("1"), _a("1")], x=1),
-        _t(_ND, [_a("1001")], g=1),
-        _t(_NC, [_a("111")]),
-        _t(_NC, [_a("121")]),
+        _t(_PC, _a("101")),
+        _t(_ND, _a("1"), _a("1"), x=1),
+        _t(_ND, _a("1001"), g=1),
+        _t(_NC, _a("111")),
+        _t(_NC, _a("121")),
     )),
     LoopEquation(3, "x1 x0...x0 (+ reverse)", (
-        _t(_PC, [_a("1", 1)]),
-        _t(_ND, [_a(""), _a("1")], x=1),
-        _t(_ND, [_a("1", 2)], g=1),
-        _t(_NC, [_a("11")]),
-        _t(_NC, [_a("12")]),
+        _t(_PC, _a("1", 1)),
+        _t(_ND, _a(""), _a("1"), x=1),
+        _t(_ND, _a("1", 2), g=1),
+        _t(_NC, _a("11")),
+        _t(_NC, _a("12")),
     )),
     LoopEquation(4, "x2 x1 x0...x0 (+ reverse)", (
-        _t(_PC, [_a("12", 1)]),
-        _t(_ND, [_a(""), _a("12")], x=1),
-        _t(_ND, [_a("12", 2)], g=1),
-        _t(_NC, [_a("121")]),
-        _t(_NC, [_a("122", s=True)]),
+        _t(_PC, _a("12", 1)),
+        _t(_ND, _a(""), _a("12"), x=1),
+        _t(_ND, _a("12", 2), g=1),
+        _t(_NC, _a("121")),
+        _t(_NC, _a("122", s=True)),
     )),
     LoopEquation(5, "x1 x2 x1 x0...x0 (+ reverse)", (
-        _t(_PC, [_a("121", 1)]),
-        _t(_ND, [_a(""), _a("121")], x=1),
-        _t(_ND, [_a("121", 2)], g=1),
-        _t(_NC, [_a("1212")]),
-        _t(_NC, [_a("1121", s=True)]),
+        _t(_PC, _a("121", 1)),
+        _t(_ND, _a(""), _a("121"), x=1),
+        _t(_ND, _a("121", 2), g=1),
+        _t(_NC, _a("1212")),
+        _t(_NC, _a("1121", s=True)),
     )),
     LoopEquation(6, "x1 x0 x2 x0...x0 (+ reverse)", (
-        _t(_PC, [_a("102", 1)]),
-        _t(_ND, [_a(""), _a("102")], x=1),
-        _t(_ND, [_a("1")], p="1"),
-        _t(_ND, [_a("102", 2)], g=1),
-        _t(_NC, [_a("1102", s=True)]),
-        _t(_NC, [_a("1201", s=True)]),
+        _t(_PC, _a("102", 1)),
+        _t(_ND, _a(""), _a("102"), x=1),
+        _t(_ND, _a("1"), p="1"),
+        _t(_ND, _a("102", 2), g=1),
+        _t(_NC, _a("1102", s=True)),
+        _t(_NC, _a("1201", s=True)),
     )),
     LoopEquation(7, "x1 x0 x1 x0...x0 (+ reverse)", (
-        _t(_PC, [_a("101", 1)]),
-        _t(_ND, [_a(""), _a("101")], x=1),
-        _t(_ND, [_a("1")], p="1"),
-        _t(_ND, [_a("101", 2)], g=1),
-        _t(_NC, [_a("1101", s=True)]),
-        _t(_NC, [_a("1202", s=True)]),
+        _t(_PC, _a("101", 1)),
+        _t(_ND, _a(""), _a("101"), x=1),
+        _t(_ND, _a("1"), p="1"),
+        _t(_ND, _a("101", 2), g=1),
+        _t(_NC, _a("1101", s=True)),
+        _t(_NC, _a("1202", s=True)),
     )),
     LoopEquation(8, "x0 x1 x2 x0...x0 (+ reverse)", (
-        _t(_PC, [_a("12", 2)]),
-        _t(_ND, [_a(""), _a("12", 1)], x=1),
-        _t(_ND, [_a("12")]),
-        _t(_ND, [_a("12", 3)], g=1),
-        _t(_NC, [_a("1201", s=True)]),
-        _t(_NC, [_a("1202", s=True)]),
+        _t(_PC, _a("12", 2)),
+        _t(_ND, _a(""), _a("12", 1), x=1),
+        _t(_ND, _a("12")),
+        _t(_ND, _a("12", 3), g=1),
+        _t(_NC, _a("1201", s=True)),
+        _t(_NC, _a("1202", s=True)),
     )),
     LoopEquation(9, "x1 x2 x0...x0 x0 (+ reverse)", (
-        _t(_PC, [_a("12", 2)]),
-        _t(_ND, [_a("", 1), _a("12")], x=1),
-        _t(_ND, [_a("12")]),
-        _t(_ND, [_a("12", 3)], g=1),
-        _t(_NC, [_a("112", 1, s=True)]),
-        _t(_NC, [_a("121", 1)]),
+        _t(_PC, _a("12", 2)),
+        _t(_ND, _a("", 1), _a("12"), x=1),
+        _t(_ND, _a("12")),
+        _t(_ND, _a("12", 3), g=1),
+        _t(_NC, _a("112", 1, s=True)),
+        _t(_NC, _a("121", 1)),
     )),
     LoopEquation(10, "x2...x2", (
-        _t(_ONE, [_a("1")]),
-        _t(_ND, [_a("11")], g=1),
-        _t(_NC, [_a("", 1)]),
+        _t(_ONE, _a("1")),
+        _t(_ND, _a("11"), g=1),
+        _t(_NC, _a("", 1)),
     )),
     LoopEquation(11, "x1 x2...x2 x1", (
-        _t(_PC, [_a("121")]),
-        _t(_ND, [_a("1221")], g=1),
-        _t(_NC, [_a("111")]),
-        _t(_NC, [_a("101")]),
+        _t(_PC, _a("121")),
+        _t(_ND, _a("1221"), g=1),
+        _t(_NC, _a("111")),
+        _t(_NC, _a("101")),
     )),
     LoopEquation(12, "x1 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("12")]),
-        _t(_ND, [_a("112", s=True)], g=1),
-        _t(_NC, [_a("11")]),
-        _t(_NC, [_a("1", 1)]),
+        _t(_PC, _a("12")),
+        _t(_ND, _a("112", s=True), g=1),
+        _t(_NC, _a("11")),
+        _t(_NC, _a("1", 1)),
     )),
     LoopEquation(13, "x0 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("11")]),
-        _t(_ND, [_a("")]),
-        _t(_ND, [_a("111")], g=1),
-        _t(_NC, [_a("12")]),
-        _t(_NC, [_a("1", 1)]),
+        _t(_PC, _a("11")),
+        _t(_ND, _a("")),
+        _t(_ND, _a("111"), g=1),
+        _t(_NC, _a("12")),
+        _t(_NC, _a("1", 1)),
     )),
     LoopEquation(14, "x1 x1 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("112", s=True)]),
-        _t(_ND, [_a("1122")], g=1),
-        _t(_NC, [_a("111")]),
-        _t(_NC, [_a("11", 1)]),
+        _t(_PC, _a("112", s=True)),
+        _t(_ND, _a("1122"), g=1),
+        _t(_NC, _a("111")),
+        _t(_NC, _a("11", 1)),
     )),
     LoopEquation(15, "x2 x1 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("102")]),
-        _t(_ND, [_a("1102", s=True)], g=1),
-        _t(_NC, [_a("101")]),
-        _t(_NC, [_a("1", 2)]),
+        _t(_PC, _a("102")),
+        _t(_ND, _a("1102", s=True), g=1),
+        _t(_NC, _a("101")),
+        _t(_NC, _a("1", 2)),
     )),
     LoopEquation(16, "x2 x0 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("101")]),
-        _t(_ND, [_a("")], p="1"),
-        _t(_ND, [_a("1101", s=True)], g=1),
-        _t(_NC, [_a("102")]),
-        _t(_NC, [_a("1", 2)]),
+        _t(_PC, _a("101")),
+        _t(_ND, _a(""), p="1"),
+        _t(_ND, _a("1101", s=True), g=1),
+        _t(_NC, _a("102")),
+        _t(_NC, _a("1", 2)),
     )),
     LoopEquation(17, "x1 x0 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("121")]),
-        _t(_ND, [_a("")], p="1"),
-        _t(_ND, [_a("1121", s=True)], g=1),
-        _t(_NC, [_a("112", s=True)]),
-        _t(_NC, [_a("12", 1)]),
+        _t(_PC, _a("121")),
+        _t(_ND, _a(""), p="1"),
+        _t(_ND, _a("1121", s=True), g=1),
+        _t(_NC, _a("112", s=True)),
+        _t(_NC, _a("12", 1)),
     )),
     LoopEquation(18, "x0 x1 x2...x2 x0 (+ reverse)", (
-        _t(_PC, [_a("1222", s=True)]),
-        _t(_ND2, [_a("12")]),
-        _t(_ND, [_a("12222", s=True)], g=1),
-        _t(_NC, [_a("1212")]),
-        _t(_NC, [_a("1202", s=True)]),
+        _t(_PC, _a("1222", s=True)),
+        _t(_ND2, _a("12")),
+        _t(_ND, _a("12222", s=True), g=1),
+        _t(_NC, _a("1212")),
+        _t(_NC, _a("1202", s=True)),
     )),
     LoopEquation(19, "x1 x2...x2 x0 x0 (+ reverse)", (
-        _t(_PC, [_a("1222", s=True)]),
-        _t(_ND, [_a("12")]),
-        _t(_ND, [_a("1")], p="1"),
-        _t(_ND, [_a("12222", s=True)], g=1),
-        _t(_NC, [_a("1122")]),
-        _t(_NC, [_a("1102", s=True)]),
+        _t(_PC, _a("1222", s=True)),
+        _t(_ND, _a("12")),
+        _t(_ND, _a("1"), p="1"),
+        _t(_ND, _a("12222", s=True), g=1),
+        _t(_NC, _a("1122")),
+        _t(_NC, _a("1102", s=True)),
     )),
     LoopEquation(20, "x0 x2...x2 x0 x2 (+ reverse)", (
-        _t(_PC, [_a("1211", s=True)]),
-        _t(_ND, [_a("12")]),
-        _t(_ND, [_a("1")], p="1"),
-        _t(_ND, [_a("12111", s=True)], g=1),
-        _t(_NC, [_a("1001")]),
-        _t(_NC, [_a("1201", s=True)]),
+        _t(_PC, _a("1211", s=True)),
+        _t(_ND, _a("12")),
+        _t(_ND, _a("1"), p="1"),
+        _t(_ND, _a("12111", s=True), g=1),
+        _t(_NC, _a("1001")),
+        _t(_NC, _a("1201", s=True)),
     ), emended=(
-        _t(_PC, [_a("1011", s=True)]),
-        _t(_ND, [_a("10")]),
-        _t(_ND, [_a("1")], p="1"),
-        _t(_ND, [_a("10111", s=True)], g=1),
-        _t(_NC, [_a("1001")]),
-        _t(_NC, [_a("1201", s=True)]),
+        _t(_PC, _a("1011", s=True)),
+        _t(_ND, _a("10")),
+        _t(_ND, _a("1"), p="1"),
+        _t(_ND, _a("10111", s=True), g=1),
+        _t(_NC, _a("1001")),
+        _t(_NC, _a("1201", s=True)),
     )),
     LoopEquation(21, "x0 x2 x0 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("1211", s=True)]),
-        _t(_ND, [_a("12")]),
-        _t(_ND, [_a("")], p="12"),
-        _t(_ND, [_a("12111", s=True)], g=1),
-        _t(_NC, [_a("1202", s=True)]),
-        _t(_NC, [_a("101", 1)]),
+        _t(_PC, _a("1211", s=True)),
+        _t(_ND, _a("12")),
+        _t(_ND, _a(""), p="12"),
+        _t(_ND, _a("12111", s=True), g=1),
+        _t(_NC, _a("1202", s=True)),
+        _t(_NC, _a("101", 1)),
     ), emended=(
-        _t(_PC, [_a("1011", s=True)]),
-        _t(_ND, [_a("10")]),
-        _t(_ND, [_a("")], p="12"),
-        _t(_ND, [_a("10111", s=True)], g=1),
-        _t(_NC, [_a("1202", s=True)]),
-        _t(_NC, [_a("101", 1)]),
+        _t(_PC, _a("1011", s=True)),
+        _t(_ND, _a("10")),
+        _t(_ND, _a(""), p="12"),
+        _t(_ND, _a("10111", s=True), g=1),
+        _t(_NC, _a("1202", s=True)),
+        _t(_NC, _a("101", 1)),
     )),
     LoopEquation(22, "x0 x2...x2 x1 x0 (+ reverse)", (
-        _t(_PC, [_a("1222", s=True)]),
-        _t(_ND2, [_a("12")]),
-        _t(_ND, [_a("12222", s=True)], g=1),
-        _t(_NC, [_a("1212")]),
-        _t(_NC, [_a("1202", s=True)]),
+        _t(_PC, _a("1222", s=True)),
+        _t(_ND2, _a("12")),
+        _t(_ND, _a("12222", s=True), g=1),
+        _t(_NC, _a("1212")),
+        _t(_NC, _a("1202", s=True)),
     )),
     LoopEquation(23, "x0 x0 x1 x2...x2 (+ reverse)", (
-        _t(_PC, [_a("1222", s=True)]),
-        _t(_ND, [_a("12")]),
-        _t(_ND, [_a("1")], p="1"),
-        _t(_ND, [_a("12222", s=True)], g=1),
-        _t(_NC, [_a("1221")]),
-        _t(_NC, [_a("112", 1, s=True)]),
+        _t(_PC, _a("1222", s=True)),
+        _t(_ND, _a("12")),
+        _t(_ND, _a("1"), p="1"),
+        _t(_ND, _a("12222", s=True), g=1),
+        _t(_NC, _a("1221")),
+        _t(_NC, _a("112", 1, s=True)),
     )),
 )
 
 
 # ---------------------------------------------------------------------------
-# amplitude extraction
+# row series (see the module docstring)
 # ---------------------------------------------------------------------------
+
+
+def _read(table, slots, ng):
+    """Row series of table values; ``slots[e]`` lists the words summed at x^e.
+
+    At symbolic c (b = 1) a raw value is the packed polynomial and splits
+    into its digits.  At c = a/b a raw value b**E * p, E = (|w| + 3n)/2, is
+    rescaled to the series' common denominator b**M, M the largest E read.
+    """
+    raw, b = table._raw, table._b
+    top = (max((w.n for ws in slots for w in ws), default=0) + 3 * ng) // 2
+    rows = []
+    for ws in slots:
+        row = []
+        for n in range(ng + 1):
+            v = 0
+            for w in ws:  # the words of one slot share their length
+                v += raw(w.bits, w.n, n)
+            if not v:
+                row.append(())
+            elif table.symbolic:
+                row.append(unpack_digits(v))
+            else:
+                row.append((v * b ** (top - (w.n + 3 * n) // 2),))
+        rows.append(row)
+    return rows, b**top
+
+
+def _mul(a, b, nx, ng):
+    out = [[[] for _ in range(ng + 1)] for _ in range(nx + 1)]
+    _laurent_addmul(out, a[0], b[0])
+    return out, a[1] * b[1]
+
+
+def _combine(terms, nx, ng):
+    """Sum of (c-polynomial, g power, x power, row series) terms over the lcm denominator."""
+    den = lcm(*(p.den * d for p, _, _, (_, d) in terms))
+    out = [[[] for _ in range(ng + 1)] for _ in range(nx + 1)]
+    for p, gp, xp, (rows, d) in terms:
+        coeff = [()] * gp + [[a * (den // (p.den * d)) for a in p.coeffs]]
+        _laurent_addmul(out, [None] * xp + [coeff], rows)
+    return out, den
+
+
+def _nonzero_slots(s):
+    """(first nonzero slot as (x exponent, g order, value string) or None, nonzero slot count)."""
+    rows, den = s
+    bad = [(e, n, d) for e, r in enumerate(rows) for n, d in enumerate(r) if any(d)]
+    if not bad:
+        return None, 0
+    e, n, d = bad[0]
+    return (e, n, str(Poly(d, den))), len(bad)
+
+
+# ---------------------------------------------------------------------------
+# amplitude extraction and catalog residuals
+# ---------------------------------------------------------------------------
+
+
+def _amp_rows(table, label, nx, ng, delta, sym):
+    word = label if isinstance(label, Word) else Word.from_string(str(label))
+    labels = [word] if not sym or word.reverse() == word else [word, word.reverse()]
+    # appending 0-letters leaves the packed bits unchanged
+    rows, den = _read(table, [[Word._raw(w.n + k + delta, w.bits) for w in labels] for k in range(nx + 1)], ng)
+    return rows, den * len(labels)  # a symmetrised amplitude is the average
 
 
 def extract_amplitude(
@@ -302,63 +366,30 @@ def extract_amplitude(
     With sym=True the reversed-label series is averaged in.  Depth beyond
     the table's solved region raises TruncationError with the bound.
     """
-    word = label if isinstance(label, Word) else Word.from_string(str(label))
     ng = table.ng if ng is None else ng
-    labels = [word]
-    if sym:
-        rev = word.reverse()
-        if rev != word:
-            labels.append(rev)
-    coeffs = []
-    for k in range(nx + 1):
-        acc = None
-        for lab in labels:
-            # appending 0-letters leaves the packed bits unchanged
-            g = GSeries(
-                [table.p_coeff_packed(lab.bits, lab.n + k + delta, n) for n in range(ng + 1)],
-                ng,
-            )
-            acc = g if acc is None else acc + g
-        if len(labels) == 2:
-            acc = acc * Fraction(1, 2)
-        coeffs.append(acc)
-    return XLaurent(0, coeffs, nx, ng)
+    return XLaurent._from_ints(0, *_amp_rows(table, label, nx, ng, delta, sym), nx, ng)
 
 
-def _amp_series(table, amp: Amp, nx: int, ng: int) -> XLaurent:
-    return extract_amplitude(table, amp.label, nx, ng, delta=amp.delta, sym=amp.sym)
-
-
-def _coeff_const(coeffs, table: _TableBase, ng: int) -> GSeries:
-    """A c-polynomial as a GSeries constant at the table's coupling."""
-    return GSeries.constant(table.spec.const(Poly(coeffs)), ng)
+def _loop_rows(eq, table, nx, ng, variant):
+    cache = {}  # amplitude rows, per equation
+    terms = []
+    for term in eq.effective_terms(variant):
+        s = None
+        for a in term.amps:
+            if a not in cache:
+                cache[a] = _amp_rows(table, a.label, nx, ng, a.delta, a.sym)
+            s = cache[a] if s is None else _mul(s, cache[a], nx, ng)
+        if term.p_label is not None:
+            s = _mul(s, _read(table, [[Word.from_string(term.p_label)]], ng), nx, ng)
+        terms.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
+    return _combine(terms, nx, ng)
 
 
 def loop_residual(
     eq: LoopEquation, table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
 ) -> XLaurent:
     """Term sum of a cataloged equation on the solved table (must vanish)."""
-    cache: dict = {}
-
-    def amp(a: Amp) -> XLaurent:
-        if a not in cache:
-            cache[a] = _amp_series(table, a, nx, ng)
-        return cache[a]
-
-    total = XLaurent.zero(nx, ng)
-    for term in eq.effective_terms(variant):
-        s = amp(term.amps[0])
-        if len(term.amps) == 2:
-            s = s * amp(term.amps[1])
-        if term.x_power:
-            s = s.shift_x(term.x_power)
-        if term.p_label is not None:
-            s = s * table.gseries(Word.from_string(term.p_label), ng)
-        gs = _coeff_const(term.coeff, table, ng)
-        if term.g_power:
-            gs = gs.shift_g(term.g_power)
-        total = total + s * gs
-    return total
+    return XLaurent._from_ints(0, *_loop_rows(eq, table, nx, ng, variant), nx, ng)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +442,43 @@ SD_DESCRIPTORS = (
 )
 
 
+def _resolvent_rows(table, pre, a, post, nx, ng):
+    return _read(table, [()] + [[pre + Word([a] * j) + post] for j in range(nx)], ng)
+
+
 def resolvent_series(table, pre: Word, a: int, post: Word, nx: int, ng: int) -> XLaurent:
     """sum_j x^(j+1) p(pre a^j post): one resolvent expanded inside a trace."""
-    coeffs = [GSeries.zero(ng)]
-    for j in range(nx):
-        word = pre + Word([a] * j) + post
-        coeffs.append(table.gseries(word, ng))
-    return XLaurent(0, coeffs, nx, ng)
+    return XLaurent._from_ints(0, *_resolvent_rows(table, pre, a, post, nx, ng), nx, ng)
+
+
+def _sd_rows(rep, table, nx, ng):
+    nxi = nx + 1  # the final /x costs one order
+    pc, nc, nd = (table.spec.const(Poly(p)) for p in (_PC, _NC, _ND))
+
+    def res(pre, a, post):
+        return _resolvent_rows(table, pre, a, post, nxi, ng)
+
+    terms = []
+    for A, a, B in rep.pieces:
+        pre, post = Word.from_string(A), Word.from_string(B)
+        # Jacobian, times -D: split rule (only an X0 resolvent splits under
+        # d/dX0) and merge rule (each explicit X0 inside A or B splits off a
+        # closed trace)
+        jac = [(res(pre, 0, EMPTY_WORD), res(EMPTY_WORD, 0, post))] if a == 0 else []
+        for i in range(len(pre)):
+            if pre[i] == 0:
+                jac.append((res(pre[i + 1 :], a, post), _read(table, [[pre[:i]]], ng)))
+        for i in range(len(post)):
+            if post[i] == 0:
+                jac.append((res(pre, a, post[:i]), _read(table, [[post[i + 1 :]]], ng)))
+        terms += [(nd, 0, 0, _mul(u, v, nxi, ng)) for u, v in jac]
+        # action variation, propagator normalisation cleared
+        for p, gp, tail in ((pc, 0, (0,)), (nc, 0, (1,)), (nc, 0, (2,)), (nd, 1, (0, 0))):
+            terms.append((p, gp, 0, res(pre, a, post + Word(tail))))
+    rows, den = _combine(terms, nxi, ng)
+    if any(map(any, rows[0])):
+        raise ArithmeticError("Schwinger-Dyson combination has a spurious x^0 term")
+    return rows[1:], den
 
 
 def sd_residual(rep: Reparameterisation, table: _TableBase, nx: int, ng: int) -> XLaurent:
@@ -429,51 +490,14 @@ def sd_residual(rep: Reparameterisation, table: _TableBase, nx: int, ng: int) ->
     - c T(X2) - g D T(X0 X0) with T(M) the trace of the piece times M.
     Equals (number of pieces) times the paired catalog residual.
     """
-    nxi = nx + 1  # the final /x costs one order
-    one_pc = _coeff_const((1, 1), table, ng)
-    c_g = _coeff_const((0, 1), table, ng)
-    d_g = _coeff_const(D_POLY.coeffs, table, ng)
-    gd = d_g.shift_g(1)
-
-    J = XLaurent.zero(nxi, ng)
-    DK = XLaurent.zero(nxi, ng)
-    for A, a, B in rep.pieces:
-        pre = Word.from_string(A) if A else EMPTY_WORD
-        post = Word.from_string(B) if B else EMPTY_WORD
-        # Jacobian: split rule (only an X0 resolvent splits under d/dX0)
-        if a == 0:
-            J = J + resolvent_series(table, pre, 0, EMPTY_WORD, nxi, ng) * resolvent_series(
-                table, EMPTY_WORD, 0, post, nxi, ng
-            )
-        # merge rule: each explicit X0 inside A or B splits off a closed trace
-        for i in range(len(pre)):
-            if pre[i] == 0:
-                closed = table.gseries(pre[:i], ng)
-                J = J + resolvent_series(table, pre[i + 1 :], a, post, nxi, ng) * closed
-        for i in range(len(post)):
-            if post[i] == 0:
-                closed = table.gseries(post[i + 1 :], ng)
-                J = J + resolvent_series(table, pre, a, post[:i], nxi, ng) * closed
-        # action variation, propagator normalisation cleared
-        t0 = resolvent_series(table, pre, a, post.append(0), nxi, ng)
-        t1 = resolvent_series(table, pre, a, post.append(1), nxi, ng)
-        t2 = resolvent_series(table, pre, a, post.append(2), nxi, ng)
-        t00 = resolvent_series(table, pre, a, post.append(0).append(0), nxi, ng)
-        DK = DK + t0 * one_pc - (t1 + t2) * c_g - t00 * gd
-
-    num = DK - J * d_g
-    if not num.coefficient(0).is_zero():
-        raise ArithmeticError("Schwinger-Dyson combination has a spurious x^0 term")
-    shifted = XLaurent(num.low - 1, num.coeffs, nx, ng) if not num.is_zero() else XLaurent.zero(nx, ng)
-    return shifted
+    return XLaurent._from_ints(0, *_sd_rows(rep, table, nx, ng), nx, ng)
 
 
-def _reproduces_catalog(
-    rep: Reparameterisation, residual: XLaurent, table: _TableBase, nx: int, ng: int, variant: str
-) -> bool:
-    """``residual`` (of ``rep``) equals npieces times the paired catalog residual."""
-    paired = loop_residual(CATALOG[rep.index - 1], table, nx, ng, variant=variant)
-    return (residual - paired * len(rep.pieces)).is_zero()
+def _reproduces_catalog(rep, residual, table, nx, ng, variant):
+    """``residual`` (rows of ``rep``) equals npieces times the paired catalog residual."""
+    paired = _loop_rows(CATALOG[rep.index - 1], table, nx, ng, variant)
+    diff = _combine([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
+    return not _nonzero_slots(diff)[1]
 
 
 def sd_matches_catalog(
@@ -485,7 +509,7 @@ def sd_matches_catalog(
     the equality is implied by the two residuals vanishing and does not
     compare the constructions term by term.
     """
-    return _reproduces_catalog(rep, sd_residual(rep, table, nx, ng), table, nx, ng, variant)
+    return _reproduces_catalog(rep, _sd_rows(rep, table, nx, ng), table, nx, ng, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +523,7 @@ class CheckResult:
     label: str
     passed: bool
     first_nonzero: Optional[tuple] = None  # (x exponent, g order, value string)
+    bad_slots: int = 0  # nonzero residual slots
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -521,12 +546,11 @@ def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
     """Residuals of all cataloged scalar equations; one result per entry."""
     out = []
     for eq in CATALOG:
-        res = loop_residual(eq, table, nx, ng, variant=variant)
-        fz = first_nonzero(res)
+        fz, bad = _nonzero_slots(_loop_rows(eq, table, nx, ng, variant))
         label = eq.template
         if variant == "emended" and eq.emended is not None:
             label += "  [emended transcription]"
-        out.append(CheckResult(eq.index, label, fz is None, fz))
+        out.append(CheckResult(eq.index, label, fz is None, fz, bad))
     return out
 
 
@@ -539,12 +563,12 @@ def check_sd(table: _TableBase, nx: int, ng: int) -> list:
     """
     out = []
     for rep in SD_DESCRIPTORS:
-        res = sd_residual(rep, table, nx, ng)
-        fz = first_nonzero(res)
+        res = _sd_rows(rep, table, nx, ng)
+        fz, bad = _nonzero_slots(res)
         ok = fz is None
         label = str(rep)
         if ok and not _reproduces_catalog(rep, res, table, nx, ng, "emended"):
             ok = False
             label += "  (does not reproduce its catalog pairing)"
-        out.append(CheckResult(rep.index, label, ok, fz))
+        out.append(CheckResult(rep.index, label, ok, fz, bad))
     return out

@@ -19,9 +19,10 @@ Series products run on plain integer coefficient lists over one common
 denominator per operand; almost every polynomial has denominator 1, and
 those are never gcd-normalised.  A product accumulates all its terms into
 integer rows (``_series_addmul``) and builds each output coefficient once,
-at the end; ``XLaurent`` products and the ``NCSeries`` concatenation product
-of ``freealg`` share these kernels.  The series square root refines the root
-and its reciprocal together, so it runs no series inverse of its own.
+at the end; ``XLaurent`` products, the ``NCSeries`` concatenation product
+of ``freealg`` and the catalog residuals of ``loopcat`` share these
+kernels.  The series square root refines the root and its reciprocal
+together, so it runs no series inverse of its own.
 
 Everything is immutable after construction; all operations are pure.
 """
@@ -270,6 +271,16 @@ def _series_addmul(out: list, a: list, b: list) -> None:
                     _addmul(out[m + n], am, bn)
 
 
+def _laurent_addmul(out: list, a: list, b: list) -> None:
+    """out += a * b for x-series of integer g-rows (None for zero), truncated at len(out) terms."""
+    size = len(out)
+    for i, ai in enumerate(a):
+        if ai is not None:
+            for j in range(min(len(b), size - i)):
+                if b[j] is not None:
+                    _series_addmul(out[i + j], ai, b[j])
+
+
 class GSeries:
     """Power series in ``g`` truncated at order ``ng`` (inclusive)."""
 
@@ -453,6 +464,11 @@ class XLaurent:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _from_ints(low: int, rows: list, den: int, nx: int, ng: int) -> "XLaurent":
+        """From integer g-rows (see ``GSeries._from_ints``) of x^low, x^(low+1), ..."""
+        return XLaurent(low, [GSeries._from_ints(r, den, ng) for r in rows], nx, ng)
+
+    @staticmethod
     def zero(nx: int, ng: int) -> "XLaurent":
         return XLaurent(0, (), nx, ng)
 
@@ -552,13 +568,8 @@ class XLaurent:
         a, da = _int_rows(self.coeffs)
         b, db = _int_rows(other.coeffs)
         out = [[[] for _ in range(self.ng + 1)] for _ in range(size)]
-        for i, ai in enumerate(a):
-            if ai is not None:
-                for j in range(min(len(b), size - i)):
-                    if b[j] is not None:
-                        _series_addmul(out[i + j], ai, b[j])
-        den = da * db
-        return XLaurent(low, [GSeries._from_ints(r, den, self.ng) for r in out], self.nx, self.ng)
+        _laurent_addmul(out, a, b)
+        return XLaurent._from_ints(low, out, da * db, self.nx, self.ng)
 
     __rmul__ = __mul__
 

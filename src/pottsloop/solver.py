@@ -92,7 +92,8 @@ def pack_poly(p: Poly) -> int:
     return v
 
 
-def unpack_poly(v: int) -> Poly:
+def unpack_digits(v: int) -> list:
+    """The c-digits of a packed polynomial, ascending."""
     digits = []
     while v:
         d = v & _DIGIT
@@ -100,7 +101,11 @@ def unpack_poly(v: int) -> Poly:
             raise ArithmeticError("packed digit exceeds guard; headroom violated")
         digits.append(d)
         v >>= _B
-    return Poly(digits)
+    return digits
+
+
+def unpack_poly(v: int) -> Poly:
+    return Poly(unpack_digits(v))
 
 
 @dataclass(frozen=True)

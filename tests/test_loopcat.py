@@ -1,13 +1,15 @@
 """Loop equation catalog and the reparameterisation generator."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pottsloop.freealg import Word
+from pottsloop.freealg import EMPTY_WORD, Word, orbit_rep
 from pottsloop.loopcat import (
     CATALOG,
+    Amp,
     SD_DESCRIPTORS,
     check_loops,
     check_sd,
@@ -18,7 +20,8 @@ from pottsloop.loopcat import (
     sd_matches_catalog,
     sd_residual,
 )
-from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
+from pottsloop.ring import GSeries, Poly, XLaurent
+from pottsloop.solver import LazyTable, ModelSpec, TruncationError, _TableBase, solve_series
 
 
 def test_catalog_shape():
@@ -120,3 +123,139 @@ def test_check_drivers_report_passes(medium_table):
     assert all(r.passed for r in loops)
     assert all(r.passed for r in sd)
     assert "PASS" in loops[0].line()
+
+
+def test_check_sd_at_numeric_c():
+    lazy = LazyTable(ModelSpec(kind="potts3", c="1/4", ng=4, ltarget=4), max_len=16)
+    results = check_sd(lazy, 4, 4)
+    assert len(results) == 23
+    assert all(r.passed and r.bad_slots == 0 for r in results)
+
+
+def test_bad_slots_count_the_nonzero_residual_slots(medium_table):
+    for variant in ("emended", "printed"):
+        for r in check_loops(medium_table, 2, 3, variant=variant):
+            if variant == "printed" and r.index in (20, 21):
+                assert not r.passed and r.bad_slots >= 1
+            else:
+                assert r.passed and r.bad_slots == 0
+    assert all(r.bad_slots == 0 for r in check_sd(medium_table, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# referee on a generic table: seeded values where no residual vanishes
+# ---------------------------------------------------------------------------
+
+
+class GenericTable(_TableBase):
+    """Seeded nonzero raw values in every parity-allowed slot, one per orbit
+    (rotation, reversal, relabelling) and g-order; not a solution.  Symbolic
+    raw values pack three c-digits below 2**16."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self._values = {}
+
+    def _raw(self, bits, k, n):
+        if (k + n) & 1 or n < 0:
+            return 0
+        key = (orbit_rep(bits, k), k, n)
+        if key not in self._values:
+            rng = random.Random(f"generic:{key}")
+            if self.symbolic:
+                self._values[key] = sum(rng.randrange(1, 1 << 16) << (64 * i) for i in range(3))
+            else:
+                self._values[key] = rng.randrange(1, 1 << 16)
+        return self._values[key]
+
+
+def _ref_amp(t, amp, nx, ng):
+    word = Word.from_string(amp.label)
+    labels = [word] if not amp.sym or word.reverse() == word else [word, word.reverse()]
+    coeffs = []
+    for k in range(nx + 1):
+        acc = GSeries.zero(ng)
+        for w in labels:
+            acc = acc + t.gseries(w + Word([0] * (k + amp.delta)), ng)
+        coeffs.append(acc * Fraction(1, len(labels)))
+    return XLaurent(0, coeffs, nx, ng)
+
+
+def _ref_loop(eq, t, nx, ng, variant):
+    total = XLaurent.zero(nx, ng)
+    for term in eq.effective_terms(variant):
+        s = _ref_amp(t, term.amps[0], nx, ng)
+        for amp in term.amps[1:]:
+            s = s * _ref_amp(t, amp, nx, ng)
+        if term.p_label is not None:
+            s = s * t.gseries(term.p_label, ng)
+        coeff = GSeries.constant(t.spec.const(Poly(term.coeff)), ng).shift_g(term.g_power)
+        total = total + (s * coeff).shift_x(term.x_power)
+    return total
+
+
+def _ref_resolvent(t, pre, a, post, nx, ng):
+    return XLaurent(1, [t.gseries(pre + Word([a] * j) + post, ng) for j in range(nx)], nx, ng)
+
+
+def _ref_sd(rep, t, nx, ng):
+    nxi = nx + 1
+    c, d = (GSeries.constant(t.spec.const(p), ng) for p in (Poly((0, 1)), Poly((1, 1, -2))))
+    num = XLaurent.zero(nxi, ng)
+
+    def res(pre, a, post):
+        return _ref_resolvent(t, pre, a, post, nxi, ng)
+
+    for A, a, B in rep.pieces:
+        pre, post = Word.from_string(A), Word.from_string(B)
+        if a == 0:
+            num = num - res(pre, 0, EMPTY_WORD) * res(EMPTY_WORD, 0, post) * d
+        for i in range(len(pre)):
+            if pre[i] == 0:
+                num = num - res(pre[i + 1 :], a, post) * t.gseries(pre[:i], ng) * d
+        for i in range(len(post)):
+            if post[i] == 0:
+                num = num - res(pre, a, post[:i]) * t.gseries(post[i + 1 :], ng) * d
+        t0, t1, t2, t00 = (res(pre, a, post + Word(m)) for m in ((0,), (1,), (2,), (0, 0)))
+        num = num + t0 * (c + 1) - (t1 + t2) * c - t00 * d.shift_g(1)
+    assert num.coefficient(0).is_zero()
+    return XLaurent(num.low - 1, num.coeffs, nx, ng) if not num.is_zero() else XLaurent.zero(nx, ng)
+
+
+def _slots(series):
+    return [(e, n) for e, gs in series.items() for n, v in enumerate(gs.coeffs) if not v.is_zero()]
+
+
+@pytest.mark.parametrize("c", ["symbolic", Fraction(-2, 3), Fraction(3, 7)])
+def test_rows_match_series_arithmetic_on_a_generic_table(c):
+    """On a solved table every residual vanishes, so a wrong power of b or a
+    lost 1/2 could still pass there; on a generic table none vanishes, and the
+    integer-row evaluation must equal plain GSeries/XLaurent arithmetic on the
+    table's ``p_coeff`` values slot for slot."""
+    nx = ng = 3
+    t = GenericTable(ModelSpec(kind="potts3", c=c, ng=ng, ltarget=4))
+    for variant in ("emended", "printed"):
+        results = check_loops(t, nx, ng, variant=variant)
+        for eq, r in zip(CATALOG, results):
+            ref = _ref_loop(eq, t, nx, ng, variant)
+            assert not ref.is_zero()
+            assert loop_residual(eq, t, nx, ng, variant=variant) == ref, (variant, eq.index)
+            assert r.first_nonzero == first_nonzero(ref) and r.bad_slots == len(_slots(ref))
+    paired = []
+    for rep, r in zip(SD_DESCRIPTORS, check_sd(t, nx, ng)):
+        ref = _ref_sd(rep, t, nx, ng)
+        assert not ref.is_zero()
+        assert sd_residual(rep, t, nx, ng) == ref, rep.index
+        assert r.first_nonzero == first_nonzero(ref) and r.bad_slots == len(_slots(ref))
+        entry = _ref_loop(CATALOG[rep.index - 1], t, nx, ng, "emended")
+        pairs = (ref - entry * len(rep.pieces)).is_zero()
+        assert sd_matches_catalog(rep, t, nx, ng) == pairs, rep.index
+        if pairs:
+            paired.append(rep.index)
+    # the entries that pair with their generated identity as formal sums, up to symmetry
+    assert paired == [1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 14, 15, 16, 17]
+    for label, delta, sym in (("1", 0, False), ("12", 1, True), ("1022", 2, True), ("121", 0, True)):
+        ref = _ref_amp(t, Amp(label, delta, sym), nx, ng)
+        assert extract_amplitude(t, label, nx, ng, delta=delta, sym=sym) == ref
+    ref = _ref_resolvent(t, Word.from_string("1"), 2, Word.from_string("01"), nx, ng)
+    assert resolvent_series(t, Word.from_string("1"), 2, Word.from_string("01"), nx, ng) == ref
