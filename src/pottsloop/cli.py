@@ -63,16 +63,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _catalog_table(args) -> LazyTable:
+    """The lazy table the catalog and SD checks read at --nx, --ng."""
+    spec = ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx)
+    return LazyTable(spec, max_len=6 + args.nx + args.ng + 2)
+
+
 def cmd_check_loops(args) -> int:
     grade = args.nx + args.ng
     dense = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx))
     rep = generating_residual(dense, grade=min(grade, dense.grade_reached))
     gen_ok = rep.ok
-    lazy = LazyTable(
-        ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx),
-        max_len=6 + args.nx + args.ng + 2,
-    )
-    results = loopcat.check_loops(lazy, args.nx, args.ng, variant=args.catalog)
+    results = loopcat.check_loops(_catalog_table(args), args.nx, args.ng, variant=args.catalog)
     lines = [
         f"[{'PASS' if gen_ok else 'FAIL'}]  0  generating equation (fixed-point and derivative forms, grade {rep.grade})"
     ]
@@ -88,11 +90,7 @@ def cmd_check_loops(args) -> int:
 
 
 def cmd_check_sd(args) -> int:
-    lazy = LazyTable(
-        ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx),
-        max_len=6 + args.nx + args.ng + 2,
-    )
-    results = loopcat.check_sd(lazy, args.nx, args.ng)
+    results = loopcat.check_sd(_catalog_table(args), args.nx, args.ng)
     ok = all(r.passed for r in results)
     _emit(args, {"reparameterisations": _results_json(results)}, _result_lines(results))
     return 0 if ok else 1

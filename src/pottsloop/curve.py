@@ -40,6 +40,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .freealg import Word
+from .loopcat import first_nonzero
 from .ring import GSeries, Poly, XLaurent
 from .solver import ModelSpec, SolutionTable, TruncationError, _TableBase
 
@@ -342,7 +343,7 @@ class ShiftedResolvent:
 
 
 def build_shifted_resolvent(
-    table: _TableBase, nx: int, ng: int, *, constant_exponent: int = -1
+    table: SolutionTable, nx: int, ng: int, *, constant_exponent: int = -1
 ) -> ShiftedResolvent:
     """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region.
 
@@ -350,7 +351,7 @@ def build_shifted_resolvent(
     transcribed form of the shift, which demonstrably cannot satisfy the
     curve (kept for the witness tests).
     """
-    mask = getattr(table, "S", nx + ng)
+    mask = table.S
     NX = nx + 10
     one_minus_c = table.spec.const(Poly((1, -1)))
     pairs = [(0, -GSeries.g_power(1, ng) * one_minus_c), (constant_exponent + 2, GSeries.one(ng))]
@@ -418,8 +419,6 @@ def curve_witness(scaled: XLaurent, shifted: ShiftedResolvent) -> Optional[tuple
     ``scaled`` is the (1-c)^5 R that :func:`quintic_residual` returns for
     ``shifted``; only the reported slot is divided back.
     """
-    from .loopcat import first_nonzero
-
     fz = first_nonzero(scaled)
     if fz is None:
         return None
@@ -494,7 +493,7 @@ def _phi_value(table: SolutionTable, c0: Fraction, g0: Fraction, x0: Fraction, n
         gp = Fraction(1)
         for n in range(nmax + 1):
             if (k + n) % 2 == 0:
-                term += table.p_coeff_packed(0, k, n).evaluate(c0) * gp
+                term += table.p_coeff(Word([0] * k), n).evaluate(c0) * gp
             gp *= g0
         contrib = term * x0**k
         acc += contrib

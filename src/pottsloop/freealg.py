@@ -407,22 +407,6 @@ class NCSeries:
                 out[w.drop_last()] = v
         return NCSeries(out, self.lmax, self.ng)
 
-    def permute_letters(self, perm: Sequence[int]) -> "NCSeries":
-        """Relabel every word letterwise; coefficients unchanged."""
-        return NCSeries(
-            {w.relabel(perm): v for w, v in self.terms.items()}, self.lmax, self.ng
-        )
-
-    def restrict(self, kill) -> "NCSeries":
-        """Drop every word containing a killed letter."""
-        kill = set(kill)
-        out = {
-            w: v
-            for w, v in self.terms.items()
-            if not any(a in kill for a in w)
-        }
-        return NCSeries(out, self.lmax, self.ng)
-
     # -- structure -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -25,10 +25,11 @@ nothing about the two constructions term by term.
 
 Every residual is evaluated on integer rows, like the ``NCSeries``
 product: a series is (rows, den), rows[e][n] the integer c-digits of den
-times its x^e g^n coefficient.  Table values are read raw (``_read``),
-products and term sums run on the row kernel of the ``XLaurent`` product
-(``ring._laurent_addmul``), a term sum over the lcm of its denominators,
-and a ``Poly`` is built only for the first nonzero slot a check reports.
+times its x^e g^n coefficient.  The table reads its own values into rows
+(``_TableBase._rows``), products and term sums run on the row kernel of
+the ``XLaurent`` product (``ring._laurent_addmul``), a term sum over the
+lcm of its denominators, and a ``Poly`` is built only for the first
+nonzero slot a check reports.
 The public functions convert to ``XLaurent`` once, at the end.
 """
 
@@ -40,7 +41,7 @@ from typing import Optional
 
 from .freealg import EMPTY_WORD, Word
 from .ring import P_ONE, Poly, XLaurent, _laurent_addmul
-from .solver import _TableBase, unpack_digits
+from .solver import _TableBase
 
 # coefficient polynomials in c, ascending powers
 _ONE = (1,)
@@ -287,32 +288,6 @@ CATALOG = (
 # ---------------------------------------------------------------------------
 
 
-def _read(table, slots, ng):
-    """Row series of table values; ``slots[e]`` lists the words summed at x^e.
-
-    At symbolic c (b = 1) a raw value is the packed polynomial and splits
-    into its digits.  At c = a/b a raw value b**E * p, E = (|w| + 3n)/2, is
-    rescaled to the series' common denominator b**M, M the largest E read.
-    """
-    raw, b = table._raw, table._b
-    top = (max((w.n for ws in slots for w in ws), default=0) + 3 * ng) // 2
-    rows = []
-    for ws in slots:
-        row = []
-        for n in range(ng + 1):
-            v = 0
-            for w in ws:  # the words of one slot share their length
-                v += raw(w.bits, w.n, n)
-            if not v:
-                row.append(())
-            elif table.symbolic:
-                row.append(unpack_digits(v))
-            else:
-                row.append((v * b ** (top - (w.n + 3 * n) // 2),))
-        rows.append(row)
-    return rows, b**top
-
-
 def _mul(a, b, nx, ng):
     out = [[[] for _ in range(ng + 1)] for _ in range(nx + 1)]
     _laurent_addmul(out, a[0], b[0])
@@ -348,7 +323,7 @@ def _amp_rows(table, label, nx, ng, delta, sym):
     word = label if isinstance(label, Word) else Word.from_string(str(label))
     labels = [word] if not sym or word.reverse() == word else [word, word.reverse()]
     # appending 0-letters leaves the packed bits unchanged
-    rows, den = _read(table, [[Word._raw(w.n + k + delta, w.bits) for w in labels] for k in range(nx + 1)], ng)
+    rows, den = table._rows([[Word._raw(w.n + k + delta, w.bits) for w in labels] for k in range(nx + 1)], ng)
     return rows, den * len(labels)  # a symmetrised amplitude is the average
 
 
@@ -380,7 +355,7 @@ def _loop_rows(eq, table, nx, ng, variant):
                 cache[a] = _amp_rows(table, a.label, nx, ng, a.delta, a.sym)
             s = cache[a] if s is None else _mul(s, cache[a], nx, ng)
         if term.p_label is not None:
-            s = _mul(s, _read(table, [[Word.from_string(term.p_label)]], ng), nx, ng)
+            s = _mul(s, table._rows([[Word.from_string(term.p_label)]], ng), nx, ng)
         terms.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
     return _combine(terms, nx, ng)
 
@@ -443,7 +418,7 @@ SD_DESCRIPTORS = (
 
 
 def _resolvent_rows(table, pre, a, post, nx, ng):
-    return _read(table, [()] + [[pre + Word([a] * j) + post] for j in range(nx)], ng)
+    return table._rows([()] + [[pre + Word([a] * j) + post] for j in range(nx)], ng)
 
 
 def resolvent_series(table, pre: Word, a: int, post: Word, nx: int, ng: int) -> XLaurent:
@@ -467,10 +442,10 @@ def _sd_rows(rep, table, nx, ng):
         jac = [(res(pre, 0, EMPTY_WORD), res(EMPTY_WORD, 0, post))] if a == 0 else []
         for i in range(len(pre)):
             if pre[i] == 0:
-                jac.append((res(pre[i + 1 :], a, post), _read(table, [[pre[:i]]], ng)))
+                jac.append((res(pre[i + 1 :], a, post), table._rows([[pre[:i]]], ng)))
         for i in range(len(post)):
             if post[i] == 0:
-                jac.append((res(pre, a, post[:i]), _read(table, [[post[i + 1 :]]], ng)))
+                jac.append((res(pre, a, post[:i]), table._rows([[post[i + 1 :]]], ng)))
         terms += [(nd, 0, 0, _mul(u, v, nxi, ng)) for u, v in jac]
         # action variation, propagator normalisation cleared
         for p, gp, tail in ((pc, 0, (0,)), (nc, 0, (1,)), (nc, 0, (2,)), (nd, 1, (0, 0))):

@@ -285,9 +285,15 @@ def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
     Returns a Poly in c; ``ModelSpec.const`` evaluates it at a numeric c.
     Each weight class of (|w|, n) is summed over the triangle spins once and
     counted with its multiplicity.  Parity violations return the exact zero;
-    inputs beyond desk scale are rejected with a cost estimate.
+    inputs beyond desk scale are rejected with a cost estimate, and inputs
+    outside the model (a letter >= nletters, a negative order) with ValueError.
     """
     word = word if isinstance(word, Word) else Word.from_string(str(word))
+    if n < 0:
+        raise ValueError(f"triangle order n = {n} is negative")
+    bad = [a for a in word.letters() if a >= nletters]
+    if bad:
+        raise ValueError(f"letter {bad[0]} of word {word} outside the {nletters}-letter model")
     k = len(word)
     if (k + 3 * n) % 2:
         return Poly()

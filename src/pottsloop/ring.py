@@ -371,16 +371,6 @@ class GSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        r = GSeries.one(self.ng)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
-
     def shift_g(self, k: int) -> "GSeries":
         """Multiply by g**k, truncating."""
         return GSeries((P_ZERO,) * k + self.coeffs, self.ng)
@@ -639,35 +629,6 @@ def xlaurent_grade_mask(a: XLaurent, cap: int) -> XLaurent:
         else:
             out.append(GSeries(gs.coeffs[: nmax + 1], a.ng))
     return XLaurent(a.low, out, a.nx, a.ng)
-
-
-def xlaurent_inverse(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
-    """Series inverse of a Laurent series whose (x^0, g^0) part is a unit.
-
-    The units of the coefficient ring are the nonzero constants.  Requires
-    the rest of ``a`` to be topologically nilpotent within the truncation,
-    which holds whenever every other monomial carries a positive power of g
-    or of x.  With ``grade_cap`` the computation is restricted to the sloped
-    region described in :func:`xlaurent_grade_mask`, where it is exact;
-    slots beyond the cap come out zero.
-    """
-    u = a.coefficient(0)[0]
-    if u.degree != 0:
-        raise ValueError("series inverse needs a unit constant term")
-
-    def cap(v):
-        return xlaurent_grade_mask(v, grade_cap) if grade_cap is not None else v
-
-    a = cap(a)
-    one = XLaurent.x_power(0, a.nx, a.ng)
-    b = XLaurent.constant(1 / u.coefficient(0), a.nx, a.ng)
-    # Newton doubling: b <- b*(2 - a*b)
-    for _ in range(64):
-        err = cap(one - a * b)
-        if err.is_zero():
-            return b
-        b = cap(b + b * err)
-    raise ArithmeticError("series inverse did not converge; input not invertible")
 
 
 def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:

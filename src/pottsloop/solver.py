@@ -25,9 +25,9 @@ or a triangle removal uses up exactly one of them, weighted b between equal
 letters and a between unequal ones.  At symbolic c, (b, a) = (1, 2**64): the
 integer is the packed polynomial.  At a rational c0 = a/b in lowest terms
 (b > 0) the integer is b**E * p_w^(n), so the recursion never divides and
-pays no gcd.  Such a raw value turns into a Fraction only where it leaves
-the table: ``value_packed``, ``to_json``, ``to_ncseries`` and the failure
-values of residual reports.
+pays no gcd.  One table method (``_TableBase._digits``) decodes the raw
+encoding; every value that leaves the table is read through it, as a Poly
+(a constant at numeric c) or as the catalog's integer rows.
 
 A coefficient p_w^(n) = <tr X_w> at g^n is invariant under cyclic rotation
 of w (trace), reversal (transposition) and S3 relabelling of the spins, so
@@ -79,33 +79,6 @@ _RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 
 
 class TruncationError(Exception):
     """A coefficient outside the solved region was requested."""
-
-
-def pack_poly(p: Poly) -> int:
-    if p.den != 1:
-        raise ValueError("only integer polynomials pack")
-    v = 0
-    for e, a in enumerate(p.coeffs):
-        if a < 0 or a >= _GUARD:
-            raise ValueError("coefficient outside packable range")
-        v |= a << (_B * e)
-    return v
-
-
-def unpack_digits(v: int) -> list:
-    """The c-digits of a packed polynomial, ascending."""
-    digits = []
-    while v:
-        d = v & _DIGIT
-        if d >= _GUARD:
-            raise ArithmeticError("packed digit exceeds guard; headroom violated")
-        digits.append(d)
-        v >>= _B
-    return digits
-
-
-def unpack_poly(v: int) -> Poly:
-    return Poly(unpack_digits(v))
 
 
 @dataclass(frozen=True)
@@ -290,7 +263,12 @@ def _rhs(raw, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
 
 
 class _TableBase:
-    """Shared coefficient accessors over the raw integer values ``_raw``."""
+    """Coefficient accessors over the raw integer values ``_raw``.
+
+    ``_digits`` is the one decoder of the raw encoding; every value that
+    leaves a table (``p_coeff``, ``to_json``, ``to_ncseries``, residual
+    failures and the catalog's rows) is read through it.
+    """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
@@ -302,37 +280,60 @@ class _TableBase:
     def _raw(self, bits: int, k: int, n: int) -> int:
         raise NotImplementedError
 
-    def _fraction(self, v: int, e: int) -> Fraction:
-        """The exact value of a numeric-c raw integer at scale b**e."""
-        return Fraction(v, self._b**e)
+    def _digits(self, v: int, e: int, top: int):
+        """Integer c-digits, ascending, of b**top times the raw value v at scale b**e.
 
-    def value_packed(self, bits: int, k: int, n: int):
-        """Coefficient at one slot: packed polynomial (symbolic c) or Fraction."""
-        v = self._raw(bits, k, n)
-        if self.symbolic:
-            return v
-        return self._fraction(v, (k + 3 * n) // 2) if v else Fraction(0)
+        At symbolic c (b = 1) these are the packed base-2**64 digits; a
+        signed combination (a residual) borrows from the next digit, and a
+        digit of magnitude 2**62 or more means the headroom was violated.
+        At c = a/b the one digit is v * b**(top - e).
+        """
+        if not self.symbolic:
+            return (v * self._b ** (top - e),)
+        digits = []
+        while v:
+            d = v & _DIGIT
+            if d >= _GUARD:
+                d -= 1 << _B  # a negative digit: the next one lends 1
+                if d <= -_GUARD:
+                    raise ArithmeticError("packed digit exceeds guard; headroom violated")
+                v += 1 << _B
+            digits.append(d)
+            v >>= _B
+        return digits
+
+    def _poly(self, v: int, e: int) -> Poly:
+        """The raw value v at scale b**e as a polynomial in c."""
+        return Poly(self._digits(v, e, e), self._b**e)
+
+    def _rows(self, slots, ng: int) -> tuple:
+        """Row series of table values; ``slots[e]`` lists the words summed at x^e.
+
+        Returns (rows, den): rows[e][n] holds the digits of den times the sum
+        at g^n, over den = b**M with M the largest scale (|w| + 3n)/2 read.
+        """
+        raw, digits = self._raw, self._digits
+        top = (max((w.n for ws in slots for w in ws), default=0) + 3 * ng) // 2
+        rows = []
+        for ws in slots:
+            row = []
+            for n in range(ng + 1):
+                v = 0
+                for w in ws:  # the words of one slot share their length
+                    v += raw(w.bits, w.n, n)
+                row.append(digits(v, (w.n + 3 * n) // 2, top) if v else ())
+            rows.append(row)
+        return rows, self._b**top
 
     def value_word(self, word: Word, n: int):
-        return self.value_packed(word.bits, word.n, n)
-
-    def p_poly(self, word, n: int):
-        """Coefficient of g**n for the word, as Poly (symbolic) or Fraction."""
-        word = _as_word(word)
-        v = self.value_packed(word.bits, word.n, n)
-        return unpack_poly(v) if self.symbolic else v
+        """Coefficient in the raw domain: the packed polynomial (symbolic c) or a Fraction."""
+        v = self._raw(word.bits, word.n, n)
+        return v if self.symbolic else self._poly(v, (word.n + 3 * n) // 2).coefficient(0)
 
     def p_coeff(self, word, n: int) -> Poly:
-        """Coefficient of g**n for the word as a ring element (a constant at numeric c)."""
+        """Coefficient of g**n for the word, a polynomial in c (a constant at numeric c)."""
         word = _as_word(word)
-        return self.p_coeff_packed(word.bits, word.n, n)
-
-    def p_coeff_packed(self, bits: int, k: int, n: int) -> Poly:
-        v = self._raw(bits, k, n)
-        if self.symbolic:
-            return unpack_poly(v)
-        # b**e * p over b**e: the Poly constructor reduces it once
-        return Poly((v,), self._b ** ((k + 3 * n) // 2))
+        return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
     def gseries(self, word, ng: Optional[int] = None) -> GSeries:
         """The full g-series of a word's coefficient."""
@@ -356,7 +357,6 @@ class SolutionTable(_TableBase):
         super().__init__(spec)
         self.S = S
         self.layers = layers
-        self._phi = None
 
     @property
     def grade_reached(self) -> int:
@@ -375,33 +375,19 @@ class SolutionTable(_TableBase):
             return 0
         return d.get(bits, 0)
 
-    def slots(self):
-        """All (n, k) layers with their word dicts of raw values."""
-        return self.layers.items()
-
-    def _public(self, v: int, k: int, n: int):
-        """A stored raw value as Poly (symbolic c) or Fraction."""
-        return unpack_poly(v) if self.symbolic else self._fraction(v, (k + 3 * n) // 2)
-
-    @property
-    def phi(self) -> NCSeries:
-        """NCSeries view up to the reported word length."""
-        if self._phi is None:
-            self._phi = self.to_ncseries(self.spec.ltarget, self.ng)
-        return self._phi
-
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
         terms = {}
         for (n, k), d in self.layers.items():
             if k > lmax or n > ng:
                 continue
+            e = (k + 3 * n) // 2
             for bits, v in d.items():
                 w = Word._raw(k, bits)
                 g = terms.get(w)
                 if g is None:
                     g = [P_ZERO] * (ng + 1)
                     terms[w] = g
-                g[n] = self._public(v, k, n)
+                g[n] = self._poly(v, e)
         return NCSeries(
             {w: GSeries(tuple(g), ng) for w, g in terms.items()}, lmax, ng
         )
@@ -413,7 +399,7 @@ class SolutionTable(_TableBase):
             if k > self.spec.ltarget:
                 continue
             for bits, v in d.items():
-                out.setdefault(str(Word._raw(k, bits)), {})[str(n)] = str(self._public(v, k, n))
+                out.setdefault(str(Word._raw(k, bits)), {})[str(n)] = str(self._poly(v, (k + 3 * n) // 2))
         return {w: dict(sorted(g.items(), key=lambda kv: int(kv[0]))) for w, g in sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))}
 
 
@@ -585,33 +571,10 @@ class ResidualReport:
     def ok(self) -> bool:
         return not self.fixed_point and not self.recast and not self.symmetry
 
-    def as_ncseries(self, table, which: str = "fixed_point") -> NCSeries:
-        """Sparse NCSeries of the nonzero residual coefficients (empty = 0)."""
-        entries = self.fixed_point if which == "fixed_point" else self.recast
-        ng = table.ng
-        terms = {}
-        for word, n, value in entries:
-            g = terms.setdefault(word, [P_ZERO] * (ng + 1))
-            g[n] = value
-        return NCSeries({w: GSeries(tuple(g), ng) for w, g in terms.items()}, self.grade, ng)
-
-
-def _signed_unpack(v: int) -> Poly:
-    """Decode a signed packed combination (digits may borrow; resolve them)."""
-    digits = []
-    while v:
-        d = v & _DIGIT
-        if d >= (1 << (_B - 1)):
-            d -= 1 << _B
-        digits.append(d)
-        v = (v - d) >> _B
-    return Poly(digits)
-
 
 def _failure(table: _TableBase, k: int, w: int, n: int, v: int, e: int) -> tuple:
-    """A nonzero raw residual at scale b**e as (word, n, signed Poly or Fraction)."""
-    value = _signed_unpack(v) if table.symbolic else table._fraction(v, e)
-    return Word._raw(k, w), n, value
+    """A nonzero raw residual at scale b**e as (word, n, Poly)."""
+    return Word._raw(k, w), n, table._poly(v, e)
 
 
 def _recast_failures(table: _TableBase, words, k: int, n: int) -> list:
@@ -645,7 +608,7 @@ def _symmetry_failures(table: SolutionTable, grade: int) -> list:
     image under a generator.  Entries are (word, n, image).
     """
     bad = []
-    for (n, k), d in table.slots():
+    for (n, k), d in table.layers.items():
         if k == 0 or k + 2 * n > grade:
             continue
         words, values = list(d), list(d.values())
@@ -836,7 +799,7 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
         for (k, n) in sorted(variant.keys() | {(1, 1), (2, 2)}, key=lambda t: (t[0] + 2 * t[1], t)):
             if n > min(ng, 4) or k > min(lx, 6):
                 continue
-            mine_v = table.p_poly(Word([0] * k), n).coefficient(0)
+            mine_v = table.p_coeff(Word([0] * k), n).coefficient(0)
             if variant.get((k, n), Fraction(0)) != mine_v:
                 first_mismatch = (k, n, variant.get((k, n), Fraction(0)), mine_v)
                 break

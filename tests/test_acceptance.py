@@ -87,10 +87,10 @@ def test_criterion_5_oracle_equivalence(master):
     rep_pure = compare_with_solver(pure, 2, 6)
     assert rep_pure.ok, rep_pure.mismatches[:3]
     # forced spot values
-    assert master.p_poly("00", 0) == Poly((1,))
-    assert str(master.p_poly("01", 0)) == "c"
-    assert str(master.p_poly("0011", 0)) == "1+c^2"
-    assert master.p_poly("0000", 0) == Poly((2,))
+    assert master.p_coeff("00", 0) == Poly((1,))
+    assert str(master.p_coeff("01", 0)) == "c"
+    assert str(master.p_coeff("0011", 0)) == "1+c^2"
+    assert master.p_coeff("0000", 0) == Poly((2,))
     print(
         f"\n[PASS] criterion 5: solver equals contraction oracle on {rep.checked} Potts and "
         f"{rep_pure.checked} pure-gravity coefficients"
@@ -123,18 +123,18 @@ def test_criterion_8_symmetry_suite(referee_table):
         k = rng.randrange(1, 7)
         n = rng.choice([m for m in range(referee_table.ng + 1) if (k + m) % 2 == 0 and k + m <= referee_table.S])
         word = Word([rng.randrange(3) for _ in range(k)])
-        ref = referee_table.p_poly(word, n)
+        ref = referee_table.p_coeff(word, n)
         for rot in word.rotations():
-            assert referee_table.p_poly(rot, n) == ref
+            assert referee_table.p_coeff(rot, n) == ref
         for perm in perms:
-            assert referee_table.p_poly(word.relabel(perm), n) == ref
+            assert referee_table.p_coeff(word.relabel(perm), n) == ref
     # parity vanishing
     for _ in range(200):
         k = rng.randrange(0, 7)
         word = Word([rng.randrange(3) for _ in range(k)])
         for n in range(referee_table.ng + 1):
             if (k + n) % 2 and k + n <= referee_table.S:
-                assert referee_table.value_packed(word.bits, k, n) == 0
+                assert referee_table.p_coeff(word, n).is_zero()
     # cyclic concatenation rule on the solved series, failure on a witness
     phi = referee_table.to_ncseries(6, 3)
     for _ in range(40):

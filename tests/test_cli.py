@@ -171,6 +171,19 @@ def test_usage_error_exit_code(capsys):
     assert main(["solve", "--ng", "nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "oracle --kind pure-gravity --word 01",  # the one-matrix model has only the letter 0
+        "oracle --word 0011 --nvertices -1",
+        "solve --c abc",
+    ],
+)
+def test_inputs_outside_the_model_exit_2(capsys, argv):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "table.json"
     code = main(["solve", "--ng", "0", "--lmax", "2", "--format", "json", "--out", str(path)])

@@ -18,7 +18,7 @@ from pottsloop.curve import (
 )
 from pottsloop.loopcat import first_nonzero
 from pottsloop.ring import GSeries, Poly
-from pottsloop.solver import ModelSpec, solve_series
+from pottsloop.solver import ModelSpec, TruncationError, solve_series
 
 
 def test_moment_examples(small_table):
@@ -164,3 +164,27 @@ def test_numeric_branch_detects_perturbation(master_table):
     good = numeric_branch_check(master_table, Fraction(1, 5), Fraction(1, 64), xs, ng=8)
     bad = numeric_branch_check(master_table, Fraction(1, 5), Fraction(1, 32), xs, ng=2)
     assert good.max_deviation < bad.max_deviation
+
+
+def _shallow_residual():
+    table = solve_series(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=4))  # S = 6
+    quintic_residual(build_shifted_resolvent(table, 12, 2), build_curve(compute_moments(table, 2), 2))
+
+
+def _foreign_coupling():
+    table = solve_series(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=2, ltarget=4))
+    numeric_branch_check(table, Fraction(1, 5), 0, [Fraction(1, 16)])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (_shallow_residual, TruncationError, "need at least 8"),
+        (lambda: build_curve(compute_moments(solve_series(ModelSpec(ng=2))), 2, "1221"), ValueError, "1202"),
+        (_foreign_coupling, ValueError, "different coupling"),
+    ],
+    ids=["shallow-mask", "unknown-variant", "foreign-coupling"],
+)
+def test_curve_refuses_inputs_it_cannot_check(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -235,24 +235,6 @@ def test_apply_operator_string_two_sided():
     assert out == mono("0")
 
 
-def test_permute_letters():
-    a = mono("01")
-    assert a.permute_letters((2, 1, 0)) == mono("21")
-    assert a.permute_letters((0, 1, 2)) == a
-    cycled = a
-    for _ in range(3):
-        cycled = cycled.permute_letters((1, 2, 0))
-    assert cycled == a
-
-
-def test_restrict():
-    a = NCSeries.unit(6, 1) + mono("0", 6, 1) + mono("1", 6, 1)
-    killed = a.restrict({1, 2})
-    assert killed == NCSeries.unit(6, 1) + mono("0", 6, 1)
-    assert a.restrict(set()) == a
-    assert a.restrict({0, 1, 2}) == NCSeries.unit(6, 1)
-
-
 def test_equality_prunes_zeros():
     z = GSeries.zero(1)
     a = NCSeries({w("01"): GSeries.one(1), w("2"): z}, 6, 1)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, word_orbits
-from pottsloop.loopcat import check_loops, check_sd
+from pottsloop.loopcat import check_loops, check_sd, extract_amplitude
 from pottsloop.ring import GSeries, Poly, XLaurent, xlaurent_grade_mask
 from pottsloop.solver import (
     LazyTable,
@@ -18,20 +18,34 @@ from pottsloop.solver import (
     build_rhs_potts,
     check_headroom,
     generating_residual,
-    pack_poly,
     recast_residual_rect,
     solve_pure_gravity,
     solve_series,
-    unpack_poly,
 )
 from pottsloop.solver import _residual, _singletons
+
+
+def _one_slot_table(packed: int) -> SolutionTable:
+    """A symbolic table whose one slot (00, g^0) holds the given packed value."""
+    spec = ModelSpec(kind="potts3", c="symbolic", ng=0, ltarget=2)
+    return SolutionTable(spec, 2, {(0, 0): {0: 1}, (0, 2): {0: packed}})
 
 
 def test_pack_roundtrip():
     rng = random.Random(5)
     for _ in range(50):
         p = Poly([rng.randrange(0, 1 << 40) for _ in range(rng.randrange(1, 6))])
-        assert unpack_poly(pack_poly(p)) == p
+        packed = sum(a << (64 * e) for e, a in enumerate(p.coeffs))
+        assert _one_slot_table(packed).p_coeff("00", 0) == p
+
+
+@pytest.mark.parametrize(
+    "read", [lambda t: t.p_coeff("00", 0), lambda t: extract_amplitude(t, "", 2, 0)], ids=["p_coeff", "amplitude"]
+)
+def test_packed_digit_guard_refuses_on_read(read):
+    # a digit at 2**62 leaves no headroom for the signed residuals
+    with pytest.raises(ArithmeticError, match="headroom"):
+        read(_one_slot_table(1 << 62))
 
 
 def test_modelspec_rejects_propagator_poles():
@@ -42,16 +56,16 @@ def test_modelspec_rejects_propagator_poles():
 
 
 def test_gaussian_examples(small_table):
-    assert str(small_table.p_poly("00", 0)) == "1"
-    assert str(small_table.p_poly("01", 0)) == "c"
-    assert str(small_table.p_poly("0011", 0)) == "1+c^2"
-    assert str(small_table.p_poly("0000", 0)) == "2"
+    assert str(small_table.p_coeff("00", 0)) == "1"
+    assert str(small_table.p_coeff("01", 0)) == "c"
+    assert str(small_table.p_coeff("0011", 0)) == "1+c^2"
+    assert str(small_table.p_coeff("0000", 0)) == "2"
 
 
 def test_constant_term_is_one(small_table):
-    assert str(small_table.p_poly("", 0)) == "1"
+    assert str(small_table.p_coeff("", 0)) == "1"
     for n in (1, 2):
-        assert small_table.p_poly("", n).is_zero()
+        assert small_table.p_coeff("", n).is_zero()
 
 
 def test_build_rhs_on_unit_series():
@@ -79,11 +93,11 @@ def test_c_zero_decouples_colors():
     weighted in, and the contraction oracle confirms the factorised value).
     """
     tab = solve_series(ModelSpec(kind="potts3", c=0, ng=2, ltarget=4))
-    assert tab.p_poly("01", 0) == 0  # a cross propagator would be needed
-    assert tab.p_poly("0011", 0) == Fraction(1)  # same-color pairings survive
+    assert tab.p_coeff("01", 0).is_zero()  # a cross propagator would be needed
+    assert tab.p_coeff("0011", 0) == Poly.constant(1)  # same-color pairings survive
     prod = tab.gseries("0") * tab.gseries("1")
     assert tab.gseries("01") == prod
-    assert tab.p_poly("0001", 2) == Fraction(4)  # = p(000,1) * p(1,1), oracle-pinned
+    assert tab.p_coeff("0001", 2) == Poly.constant(4)  # = p(000,1) * p(1,1), oracle-pinned
 
 
 def test_cyclic_symmetry(referee_table):
@@ -93,9 +107,9 @@ def test_cyclic_symmetry(referee_table):
         k = rng.randrange(1, 6)
         word = Word([rng.randrange(3) for _ in range(k)])
         n = rng.choice([m for m in range(4) if (k + m) % 2 == 0 and k + m <= referee_table.S])
-        ref = referee_table.p_poly(word, n)
+        ref = referee_table.p_coeff(word, n)
         for rot in word.rotations():
-            assert referee_table.p_poly(rot, n) == ref
+            assert referee_table.p_coeff(rot, n) == ref
 
 
 def test_s3_invariance(referee_table):
@@ -105,9 +119,9 @@ def test_s3_invariance(referee_table):
         k = rng.randrange(6)
         word = Word([rng.randrange(3) for _ in range(k)])
         n = rng.choice([m for m in range(4) if (k + m) % 2 == 0 and k + m <= referee_table.S])
-        ref = referee_table.p_poly(word, n)
+        ref = referee_table.p_coeff(word, n)
         for perm in perms:
-            assert referee_table.p_poly(word.relabel(perm), n) == ref
+            assert referee_table.p_coeff(word.relabel(perm), n) == ref
 
 
 def test_parity_vanishing(small_table):
@@ -117,7 +131,7 @@ def test_parity_vanishing(small_table):
         word = Word([rng.randrange(3) for _ in range(k)])
         for n in range(small_table.ng + 1):
             if (k + n) % 2 == 1 and k + n <= small_table.S:
-                assert small_table.value_packed(word.bits, k, n) == 0
+                assert small_table.p_coeff(word, n).is_zero()
 
 
 def test_c_to_zero_limit_matches_pure_gravity(small_table):
@@ -127,8 +141,8 @@ def test_c_to_zero_limit_matches_pure_gravity(small_table):
     for k in range(5):
         for n in range(4):
             if (k + n) % 2 == 0 and k + n <= 7:
-                sym = small_table.p_poly(Word([0] * k), n)
-                assert sym.coefficient(0) == pure.p_poly(Word([0] * k), n).coefficient(0)
+                sym = small_table.p_coeff(Word([0] * k), n)
+                assert sym.coefficient(0) == pure.p_coeff(Word([0] * k), n).coefficient(0)
 
 
 def test_lazy_matches_dense():
@@ -139,7 +153,7 @@ def test_lazy_matches_dense():
     for dense, nonzero_slots in ((medium, 98_413), (quarter, 10_933)):
         lazy = LazyTable(dense.spec, max_len=dense.S)
         nonzero = 0
-        for (n, k), d in dense.slots():
+        for (n, k), d in dense.layers.items():
             for word in all_words(k):
                 want = d.get(word.bits, 0)
                 assert lazy._raw(word.bits, k, n) == want, (str(word), n)
@@ -164,11 +178,11 @@ def test_unreduced_residual_checks_every_slot(referee_table):
     assert report == generating_residual(referee_table, 10)
 
 
-def _corrupted(table, n, k, words):
-    """A copy of the table with 1 added to the given words of layer (n, k)."""
+def _corrupted(table, n, k, words, delta=1):
+    """A copy of the table with ``delta`` added to the given words of layer (n, k)."""
     layers = {key: dict(d) for key, d in table.layers.items()}
     for w in words:
-        layers[(n, k)][w] += 1
+        layers[(n, k)][w] += delta
     return SolutionTable(table.spec, table.S, layers)
 
 
@@ -196,6 +210,14 @@ def test_residual_flags_a_corrupted_representative_at_the_fixed_point(small_tabl
     assert (Word._raw(k, rep), n) in [(word, m) for word, m, _ in report.fixed_point]
 
 
+def test_residual_value_decodes_borrowing_digits(small_table):
+    # raw - rhs = 1 - 2**64 packs 1 - c: the c-digit borrows from the constant one
+    n, k = 1, 3
+    rep, images = next((r, i) for r, i in word_orbits(k) if r in small_table.layers[(n, k)])
+    report = generating_residual(_corrupted(small_table, n, k, images, 1 - (1 << 64)))
+    assert (Word._raw(k, rep), n, Poly((1, -1))) in report.fixed_point
+
+
 def test_lazy_table_solves_once_per_orbit():
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
     assert lazy.rhs_evaluations == 0
@@ -208,12 +230,12 @@ def test_lazy_memo_keys_do_not_collide():
     # g-orders n >= 16 used to spill into the length field of the memo key
     lazy = LazyTable(ModelSpec(kind="pure-gravity", ng=17, ltarget=1), max_len=18)
     dense = solve_series(ModelSpec(kind="pure-gravity", ng=17, ltarget=1))
-    assert lazy.value_packed(0, 1, 1) == dense.value_packed(0, 1, 1)
-    assert lazy.value_packed(0, 1, 17) == dense.value_packed(0, 1, 17)
+    assert lazy.value_word(Word([0]), 1) == dense.value_word(Word([0]), 1)
+    assert lazy.value_word(Word([0]), 17) == dense.value_word(Word([0]), 17)
     # lengths |w| >= 128 used to spill into the word bits: 0^130 against 10
     lazy = LazyTable(ModelSpec(kind="potts3", c="1/4", ng=0, ltarget=2), max_len=130)
-    assert lazy.value_packed(1, 2, 0) == Fraction(1, 4)
-    assert lazy.value_packed(0, 130, 0) == math.comb(130, 65) // 66  # Catalan(65)
+    assert lazy.value_word(Word.from_string("10"), 0) == Fraction(1, 4)
+    assert lazy.value_word(Word([0] * 130), 0) == math.comb(130, 65) // 66  # Catalan(65)
 
 
 @pytest.mark.parametrize("c0", [Fraction(-6, 7), Fraction(0), Fraction(1, 4), Fraction(5, 3), Fraction(2)])
@@ -224,17 +246,18 @@ def test_numeric_tables_evaluate_the_symbolic_table(small_table, c0):
     for k in range(small_table.S + 1):
         for n in range(min(small_table.ng, small_table.S - k) + 1):
             for word in all_words(k):
-                want = unpack_poly(small_table.value_packed(word.bits, k, n)).evaluate(c0)
+                want = small_table.p_coeff(word, n).evaluate(c0)
                 for table in (dense, lazy):
-                    got = table.value_packed(word.bits, k, n)
+                    got = table.value_word(word, n)
                     assert type(got) is Fraction and got == want, (str(word), n, got, want)
+                    assert table.p_coeff(word, n) == Poly.constant(want)
 
 
 def test_scaled_checks_detect_a_corrupted_raw_entry():
     lazy = LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=2, ltarget=2), max_len=12)
-    lazy.value_packed(0, 0, 0)
+    lazy.value_word(Word([]), 0)
     before = set(lazy._memo)
-    assert lazy.value_packed(0, 2, 0) == 1
+    assert lazy.value_word(Word([0, 0]), 0) == 1
     (key,) = set(lazy._memo) - before
     assert lazy._memo[key] == 4  # p_00 = 1 stored as b**1 with b = 4
     lazy._memo[key] += 1
@@ -246,9 +269,9 @@ def test_scaled_checks_detect_a_corrupted_raw_entry():
 def test_lazy_guards_report_bounds():
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=4)
     with pytest.raises(TruncationError):
-        lazy.value_packed(0, 6, 0)
+        lazy.p_coeff(Word([0] * 6), 0)
     with pytest.raises(TruncationError):
-        lazy.value_packed(0, 2, 4)
+        lazy.p_coeff(Word([0, 0]), 4)
 
 
 def test_headroom_guard_refuses_before_solving(monkeypatch):
@@ -288,8 +311,8 @@ def test_shipped_truncations_fit_the_headroom(kind, kmax, S, ng):
 
 
 def _largest_digit(table) -> int:
-    values = {v for d in table.layers.values() for v in d.values()}
-    return max(max(unpack_poly(v).coeffs) for v in values)
+    slots = {v: (Word._raw(k, w), n) for (n, k), d in table.layers.items() for w, v in d.items()}
+    return max(max(table.p_coeff(*slot).coeffs) for slot in slots.values())
 
 
 def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
@@ -303,7 +326,7 @@ def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
 def test_region_guard_reports_bounds(small_table):
     beyond = small_table.S + (2 if small_table.S % 2 == 0 else 3)  # parity-even slot
     with pytest.raises(TruncationError):
-        small_table.p_poly("0" * beyond, 0)
+        small_table.p_coeff("0" * beyond, 0)
 
 
 def test_determinism():
@@ -315,8 +338,7 @@ def test_determinism():
 def test_generating_residual_zero_on_solved(small_table):
     rep = generating_residual(small_table)
     assert rep.ok
-    assert rep.as_ncseries(small_table).is_zero()
-    assert rep.as_ncseries(small_table, "recast").is_zero()
+    assert not rep.fixed_point and not rep.recast
 
 
 def test_generating_residual_detects_unsolved():
@@ -334,11 +356,11 @@ def test_generating_residual_detects_unsolved():
 def test_pure_gravity_solution_and_branches():
     pg = solve_pure_gravity(6, 8)
     tab = pg.table
-    assert tab.p_poly("00", 0) == Poly((1,))  # single planar pairing
-    assert tab.p_poly("0000", 0) == Poly((2,))  # Catalan C2
-    assert str(tab.p_poly("", 0)) == "1"
+    assert tab.p_coeff("00", 0) == Poly((1,))  # single planar pairing
+    assert tab.p_coeff("0000", 0) == Poly((2,))  # Catalan C2
+    assert str(tab.p_coeff("", 0)) == "1"
     for n in (1, 2, 3):
-        assert tab.p_poly("", n).is_zero()  # only one trivial triangulation
+        assert tab.p_coeff("", n).is_zero()  # only one trivial triangulation
     assert (pg.branch - pg.phi).is_zero()
     assert not (pg.branch_other - pg.phi).is_zero()
 
