@@ -83,16 +83,22 @@ def test_criterion_5_oracle_equivalence(master):
     rep = compare_with_solver(master, 3, 6)
     assert rep.ok, rep.mismatches[:3]
     assert rep.checked == 2186  # every word of up to six letters, two parity-allowed orders each
-    pure = solve_series(ModelSpec(kind="pure-gravity", ng=2, ltarget=6))
-    rep_pure = compare_with_solver(pure, 2, 6)
+    # four triangles (81 spin assignments) on words of up to four letters, 16 half-edges
+    rep4 = compare_with_solver(master, 4, 4)
+    assert rep4.ok, rep4.mismatches[:3]
+    assert rep4.checked == 333
+    # one letter reaches the oracle's 18 half-edges at |w| = 6, g^4
+    pure = solve_series(ModelSpec(kind="pure-gravity", ng=4, ltarget=6))
+    rep_pure = compare_with_solver(pure, 4, 6)
     assert rep_pure.ok, rep_pure.mismatches[:3]
+    assert rep_pure.checked == 18
     # forced spot values
     assert master.p_coeff("00", 0) == Poly((1,))
     assert str(master.p_coeff("01", 0)) == "c"
     assert str(master.p_coeff("0011", 0)) == "1+c^2"
     assert master.p_coeff("0000", 0) == Poly((2,))
     print(
-        f"\n[PASS] criterion 5: solver equals contraction oracle on {rep.checked} Potts and "
+        f"\n[PASS] criterion 5: solver equals contraction oracle on {rep.checked} + {rep4.checked} Potts and "
         f"{rep_pure.checked} pure-gravity coefficients"
     )
 

@@ -2,25 +2,26 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
 
+from labelled_oracle import (
+    PropagatorMatrix,
+    _count_faces,
+    _enumerate_matchings,
+    _site,
+    all_genus_moments,
+    enumerate_diagrams,
+    verify_propagator,
+)
 from pottsloop import oracle
 from pottsloop.cli import main
 from pottsloop.freealg import Word, word_orbits
-from pottsloop.oracle import (
-    PropagatorMatrix,
-    _enumerate_matchings,
-    _weight_classes,
-    all_genus_moments,
-    compare_with_solver,
-    enumerate_diagrams,
-    planar_moment,
-    verify_propagator,
-)
+from pottsloop.oracle import _planar_diagrams, _weight_classes, compare_with_solver, planar_moment
 from pottsloop.ring import Poly
-from pottsloop.solver import ModelSpec, SolutionTable, solve_series
+from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, solve_series
 
 
 def test_gaussian_genus_split_classical():
@@ -53,8 +54,9 @@ def test_parity_violation_returns_zero():
 
 
 def test_oversize_rejected_with_estimate():
-    with pytest.raises(ValueError, match="matchings"):
-        planar_moment("0" * 6, 4)
+    planar_moment("0" * 6, 4)  # 18 half-edges, the largest input the oracle takes
+    with pytest.raises(ValueError, match="20 half-edges exceeds desk scale .*matchings"):
+        planar_moment("0" * 8, 4)
 
 
 def test_empty_word():
@@ -154,53 +156,128 @@ def fresh_classes():
     _weight_classes.cache_clear()
 
 
-# every parity-allowed (|w|, n) with |w| >= 1 and |w| + 3n <= 12
-SMALL_SIZES = [(k, n) for k in range(1, 13) for n in range((12 - k) // 3 + 1) if (k + n) % 2 == 0]
+def _sizes(points):
+    """Every parity-allowed (|w|, n) with |w| >= 1 and |w| + 3n <= points."""
+    return [(k, n) for k in range(1, points + 1) for n in range((points - k) // 3 + 1) if (k + n) % 2 == 0]
 
 
-@pytest.mark.parametrize("k, n", SMALL_SIZES)
-def test_weight_classes_equal_the_per_diagram_sum(k, n):
-    # Referee built from the expanded diagrams, with no weight classes: a
-    # diagram weighs c^(chords between unequal spins), and its weight reads
-    # only the letter at each chord end, a boundary position 0..k-1 of the
-    # word or a triangle spin, written k + spin.  Diagrams with the same
-    # sorted chord ends are tallied together, which leaves the sum exact.
+def _spin_tally(k, n, matchings):
+    """Diagrams with every spin assignment, tallied by sorted chord ends.
+
+    A diagram weighs c^(chords between unequal spins), and its weight reads
+    only the letter at each chord end, a boundary position 0..k-1 of the
+    word or a triangle spin, written k + spin; diagrams with the same sorted
+    chord ends (each chord sorted too) are tallied together, which leaves
+    every word's sum exact.
+    """
     tally = Counter()
-    for d in enumerate_diagrams(Word([0] * k), n):
-        end = tuple(range(k)) + tuple(k + s for s in d.spins for _ in range(3))
-        tally[tuple(sorted((end[a], end[b]) for a, b in d.matching))] += 1
+    for matching in matchings:
+        for spins in product(range(3), repeat=n):
+            end = tuple(range(k)) + tuple(k + s for s in spins for _ in range(3))
+            tally[tuple(sorted(tuple(sorted((end[a], end[b]))) for a, b in matching))] += 1
+    return tally
+
+
+@pytest.mark.parametrize("k, n", _sizes(12))
+def test_weight_classes_equal_the_per_diagram_sum(k, n):
+    # Referees built from the expanded diagrams, with no weight classes: the
+    # labelled matchings tally n! 3^n times what the canonical diagrams do,
+    # and the canonical tally summed at every word is planar_moment.
+    canonical = _spin_tally(k, n, _planar_diagrams(k, n))
+    labelled = _spin_tally(k, n, (m for m, _genus in _enumerate_matchings(k, n, planar_only=True)))
     norm = factorial(n) * 3**n
+    assert labelled == Counter({key: norm * mult for key, mult in canonical.items()})
     for rep, _images in word_orbits(k):
         word = Word._raw(k, rep)
         letter = word.letters() + (0, 1, 2)
         counts = [0] * ((k + 3 * n) // 2 + 1)
-        for chords, mult in tally.items():
+        for chords, mult in canonical.items():
             counts[sum(letter[x] != letter[y] for x, y in chords)] += mult
-        assert all(v % norm == 0 for v in counts)
-        assert planar_moment(word, n) == Poly([v // norm for v in counts]), str(word)
+        assert planar_moment(word, n) == Poly(counts), str(word)
+
+
+@pytest.mark.parametrize("k, n", _sizes(14))
+def test_canonical_diagrams_are_the_labelled_ones_up_to_relabelling(k, n):
+    # every canonical diagram is a distinct perfect matching whose map is
+    # connected and planar; there are n! 3^n labelled copies of each
+    diagrams = list(_planar_diagrams(k, n))
+    assert len(set(diagrams)) == len(diagrams)
+    sigma = oracle._rotation(k, n)
+    for chords in diagrams:
+        alpha = {a: b for a, b in chords} | {b: a for a, b in chords}
+        assert sorted(alpha) == list(range(k + 3 * n))
+        sites = [(_site(a, k), _site(b, k)) for a, b in chords]
+        reached, grew = {0}, True  # the boundary vertex is site 0
+        while grew:
+            grew = False
+            for u, v in sites:
+                if (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grew = True
+        assert len(reached) == n + 1
+        # connected, so genus 0 is V - E + F = 2
+        assert (1 + n) - len(chords) + _count_faces(sigma, alpha) == 2
+    labelled = sum(1 for _ in _enumerate_matchings(k, n, planar_only=True))
+    assert len(diagrams) * factorial(n) * 3**n == labelled
+
+
+def test_odd_half_edge_totals_return_at_once(monkeypatch):
+    # both enumerators build the rotation system once per search; an odd total
+    # has no matching and must return before building it
+    built = []
+    rotation = oracle._rotation
+
+    def counted(k, n):
+        built.append((k, n))
+        return rotation(k, n)
+
+    monkeypatch.setattr(oracle, "_rotation", counted)
+    for k, n in [(9, 2), (6, 3), (1, 0), (0, 1)]:
+        assert list(_planar_diagrams(k, n)) == []
+        assert list(_enumerate_matchings(k, n, planar_only=True)) == []
+    assert built == []
+    assert len(list(_planar_diagrams(6, 2))) == 120
+    assert built == [(6, 2)]
 
 
 def test_compare_enumerates_each_size_once(monkeypatch, fresh_classes, small_table):
     calls = Counter()
-    enumerate_matchings = oracle._enumerate_matchings
+    planar_diagrams = oracle._planar_diagrams
 
-    def counted(k, n, **kwargs):
+    def counted(k, n):
         calls[k, n] += 1
-        return enumerate_matchings(k, n, **kwargs)
+        return planar_diagrams(k, n)
 
-    monkeypatch.setattr(oracle, "_enumerate_matchings", counted)
+    monkeypatch.setattr(oracle, "_planar_diagrams", counted)
     assert compare_with_solver(small_table, 2, 3).ok
-    # |w| = 0 needs no matchings; each other parity-allowed size is enumerated once
+    # |w| = 0 needs no diagrams; each other parity-allowed size is enumerated once
     assert calls == Counter({(1, 1): 1, (2, 0): 1, (2, 2): 1, (3, 1): 1})
 
 
 def test_oversize_compare_refused_before_any_enumeration(monkeypatch, fresh_classes, small_table, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("matchings enumerated before the desk-scale check")
+        raise AssertionError("diagrams enumerated before the desk-scale check")
 
-    monkeypatch.setattr(oracle, "_enumerate_matchings", refuse)
-    # |w| = 6 at g^4 has 18 half-edges, beyond the 16 the enumerator accepts
-    with pytest.raises(ValueError, match="18 half-edges exceeds desk scale"):
-        compare_with_solver(small_table, 4, 6)
-    assert main(["compare", "--max-n", "4", "--max-len", "6"]) == 2
-    assert "error: oracle input 18 half-edges exceeds desk scale" in capsys.readouterr().err
+    monkeypatch.setattr(oracle, "_planar_diagrams", refuse)
+    # |w| = 2 at g^6 has 20 half-edges, beyond the 18 the oracle accepts
+    with pytest.raises(ValueError, match="20 half-edges exceeds desk scale"):
+        compare_with_solver(small_table, 6, 2)
+    assert main(["compare", "--max-n", "6", "--max-len", "2"]) == 2
+    assert "error: oracle input 20 half-edges exceeds desk scale" in capsys.readouterr().err
+
+
+def test_compare_referees_a_lazy_table():
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=3, ltarget=6), max_len=9)
+    rep = compare_with_solver(lazy, 3, 6)
+    assert rep.ok, rep.mismatches[:3]
+    assert rep.checked == 2186  # every word of up to six letters, two parity-allowed orders each
+
+
+def test_compare_reports_a_corrupted_lazy_memo_entry():
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=4), max_len=6)
+    assert compare_with_solver(lazy, 2, 4).ok
+    word, n = Word.from_string("0121"), 2
+    key = ((word.bits << lazy._kbits) | word.n) << lazy._nbits | n  # the memo's key packing
+    lazy._memo[key] += 1
+    rep = compare_with_solver(lazy, 2, 4)
+    assert [(w, m) for w, m, _got, _expect in rep.mismatches] == [(word, n)]
