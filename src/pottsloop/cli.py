@@ -71,10 +71,11 @@ def _catalog_table(args) -> LazyTable:
 
 def cmd_check_loops(args) -> int:
     grade = args.nx + args.ng
+    table = _catalog_table(args)  # a refused truncation exits before the dense solve
     dense = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx))
     rep = generating_residual(dense, grade=min(grade, dense.grade_reached))
     gen_ok = rep.ok
-    results = loopcat.check_loops(_catalog_table(args), args.nx, args.ng, variant=args.catalog)
+    results = loopcat.check_loops(table, args.nx, args.ng, variant=args.catalog)
     lines = [
         f"[{'PASS' if gen_ok else 'FAIL'}]  0  generating equation (fixed-point and derivative forms, grade {rep.grade})"
     ]

@@ -35,12 +35,10 @@ covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
 from .freealg import Word
-from .loopcat import first_nonzero
 from .ring import GSeries, Poly, XLaurent
 from .solver import ModelSpec, SolutionTable, TruncationError, _TableBase
 
@@ -139,43 +137,6 @@ def check_recurrences(m: MomentSet) -> list:
     return out
 
 
-def implied_moment_relations(m: MomentSet) -> list:
-    """Closed reductions of p1122 and p1120 to p1, p12, p012, verified exactly.
-
-    Derived by combining the lowest x-slots of the catalog with the letter
-    relabelings p110 = p122 = p100-rotated = p112 and p10 = p12 (every word
-    with letters {0,1} maps to one with {1,2} under the 0<->2 swap), with
-    D = 1 + c - 2c^2:
-
-        D^3 g^3 p1122 = (1 + 2c^2) D g p12 + c D^2 g - c (2 + c)(1 - c) p1
-        D^3 g^3 p1120 = (1 + c) D^2 g^2 p012 - 2c D g p12 + 2c^2 (1 - c) p1
-    """
-    D = m.const(1, 1, -2)
-    D2, D3 = D * D, D * D * D
-
-    # c (2 + c)(1 - c) = 2c - c^2 - c^3
-    r1 = (
-        (D3 * m.p1122).shift_g(3)
-        - (m.const(1, 0, 2) * D * m.p12).shift_g(1)
-        - (m.const(0, 1) * D2).shift_g(1)
-        + m.const(0, 2, -1, -1) * m.p1
-    )
-    r2 = (
-        (D3 * m.p1120).shift_g(3)
-        - (m.const(1, 1) * D2 * m.p012).shift_g(2)
-        + (m.const(0, 2) * D * m.p12).shift_g(1)
-        - m.const(0, 0, 2, -2) * m.p1  # 2c^2 (1 - c)
-    )
-    out = []
-    for name, r in (
-        ("D^3 g^3 p1122 = (1+2c^2) D g p12 + c D^2 g - c(2+c)(1-c) p1", r1),
-        ("D^3 g^3 p1120 = (1+c) D^2 g^2 p012 - 2c D g p12 + 2c^2 (1-c) p1", r2),
-    ):
-        bad = _gseries_first_nonzero(r)
-        out.append(RecurrenceReport(name, bad is None, bad))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the quintic curve coefficients
 # ---------------------------------------------------------------------------
@@ -188,13 +149,6 @@ class CurveCoefficients:
     fs: tuple
     ng: int
     variant: str  # which word fills the fourth moment slot: "1202" or "1212"
-
-    def degrees(self) -> list:
-        out = []
-        for f in self.fs:
-            es = [e for e, _ in f.items()]
-            out.append((min(es), max(es)) if es else (None, None))
-        return out
 
 
 def build_curve(m: MomentSet, ng: int, variant: str = "1202") -> CurveCoefficients:
@@ -342,19 +296,12 @@ class ShiftedResolvent:
     one_minus_c: Poly  # the scale: 1 - c, or the constant 1 - c0
 
 
-def build_shifted_resolvent(
-    table: SolutionTable, nx: int, ng: int, *, constant_exponent: int = -1
-) -> ShiftedResolvent:
-    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region.
-
-    ``constant_exponent`` places the 1/(1-c) term in y; 0 reproduces the
-    transcribed form of the shift, which demonstrably cannot satisfy the
-    curve (kept for the witness tests).
-    """
+def build_shifted_resolvent(table: SolutionTable, nx: int, ng: int) -> ShiftedResolvent:
+    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region."""
     mask = table.S
     NX = nx + 10
     one_minus_c = table.spec.const(Poly((1, -1)))
-    pairs = [(0, -GSeries.g_power(1, ng) * one_minus_c), (constant_exponent + 2, GSeries.one(ng))]
+    pairs = [(0, -GSeries.g_power(1, ng) * one_minus_c), (1, GSeries.one(ng))]
     for k in range(min(NX - 3, mask) + 1):
         nmax = min(ng, mask - k)
         if nmax < 0:
@@ -413,6 +360,15 @@ def _divide_back(v: Poly, one_minus_c: Poly) -> str:
     return str(Poly(q, v.den))
 
 
+def first_nonzero(series: XLaurent) -> Optional[tuple]:
+    """First nonzero slot as (x power, g power, value string), or None."""
+    for e, gs in series.items():
+        for n, v in enumerate(gs.coeffs):
+            if not v.is_zero():
+                return (e, n, str(v))
+    return None
+
+
 def curve_witness(scaled: XLaurent, shifted: ShiftedResolvent) -> Optional[tuple]:
     """First nonzero slot of R as (x power, g power, value of R), or None.
 
@@ -445,6 +401,8 @@ def check_curve(
     table: SolutionTable, nx: int, ng: int, variants: Sequence[str] = ("1202", "1212")
 ) -> list:
     """Quintic residual for each requested moment-variant mapping."""
+    if nx < 0 or ng < 0:
+        raise ValueError("truncation orders must be nonnegative")
     moments = compute_moments(table, ng)
     shifted = build_shifted_resolvent(table, nx, ng)
     out = []
@@ -453,113 +411,3 @@ def check_curve(
         fz = curve_witness(quintic_residual(shifted, coeffs), shifted)
         out.append(CurveCheck(variant, fz is None, fz))
     return out
-
-
-# ---------------------------------------------------------------------------
-# numeric branch check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NumericPoint:
-    x: float
-    y_series: float
-    nearest_root: float
-    deviation: float
-    tie: bool
-
-
-@dataclass
-class NumericBranchReport:
-    c0: Fraction
-    g0: Fraction
-    points: list
-    max_deviation: float
-    tail_estimate: float
-    ties: int
-
-    def ok(self, tol: float) -> bool:
-        return self.ties == 0 and self.max_deviation <= tol
-
-
-def _phi_value(table: SolutionTable, c0: Fraction, g0: Fraction, x0: Fraction, ng: int):
-    """Exact truncated phi(x0) at numeric couplings, plus the last term kept."""
-    acc = Fraction(0)
-    last = Fraction(0)
-    kmax = table.S
-    for k in range(kmax + 1):
-        nmax = min(ng, table.S - k)
-        term = Fraction(0)
-        gp = Fraction(1)
-        for n in range(nmax + 1):
-            if (k + n) % 2 == 0:
-                term += table.p_coeff(Word([0] * k), n).evaluate(c0) * gp
-            gp *= g0
-        contrib = term * x0**k
-        acc += contrib
-        if k == kmax:
-            last = contrib
-    return acc, last
-
-
-def numeric_branch_check(
-    table: SolutionTable,
-    c0,
-    g0,
-    xs: Sequence,
-    *,
-    ng: Optional[int] = None,
-) -> NumericBranchReport:
-    """Solve the quintic numerically on a grid and track the series branch.
-
-    The fourth moment comes from the word 1202.  The truncated series for y
-    is evaluated exactly at rational points and floated only at the
-    comparison; the nearest quintic root must agree and the deviation must
-    shrink as truncation orders grow.  Two roots whose distances to the
-    series agree to a relative 1e-9 are reported as an ambiguity.
-    """
-    import numpy as np
-
-    c0 = Fraction(c0)
-    g0 = Fraction(g0)
-    if not table.symbolic and table.c0 != c0:
-        raise ValueError("numeric table was solved at a different coupling")
-    ng = table.ng if ng is None else ng
-    moments = compute_moments(table, ng)
-    coeffs = build_curve(moments, ng)
-    fs_eval = []
-    for f in coeffs.fs:
-        fs_eval.append([(e, gs) for e, gs in f.items()])
-
-    points = []
-    ties = 0
-    maxdev = 0.0
-    tail = 0.0
-    for xq in xs:
-        xq = Fraction(xq)
-        if xq == 0:
-            raise ValueError("grid must stay away from x = 0")
-        phi, last = _phi_value(table, c0, g0, xq, ng)
-        tail = max(tail, abs(float(last)))
-        y_exact = -xq * phi - g0 / xq**2 + Fraction(1) / ((1 - c0) * xq)
-        poly = []
-        for k in range(5, -1, -1):
-            val = Fraction(0)
-            for e, gs in fs_eval[k]:
-                val += gs.evaluate(c0, g0) * xq**e
-            poly.append(val)
-        while poly and poly[0] == 0:
-            poly.pop(0)
-        if not poly:
-            raise ArithmeticError("curve coefficients all vanish at this point")
-        roots = np.roots([float(v) for v in poly])
-        y_f = float(y_exact)
-        dists = sorted(abs(r - y_f) for r in roots)
-        dev = float(dists[0])
-        tie = len(dists) > 1 and abs(dists[1] - dists[0]) <= 1e-9 * max(1.0, dists[0])
-        if tie:
-            ties += 1
-        best = min(roots, key=lambda r: abs(r - y_f))
-        points.append(NumericPoint(float(xq), y_f, float(best.real), dev, tie))
-        maxdev = max(maxdev, dev)
-    return NumericBranchReport(c0, g0, points, maxdev, tail, ties)

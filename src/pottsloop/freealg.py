@@ -429,20 +429,3 @@ class NCSeries:
             parts.append(f"[{w}] {self.terms[w]}")
         return "\n".join(parts)
 
-
-def apply_operator_string(ops, a: NCSeries) -> NCSeries:
-    """Apply a sequence of boundary derivative operators in the given order.
-
-    Each element of ``ops`` is ``(side, letter)`` with side ``"L"`` or
-    ``"R"``.  A left operator strips a leading letter, a right operator a
-    trailing one, so extracting the coefficient family of a prefix ``p``
-    uses the reversed string of left operators.
-    """
-    for side, letter in ops:
-        if side in ("L", "left"):
-            a = a.left_delta(letter)
-        elif side in ("R", "right"):
-            a = a.right_delta(letter)
-        else:
-            raise ValueError(f"operator side {side!r} not 'L' or 'R'")
-    return a

@@ -30,7 +30,6 @@ times its x^e g^n coefficient.  The table reads its own values into rows
 the ``XLaurent`` product (``ring._laurent_addmul``), a term sum over the
 lcm of its denominators, and a ``Poly`` is built only for the first
 nonzero slot a check reports.
-The public functions convert to ``XLaurent`` once, at the end.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from math import lcm
 from typing import Optional
 
 from .freealg import EMPTY_WORD, Word
-from .ring import P_ONE, Poly, XLaurent, _laurent_addmul
+from .ring import P_ONE, Poly, _laurent_addmul
 from .solver import _TableBase
 
 # coefficient polynomials in c, ascending powers
@@ -320,6 +319,11 @@ def _nonzero_slots(s):
 
 
 def _amp_rows(table, label, nx, ng, delta, sym):
+    """Rows of the x0-series of an amplitude: coefficient k is p(label 0^(k+delta)).
+
+    With sym=True the reversed-label series is averaged in.  Depth beyond
+    the table's solved region raises TruncationError with the bound.
+    """
     word = label if isinstance(label, Word) else Word.from_string(str(label))
     labels = [word] if not sym or word.reverse() == word else [word, word.reverse()]
     # appending 0-letters leaves the packed bits unchanged
@@ -327,25 +331,8 @@ def _amp_rows(table, label, nx, ng, delta, sym):
     return rows, den * len(labels)  # a symmetrised amplitude is the average
 
 
-def extract_amplitude(
-    table: _TableBase,
-    label,
-    nx: int,
-    ng: Optional[int] = None,
-    *,
-    delta: int = 0,
-    sym: bool = False,
-) -> XLaurent:
-    """The x0-series of an amplitude: coefficient k is p(label 0^(k+delta)).
-
-    With sym=True the reversed-label series is averaged in.  Depth beyond
-    the table's solved region raises TruncationError with the bound.
-    """
-    ng = table.ng if ng is None else ng
-    return XLaurent._from_ints(0, *_amp_rows(table, label, nx, ng, delta, sym), nx, ng)
-
-
 def _loop_rows(eq, table, nx, ng, variant):
+    """Rows of the term sum of a cataloged equation (must vanish on a solved table)."""
     cache = {}  # amplitude rows, per equation
     terms = []
     for term in eq.effective_terms(variant):
@@ -358,13 +345,6 @@ def _loop_rows(eq, table, nx, ng, variant):
             s = _mul(s, table._rows([[Word.from_string(term.p_label)]], ng), nx, ng)
         terms.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
     return _combine(terms, nx, ng)
-
-
-def loop_residual(
-    eq: LoopEquation, table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
-) -> XLaurent:
-    """Term sum of a cataloged equation on the solved table (must vanish)."""
-    return XLaurent._from_ints(0, *_loop_rows(eq, table, nx, ng, variant), nx, ng)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +398,18 @@ SD_DESCRIPTORS = (
 
 
 def _resolvent_rows(table, pre, a, post, nx, ng):
+    """Rows of sum_j x^(j+1) p(pre a^j post): one resolvent expanded inside a trace."""
     return table._rows([()] + [[pre + Word([a] * j) + post] for j in range(nx)], ng)
 
 
-def resolvent_series(table, pre: Word, a: int, post: Word, nx: int, ng: int) -> XLaurent:
-    """sum_j x^(j+1) p(pre a^j post): one resolvent expanded inside a trace."""
-    return XLaurent._from_ints(0, *_resolvent_rows(table, pre, a, post, nx, ng), nx, ng)
-
-
 def _sd_rows(rep, table, nx, ng):
+    """Rows of the planar Schwinger-Dyson residual of one reparameterisation.
+
+    Computed with the propagator normalisation cleared: the residual is
+    (D K - D J)/x with D = 1 + c - 2c^2, where J carries the split/merge
+    Jacobian terms (planar-factorised) and D K = (1+c) T(X0) - c T(X1)
+    - c T(X2) - g D T(X0 X0) with T(M) the trace of the piece times M.
+    """
     nxi = nx + 1  # the final /x costs one order
     pc, nc, nd = (table.spec.const(Poly(p)) for p in (_PC, _NC, _ND))
 
@@ -456,35 +439,11 @@ def _sd_rows(rep, table, nx, ng):
     return rows[1:], den
 
 
-def sd_residual(rep: Reparameterisation, table: _TableBase, nx: int, ng: int) -> XLaurent:
-    """Planar Schwinger-Dyson residual of one reparameterisation.
-
-    Computed with the propagator normalisation cleared: the residual is
-    (D K - D J)/x with D = 1 + c - 2c^2, where J carries the split/merge
-    Jacobian terms (planar-factorised) and D K = (1+c) T(X0) - c T(X1)
-    - c T(X2) - g D T(X0 X0) with T(M) the trace of the piece times M.
-    Equals (number of pieces) times the paired catalog residual.
-    """
-    return XLaurent._from_ints(0, *_sd_rows(rep, table, nx, ng), nx, ng)
-
-
 def _reproduces_catalog(rep, residual, table, nx, ng, variant):
     """``residual`` (rows of ``rep``) equals npieces times the paired catalog residual."""
     paired = _loop_rows(CATALOG[rep.index - 1], table, nx, ng, variant)
     diff = _combine([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
     return not _nonzero_slots(diff)[1]
-
-
-def sd_matches_catalog(
-    rep: Reparameterisation, table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
-) -> bool:
-    """The generated residual equals npieces times the paired catalog entry.
-
-    Evaluated on ``table``.  On a solved table both sides vanish, so there
-    the equality is implied by the two residuals vanishing and does not
-    compare the constructions term by term.
-    """
-    return _reproduces_catalog(rep, _sd_rows(rep, table, nx, ng), table, nx, ng, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +466,6 @@ class CheckResult:
             e, n, v = self.first_nonzero
             extra = f"  first nonzero at x^{e} g^{n}: {v}"
         return f"[{status}] {self.index:>2}  {self.label}{extra}"
-
-
-def first_nonzero(series: XLaurent):
-    for e, gs in series.items():
-        for n, v in enumerate(gs.coeffs):
-            if not v.is_zero():
-                return (e, n, str(v))
-    return None
 
 
 def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended") -> list:

@@ -380,13 +380,6 @@ class GSeries:
             raise ValueError("cannot extend a truncated series")
         return GSeries(self.coeffs[: ng + 1], ng)
 
-    def evaluate(self, c0: Rat, g0: Rat) -> Fraction:
-        g0 = Fraction(g0)
-        acc = Fraction(0)
-        for v in reversed(self.coeffs):
-            acc = acc * g0 + v.evaluate(c0)
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GSeries)

@@ -457,8 +457,10 @@ class LazyTable(_TableBase):
     """
 
     def __init__(self, spec: ModelSpec, max_len: int):
-        # a slot (k, n) reads k + 1 letters at n - 1, down to max_len + ng at n = 0
-        check_headroom(spec, max_len, max_len + spec.ng)
+        # a slot (k, n) reads k + 1 letters at n - 1, down to k + n letters at
+        # n = 0, and _raw refuses k > max_len, so every nonzero value the table
+        # holds has |w| + n <= max_len
+        check_headroom(spec, max_len, max_len)
         super().__init__(spec)
         self.max_len = max_len
         self.nlet = spec.nletters

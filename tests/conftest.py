@@ -1,5 +1,6 @@
 import pytest
 
+from pottsloop.ring import XLaurent
 from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, _singletons, _solve_dense, _weights, solve_series
 
 
@@ -10,6 +11,11 @@ def solve_unreduced(spec: ModelSpec) -> SolutionTable:
     S = spec.ltarget + spec.ng
     layers = _solve_dense(spec.nletters, S, spec.ng, *_weights(spec), _singletons(spec.nletters, S))
     return SolutionTable(spec, S, layers)
+
+
+def laurent(rows, nx: int, ng: int) -> XLaurent:
+    """An XLaurent from x^0 out of the (rows, den) pair a ``loopcat`` row function returns."""
+    return XLaurent._from_ints(0, *rows, nx, ng)
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,19 @@
 """Acceptance suite: every criterion at its stated truncation, exact arithmetic.
 
-All residual checks are zero-tolerance (exact rationals); the numeric branch
-check is the only floating-point consumer and has its stated bound.  Each
-test prints one PASS line on success; failures carry the first offending
-coefficient.
+All residual checks are zero-tolerance (exact rationals).  The numeric
+branch check is the only floating-point consumer and has its stated bound;
+it is test code (``tests/numeric_branch.py``, with ``numpy`` a test
+dependency), not part of the package.  Each test prints one PASS line on
+success; failures carry the first offending coefficient.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from pottsloop.curve import check_curve, check_recurrences, compute_moments, numeric_branch_check
-from pottsloop.freealg import Word, all_words, apply_operator_string
+from numeric_branch import numeric_branch_check
+from pottsloop.curve import check_curve, check_recurrences, compute_moments
+from pottsloop.freealg import Word, all_words
 from pottsloop.loopcat import check_loops, check_sd
 from pottsloop.oracle import compare_with_solver, planar_moment
 from pottsloop.ring import Poly
@@ -148,14 +150,19 @@ def test_criterion_8_symmetry_suite(referee_table):
         q = [rng.randrange(3) for _ in range(rng.randrange(1, 3))]
         if len(p) + len(q) > 4:
             continue
-        lhs = apply_operator_string([("L", a) for a in p] + [("R", b) for b in reversed(q)], phi)
-        rhs = apply_operator_string([("L", a) for a in q + p], phi)
+        lhs = rhs = phi
+        for a in p:
+            lhs = lhs.left_delta(a)
+        for b in reversed(q):
+            lhs = lhs.right_delta(b)
+        for a in q + p:
+            rhs = rhs.left_delta(a)
         for u in all_words(2):
             assert lhs.coefficient(u) == rhs.coefficient(u)
     from pottsloop.freealg import NCSeries
 
     witness = NCSeries.monomial(Word.from_string("01"), 6, 3)
-    assert apply_operator_string([("R", 1)], witness) != apply_operator_string([("L", 1)], witness)
+    assert witness.right_delta(1) != witness.left_delta(1)
     print("\n[PASS] criterion 8: cyclic, S3, parity and concatenation-rule properties hold")
 
 

@@ -1,12 +1,17 @@
 """Command line surface: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from pottsloop import cli
 from pottsloop.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,6 +182,7 @@ def test_usage_error_exit_code(capsys):
         "oracle --kind pure-gravity --word 01",  # the one-matrix model has only the letter 0
         "oracle --word 0011 --nvertices -1",
         "solve --c abc",
+        "check-curve --nx -1 --ng 2",  # an empty rectangle would print PASS
     ],
 )
 def test_inputs_outside_the_model_exit_2(capsys, argv):
@@ -190,3 +196,54 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["11"] == {"0": "1"}
+
+
+def test_check_loops_refuses_before_the_dense_solve(capsys, monkeypatch):
+    def no_dense_solve(spec):
+        raise AssertionError("a refused catalog truncation reached the dense solve")
+
+    monkeypatch.setattr(cli, "solve_series", no_dense_solve)
+    # the lazy catalog table at max_len 30, ng 14 is beyond the packed headroom
+    assert main(["check-loops", "--nx", "8", "--ng", "14"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# one tiny run of every subcommand, with its exit code
+NO_NUMPY_RUNS = {
+    "solve": ("solve --ng 1 --lmax 2", 0),
+    "check-loops": ("check-loops --nx 1 --ng 1", 0),
+    "check-sd": ("check-sd --nx 1 --ng 1", 0),
+    "check-curve": ("check-curve --nx 2 --ng 2", 0),
+    "check-recurrences": ("check-recurrences --ng 2", 0),
+    "oracle": ("oracle --word 0011", 0),
+    "compare": ("compare --max-len 2 --max-n 1", 0),
+    "export": ("export --ng 2", 0),
+}
+
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, pkgutil, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import pottsloop
+from pottsloop.cli import main
+for mod in pkgutil.iter_modules(pottsloop.__path__):
+    __import__("pottsloop." + mod.name)
+codes = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = main(argv.split())
+print(json.dumps(codes))
+"""
+
+
+def test_cli_runs_without_numpy():
+    """Every subcommand runs in one interpreter where numpy cannot be imported."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(NO_NUMPY_RUNS)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argvs = json.dumps({name: argv for name, (argv, _) in NO_NUMPY_RUNS.items()})
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, argvs], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: code for name, (_, code) in NO_NUMPY_RUNS.items()}

@@ -1,24 +1,64 @@
 """Moment constants, recurrences, the quintic curve, numeric branch check."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import laurent
+from numeric_branch import numeric_branch_check
 from pottsloop.curve import (
     MomentSet,
+    RecurrenceReport,
+    _gseries_first_nonzero,
     build_curve,
     build_shifted_resolvent,
     check_curve,
     check_recurrences,
     compute_moments,
     curve_witness,
-    implied_moment_relations,
-    numeric_branch_check,
+    first_nonzero,
     quintic_residual,
 )
-from pottsloop.loopcat import first_nonzero
-from pottsloop.ring import GSeries, Poly
+from pottsloop.ring import GSeries, Poly, XLaurent
 from pottsloop.solver import ModelSpec, TruncationError, solve_series
+
+
+def implied_moment_relations(m: MomentSet) -> list:
+    """Closed reductions of p1122 and p1120 to p1, p12, p012, verified exactly.
+
+    Derived by combining the lowest x-slots of the catalog with the letter
+    relabelings p110 = p122 = p100-rotated = p112 and p10 = p12 (every word
+    with letters {0,1} maps to one with {1,2} under the 0<->2 swap), with
+    D = 1 + c - 2c^2:
+
+        D^3 g^3 p1122 = (1 + 2c^2) D g p12 + c D^2 g - c (2 + c)(1 - c) p1
+        D^3 g^3 p1120 = (1 + c) D^2 g^2 p012 - 2c D g p12 + 2c^2 (1 - c) p1
+    """
+    D = m.const(1, 1, -2)
+    D2, D3 = D * D, D * D * D
+
+    # c (2 + c)(1 - c) = 2c - c^2 - c^3
+    r1 = (
+        (D3 * m.p1122).shift_g(3)
+        - (m.const(1, 0, 2) * D * m.p12).shift_g(1)
+        - (m.const(0, 1) * D2).shift_g(1)
+        + m.const(0, 2, -1, -1) * m.p1
+    )
+    r2 = (
+        (D3 * m.p1120).shift_g(3)
+        - (m.const(1, 1) * D2 * m.p012).shift_g(2)
+        + (m.const(0, 2) * D * m.p12).shift_g(1)
+        - m.const(0, 0, 2, -2) * m.p1  # 2c^2 (1 - c)
+    )
+    out = []
+    for name, r in (
+        ("D^3 g^3 p1122 = (1+2c^2) D g p12 + c D^2 g - c(2+c)(1-c) p1", r1),
+        ("D^3 g^3 p1120 = (1+c) D^2 g^2 p012 - 2c D g p12 + 2c^2 (1-c) p1", r2),
+    ):
+        bad = _gseries_first_nonzero(r)
+        out.append(RecurrenceReport(name, bad is None, bad))
+    return out
 
 
 def test_moment_examples(small_table):
@@ -57,7 +97,10 @@ def test_implied_moment_reductions(master_table):
 
 def test_curve_coefficient_degrees(master_table):
     cc = build_curve(compute_moments(master_table), 4)
-    degs = cc.degrees()
+    degs = []
+    for f in cc.fs:
+        es = [e for e, _ in f.items()]
+        degs.append((min(es), max(es)) if es else (None, None))
     assert [d[1] for d in degs] == [6] * 6  # every coefficient has x-degree 6
     assert [d[0] for d in degs] == [0, 1, 2, 3, 4, 6]
     # the top coefficient is the single monomial -4 (c-1)^8 (2c+1)^6 g^3 x^6
@@ -80,10 +123,10 @@ def test_reduction_chain_equations_hold(medium_table):
     """The eight catalog entries that express phi1, phi11, phi12, sym phi112,
     phi121, phi111, phi1122 and sym phi1121 in terms of the resolvent, the
     inputs the curve elimination consumes."""
-    from pottsloop.loopcat import CATALOG, loop_residual
+    from pottsloop.loopcat import CATALOG, _loop_rows
 
     for index in (1, 10, 2, 12, 4, 13, 14, 17):
-        res = loop_residual(CATALOG[index - 1], medium_table, 2, 3)
+        res = laurent(_loop_rows(CATALOG[index - 1], medium_table, 2, 3, "emended"), 2, 3)
         assert res.is_zero(), f"entry {index}"
 
 
@@ -106,7 +149,9 @@ def test_literal_shift_constant_fails(medium_table):
     """With the 1/(1-c) term at x^0 instead of x^-1 the curve cannot hold;
     the witness pins the adjudication of the shift convention."""
     moments = compute_moments(medium_table, 3)
-    shifted = build_shifted_resolvent(medium_table, 3, 3, constant_exponent=0)
+    default = build_shifted_resolvent(medium_table, 3, 3)
+    x = XLaurent.x_power(1, default.ytilde.nx, 3)
+    shifted = replace(default, ytilde=default.ytilde - x + x**2)
     coeffs = build_curve(moments, 3, "1202")
     res = quintic_residual(shifted, coeffs)
     assert curve_witness(res, shifted) == (1, 3, W_LITERAL_SHIFT_X1G3)
@@ -182,8 +227,9 @@ def _foreign_coupling():
         (_shallow_residual, TruncationError, "need at least 8"),
         (lambda: build_curve(compute_moments(solve_series(ModelSpec(ng=2))), 2, "1221"), ValueError, "1202"),
         (_foreign_coupling, ValueError, "different coupling"),
+        (lambda: check_curve(solve_series(ModelSpec(ng=2)), -1, 2), ValueError, "nonnegative"),
     ],
-    ids=["shallow-mask", "unknown-variant", "foreign-coupling"],
+    ids=["shallow-mask", "unknown-variant", "foreign-coupling", "negative-nx"],
 )
 def test_curve_refuses_inputs_it_cannot_check(call, error, match):
     with pytest.raises(error, match=match):

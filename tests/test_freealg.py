@@ -13,7 +13,6 @@ from pottsloop.freealg import (
     NCSeries,
     Word,
     all_words,
-    apply_operator_string,
     orbit_rep,
     reflection_least,
     word_orbits,
@@ -225,13 +224,12 @@ def test_packed_images_match_the_word_operations():
 def test_apply_operator_string_prefix_extraction():
     # stripping x1, x1, x2 in sequence isolates words with prefix 112
     base = mono("11201", 6, 2) + mono("0112", 6, 2)
-    out = apply_operator_string([("L", 1), ("L", 1), ("L", 2)], base)
+    out = base.left_delta(1).left_delta(1).left_delta(2)
     assert out == mono("01", 6, 2)
-    assert apply_operator_string([], base) == base
 
 
 def test_apply_operator_string_two_sided():
-    out = apply_operator_string([("L", 1), ("R", 1)], mono("101"))
+    out = mono("101").left_delta(1).right_delta(1)
     assert out == mono("0")
 
 
@@ -252,10 +250,13 @@ def test_cyclic_concatenation_rule_on_solved_series(small_table):
         q = [rng.randrange(3) for _ in range(rng.randrange(1, 3))]
         if len(p) + len(q) > 4:
             continue
-        lhs_ops = [("L", a) for a in p] + [("R", b) for b in reversed(q)]
-        rhs_ops = [("L", a) for a in q + p]
-        lhs = apply_operator_string(lhs_ops, phi)
-        rhs = apply_operator_string(rhs_ops, phi)
+        lhs = rhs = phi
+        for a in p:
+            lhs = lhs.left_delta(a)
+        for b in reversed(q):
+            lhs = lhs.right_delta(b)
+        for a in q + p:
+            rhs = rhs.left_delta(a)
         # compare where both sides are complete: words short enough that the
         # reconstructed full words stay inside the solved region
         budget = small_table.S - len(p) - len(q) - small_table.ng
@@ -263,8 +264,8 @@ def test_cyclic_concatenation_rule_on_solved_series(small_table):
             assert lhs.coefficient(u) == rhs.coefficient(u)
 
     witness = NCSeries.monomial(w("01"), 6, 2)
-    lhs = apply_operator_string([("R", 1)], witness)
-    rhs = apply_operator_string([("L", 1)], witness)
+    lhs = witness.right_delta(1)
+    rhs = witness.left_delta(1)
     assert not lhs.is_zero()
     assert rhs.is_zero()
     assert lhs != rhs

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, word_orbits
-from pottsloop.loopcat import check_loops, check_sd, extract_amplitude
+from pottsloop.loopcat import _amp_rows, check_loops, check_sd
 from pottsloop.ring import GSeries, Poly, XLaurent, xlaurent_grade_mask
 from pottsloop.solver import (
     LazyTable,
@@ -40,7 +40,7 @@ def test_pack_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "read", [lambda t: t.p_coeff("00", 0), lambda t: extract_amplitude(t, "", 2, 0)], ids=["p_coeff", "amplitude"]
+    "read", [lambda t: t.p_coeff("00", 0), lambda t: _amp_rows(t, "", 2, 0, 0, False)], ids=["p_coeff", "amplitude"]
 )
 def test_packed_digit_guard_refuses_on_read(read):
     # a digit at 2**62 leaves no headroom for the signed residuals
@@ -287,8 +287,13 @@ def test_headroom_guard_refuses_before_solving(monkeypatch):
     # 4 * 3**n * pg(|w|, n) peaks at 71 bits over (S 30, ng 14)
     with pytest.raises(ValueError, match=r"\|w\| \+ n <= 30, n <= 14 .* 71-bit bound"):
         solve_series(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16))
-    with pytest.raises(ValueError, match=r"\|w\| <= 30, \|w\| \+ n <= 44, n <= 14 "):
+    with pytest.raises(ValueError, match=r"\|w\| <= 30, \|w\| \+ n <= 30, n <= 14 "):
         LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16), max_len=30)
+    # a lazy table holds only |w| + n <= max_len, so its bound covers that region and no more:
+    # (ng 10, max_len 22) fits with a 50-bit bound, max_len 32 still reaches 64 bits
+    LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=10), max_len=22)
+    with pytest.raises(ValueError, match=r"\|w\| <= 32, \|w\| \+ n <= 32, n <= 10 .* 64-bit bound"):
+        LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=10), max_len=32)
     # numeric-c raw values are plain integers and need no digit room
     LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=14, ltarget=16), max_len=30)
 
@@ -318,6 +323,16 @@ def _largest_digit(table) -> int:
 def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
     for table in (referee_table, master_table):
         assert check_headroom(table.spec, table.S, table.S) >= _largest_digit(table)
+    # a filled lazy table: its guard bounds |w| + n <= max_len, which holds every nonzero value it reads
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=4), max_len=14)
+    for k in range(lazy.max_len + 1):
+        for n in range(min(lazy.ng, lazy.max_len - k) + 1):
+            lazy.p_coeff(Word([0] * k), n)
+    kmask, nmask = (1 << lazy._kbits) - 1, (1 << lazy._nbits) - 1
+    held = [(key >> lazy._nbits & kmask, key & nmask, v) for key, v in lazy._memo.items() if v]
+    assert all(k + n <= lazy.max_len for k, n, _ in held)
+    largest = max(max(lazy._digits(v, 0, 0)) for _, _, v in held)
+    assert check_headroom(lazy.spec, lazy.max_len, lazy.max_len) >= largest
     # the benchmark's dense region, whose trace reports solver.max_digit_bits 20
     assert _largest_digit(referee_table).bit_length() == 20
     assert check_headroom(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=6), 10, 10) is None
