@@ -30,6 +30,17 @@ def _parse_c(s: str):
     return c0
 
 
+def _order(s: str) -> int:
+    """A truncation order, refused while parsing when negative so that no subcommand starts work."""
+    try:
+        n = int(s)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"order {s!r} is not a nonnegative integer")
+    return n
+
+
 def _emit(args, payload_json, payload_text) -> None:
     text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n" if args.format == "json" else payload_text
     if args.out:
@@ -98,8 +109,7 @@ def cmd_check_sd(args) -> int:
 
 
 def cmd_check_curve(args) -> int:
-    need_s = max(args.nx + args.ng - 6, 4 + args.ng)
-    ltarget = max(need_s - args.ng, 4)
+    ltarget = max(args.nx - 6, 4)
     table = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=ltarget))
     variants = ("1202", "1212") if args.moment_variant == "auto" else (args.moment_variant,)
     checks = curve_mod.check_curve(table, args.nx, args.ng, variants)
@@ -188,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, *, nx=False, ng=True, kind=False):
         sp.add_argument("--c", type=_parse_c, default="symbolic", help="coupling: 'symbolic' or a rational like 1/4")
         if ng:
-            sp.add_argument("--ng", type=int, default=4, help="g truncation order")
+            sp.add_argument("--ng", type=_order, default=4, help="g truncation order")
         if nx:
-            sp.add_argument("--nx", type=int, default=4, help="x truncation order")
+            sp.add_argument("--nx", type=_order, default=4, help="x truncation order")
         if kind:
             sp.add_argument("--kind", choices=("potts3", "pure-gravity"), default="potts3")
         sp.add_argument("--format", choices=("json", "text"), default="text")
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="emit the solved coefficient table as JSON")
     common(sp, kind=True)
-    sp.add_argument("--lmax", type=int, default=4, help="maximum reported word length")
+    sp.add_argument("--lmax", type=_order, default=4, help="maximum reported word length")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("check-loops", help="residuals of the full loop-equation catalog")
@@ -222,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="planar contraction value of one word")
     common(sp, ng=False, kind=True)
     sp.add_argument("--word", required=True, help="boundary word, e.g. 0011 (use '' for the empty word)")
-    sp.add_argument("--nvertices", type=int, default=0)
+    sp.add_argument("--nvertices", type=_order, default=0)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("compare", help="solver coefficients against the contraction oracle")
     common(sp, ng=False, kind=True)
-    sp.add_argument("--max-len", type=int, default=4)
-    sp.add_argument("--max-n", type=int, default=2)
+    sp.add_argument("--max-len", type=_order, default=4)
+    sp.add_argument("--max-n", type=_order, default=2)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("export", help="CSV of the moment series")

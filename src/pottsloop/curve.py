@@ -292,25 +292,30 @@ class ShiftedResolvent:
     """
 
     ytilde: XLaurent
-    mask: int  # phi slots kept: |word| + g-order <= mask
     one_minus_c: Poly  # the scale: 1 - c, or the constant 1 - c0
 
 
 def build_shifted_resolvent(table: SolutionTable, nx: int, ng: int) -> ShiftedResolvent:
-    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region."""
+    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region.
+
+    The mask keeps the slots |word| + g-order <= S of the table; the
+    residual is exact on the full reported rectangle only if
+    S >= nx + ng - 6 (see module docstring), so a shallower table raises
+    TruncationError.
+    """
     mask = table.S
+    if mask < nx + ng - 6:
+        raise TruncationError(
+            f"resolvent mask {mask} too shallow for an exact residual at "
+            f"x-order {nx}, g-order {ng}; need at least {nx + ng - 6}"
+        )
     NX = nx + 10
     one_minus_c = table.spec.const(Poly((1, -1)))
-    pairs = [(0, -GSeries.g_power(1, ng) * one_minus_c), (1, GSeries.one(ng))]
-    for k in range(min(NX - 3, mask) + 1):
-        nmax = min(ng, mask - k)
-        if nmax < 0:
-            continue
-        coeffs = [table.p_coeff(Word([0] * k), n) if n <= nmax and (k + n) % 2 == 0 else None for n in range(ng + 1)]
-        gs = GSeries([v if v is not None else 0 for v in coeffs], ng)
-        if not gs.is_zero():
-            pairs.append((k + 3, -gs * one_minus_c))
-    return ShiftedResolvent(XLaurent.from_coeffs(pairs, NX, ng), mask, one_minus_c)
+    coeffs = [-GSeries.g_power(1, ng) * one_minus_c, GSeries.one(ng), GSeries.zero(ng)]
+    for k in range(NX - 2):  # phi's x^k lands at x^(k+3)
+        phi_k = [table.p_coeff(Word([0] * k), n) if k + n <= mask and (k + n) % 2 == 0 else 0 for n in range(ng + 1)]
+        coeffs.append(-GSeries(phi_k, ng) * one_minus_c)
+    return ShiftedResolvent(XLaurent(0, coeffs, NX, ng), one_minus_c)
 
 
 def quintic_residual(shifted: ShiftedResolvent, coeffs: CurveCoefficients) -> XLaurent:
@@ -319,22 +324,13 @@ def quintic_residual(shifted: ShiftedResolvent, coeffs: CurveCoefficients) -> XL
     Computed as sum_k (1-c)^(5-k) f_k ytilde^k, with polynomial coefficients
     throughout.  The factor (1-c)^5 is nonzero, so the result vanishes
     exactly where R does and R is identically zero on a solved table;
-    :func:`curve_witness` divides a reported slot back to R.
-
-    Exact on the full reported rectangle provided the resolvent mask
-    satisfies mask >= nx + ng - 6 (see module docstring).
+    :func:`curve_witness` divides a reported slot back to R.  Exact on the
+    full reported rectangle, which :func:`build_shifted_resolvent` ensures.
     """
     ng = coeffs.ng
-    nx = shifted.ytilde.nx - 10
-    if shifted.mask < nx + ng - 6:
-        raise TruncationError(
-            f"resolvent mask {shifted.mask} too shallow for an exact residual at "
-            f"x-order {nx}, g-order {ng}; need at least {nx + ng - 6}"
-        )
-    NX = nx + 10
     ytilde = shifted.ytilde
-    if ytilde.nx != NX:
-        raise ValueError("shifted resolvent truncation does not match the curve's")
+    NX = ytilde.nx
+    nx = NX - 10
     acc = XLaurent.zero(NX, ng)
     ypow = XLaurent.x_power(0, NX, ng)
     for k in range(6):

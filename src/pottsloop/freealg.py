@@ -97,9 +97,6 @@ class Word:
     def drop_first(self) -> "Word":
         return Word._raw(self.n - 1, self.bits >> 2)
 
-    def drop_last(self) -> "Word":
-        return Word._raw(self.n - 1, self.bits & ((1 << (2 * (self.n - 1))) - 1))
-
     def reverse(self) -> "Word":
         return Word(reversed(self.letters()))
 
@@ -397,14 +394,6 @@ class NCSeries:
         for w, v in self.terms.items():
             if len(w) and w[0] == a:
                 out[w.drop_first()] = v
-        return NCSeries(out, self.lmax, self.ng)
-
-    def right_delta(self, a: int) -> "NCSeries":
-        """Strip a trailing ``a``; words ending otherwise are annihilated."""
-        out = {}
-        for w, v in self.terms.items():
-            if len(w) and w[-1] == a:
-                out[w.drop_last()] = v
         return NCSeries(out, self.lmax, self.ng)
 
     # -- structure -----------------------------------------------------------

@@ -17,11 +17,14 @@ matrix integral under X0 -> X0 + eps (A (z - X_a)^-1 B + reverse): the
 Jacobian comes from the split rule (the resolvent splits the trace at each
 X0) and the merge rule (each explicit X0 in A or B splits off a closed
 trace), the action variation inserts S'(X0) at the end of the trace, and
-expectations factorise in the planar limit.  Each generated residual is
-checked to vanish.  Its pairing with the catalog entry (generated residual
-= npieces times the catalog residual) is checked on the solved table only,
-where both sides vanish; there it is implied by ``check_loops`` and says
-nothing about the two constructions term by term.
+expectations factorise in the planar limit.  The generator emits catalog
+terms, whose amplitudes may carry another block letter and a word after
+the block, and one evaluator (``_loop_rows``) sums catalog entries and
+generated identities alike.  Each generated residual is checked to
+vanish.  Its pairing with the catalog entry (generated residual = npieces
+times the catalog residual) is checked on the solved table only, where
+both sides vanish; there it is implied by ``check_loops`` and says nothing
+about the two constructions term by term.
 
 Every residual is evaluated on integer rows, like the ``NCSeries``
 product: a series is (rows, den), rows[e][n] the integer c-digits of den
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .freealg import EMPTY_WORD, Word
+from .freealg import Word
 from .ring import P_ONE, Poly, _laurent_addmul
 from .solver import _TableBase
 
@@ -53,11 +56,17 @@ _NC2 = (0, -2)  # -2c
 
 @dataclass(frozen=True)
 class Amp:
-    """A (possibly shifted, possibly symmetrised) amplitude reference."""
+    """The amplitude series sum_k x^k p(label a^(k+delta) post), a = ``letter``.
+
+    Catalog entries keep the 0-block and an empty ``post``; the generated
+    identities also read other blocks and trailing words.
+    """
 
     label: str
     delta: int = 0  # power of the x0 coefficient shift applied
     sym: bool = False  # average with the reversed label
+    letter: int = 0  # the block letter a
+    post: str = ""  # the word after the block
 
 
 @dataclass(frozen=True)
@@ -98,186 +107,182 @@ def _t(coeff, *amps, p=None, g=0, x=0):
     return Term(tuple(coeff), amps, p, g, x)
 
 
-def _a(label, d=0, s=False):
-    return Amp(label, d, s)
-
-
 CATALOG = (
     LoopEquation(1, "x0...x0", (
-        _t(_PC, _a("", 1)),
-        _t(_ND, _a(""), _a(""), x=1),
-        _t(_ND, _a("", 2), g=1),
-        _t(_NC2, _a("1")),
+        _t(_PC, Amp("", 1)),
+        _t(_ND, Amp(""), Amp(""), x=1),
+        _t(_ND, Amp("", 2), g=1),
+        _t(_NC2, Amp("1")),
     )),
     LoopEquation(2, "x1 x0...x0 x1", (
-        _t(_PC, _a("101")),
-        _t(_ND, _a("1"), _a("1"), x=1),
-        _t(_ND, _a("1001"), g=1),
-        _t(_NC, _a("111")),
-        _t(_NC, _a("121")),
+        _t(_PC, Amp("101")),
+        _t(_ND, Amp("1"), Amp("1"), x=1),
+        _t(_ND, Amp("1001"), g=1),
+        _t(_NC, Amp("111")),
+        _t(_NC, Amp("121")),
     )),
     LoopEquation(3, "x1 x0...x0 (+ reverse)", (
-        _t(_PC, _a("1", 1)),
-        _t(_ND, _a(""), _a("1"), x=1),
-        _t(_ND, _a("1", 2), g=1),
-        _t(_NC, _a("11")),
-        _t(_NC, _a("12")),
+        _t(_PC, Amp("1", 1)),
+        _t(_ND, Amp(""), Amp("1"), x=1),
+        _t(_ND, Amp("1", 2), g=1),
+        _t(_NC, Amp("11")),
+        _t(_NC, Amp("12")),
     )),
     LoopEquation(4, "x2 x1 x0...x0 (+ reverse)", (
-        _t(_PC, _a("12", 1)),
-        _t(_ND, _a(""), _a("12"), x=1),
-        _t(_ND, _a("12", 2), g=1),
-        _t(_NC, _a("121")),
-        _t(_NC, _a("122", s=True)),
+        _t(_PC, Amp("12", 1)),
+        _t(_ND, Amp(""), Amp("12"), x=1),
+        _t(_ND, Amp("12", 2), g=1),
+        _t(_NC, Amp("121")),
+        _t(_NC, Amp("122", sym=True)),
     )),
     LoopEquation(5, "x1 x2 x1 x0...x0 (+ reverse)", (
-        _t(_PC, _a("121", 1)),
-        _t(_ND, _a(""), _a("121"), x=1),
-        _t(_ND, _a("121", 2), g=1),
-        _t(_NC, _a("1212")),
-        _t(_NC, _a("1121", s=True)),
+        _t(_PC, Amp("121", 1)),
+        _t(_ND, Amp(""), Amp("121"), x=1),
+        _t(_ND, Amp("121", 2), g=1),
+        _t(_NC, Amp("1212")),
+        _t(_NC, Amp("1121", sym=True)),
     )),
     LoopEquation(6, "x1 x0 x2 x0...x0 (+ reverse)", (
-        _t(_PC, _a("102", 1)),
-        _t(_ND, _a(""), _a("102"), x=1),
-        _t(_ND, _a("1"), p="1"),
-        _t(_ND, _a("102", 2), g=1),
-        _t(_NC, _a("1102", s=True)),
-        _t(_NC, _a("1201", s=True)),
+        _t(_PC, Amp("102", 1)),
+        _t(_ND, Amp(""), Amp("102"), x=1),
+        _t(_ND, Amp("1"), p="1"),
+        _t(_ND, Amp("102", 2), g=1),
+        _t(_NC, Amp("1102", sym=True)),
+        _t(_NC, Amp("1201", sym=True)),
     )),
     LoopEquation(7, "x1 x0 x1 x0...x0 (+ reverse)", (
-        _t(_PC, _a("101", 1)),
-        _t(_ND, _a(""), _a("101"), x=1),
-        _t(_ND, _a("1"), p="1"),
-        _t(_ND, _a("101", 2), g=1),
-        _t(_NC, _a("1101", s=True)),
-        _t(_NC, _a("1202", s=True)),
+        _t(_PC, Amp("101", 1)),
+        _t(_ND, Amp(""), Amp("101"), x=1),
+        _t(_ND, Amp("1"), p="1"),
+        _t(_ND, Amp("101", 2), g=1),
+        _t(_NC, Amp("1101", sym=True)),
+        _t(_NC, Amp("1202", sym=True)),
     )),
     LoopEquation(8, "x0 x1 x2 x0...x0 (+ reverse)", (
-        _t(_PC, _a("12", 2)),
-        _t(_ND, _a(""), _a("12", 1), x=1),
-        _t(_ND, _a("12")),
-        _t(_ND, _a("12", 3), g=1),
-        _t(_NC, _a("1201", s=True)),
-        _t(_NC, _a("1202", s=True)),
+        _t(_PC, Amp("12", 2)),
+        _t(_ND, Amp(""), Amp("12", 1), x=1),
+        _t(_ND, Amp("12")),
+        _t(_ND, Amp("12", 3), g=1),
+        _t(_NC, Amp("1201", sym=True)),
+        _t(_NC, Amp("1202", sym=True)),
     )),
     LoopEquation(9, "x1 x2 x0...x0 x0 (+ reverse)", (
-        _t(_PC, _a("12", 2)),
-        _t(_ND, _a("", 1), _a("12"), x=1),
-        _t(_ND, _a("12")),
-        _t(_ND, _a("12", 3), g=1),
-        _t(_NC, _a("112", 1, s=True)),
-        _t(_NC, _a("121", 1)),
+        _t(_PC, Amp("12", 2)),
+        _t(_ND, Amp("", 1), Amp("12"), x=1),
+        _t(_ND, Amp("12")),
+        _t(_ND, Amp("12", 3), g=1),
+        _t(_NC, Amp("112", 1, sym=True)),
+        _t(_NC, Amp("121", 1)),
     )),
     LoopEquation(10, "x2...x2", (
-        _t(_ONE, _a("1")),
-        _t(_ND, _a("11"), g=1),
-        _t(_NC, _a("", 1)),
+        _t(_ONE, Amp("1")),
+        _t(_ND, Amp("11"), g=1),
+        _t(_NC, Amp("", 1)),
     )),
     LoopEquation(11, "x1 x2...x2 x1", (
-        _t(_PC, _a("121")),
-        _t(_ND, _a("1221"), g=1),
-        _t(_NC, _a("111")),
-        _t(_NC, _a("101")),
+        _t(_PC, Amp("121")),
+        _t(_ND, Amp("1221"), g=1),
+        _t(_NC, Amp("111")),
+        _t(_NC, Amp("101")),
     )),
     LoopEquation(12, "x1 x2...x2 (+ reverse)", (
-        _t(_PC, _a("12")),
-        _t(_ND, _a("112", s=True), g=1),
-        _t(_NC, _a("11")),
-        _t(_NC, _a("1", 1)),
+        _t(_PC, Amp("12")),
+        _t(_ND, Amp("112", sym=True), g=1),
+        _t(_NC, Amp("11")),
+        _t(_NC, Amp("1", 1)),
     )),
     LoopEquation(13, "x0 x2...x2 (+ reverse)", (
-        _t(_PC, _a("11")),
-        _t(_ND, _a("")),
-        _t(_ND, _a("111"), g=1),
-        _t(_NC, _a("12")),
-        _t(_NC, _a("1", 1)),
+        _t(_PC, Amp("11")),
+        _t(_ND, Amp("")),
+        _t(_ND, Amp("111"), g=1),
+        _t(_NC, Amp("12")),
+        _t(_NC, Amp("1", 1)),
     )),
     LoopEquation(14, "x1 x1 x2...x2 (+ reverse)", (
-        _t(_PC, _a("112", s=True)),
-        _t(_ND, _a("1122"), g=1),
-        _t(_NC, _a("111")),
-        _t(_NC, _a("11", 1)),
+        _t(_PC, Amp("112", sym=True)),
+        _t(_ND, Amp("1122"), g=1),
+        _t(_NC, Amp("111")),
+        _t(_NC, Amp("11", 1)),
     )),
     LoopEquation(15, "x2 x1 x2...x2 (+ reverse)", (
-        _t(_PC, _a("102")),
-        _t(_ND, _a("1102", s=True), g=1),
-        _t(_NC, _a("101")),
-        _t(_NC, _a("1", 2)),
+        _t(_PC, Amp("102")),
+        _t(_ND, Amp("1102", sym=True), g=1),
+        _t(_NC, Amp("101")),
+        _t(_NC, Amp("1", 2)),
     )),
     LoopEquation(16, "x2 x0 x2...x2 (+ reverse)", (
-        _t(_PC, _a("101")),
-        _t(_ND, _a(""), p="1"),
-        _t(_ND, _a("1101", s=True), g=1),
-        _t(_NC, _a("102")),
-        _t(_NC, _a("1", 2)),
+        _t(_PC, Amp("101")),
+        _t(_ND, Amp(""), p="1"),
+        _t(_ND, Amp("1101", sym=True), g=1),
+        _t(_NC, Amp("102")),
+        _t(_NC, Amp("1", 2)),
     )),
     LoopEquation(17, "x1 x0 x2...x2 (+ reverse)", (
-        _t(_PC, _a("121")),
-        _t(_ND, _a(""), p="1"),
-        _t(_ND, _a("1121", s=True), g=1),
-        _t(_NC, _a("112", s=True)),
-        _t(_NC, _a("12", 1)),
+        _t(_PC, Amp("121")),
+        _t(_ND, Amp(""), p="1"),
+        _t(_ND, Amp("1121", sym=True), g=1),
+        _t(_NC, Amp("112", sym=True)),
+        _t(_NC, Amp("12", 1)),
     )),
     LoopEquation(18, "x0 x1 x2...x2 x0 (+ reverse)", (
-        _t(_PC, _a("1222", s=True)),
-        _t(_ND2, _a("12")),
-        _t(_ND, _a("12222", s=True), g=1),
-        _t(_NC, _a("1212")),
-        _t(_NC, _a("1202", s=True)),
+        _t(_PC, Amp("1222", sym=True)),
+        _t(_ND2, Amp("12")),
+        _t(_ND, Amp("12222", sym=True), g=1),
+        _t(_NC, Amp("1212")),
+        _t(_NC, Amp("1202", sym=True)),
     )),
     LoopEquation(19, "x1 x2...x2 x0 x0 (+ reverse)", (
-        _t(_PC, _a("1222", s=True)),
-        _t(_ND, _a("12")),
-        _t(_ND, _a("1"), p="1"),
-        _t(_ND, _a("12222", s=True), g=1),
-        _t(_NC, _a("1122")),
-        _t(_NC, _a("1102", s=True)),
+        _t(_PC, Amp("1222", sym=True)),
+        _t(_ND, Amp("12")),
+        _t(_ND, Amp("1"), p="1"),
+        _t(_ND, Amp("12222", sym=True), g=1),
+        _t(_NC, Amp("1122")),
+        _t(_NC, Amp("1102", sym=True)),
     )),
     LoopEquation(20, "x0 x2...x2 x0 x2 (+ reverse)", (
-        _t(_PC, _a("1211", s=True)),
-        _t(_ND, _a("12")),
-        _t(_ND, _a("1"), p="1"),
-        _t(_ND, _a("12111", s=True), g=1),
-        _t(_NC, _a("1001")),
-        _t(_NC, _a("1201", s=True)),
+        _t(_PC, Amp("1211", sym=True)),
+        _t(_ND, Amp("12")),
+        _t(_ND, Amp("1"), p="1"),
+        _t(_ND, Amp("12111", sym=True), g=1),
+        _t(_NC, Amp("1001")),
+        _t(_NC, Amp("1201", sym=True)),
     ), emended=(
-        _t(_PC, _a("1011", s=True)),
-        _t(_ND, _a("10")),
-        _t(_ND, _a("1"), p="1"),
-        _t(_ND, _a("10111", s=True), g=1),
-        _t(_NC, _a("1001")),
-        _t(_NC, _a("1201", s=True)),
+        _t(_PC, Amp("1011", sym=True)),
+        _t(_ND, Amp("10")),
+        _t(_ND, Amp("1"), p="1"),
+        _t(_ND, Amp("10111", sym=True), g=1),
+        _t(_NC, Amp("1001")),
+        _t(_NC, Amp("1201", sym=True)),
     )),
     LoopEquation(21, "x0 x2 x0 x2...x2 (+ reverse)", (
-        _t(_PC, _a("1211", s=True)),
-        _t(_ND, _a("12")),
-        _t(_ND, _a(""), p="12"),
-        _t(_ND, _a("12111", s=True), g=1),
-        _t(_NC, _a("1202", s=True)),
-        _t(_NC, _a("101", 1)),
+        _t(_PC, Amp("1211", sym=True)),
+        _t(_ND, Amp("12")),
+        _t(_ND, Amp(""), p="12"),
+        _t(_ND, Amp("12111", sym=True), g=1),
+        _t(_NC, Amp("1202", sym=True)),
+        _t(_NC, Amp("101", 1)),
     ), emended=(
-        _t(_PC, _a("1011", s=True)),
-        _t(_ND, _a("10")),
-        _t(_ND, _a(""), p="12"),
-        _t(_ND, _a("10111", s=True), g=1),
-        _t(_NC, _a("1202", s=True)),
-        _t(_NC, _a("101", 1)),
+        _t(_PC, Amp("1011", sym=True)),
+        _t(_ND, Amp("10")),
+        _t(_ND, Amp(""), p="12"),
+        _t(_ND, Amp("10111", sym=True), g=1),
+        _t(_NC, Amp("1202", sym=True)),
+        _t(_NC, Amp("101", 1)),
     )),
     LoopEquation(22, "x0 x2...x2 x1 x0 (+ reverse)", (
-        _t(_PC, _a("1222", s=True)),
-        _t(_ND2, _a("12")),
-        _t(_ND, _a("12222", s=True), g=1),
-        _t(_NC, _a("1212")),
-        _t(_NC, _a("1202", s=True)),
+        _t(_PC, Amp("1222", sym=True)),
+        _t(_ND2, Amp("12")),
+        _t(_ND, Amp("12222", sym=True), g=1),
+        _t(_NC, Amp("1212")),
+        _t(_NC, Amp("1202", sym=True)),
     )),
     LoopEquation(23, "x0 x0 x1 x2...x2 (+ reverse)", (
-        _t(_PC, _a("1222", s=True)),
-        _t(_ND, _a("12")),
-        _t(_ND, _a("1"), p="1"),
-        _t(_ND, _a("12222", s=True), g=1),
-        _t(_NC, _a("1221")),
-        _t(_NC, _a("112", 1, s=True)),
+        _t(_PC, Amp("1222", sym=True)),
+        _t(_ND, Amp("12")),
+        _t(_ND, Amp("1"), p="1"),
+        _t(_ND, Amp("12222", sym=True), g=1),
+        _t(_NC, Amp("1221")),
+        _t(_NC, Amp("112", 1, sym=True)),
     )),
 )
 
@@ -318,33 +323,34 @@ def _nonzero_slots(s):
 # ---------------------------------------------------------------------------
 
 
-def _amp_rows(table, label, nx, ng, delta, sym):
-    """Rows of the x0-series of an amplitude: coefficient k is p(label 0^(k+delta)).
+def _amp_rows(table, amp, nx, ng):
+    """Rows of an amplitude series: coefficient k is p(label a^(k+delta) post).
 
-    With sym=True the reversed-label series is averaged in.  Depth beyond
+    A symmetrised amplitude averages in the reversed label.  Depth beyond
     the table's solved region raises TruncationError with the bound.
     """
-    word = label if isinstance(label, Word) else Word.from_string(str(label))
-    labels = [word] if not sym or word.reverse() == word else [word, word.reverse()]
-    # appending 0-letters leaves the packed bits unchanged
-    rows, den = table._rows([[Word._raw(w.n + k + delta, w.bits) for w in labels] for k in range(nx + 1)], ng)
+    word, post = Word.from_string(amp.label), Word.from_string(amp.post)
+    labels = [word] if not amp.sym or word.reverse() == word else [word, word.reverse()]
+    # the block a^m packs to a * (4^m - 1) / 3
+    blocks = [Word._raw(m, amp.letter * ((1 << 2 * m) - 1) // 3) for m in range(amp.delta, amp.delta + nx + 1)]
+    rows, den = table._rows([[w + b + post for w in labels] for b in blocks], ng)
     return rows, den * len(labels)  # a symmetrised amplitude is the average
 
 
-def _loop_rows(eq, table, nx, ng, variant):
-    """Rows of the term sum of a cataloged equation (must vanish on a solved table)."""
-    cache = {}  # amplitude rows, per equation
-    terms = []
-    for term in eq.effective_terms(variant):
+def _loop_rows(terms, table, nx, ng):
+    """Rows of a term sum: a catalog entry or a generated identity (vanishes on a solved table)."""
+    cache = {}  # amplitude rows, per term sum
+    series = []
+    for term in terms:
         s = None
         for a in term.amps:
             if a not in cache:
-                cache[a] = _amp_rows(table, a.label, nx, ng, a.delta, a.sym)
+                cache[a] = _amp_rows(table, a, nx, ng)
             s = cache[a] if s is None else _mul(s, cache[a], nx, ng)
         if term.p_label is not None:
             s = _mul(s, table._rows([[Word.from_string(term.p_label)]], ng), nx, ng)
-        terms.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
-    return _combine(terms, nx, ng)
+        series.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
+    return _combine(series, nx, ng)
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +403,34 @@ SD_DESCRIPTORS = (
 )
 
 
-def _resolvent_rows(table, pre, a, post, nx, ng):
-    """Rows of sum_j x^(j+1) p(pre a^j post): one resolvent expanded inside a trace."""
-    return table._rows([()] + [[pre + Word([a] * j) + post] for j in range(nx)], ng)
+def _sd_terms(rep):
+    """The planar Schwinger-Dyson residual of one reparameterisation, as catalog terms.
 
-
-def _sd_rows(rep, table, nx, ng):
-    """Rows of the planar Schwinger-Dyson residual of one reparameterisation.
-
-    Computed with the propagator normalisation cleared: the residual is
-    (D K - D J)/x with D = 1 + c - 2c^2, where J carries the split/merge
-    Jacobian terms (planar-factorised) and D K = (1+c) T(X0) - c T(X1)
-    - c T(X2) - g D T(X0 X0) with T(M) the trace of the piece times M.
+    With the propagator normalisation cleared the residual is (D K - D J)/x,
+    D = 1 + c - 2c^2: J carries the split/merge Jacobian terms
+    (planar-factorised) and D K = (1+c) T(X0) - c T(X1) - c T(X2)
+    - g D T(X0 X0), with T(M) the trace of the piece times M.  A resolvent
+    inside a trace is x times an amplitude with the piece's block letter,
+    and every term holds one, so the /x lowers each term's x power by one.
     """
-    nxi = nx + 1  # the final /x costs one order
-    pc, nc, nd = (table.spec.const(Poly(p)) for p in (_PC, _NC, _ND))
-
-    def res(pre, a, post):
-        return _resolvent_rows(table, pre, a, post, nxi, ng)
-
     terms = []
     for A, a, B in rep.pieces:
-        pre, post = Word.from_string(A), Word.from_string(B)
         # Jacobian, times -D: split rule (only an X0 resolvent splits under
         # d/dX0) and merge rule (each explicit X0 inside A or B splits off a
         # closed trace)
-        jac = [(res(pre, 0, EMPTY_WORD), res(EMPTY_WORD, 0, post))] if a == 0 else []
-        for i in range(len(pre)):
-            if pre[i] == 0:
-                jac.append((res(pre[i + 1 :], a, post), table._rows([[pre[:i]]], ng)))
-        for i in range(len(post)):
-            if post[i] == 0:
-                jac.append((res(pre, a, post[:i]), table._rows([[post[i + 1 :]]], ng)))
-        terms += [(nd, 0, 0, _mul(u, v, nxi, ng)) for u, v in jac]
+        if a == 0:
+            terms.append(Term(_ND, (Amp(A), Amp("", post=B)), x_power=1))
+        terms += [Term(_ND, (Amp(A[i + 1 :], letter=a, post=B),), p_label=A[:i]) for i, l in enumerate(A) if l == "0"]
+        terms += [Term(_ND, (Amp(A, letter=a, post=B[:i]),), p_label=B[i + 1 :]) for i, l in enumerate(B) if l == "0"]
         # action variation, propagator normalisation cleared
-        for p, gp, tail in ((pc, 0, (0,)), (nc, 0, (1,)), (nc, 0, (2,)), (nd, 1, (0, 0))):
-            terms.append((p, gp, 0, res(pre, a, post + Word(tail))))
-    rows, den = _combine(terms, nxi, ng)
-    if any(map(any, rows[0])):
-        raise ArithmeticError("Schwinger-Dyson combination has a spurious x^0 term")
-    return rows[1:], den
+        for p, gp, tail in ((_PC, 0, "0"), (_NC, 0, "1"), (_NC, 0, "2"), (_ND, 1, "00")):
+            terms.append(Term(p, (Amp(A, letter=a, post=B + tail),), g_power=gp))
+    return tuple(terms)
 
 
 def _reproduces_catalog(rep, residual, table, nx, ng, variant):
     """``residual`` (rows of ``rep``) equals npieces times the paired catalog residual."""
-    paired = _loop_rows(CATALOG[rep.index - 1], table, nx, ng, variant)
+    paired = _loop_rows(CATALOG[rep.index - 1].effective_terms(variant), table, nx, ng)
     diff = _combine([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
     return not _nonzero_slots(diff)[1]
 
@@ -472,7 +461,7 @@ def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
     """Residuals of all cataloged scalar equations; one result per entry."""
     out = []
     for eq in CATALOG:
-        fz, bad = _nonzero_slots(_loop_rows(eq, table, nx, ng, variant))
+        fz, bad = _nonzero_slots(_loop_rows(eq.effective_terms(variant), table, nx, ng))
         label = eq.template
         if variant == "emended" and eq.emended is not None:
             label += "  [emended transcription]"
@@ -489,7 +478,7 @@ def check_sd(table: _TableBase, nx: int, ng: int) -> list:
     """
     out = []
     for rep in SD_DESCRIPTORS:
-        res = _sd_rows(rep, table, nx, ng)
+        res = _loop_rows(_sd_terms(rep), table, nx, ng)
         fz, bad = _nonzero_slots(res)
         ok = fz is None
         label = str(rep)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
@@ -60,7 +61,7 @@ class Poly:
     __slots__ = ("coeffs", "den")
 
     def __init__(self, coeffs: Iterable[int] = (), den: int = 1):
-        cs = _trim(list(map(int, coeffs)))
+        cs = _trim(list(map(index, coeffs)))  # a Fraction or float coefficient raises TypeError
         if den == 1:
             self.coeffs, self.den = tuple(cs), 1
             return
@@ -464,18 +465,6 @@ class XLaurent:
         if isinstance(v, GSeries):
             return XLaurent(0, (v,), nx, ng)
         return XLaurent(0, (GSeries.constant(v, ng),), nx, ng)
-
-    @staticmethod
-    def from_coeffs(pairs, nx: int, ng: int) -> "XLaurent":
-        """Build from (exponent, GSeries) pairs."""
-        pairs = sorted(pairs)
-        if not pairs:
-            return XLaurent.zero(nx, ng)
-        low = pairs[0][0]
-        coeffs = [GSeries.zero(ng)] * (pairs[-1][0] - low + 1)
-        for e, v in pairs:
-            coeffs[e - low] = coeffs[e - low] + v
-        return XLaurent(low, coeffs, nx, ng)
 
     # -- queries -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import pytest
 
+from pottsloop.freealg import NCSeries, Word
 from pottsloop.ring import XLaurent
 from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, _singletons, _solve_dense, _weights, solve_series
 
@@ -16,6 +17,16 @@ def solve_unreduced(spec: ModelSpec) -> SolutionTable:
 def laurent(rows, nx: int, ng: int) -> XLaurent:
     """An XLaurent from x^0 out of the (rows, den) pair a ``loopcat`` row function returns."""
     return XLaurent._from_ints(0, *rows, nx, ng)
+
+
+def drop_last(w: Word) -> Word:
+    """The word without its last letter."""
+    return Word._raw(w.n - 1, w.bits & ((1 << (2 * (w.n - 1))) - 1))
+
+
+def right_delta(s: NCSeries, a: int) -> NCSeries:
+    """Strip a trailing ``a``; words ending otherwise are annihilated (the mirror of ``left_delta``)."""
+    return NCSeries({drop_last(w): v for w, v in s.terms.items() if len(w) and w[-1] == a}, s.lmax, s.ng)
 
 
 @pytest.fixture(scope="session")

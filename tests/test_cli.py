@@ -208,6 +208,15 @@ def test_check_loops_refuses_before_the_dense_solve(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, monkeypatch):
+    def no_dense_solve(spec):
+        raise AssertionError("a negative order reached the dense solve")
+
+    monkeypatch.setattr(cli, "solve_series", no_dense_solve)
+    assert main(["check-curve", "--nx", "-1", "--ng", "8"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # one tiny run of every subcommand, with its exit code
 NO_NUMPY_RUNS = {
     "solve": ("solve --ng 1 --lmax 2", 0),

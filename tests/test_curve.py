@@ -126,7 +126,7 @@ def test_reduction_chain_equations_hold(medium_table):
     from pottsloop.loopcat import CATALOG, _loop_rows
 
     for index in (1, 10, 2, 12, 4, 13, 14, 17):
-        res = laurent(_loop_rows(CATALOG[index - 1], medium_table, 2, 3, "emended"), 2, 3)
+        res = laurent(_loop_rows(CATALOG[index - 1].effective_terms(), medium_table, 2, 3), 2, 3)
         assert res.is_zero(), f"entry {index}"
 
 

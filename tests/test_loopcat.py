@@ -16,8 +16,7 @@ from pottsloop.loopcat import (
     _amp_rows,
     _loop_rows,
     _reproduces_catalog,
-    _resolvent_rows,
-    _sd_rows,
+    _sd_terms,
     check_loops,
     check_sd,
 )
@@ -34,22 +33,22 @@ def test_catalog_shape():
 
 
 def test_extract_amplitude_examples(small_table):
-    a = laurent(_amp_rows(small_table, "1", 3, 3, 0, False), 3, 3)
+    a = laurent(_amp_rows(small_table, Amp("1"), 3, 3), 3, 3)
     assert a.coefficient(0) == small_table.gseries("1", 3)
 
     # symmetrised: average of the label and its reverse
-    s = laurent(_amp_rows(small_table, "122", 2, 2, 0, True), 2, 2)
-    direct = laurent(_amp_rows(small_table, "122", 2, 2, 0, False), 2, 2)
-    reverse = laurent(_amp_rows(small_table, "221", 2, 2, 0, False), 2, 2)
+    s = laurent(_amp_rows(small_table, Amp("122", sym=True), 2, 2), 2, 2)
+    direct = laurent(_amp_rows(small_table, Amp("122"), 2, 2), 2, 2)
+    reverse = laurent(_amp_rows(small_table, Amp("221"), 2, 2), 2, 2)
     assert s * 2 == direct + reverse
 
-    lead = laurent(_amp_rows(small_table, "12", 2, 2, 0, False), 2, 2).coefficient(0)
+    lead = laurent(_amp_rows(small_table, Amp("12"), 2, 2), 2, 2).coefficient(0)
     assert str(lead[0]) == "c"
 
 
 def test_extract_amplitude_depth_errors(small_table):
     with pytest.raises(TruncationError):
-        _amp_rows(small_table, "12222", small_table.S, small_table.ng, 0, False)
+        _amp_rows(small_table, Amp("12222"), small_table.S, small_table.ng)
 
 
 def test_all_loop_residuals_vanish_shallow(medium_table):
@@ -62,7 +61,7 @@ def test_printed_entries_20_21_fail_with_exact_witness(medium_table):
     failure is pinned to its exact leading coefficient so any change in the
     solver would be noticed here too."""
     for idx in (20, 21):
-        res = laurent(_loop_rows(CATALOG[idx - 1], medium_table, 2, 3, "printed"), 2, 3)
+        res = laurent(_loop_rows(CATALOG[idx - 1].effective_terms("printed"), medium_table, 2, 3), 2, 3)
         fz = first_nonzero(res)
         assert fz is not None
         e, n, value = fz
@@ -78,21 +77,29 @@ def test_loop_residuals_numeric_spot_value():
 
 def test_c_zero_reduces_first_equation_to_pure_gravity():
     tab = solve_series(ModelSpec(kind="potts3", c=0, ng=3, ltarget=8))
-    res = laurent(_loop_rows(CATALOG[0], tab, 3, 3, "emended"), 3, 3)
+    res = laurent(_loop_rows(CATALOG[0].effective_terms(), tab, 3, 3), 3, 3)
     assert res.is_zero()
 
 
 def test_resolvent_series_is_cyclic_in_blocks(small_table):
     # p(pre a^j post) depends only on the cyclic word, so rotating the
     # explicit part around the block leaves the series unchanged
-    a = laurent(_resolvent_rows(small_table, Word.from_string("1"), 0, Word.from_string("1"), 3, 2), 3, 2)
-    b = laurent(_resolvent_rows(small_table, Word.from_string(""), 0, Word.from_string("11"), 3, 2), 3, 2)
+    a = laurent(_amp_rows(small_table, Amp("1", post="1"), 3, 2), 3, 2)
+    b = laurent(_amp_rows(small_table, Amp("", post="11"), 3, 2), 3, 2)
     assert a == b
+
+
+def test_every_generated_term_holds_an_amplitude():
+    # each term holds a resolvent x * Amp, so the final /x is a shift of
+    # its x power and no x^0 remainder is left to drop
+    for rep in SD_DESCRIPTORS:
+        for term in _sd_terms(rep):
+            assert term.amps and term.x_power >= 0, (rep.index, term)
 
 
 def test_sd_residuals_vanish_and_match_catalog(medium_table):
     for rep in SD_DESCRIPTORS:
-        rows = _sd_rows(rep, medium_table, 2, 3)
+        rows = _loop_rows(_sd_terms(rep), medium_table, 2, 3)
         assert laurent(rows, 2, 3).is_zero(), f"descriptor {rep.index}"
         assert _reproduces_catalog(rep, rows, medium_table, 2, 3, "emended"), f"descriptor {rep.index}"
 
@@ -115,7 +122,7 @@ def test_sd_gaussian_limit():
     # (Catalan) Schwinger-Dyson identities
     tab = solve_series(ModelSpec(kind="potts3", c=0, ng=2, ltarget=7))
     for rep in SD_DESCRIPTORS:
-        assert laurent(_sd_rows(rep, tab, 2, 2), 2, 2).is_zero()
+        assert laurent(_loop_rows(_sd_terms(rep), tab, 2, 2), 2, 2).is_zero()
 
 
 def test_check_drivers_report_passes(medium_table):
@@ -240,13 +247,13 @@ def test_rows_match_series_arithmetic_on_a_generic_table(c):
         for eq, r in zip(CATALOG, results):
             ref = _ref_loop(eq, t, nx, ng, variant)
             assert not ref.is_zero()
-            assert laurent(_loop_rows(eq, t, nx, ng, variant), nx, ng) == ref, (variant, eq.index)
+            assert laurent(_loop_rows(eq.effective_terms(variant), t, nx, ng), nx, ng) == ref, (variant, eq.index)
             assert r.first_nonzero == first_nonzero(ref) and r.bad_slots == len(_slots(ref))
     paired = []
     for rep, r in zip(SD_DESCRIPTORS, check_sd(t, nx, ng)):
         ref = _ref_sd(rep, t, nx, ng)
         assert not ref.is_zero()
-        rows = _sd_rows(rep, t, nx, ng)
+        rows = _loop_rows(_sd_terms(rep), t, nx, ng)
         assert laurent(rows, nx, ng) == ref, rep.index
         assert r.first_nonzero == first_nonzero(ref) and r.bad_slots == len(_slots(ref))
         entry = _ref_loop(CATALOG[rep.index - 1], t, nx, ng, "emended")
@@ -257,7 +264,7 @@ def test_rows_match_series_arithmetic_on_a_generic_table(c):
     # the entries that pair with their generated identity as formal sums, up to symmetry
     assert paired == [1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 14, 15, 16, 17]
     for label, delta, sym in (("1", 0, False), ("12", 1, True), ("1022", 2, True), ("121", 0, True)):
-        ref = _ref_amp(t, Amp(label, delta, sym), nx, ng)
-        assert laurent(_amp_rows(t, label, nx, ng, delta, sym), nx, ng) == ref
+        amp = Amp(label, delta, sym)
+        assert laurent(_amp_rows(t, amp, nx, ng), nx, ng) == _ref_amp(t, amp, nx, ng)
     ref = _ref_resolvent(t, Word.from_string("1"), 2, Word.from_string("01"), nx, ng)
-    assert laurent(_resolvent_rows(t, Word.from_string("1"), 2, Word.from_string("01"), nx, ng), nx, ng) == ref
+    assert laurent(_amp_rows(t, Amp("1", letter=2, post="01"), nx, ng), nx, ng).shift_x(1) == ref

@@ -31,6 +31,14 @@ def test_division_cancels_common_factor():
     assert poly(Fraction(1, 2), Fraction(3, 2)).scale(2) == poly(1, 3)
 
 
+def test_fractional_coefficients_are_refused():
+    # int() would truncate them to zero; rationals go through the denominator
+    for coeffs in ([Fraction(1, 2)], [0.5, 1.7]):
+        with pytest.raises(TypeError):
+            Poly(coeffs)
+    assert Poly([1], 2) == Poly.constant(Fraction(1, 2))
+
+
 def test_additive_identity():
     assert P_C + poly(0) == P_C
 
@@ -150,10 +158,10 @@ def test_xlaurent_axioms_random():
     nx, ng = 4, 2
 
     def rnd():
-        pairs = []
-        for e in range(-2, 3):
-            pairs.append((e, GSeries([poly(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 2)) for _ in range(3)], ng)))
-        return XLaurent.from_coeffs(pairs, nx, ng)
+        coeffs = []
+        for _ in range(-2, 3):
+            coeffs.append(GSeries([poly(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 2)) for _ in range(3)], ng))
+        return XLaurent(-2, coeffs, nx, ng)
 
     for _ in range(20):
         a, b, c = rnd(), rnd(), rnd()

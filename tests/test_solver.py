@@ -8,7 +8,7 @@ import pytest
 
 from conftest import solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, word_orbits
-from pottsloop.loopcat import _amp_rows, check_loops, check_sd
+from pottsloop.loopcat import Amp, _amp_rows, check_loops, check_sd
 from pottsloop.ring import GSeries, Poly, XLaurent, xlaurent_grade_mask
 from pottsloop.solver import (
     LazyTable,
@@ -40,7 +40,7 @@ def test_pack_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "read", [lambda t: t.p_coeff("00", 0), lambda t: _amp_rows(t, "", 2, 0, 0, False)], ids=["p_coeff", "amplitude"]
+    "read", [lambda t: t.p_coeff("00", 0), lambda t: _amp_rows(t, Amp(""), 2, 0)], ids=["p_coeff", "amplitude"]
 )
 def test_packed_digit_guard_refuses_on_read(read):
     # a digit at 2**62 leaves no headroom for the signed residuals
