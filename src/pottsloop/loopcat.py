@@ -331,9 +331,8 @@ def _amp_rows(table, amp, nx, ng):
     """
     word, post = Word.from_string(amp.label), Word.from_string(amp.post)
     labels = [word] if not amp.sym or word.reverse() == word else [word, word.reverse()]
-    # the block a^m packs to a * (4^m - 1) / 3
-    blocks = [Word._raw(m, amp.letter * ((1 << 2 * m) - 1) // 3) for m in range(amp.delta, amp.delta + nx + 1)]
-    rows, den = table._rows([[w + b + post for w in labels] for b in blocks], ng)
+    blocks = range(amp.delta, amp.delta + nx + 1)  # block length m at x^(m - delta)
+    rows, den = table._rows([[w + Word([amp.letter] * m) + post for w in labels] for m in blocks], ng)
     return rows, den * len(labels)  # a symmetrised amplitude is the average
 
 
