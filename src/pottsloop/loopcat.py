@@ -54,7 +54,7 @@ _NC = (0, -1)  # -c
 _NC2 = (0, -2)  # -2c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Amp:
     """The amplitude series sum_k x^k p(label a^(k+delta) post), a = ``letter``.
 
@@ -69,7 +69,7 @@ class Amp:
     post: str = ""  # the word after the block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     coeff: tuple  # integer coefficients of the c-polynomial
     amps: tuple  # one or two Amp factors
