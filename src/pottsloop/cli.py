@@ -150,7 +150,6 @@ def cmd_check_recurrences(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import oracle  # only oracle and compare import it, so the other commands never compile it
-
     word = Word.from_string(args.word)
     spec = ModelSpec(kind=args.kind, c=args.c)
     s = str(spec.const(oracle.planar_moment(word, args.nvertices, nletters=spec.nletters)))
@@ -160,7 +159,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import oracle
-
     spec = ModelSpec(kind=args.kind, c=args.c, ng=args.max_n, ltarget=args.max_len)
     table = solve_series(spec)
     rep = oracle.compare_with_solver(table, args.max_n, args.max_len)
