@@ -58,7 +58,7 @@ def _results_json(results):
     out = []
     for r in results:
         entry = {"index": r.index, "label": r.label, "status": "PASS" if r.passed else "FAIL"}
-        if getattr(r, "first_nonzero", None):
+        if r.first_nonzero:
             e, n, v = r.first_nonzero
             entry["first_nonzero"] = {"x_power": e, "g_power": n, "value": v}
         out.append(entry)
@@ -85,19 +85,15 @@ def cmd_check_loops(args) -> int:
     table = _catalog_table(args)  # a refused truncation exits before the dense solve
     dense = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx))
     rep = generating_residual(dense, grade=min(grade, dense.grade_reached))
-    gen_ok = rep.ok
+    gen = loopcat.CheckResult(0, f"generating equation (fixed-point and derivative forms, grade {rep.grade})", rep.ok)
     results = loopcat.check_loops(table, args.nx, args.ng, variant=args.catalog)
-    lines = [
-        f"[{'PASS' if gen_ok else 'FAIL'}]  0  generating equation (fixed-point and derivative forms, grade {rep.grade})"
-    ]
-    lines += [r.line() for r in results]
-    ok = gen_ok and all(r.passed for r in results)
+    ok = gen.passed and all(r.passed for r in results)
     payload = {
-        "generating_equation": "PASS" if gen_ok else "FAIL",
+        "generating_equation": "PASS" if gen.passed else "FAIL",
         "equations": _results_json(results),
         "catalog_variant": args.catalog,
     }
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, payload, _result_lines([gen] + results))
     return 0 if ok else 1
 
 
@@ -185,7 +181,8 @@ def cmd_export(args) -> int:
     data = []
     for label in curve_mod.MOMENT_LABELS:
         series = getattr(moments, "p" + label)
-        for n, v in enumerate(series.coeffs):
+        for n in range(series.ng + 1):
+            v = series[n]
             if not v.is_zero():
                 rows.append(f"p{label},{n},{v}")
                 data.append({"moment": f"p{label}", "g_power": n, "value": str(v)})

@@ -39,7 +39,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .freealg import Word
-from .ring import GSeries, Poly, XLaurent
+from .ring import P_ZERO, Poly, XLaurent
 from .solver import ModelSpec, SolutionTable, TruncationError, _TableBase
 
 MOMENT_LABELS = ("1", "11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")
@@ -53,16 +53,16 @@ class MomentSet:
     them takes its c-constants from it (:meth:`ModelSpec.const`).
     """
 
-    p1: GSeries
-    p11: GSeries
-    p12: GSeries
-    p112: GSeries
-    p012: GSeries
-    p1122: GSeries
-    p1120: GSeries
-    p1202: GSeries
-    p1212: GSeries
-    p0121: GSeries
+    p1: XLaurent
+    p11: XLaurent
+    p12: XLaurent
+    p112: XLaurent
+    p012: XLaurent
+    p1122: XLaurent
+    p1120: XLaurent
+    p1202: XLaurent
+    p1212: XLaurent
+    p0121: XLaurent
     spec: ModelSpec = ModelSpec()
 
     @property
@@ -70,11 +70,11 @@ class MomentSet:
         return self.p1.ng
 
     def retruncate(self, ng: int) -> "MomentSet":
-        return MomentSet(*(getattr(self, "p" + lab).retruncate(ng) for lab in MOMENT_LABELS), self.spec)
+        return MomentSet(*(getattr(self, "p" + lab).retruncate(0, ng) for lab in MOMENT_LABELS), self.spec)
 
-    def const(self, *coeffs: int) -> GSeries:
+    def const(self, *coeffs: int) -> XLaurent:
         """The c-polynomial with these ascending coefficients as a g-series constant."""
-        return GSeries.constant(self.spec.const(Poly(coeffs)), self.ng)
+        return XLaurent.constant(self.spec.const(Poly(coeffs)), 0, self.ng)
 
 
 def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:
@@ -104,13 +104,6 @@ class RecurrenceReport:
         return f"[{status}] {self.name}{extra}"
 
 
-def _gseries_first_nonzero(g: GSeries) -> Optional[int]:
-    for n, v in enumerate(g.coeffs):
-        if not v.is_zero():
-            return n
-    return None
-
-
 def check_recurrences(m: MomentSet) -> list:
     """The three exact series identities tying the moment constants together:
 
@@ -132,8 +125,8 @@ def check_recurrences(m: MomentSet) -> list:
         ("p12 - g D p112 = c p11", r2),
         ("c (p1212 + p0121 - p1122 - p1120) = -D (p12 - p1^2)", r3),
     ):
-        bad = _gseries_first_nonzero(r)
-        out.append(RecurrenceReport(name, bad is None, bad))
+        fz = r.first_nonzero()
+        out.append(RecurrenceReport(name, fz is None, None if fz is None else fz[1]))
     return out
 
 
@@ -166,21 +159,14 @@ def build_curve(m: MomentSet, ng: int, variant: str = "1202") -> CurveCoefficien
     NX = 6
     m = m.retruncate(ng)
 
-    def cp(*coeffs) -> XLaurent:
-        return XLaurent.constant(m.const(*coeffs), NX, ng)
-
-    def series(gs: GSeries) -> XLaurent:
-        return XLaurent.constant(gs, NX, ng)
-
+    cp = m.const
     x = XLaurent.x_power(1, NX, ng)
-    g = XLaurent.constant(GSeries.g_power(1, ng), NX, ng)
+    g = XLaurent(0, [(0, 1)], 0, ng)
     D = cp(1, 1, -2)  # 1 + c - 2c^2, also equal to -(2c^2 - c - 1)
     cm1 = cp(-1, 1)  # c - 1
     c2p1 = cp(1, 2)  # 2c + 1
-    p1 = series(m.p1)
-    p12 = series(m.p12)
-    p012 = series(m.p012)
-    p4th = series(m.p1202 if variant == "1202" else m.p1212)
+    p1, p12, p012 = m.p1, m.p12, m.p012
+    p4th = m.p1202 if variant == "1202" else m.p1212
 
     f5 = cp(-4) * cm1**8 * g**3 * (cp(0, 2) * x + x) ** 6
 
@@ -311,11 +297,11 @@ def build_shifted_resolvent(table: SolutionTable, nx: int, ng: int) -> ShiftedRe
         )
     NX = nx + 10
     one_minus_c = table.spec.const(Poly((1, -1)))
-    coeffs = [-GSeries.g_power(1, ng) * one_minus_c, GSeries.one(ng), GSeries.zero(ng)]
+    rows = [(P_ZERO, -one_minus_c), (1,), ()]
     for k in range(NX - 2):  # phi's x^k lands at x^(k+3)
-        phi_k = [table.p_coeff(Word([0] * k), n) if k + n <= mask and (k + n) % 2 == 0 else 0 for n in range(ng + 1)]
-        coeffs.append(-GSeries(phi_k, ng) * one_minus_c)
-    return ShiftedResolvent(XLaurent(0, coeffs, NX, ng), one_minus_c)
+        phi_k = [table.p_coeff(Word([0] * k), n) if k + n <= mask and (k + n) % 2 == 0 else P_ZERO for n in range(ng + 1)]
+        rows.append([-p * one_minus_c for p in phi_k])
+    return ShiftedResolvent(XLaurent(0, rows, NX, ng), one_minus_c)
 
 
 def quintic_residual(shifted: ShiftedResolvent, coeffs: CurveCoefficients) -> XLaurent:
@@ -356,22 +342,13 @@ def _divide_back(v: Poly, one_minus_c: Poly) -> str:
     return str(Poly(q, v.den))
 
 
-def first_nonzero(series: XLaurent) -> Optional[tuple]:
-    """First nonzero slot as (x power, g power, value string), or None."""
-    for e, gs in series.items():
-        for n, v in enumerate(gs.coeffs):
-            if not v.is_zero():
-                return (e, n, str(v))
-    return None
-
-
 def curve_witness(scaled: XLaurent, shifted: ShiftedResolvent) -> Optional[tuple]:
     """First nonzero slot of R as (x power, g power, value of R), or None.
 
     ``scaled`` is the (1-c)^5 R that :func:`quintic_residual` returns for
     ``shifted``; only the reported slot is divided back.
     """
-    fz = first_nonzero(scaled)
+    fz = scaled.first_nonzero()
     if fz is None:
         return None
     e, n, _ = fz

@@ -2,8 +2,9 @@
 
 A boundary condition of a triangulated disk is a word in the letters
 ``{0, 1, 2}`` (one letter per boundary edge, read from the marked edge).
-``NCSeries`` maps words to ``GSeries`` coefficients and carries the boundary
-derivative operators that add or strip letters on either side.
+``NCSeries`` maps words to g-series coefficients (``XLaurent`` of x-order
+0) and carries the boundary derivative operators that add or strip letters
+on either side.
 
 A disk amplitude is a trace, so it is invariant under cyclic rotation of its
 word, under reversal (transposition) and under relabelling of the spins;
@@ -18,7 +19,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ring import GSeries, _int_rows, _series_addmul
+from .ring import XLaurent, _int_rows, _series_addmul
 
 LETTERS = (0, 1, 2)
 
@@ -284,7 +285,7 @@ def all_words(length: int):
 
 
 class NCSeries:
-    """Truncated non-commutative power series: word -> GSeries coefficient.
+    """Truncated non-commutative power series: word -> g-series coefficient.
 
     Words longer than ``lmax`` are dropped; absent words mean zero.
     """
@@ -308,16 +309,12 @@ class NCSeries:
 
     @staticmethod
     def unit(lmax: int, ng: int) -> "NCSeries":
-        return NCSeries({EMPTY_WORD: GSeries.one(ng)}, lmax, ng)
-
-    @staticmethod
-    def monomial(word: Word, lmax: int, ng: int, coeff=None) -> "NCSeries":
-        return NCSeries({word: coeff if coeff is not None else GSeries.one(ng)}, lmax, ng)
+        return NCSeries({EMPTY_WORD: XLaurent.constant(1, 0, ng)}, lmax, ng)
 
     # -- queries ------------------------------------------------------------
 
-    def coefficient(self, word: Word) -> GSeries:
-        return self.terms.get(word, GSeries.zero(self.ng))
+    def coefficient(self, word: Word) -> XLaurent:
+        return self.terms.get(word, XLaurent.zero(0, self.ng))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -363,8 +360,8 @@ class NCSeries:
         """
         self._check(other)
         ng = self.ng
-        a, da = _int_rows(self.terms.values())
-        b, db = _int_rows(other.terms.values())
+        a, da = _int_rows([v.coeffs[0] for v in self.terms.values()])
+        b, db = _int_rows([v.coeffs[0] for v in other.terms.values()])
         by_len: dict = {}
         for v, bv in zip(other.terms, b):
             by_len.setdefault(v.n, []).append((v, bv))
@@ -378,7 +375,7 @@ class NCSeries:
                         rows = out[w] = [[] for _ in range(ng + 1)]
                     _series_addmul(rows, au, bv)
         den = da * db
-        return NCSeries({w: GSeries._from_ints(rows, den, ng) for w, rows in out.items()}, self.lmax, ng)
+        return NCSeries({w: XLaurent._from_ints(0, [rows], den, 0, ng) for w, rows in out.items()}, self.lmax, ng)
 
     def mul_letter_left(self, a: int) -> "NCSeries":
         """Multiply by the letter ``a`` on the left."""

@@ -1,13 +1,11 @@
-"""Exact coefficient arithmetic.
-
-Three nested coefficient rings, all exact:
+"""Exact coefficient arithmetic: polynomials in ``c``, and series in ``x`` and ``g``.
 
   * ``Poly``: univariate polynomials in the spin-coupling parameter ``c``
     with rational coefficients, stored as integers over one denominator,
-  * ``GSeries``: power series in the triangle coupling ``g``, truncated at a
-    fixed order, with ``Poly`` coefficients,
-  * ``XLaurent``: Laurent series in the boundary fugacity ``x``, truncated
-    above, with ``GSeries`` coefficients.
+  * ``XLaurent``: series in the boundary fugacity ``x`` (Laurent, truncated
+    above) and the triangle coupling ``g`` (truncated at a fixed order),
+    with ``Poly`` coefficients.  A series in ``g`` alone is an ``XLaurent``
+    of x-order 0.
 
 Every quantity the package computes is a polynomial in ``c``.  The one
 rational function of ``c`` in the equations, the 1/(1-c) shift of the
@@ -32,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import index
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -65,7 +63,7 @@ class Poly:
         if den == 1:
             self.coeffs, self.den = tuple(cs), 1
             return
-        den = int(den)
+        den = index(den)  # a fractional denominator raises TypeError too
         if den == 0:
             raise ZeroDivisionError("polynomial denominator is zero")
         if not cs:
@@ -82,14 +80,6 @@ class Poly:
         self.den = den
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_fractions(fracs: Iterable[Rat]) -> "Poly":
-        fracs = [Fraction(f) for f in fracs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return Poly([f.numerator * (den // f.denominator) for f in fracs], den)
 
     @staticmethod
     def constant(v: Rat) -> "Poly":
@@ -239,26 +229,26 @@ def _addmul(acc: list, a: tuple, b: tuple) -> None:
                 acc[j] += ai * bj
 
 
-def _int_rows(series) -> tuple:
-    """Integer coefficient tuples of g-series over one common denominator.
+def _int_rows(rows) -> tuple:
+    """Integer coefficient tuples of g-rows over one common denominator.
 
-    Returns (rows, den): rows[i][n] is the numerator tuple of
-    series[i][n] * den, or None for a zero series.
+    Returns (out, den): out[i][n] is the numerator tuple of rows[i][n] * den,
+    or out[i] is None for a zero row.
     """
     den = 1
-    for gs in series:
-        for p in gs.coeffs:
+    for row in rows:
+        for p in row:
             if p.den != 1:
                 den = den * p.den // gcd(den, p.den)
-    rows = []
-    for gs in series:
-        if gs.is_zero():
-            rows.append(None)
+    out = []
+    for row in rows:
+        if _is_zero_row(row):
+            out.append(None)
         elif den == 1:
-            rows.append([p.coeffs for p in gs.coeffs])
+            out.append([p.coeffs for p in row])
         else:
-            rows.append([tuple(a * (den // p.den) for a in p.coeffs) for p in gs.coeffs])
-    return rows, den
+            out.append([tuple(a * (den // p.den) for a in p.coeffs) for p in row])
+    return out, den
 
 
 def _series_addmul(out: list, a: list, b: list) -> None:
@@ -282,138 +272,14 @@ def _laurent_addmul(out: list, a: list, b: list) -> None:
                     _series_addmul(out[i + j], ai, b[j])
 
 
-class GSeries:
-    """Power series in ``g`` truncated at order ``ng`` (inclusive)."""
+def _is_zero_row(row) -> bool:
+    return not any(p.coeffs for p in row)
 
-    __slots__ = ("coeffs", "ng")
 
-    def __init__(self, coeffs, ng: int):
-        coeffs = tuple(_as_poly(v) for v in coeffs)
-        if len(coeffs) < ng + 1:
-            coeffs = coeffs + (P_ZERO,) * (ng + 1 - len(coeffs))
-        elif len(coeffs) > ng + 1:
-            coeffs = coeffs[: ng + 1]
-        self.coeffs = coeffs
-        self.ng = ng
-
-    @staticmethod
-    def _from_ints(rows: list, den: int, ng: int) -> "GSeries":
-        """From ng + 1 integer coefficient lists over the denominator ``den``."""
-        s = object.__new__(GSeries)
-        s.coeffs = tuple(Poly(r, den) for r in rows)
-        s.ng = ng
-        return s
-
-    @staticmethod
-    def zero(ng: int) -> "GSeries":
-        return GSeries((), ng)
-
-    @staticmethod
-    def one(ng: int) -> "GSeries":
-        return GSeries((P_ONE,), ng)
-
-    @staticmethod
-    def g_power(k: int, ng: int) -> "GSeries":
-        if k > ng:
-            return GSeries.zero(ng)
-        return GSeries((P_ZERO,) * k + (P_ONE,), ng)
-
-    @staticmethod
-    def constant(v, ng: int) -> "GSeries":
-        return GSeries((_as_poly(v),), ng)
-
-    def _check(self, other: "GSeries"):
-        if self.ng != other.ng:
-            raise ValueError(f"mismatched g truncation orders {self.ng} != {other.ng}")
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.coeffs)
-
-    def __getitem__(self, n: int) -> Poly:
-        return self.coeffs[n]
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = GSeries.constant(other, self.ng)
-        if not isinstance(other, GSeries):
-            return NotImplemented
-        self._check(other)
-        return GSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.ng)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GSeries(tuple(-a for a in self.coeffs), self.ng)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = GSeries.constant(other, self.ng)
-        if not isinstance(other, GSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            v = _as_poly(other)
-            return GSeries(tuple(a * v for a in self.coeffs), self.ng)
-        if not isinstance(other, GSeries):
-            return NotImplemented
-        self._check(other)
-        (a,), da = _int_rows((self,))
-        (b,), db = _int_rows((other,))
-        if a is None or b is None:
-            return GSeries.zero(self.ng)
-        out = [[] for _ in range(self.ng + 1)]
-        _series_addmul(out, a, b)
-        return GSeries._from_ints(out, da * db, self.ng)
-
-    __rmul__ = __mul__
-
-    def shift_g(self, k: int) -> "GSeries":
-        """Multiply by g**k, truncating."""
-        return GSeries((P_ZERO,) * k + self.coeffs, self.ng)
-
-    def retruncate(self, ng: int) -> "GSeries":
-        if ng > self.ng:
-            raise ValueError("cannot extend a truncated series")
-        return GSeries(self.coeffs[: ng + 1], ng)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GSeries)
-            and self.ng == other.ng
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.ng))
-
-    def __repr__(self):
-        return f"GSeries({self})"
-
-    def __str__(self):
-        parts = []
-        for n, v in enumerate(self.coeffs):
-            if v.is_zero():
-                continue
-            vs = str(v)
-            if n == 0:
-                parts.append(vs)
-                continue
-            gp = "g" if n == 1 else f"g^{n}"
-            if vs == "1":
-                parts.append(gp)
-            else:
-                if "+" in vs[1:] or "-" in vs[1:]:
-                    vs = f"({vs})"
-                parts.append(f"{vs}*{gp}")
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {str(n): str(v) for n, v in enumerate(self.coeffs) if not v.is_zero()}
+def _row(values, ng: int) -> tuple:
+    """A g-row: ng + 1 ``Poly`` from up to ng + 1 coefficients, zero-padded."""
+    row = tuple(map(_as_poly, values))[: ng + 1]
+    return row + (P_ZERO,) * (ng + 1 - len(row))
 
 
 # Laurent series in x cannot sink below this exponent; y**5 with y starting
@@ -422,35 +288,54 @@ X_LOW_FLOOR = -10
 
 
 class XLaurent:
-    """Laurent series in ``x``: exponents from ``low`` to ``nx`` inclusive."""
+    """Series in ``x`` and ``g``: x-exponents ``low`` to ``nx``, g-orders 0 to ``ng``.
+
+    ``coeffs[i]`` is the g-row of x^(low + i), a tuple of ng + 1 ``Poly``.
+    A series in g alone (a moment, an ``NCSeries`` coefficient) is a series
+    of x-order nx = 0.  In ``+``, ``-`` and ``*`` a c-constant, or an
+    x-order-0 operand next to an x-series, is widened to the other
+    operand's x-order; any other mismatch of ``nx`` or ``ng`` raises
+    ValueError.
+    """
 
     __slots__ = ("low", "coeffs", "nx", "ng")
 
     def __init__(self, low: int, coeffs, nx: int, ng: int):
-        coeffs = list(coeffs)
-        # trim zero coefficients from the low end, then clamp above
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
+        """``coeffs`` lists the g-rows of x^low, x^(low+1), ...; each row
+        holds up to ng + 1 coefficients (``Poly``, int or Fraction)."""
+        self._set(low, [_row(r, ng) for r in coeffs], nx, ng)
+
+    def _set(self, low: int, rows: list, nx: int, ng: int) -> None:
+        # trim zero rows from the low end, then clamp above
+        while rows and _is_zero_row(rows[0]):
+            rows.pop(0)
             low += 1
-        if len(coeffs) > nx - low + 1:
-            coeffs = coeffs[: nx - low + 1]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
+        del rows[max(nx - low + 1, 0):]
+        while rows and _is_zero_row(rows[-1]):
+            rows.pop()
+        if not rows:
             low = 0
         if low < X_LOW_FLOOR:
             raise ValueError(f"Laurent series low exponent {low} below {X_LOW_FLOOR}")
         self.low = low
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(rows)
         self.nx = nx
         self.ng = ng
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _of_rows(low: int, rows, nx: int, ng: int) -> "XLaurent":
+        """From g-rows that are already tuples of ng + 1 ``Poly``."""
+        s = object.__new__(XLaurent)
+        s._set(low, list(rows), nx, ng)
+        return s
+
+    @staticmethod
     def _from_ints(low: int, rows: list, den: int, nx: int, ng: int) -> "XLaurent":
-        """From integer g-rows (see ``GSeries._from_ints``) of x^low, x^(low+1), ..."""
-        return XLaurent(low, [GSeries._from_ints(r, den, ng) for r in rows], nx, ng)
+        """From integer g-rows of x^low, x^(low+1), ...: rows[i][n] lists the
+        ascending c-coefficients of den times the slot (x^(low+i), g^n)."""
+        return XLaurent._of_rows(low, [tuple(Poly(r, den) for r in row) for row in rows], nx, ng)
 
     @staticmethod
     def zero(nx: int, ng: int) -> "XLaurent":
@@ -458,64 +343,85 @@ class XLaurent:
 
     @staticmethod
     def x_power(k: int, nx: int, ng: int) -> "XLaurent":
-        return XLaurent(k, (GSeries.one(ng),), nx, ng)
+        return XLaurent(k, ((P_ONE,),), nx, ng)
 
     @staticmethod
     def constant(v, nx: int, ng: int) -> "XLaurent":
-        if isinstance(v, GSeries):
-            return XLaurent(0, (v,), nx, ng)
-        return XLaurent(0, (GSeries.constant(v, ng),), nx, ng)
+        """A c-constant (int, Fraction or ``Poly``) at x^0 g^0."""
+        return XLaurent(0, ((v,),), nx, ng)
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, e: int) -> GSeries:
-        if self.low <= e < self.low + len(self.coeffs):
-            return self.coeffs[e - self.low]
-        return GSeries.zero(self.ng)
+    def coefficient(self, e: int) -> "XLaurent":
+        """The g-series (x-order 0) multiplying x**e."""
+        i = e - self.low
+        return XLaurent._of_rows(0, self.coeffs[i : i + 1] if i >= 0 else (), 0, self.ng)
+
+    def __getitem__(self, n: int) -> Poly:
+        """The coefficient of x^0 g^n; for a g-series, its g^n coefficient."""
+        i = -self.low
+        return self.coeffs[i][n] if 0 <= i < len(self.coeffs) else P_ZERO
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def items(self):
-        for i, v in enumerate(self.coeffs):
-            if not v.is_zero():
-                yield self.low + i, v
+        """(x exponent, g-row) for every nonzero row."""
+        for i, row in enumerate(self.coeffs):
+            if not _is_zero_row(row):
+                yield self.low + i, row
 
-    def _check(self, other: "XLaurent"):
-        if self.nx != other.nx or self.ng != other.ng:
-            raise ValueError("mismatched Laurent truncations")
+    def first_nonzero(self) -> Optional[tuple]:
+        """First nonzero slot as (x power, g power, value string), or None."""
+        for e, row in self.items():
+            for n, v in enumerate(row):
+                if not v.is_zero():
+                    return (e, n, str(v))
+        return None
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction, Poly, GSeries)):
-            return XLaurent.constant(other, self.nx, self.ng)
-        return other
+    def _widen(self, other):
+        """``self`` and ``other`` at one truncation (see the class docstring),
+        or None when ``other`` is not a coefficient or a series."""
+        if isinstance(other, (int, Fraction, Poly)):
+            return self, XLaurent.constant(other, self.nx, self.ng)
+        if not isinstance(other, XLaurent):
+            return None
+        if self.ng != other.ng:
+            raise ValueError(f"mismatched g truncation orders {self.ng} != {other.ng}")
+        if self.nx == other.nx:
+            return self, other
+        if other.nx == 0:
+            return self, XLaurent._of_rows(other.low, other.coeffs, self.nx, self.ng)
+        if self.nx == 0:
+            return XLaurent._of_rows(self.low, self.coeffs, other.nx, self.ng), other
+        raise ValueError(f"mismatched x truncation orders {self.nx} != {other.nx}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, XLaurent):
+        pair = self._widen(other)
+        if pair is None:
             return NotImplemented
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        low = min(self.low, other.low)
-        hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        out = []
-        for e in range(low, hi):
-            out.append(self.coefficient(e) + other.coefficient(e))
-        return XLaurent(low, out, self.nx, self.ng)
+        a, b = pair
+        if a.is_zero():
+            return b
+        if b.is_zero():
+            return a
+        low = min(a.low, b.low)
+        out = [(P_ZERO,) * (a.ng + 1)] * (max(a.low + len(a.coeffs), b.low + len(b.coeffs)) - low)
+        ia = a.low - low
+        out[ia : ia + len(a.coeffs)] = a.coeffs
+        for i, rb in enumerate(b.coeffs, b.low - low):
+            out[i] = tuple(map(Poly.__add__, out[i], rb)) if ia <= i < ia + len(a.coeffs) else rb
+        return XLaurent._of_rows(low, out, a.nx, a.ng)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XLaurent(self.low, tuple(-v for v in self.coeffs), self.nx, self.ng)
+        return XLaurent._of_rows(self.low, [tuple(-p for p in row) for row in self.coeffs], self.nx, self.ng)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, XLaurent):
+        if not isinstance(other, (int, Fraction, Poly, XLaurent)):
             return NotImplemented
         return self + (-other)
 
@@ -523,25 +429,22 @@ class XLaurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, GSeries)):
-            v = other if isinstance(other, GSeries) else GSeries.constant(other, self.ng)
-            return XLaurent(
-                self.low, tuple(a * v for a in self.coeffs), self.nx, self.ng
-            )
-        if not isinstance(other, XLaurent):
+        pair = self._widen(other)
+        if pair is None:
             return NotImplemented
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return XLaurent.zero(self.nx, self.ng)
-        low = self.low + other.low
-        size = min(self.nx - low, len(self.coeffs) + len(other.coeffs) - 2) + 1
+        a, b = pair
+        nx, ng = a.nx, a.ng
+        if a.is_zero() or b.is_zero():
+            return XLaurent.zero(nx, ng)
+        low = a.low + b.low
+        size = min(nx - low, len(a.coeffs) + len(b.coeffs) - 2) + 1
         if size <= 0:
-            return XLaurent.zero(self.nx, self.ng)
-        a, da = _int_rows(self.coeffs)
-        b, db = _int_rows(other.coeffs)
-        out = [[[] for _ in range(self.ng + 1)] for _ in range(size)]
-        _laurent_addmul(out, a, b)
-        return XLaurent._from_ints(low, out, da * db, self.nx, self.ng)
+            return XLaurent.zero(nx, ng)
+        ra, da = _int_rows(a.coeffs)
+        rb, db = _int_rows(b.coeffs)
+        out = [[[] for _ in range(ng + 1)] for _ in range(size)]
+        _laurent_addmul(out, ra, rb)
+        return XLaurent._from_ints(low, out, da * db, nx, ng)
 
     __rmul__ = __mul__
 
@@ -556,13 +459,20 @@ class XLaurent:
         return r
 
     def shift_x(self, k: int) -> "XLaurent":
-        """Multiply by x**k."""
-        return XLaurent(self.low + k, self.coeffs, self.nx, self.ng)
+        """Multiply by x**k, truncating."""
+        return XLaurent._of_rows(self.low + k, self.coeffs, self.nx, self.ng)
+
+    def shift_g(self, k: int) -> "XLaurent":
+        """Multiply by g**k, truncating."""
+        pad = (P_ZERO,) * k
+        return XLaurent._of_rows(self.low, [(pad + row)[: self.ng + 1] for row in self.coeffs], self.nx, self.ng)
 
     def retruncate(self, nx: int, ng: int) -> "XLaurent":
         if nx > self.nx or ng > self.ng:
             raise ValueError("cannot extend a truncated series")
-        return XLaurent(self.low, [g.retruncate(ng) for g in self.coeffs], nx, ng)
+        return XLaurent._of_rows(self.low, [row[: ng + 1] for row in self.coeffs], nx, ng)
+
+    # -- structure -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -581,16 +491,22 @@ class XLaurent:
 
     def __str__(self):
         parts = []
-        for e, v in self.items():
-            vs = str(v)
-            if " + " in vs or "+" in vs[1:] or "-" in vs[1:]:
-                vs = f"({vs})"
-            if e == 0:
-                parts.append(vs)
-            else:
-                xp = "x" if e == 1 else f"x^{e}"
-                parts.append(xp if vs == "1" else f"{vs}*{xp}")
+        for e, row in self.items():
+            gs = " + ".join(_monomial(str(v), "g", n) for n, v in enumerate(row) if not v.is_zero())
+            parts.append(_monomial(gs, "x", e))
         return " + ".join(parts) if parts else "0"
+
+
+def _monomial(vs: str, var: str, e: int) -> str:
+    """The coefficient string ``vs`` times var**e, parenthesised when compound."""
+    if e == 0:
+        return vs
+    power = var if e == 1 else f"{var}^{e}"
+    if vs == "1":
+        return power
+    if "+" in vs[1:] or "-" in vs[1:]:
+        vs = f"({vs})"
+    return f"{vs}*{power}"
 
 
 def xlaurent_grade_mask(a: XLaurent, cap: int) -> XLaurent:
@@ -602,15 +518,10 @@ def xlaurent_grade_mask(a: XLaurent, cap: int) -> XLaurent:
     contributions from beyond the cap can never land inside it.
     """
     out = []
-    for e, gs in zip(range(a.low, a.low + len(a.coeffs)), a.coeffs):
-        nmax = cap - e
-        if nmax >= a.ng:
-            out.append(gs)
-        elif nmax < 0:
-            out.append(GSeries.zero(a.ng))
-        else:
-            out.append(GSeries(gs.coeffs[: nmax + 1], a.ng))
-    return XLaurent(a.low, out, a.nx, a.ng)
+    for e, row in enumerate(a.coeffs, a.low):
+        keep = min(max(cap - e + 1, 0), a.ng + 1)
+        out.append(row[:keep] + (P_ZERO,) * (a.ng + 1 - keep))
+    return XLaurent._of_rows(a.low, out, a.nx, a.ng)
 
 
 def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
@@ -629,7 +540,7 @@ def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
     :func:`xlaurent_grade_mask`, where it is exact; the loop stops once
     ``a - b^2`` vanishes there.
     """
-    u = a.coefficient(0)[0]
+    u = a[0]
     if not u.is_one():
         raise ValueError("series square root needs constant term 1")
 

@@ -69,7 +69,7 @@ from .freealg import (
     reflection_least,
     word_orbits,
 )
-from .ring import P_C, P_ZERO, GSeries, Poly, XLaurent, xlaurent_sqrt
+from .ring import P_C, P_ZERO, Poly, XLaurent, xlaurent_sqrt
 
 _B = 64
 _DIGIT = (1 << _B) - 1
@@ -274,7 +274,6 @@ class _TableBase:
         self.spec = spec
         self.ng = spec.ng
         self.symbolic = spec.symbolic
-        self.c0 = None if spec.symbolic else Fraction(spec.c)
         self._b, self._a = _weights(spec)
 
     def _raw(self, bits: int, k: int, n: int) -> int:
@@ -335,11 +334,11 @@ class _TableBase:
         word = _as_word(word)
         return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
-    def gseries(self, word, ng: Optional[int] = None) -> GSeries:
-        """The full g-series of a word's coefficient."""
+    def gseries(self, word, ng: Optional[int] = None) -> XLaurent:
+        """The full g-series of a word's coefficient (an x-order-0 series)."""
         word = _as_word(word)
         ng = self.ng if ng is None else ng
-        return GSeries([self.p_coeff(word, n) for n in range(ng + 1)], ng)
+        return XLaurent(0, [[self.p_coeff(word, n) for n in range(ng + 1)]], 0, ng)
 
 
 def _as_word(w) -> Word:
@@ -388,9 +387,7 @@ class SolutionTable(_TableBase):
                     g = [P_ZERO] * (ng + 1)
                     terms[w] = g
                 g[n] = self._poly(v, e)
-        return NCSeries(
-            {w: GSeries(tuple(g), ng) for w, g in terms.items()}, lmax, ng
-        )
+        return NCSeries({w: XLaurent(0, [g], 0, ng) for w, g in terms.items()}, lmax, ng)
 
     def to_json(self) -> dict:
         """{word: {g-power: coefficient string}} for reported words."""
@@ -727,13 +724,11 @@ class PureGravityResult:
 
 
 def pure_gravity_phi(table: SolutionTable, nx: int, ng: int) -> XLaurent:
-    coeffs = []
-    for k in range(nx + 1):
-        coeffs.append(table.gseries(Word([0] * k), ng))
-    return XLaurent(0, coeffs, nx, ng)
+    rows = [[table.p_coeff(Word([0] * k), n) for n in range(ng + 1)] for k in range(nx + 1)]
+    return XLaurent(0, rows, nx, ng)
 
 
-def _pure_gravity_branches(p1: GSeries, nx: int, ng: int):
+def _pure_gravity_branches(p1: XLaurent, nx: int, ng: int):
     """Both roots of the quadratic generating equation for the one-matrix model.
 
     The quadratic is x^2 Phi^2 - (1 - g/x) Phi + (1 - g/x - g p1) = 0; the
@@ -743,19 +738,17 @@ def _pure_gravity_branches(p1: GSeries, nx: int, ng: int):
     """
     NX = nx + ng + 2
     one = XLaurent.x_power(0, NX, ng)
-    g = XLaurent.constant(GSeries.g_power(1, ng), NX, ng)
+    g = XLaurent(0, [(0, 1)], 0, ng)
     x = XLaurent.x_power(1, NX, ng)
     g_over = g * XLaurent.x_power(-1, NX, ng)
-    p1g = XLaurent.constant(p1, NX, ng) * g
     b = one - g_over
-    const = one - g_over - p1g
+    const = one - g_over - p1 * g
     disc = b * b - 4 * (x * x) * const
     s = xlaurent_sqrt(disc, grade_cap=NX)
 
     def _div(num):
         shifted = XLaurent(num.low - 2, num.coeffs, NX - 2, ng)
-        half = shifted * XLaurent.constant(Fraction(1, 2), NX - 2, ng)
-        return half.retruncate(nx, ng)
+        return (shifted * Fraction(1, 2)).retruncate(nx, ng)
 
     return _div(b - s), _div(b + s)
 

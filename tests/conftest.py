@@ -1,7 +1,10 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from pottsloop.freealg import NCSeries, Word
-from pottsloop.ring import XLaurent
+from pottsloop.ring import Poly, XLaurent
 from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, _singletons, _solve_dense, _weights, solve_series
 
 
@@ -12,6 +15,23 @@ def solve_unreduced(spec: ModelSpec) -> SolutionTable:
     S = spec.ltarget + spec.ng
     layers = _solve_dense(spec.nletters, S, spec.ng, *_weights(spec), _singletons(spec.nletters, S))
     return SolutionTable(spec, S, layers)
+
+
+def from_fractions(fracs) -> Poly:
+    """The polynomial in c with these ascending rational coefficients."""
+    fracs = [Fraction(f) for f in fracs]
+    den = lcm(*(f.denominator for f in fracs))
+    return Poly([f.numerator * (den // f.denominator) for f in fracs], den)
+
+
+def gseries(coeffs, ng: int) -> XLaurent:
+    """The g-series (an x-order-0 ``XLaurent``) with these coefficients of g^0, g^1, ..."""
+    return XLaurent(0, [coeffs], 0, ng)
+
+
+def monomial(word: Word, lmax: int, ng: int) -> NCSeries:
+    """The series holding the one word with coefficient 1."""
+    return NCSeries({word: gseries([1], ng)}, lmax, ng)
 
 
 def laurent(rows, nx: int, ng: int) -> XLaurent:

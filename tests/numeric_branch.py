@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from pottsloop.curve import build_curve, compute_moments
 from pottsloop.freealg import Word
-from pottsloop.ring import GSeries
 from pottsloop.solver import SolutionTable
 
 
@@ -41,10 +40,10 @@ class NumericBranchReport:
         return self.ties == 0 and self.max_deviation <= tol
 
 
-def _gseries_value(gs: GSeries, c0: Fraction, g0: Fraction) -> Fraction:
-    """The g-series at the numeric couplings (c0, g0), by Horner in g."""
+def _row_value(row: tuple, c0: Fraction, g0: Fraction) -> Fraction:
+    """A g-row (the Poly coefficients of g^0, g^1, ...) at the numeric couplings (c0, g0), by Horner in g."""
     acc = Fraction(0)
-    for v in reversed(gs.coeffs):
+    for v in reversed(row):
         acc = acc * g0 + v.evaluate(c0)
     return acc
 
@@ -89,14 +88,14 @@ def numeric_branch_check(
 
     c0 = Fraction(c0)
     g0 = Fraction(g0)
-    if not table.symbolic and table.c0 != c0:
+    if not table.symbolic and Fraction(table.spec.c) != c0:
         raise ValueError("numeric table was solved at a different coupling")
     ng = table.ng if ng is None else ng
     moments = compute_moments(table, ng)
     coeffs = build_curve(moments, ng)
     fs_eval = []
     for f in coeffs.fs:
-        fs_eval.append([(e, gs) for e, gs in f.items()])
+        fs_eval.append(list(f.items()))
 
     points = []
     ties = 0
@@ -112,8 +111,8 @@ def numeric_branch_check(
         poly = []
         for k in range(5, -1, -1):
             val = Fraction(0)
-            for e, gs in fs_eval[k]:
-                val += _gseries_value(gs, c0, g0) * xq**e
+            for e, row in fs_eval[k]:
+                val += _row_value(row, c0, g0) * xq**e
             poly.append(val)
         while poly and poly[0] == 0:
             poly.pop(0)

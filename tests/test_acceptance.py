@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import right_delta
+from conftest import monomial, right_delta
 from numeric_branch import numeric_branch_check
 from pottsloop.curve import check_curve, check_recurrences, compute_moments
 from pottsloop.freealg import Word, all_words
@@ -160,9 +160,7 @@ def test_criterion_8_symmetry_suite(referee_table):
             rhs = rhs.left_delta(a)
         for u in all_words(2):
             assert lhs.coefficient(u) == rhs.coefficient(u)
-    from pottsloop.freealg import NCSeries
-
-    witness = NCSeries.monomial(Word.from_string("01"), 6, 3)
+    witness = monomial(Word.from_string("01"), 6, 3)
     assert right_delta(witness, 1) != witness.left_delta(1)
     print("\n[PASS] criterion 8: cyclic, S3, parity and concatenation-rule properties hold")
 
