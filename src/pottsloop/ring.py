@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Optional, Union
 
 Rat = Union[int, Fraction]
@@ -202,6 +202,7 @@ class Poly:
 P_ZERO = Poly()
 P_ONE = Poly((1,))
 P_C = Poly((0, 1))
+_COEFFS = attrgetter("coeffs")
 
 
 def _as_poly(v) -> Poly:
@@ -273,7 +274,7 @@ def _laurent_addmul(out: list, a: list, b: list) -> None:
 
 
 def _is_zero_row(row) -> bool:
-    return not any(p.coeffs for p in row)
+    return not any(map(_COEFFS, row))
 
 
 def _row(values, ng: int) -> tuple:
@@ -305,20 +306,20 @@ class XLaurent:
         holds up to ng + 1 coefficients (``Poly``, int or Fraction)."""
         self._set(low, [_row(r, ng) for r in coeffs], nx, ng)
 
-    def _set(self, low: int, rows: list, nx: int, ng: int) -> None:
-        # trim zero rows from the low end, then clamp above
-        while rows and _is_zero_row(rows[0]):
-            rows.pop(0)
-            low += 1
-        del rows[max(nx - low + 1, 0):]
-        while rows and _is_zero_row(rows[-1]):
-            rows.pop()
-        if not rows:
-            low = 0
+    def _set(self, low: int, rows, nx: int, ng: int) -> None:
+        # keep rows[i:j]: zero rows trimmed from the low end, rows above x^nx
+        # dropped, then zero rows trimmed from the top
+        i = 0
+        while i < len(rows) and _is_zero_row(rows[i]):
+            i += 1
+        j = min(len(rows), nx - low + 1)
+        while j > i and _is_zero_row(rows[j - 1]):
+            j -= 1
+        low, rows = (low + i, tuple(rows[i:j])) if j > i else (0, ())
         if low < X_LOW_FLOOR:
             raise ValueError(f"Laurent series low exponent {low} below {X_LOW_FLOOR}")
         self.low = low
-        self.coeffs = tuple(rows)
+        self.coeffs = rows
         self.nx = nx
         self.ng = ng
 
@@ -328,7 +329,7 @@ class XLaurent:
     def _of_rows(low: int, rows, nx: int, ng: int) -> "XLaurent":
         """From g-rows that are already tuples of ng + 1 ``Poly``."""
         s = object.__new__(XLaurent)
-        s._set(low, list(rows), nx, ng)
+        s._set(low, rows, nx, ng)
         return s
 
     @staticmethod
@@ -429,6 +430,9 @@ class XLaurent:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Poly)):  # a widened c-constant scales each coefficient
+            v = _as_poly(other)
+            return XLaurent._of_rows(self.low, [tuple(p * v for p in row) for row in self.coeffs], self.nx, self.ng)
         pair = self._widen(other)
         if pair is None:
             return NotImplemented
