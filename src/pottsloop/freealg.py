@@ -10,12 +10,14 @@ A disk amplitude is a trace, so it is invariant under cyclic rotation of its
 word, under reversal (transposition) and under relabelling of the spins;
 ``orbit_rep`` names one word per orbit of that group, ``word_orbits`` lists
 the orbits of one word length and ``GENERATORS`` maps lists of packed words
-by the four generators of the group.
+by the four generators of the group.  The reversal treats each word as one
+64-bit lane, so it takes words of at most 32 letters and refuses longer ones.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -195,6 +197,8 @@ def packed_words(nlet: int, maxlen: int) -> list:
 
 # the four letters of one packed byte in reverse order
 _REVERSED_BYTE = bytes((b >> 6) | ((b >> 2) & 12) | ((b << 2) & 48) | ((b & 3) << 6) for b in range(256))
+_LANE_LETTERS = 32  # letters of one 64-bit lane
+_LANE_SLICE = 2048  # lanes per slice: bounds the scratch buffers of one call
 
 # The maps below take a list of packed k-letter words and return the list of
 # their images, one comprehension per map rather than one call per word.
@@ -212,10 +216,20 @@ def _rotate(words: list, k: int) -> list:
 
 
 def _reverse(words: list, k: int) -> list:
-    # reverse the bytes, then the four letters within each byte, then drop the padding letters
-    nbytes = (k + 3) >> 2
-    pad = 2 * (4 * nbytes - k)
-    return [int.from_bytes(w.to_bytes(nbytes, "big").translate(_REVERSED_BYTE), "little") >> pad for w in words]
+    # Each word is a 64-bit lane of 32 letters, k of them used.  Per slice: pack
+    # the lanes highest byte first and reverse the letters of each byte, so the
+    # bytes read lowest first hold each lane reversed; then drop the 32 - k zero
+    # padding letters, now the low bits of each lane, with one shift of the
+    # whole slice, which moves only zeros across lane boundaries.
+    if k > _LANE_LETTERS:
+        raise ValueError(f"cannot reverse {k}-letter words: a packed lane holds at most {_LANE_LETTERS} letters")
+    pad = 2 * (_LANE_LETTERS - k)
+    out = []
+    for i in range(0, len(words), _LANE_SLICE):
+        lanes = words[i : i + _LANE_SLICE]
+        buf = struct.pack(f">{len(lanes)}Q", *lanes).translate(_REVERSED_BYTE)
+        out += struct.unpack(f"<{len(lanes)}Q", (int.from_bytes(buf, "little") >> pad).to_bytes(len(buf), "little"))
+    return out
 
 
 def _swap01(words: list, k: int) -> list:
@@ -239,9 +253,11 @@ def _orbit_images(bits: int, k: int) -> set:
     """Every packed word in the rotation/reversal/relabelling orbit of a k-letter word."""
     if k == 0:
         return {0}
-    dihedral = [bits, *_reverse([bits], k)]
-    for _ in range(k - 1):
-        dihedral += _rotate(dihedral[-2:], k)
+    mask = (1 << (2 * k)) - 1
+    rotations = [((bits >> (2 * i)) | (bits << (2 * (k - i)))) & mask for i in range(k)]
+    reversals = _reverse(rotations, k)
+    # rotation i of the word, then rotation i of its reversal (the reversal of rotation k - i)
+    dihedral = [x for i in range(k) for x in (rotations[i], reversals[-i])]
     s = _swap01(dihedral, k)
     t = _swap12(dihedral, k)
     ts = _swap12(s, k)

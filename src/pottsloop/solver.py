@@ -35,7 +35,8 @@ both solvers run the recursion once per orbit and g-order.  This is exact
 in both domains: a numeric-c raw value b**E * p depends on (w, n) only
 through p and E = (|w| + 3n)/2, and both are orbit invariants.
 ``LazyTable`` maps a memo miss to its orbit representative
-(``freealg.orbit_rep``); only representatives run ``_rhs`` and every other
+(``freealg.orbit_rep``, once per miss) and reads the representative's slot
+directly from the memo; only representatives run ``_rhs`` and every other
 word copies its representative's value.  The dense solve takes the orbit
 partition of each word length (``freealg.word_orbits``), runs on the
 representatives and stores each value under every word of the orbit, so
@@ -448,7 +449,10 @@ class LazyTable(_TableBase):
     would be prohibitive.  The recursion runs once per rotation, reversal
     and relabelling orbit (see the module docstring); ``_memo`` holds every
     slot read, representative or not, under its own packed key, and
-    ``rhs_evaluations`` counts the slots the recursion solved.  Values agree
+    ``rhs_evaluations`` counts the slots the recursion solved.  A miss
+    canonicalises its word once and reads the representative's key; only if
+    that slot is missing too does ``_rhs`` run on the representative, whose
+    value is stored under both keys.  Values agree
     with the unreduced dense solver wherever both are defined (tested on
     every slot of a dense table).
     """
@@ -481,15 +485,16 @@ class LazyTable(_TableBase):
                 f"coefficient (|w|={k}, n={n}) beyond lazy-table guards "
                 f"(max_len={self.max_len}, ng={self.ng})"
             )
-        key = ((bits << self._kbits) | k) << self._nbits | n
+        kbits, nbits = self._kbits, self._nbits
+        key = ((bits << kbits) | k) << nbits | n
         memo = self._memo
         v = memo.get(key)
         if v is None:
             rep = orbit_rep(bits, k)
-            if rep != bits:
-                v = self._raw(rep, k, n)
-            else:
-                v = _rhs(self._raw, self.nlet, self._b, self._a, bits, k, n)
+            rkey = ((rep << kbits) | k) << nbits | n
+            v = memo.get(rkey)
+            if v is None:
+                v = memo[rkey] = _rhs(self._raw, self.nlet, self._b, self._a, rep, k, n)
                 self._rhs_evaluations += 1
             memo[key] = v
         return v
@@ -626,17 +631,14 @@ def _recast_words(orbits_k, k: int) -> list:
     """The least word of each <reversal, (12)> class inside each orbit of length k.
 
     Both maps fix the letter 0 that the recast form prepends, and on an
-    orbit-symmetric table the form takes one value on each class.  A
-    one-word orbit is its own class, so the singleton partition keeps
-    every word.
+    orbit-symmetric table the form takes one value on each class.  The
+    filter is per word, so one ``reflection_least`` pass over the images of
+    the whole layer keeps them in partition order.  When every orbit is one
+    word (the singleton partition), each is its own class and every word is
+    kept.
     """
-    out = []
-    for _, images in orbits_k:
-        if len(images) == 1:
-            out.append(images[0])
-        else:
-            out += reflection_least(images, k)
-    return out
+    words = [x for _, images in orbits_k for x in images]
+    return words if len(words) == len(orbits_k) else reflection_least(words, k)
 
 
 def _residual(table: SolutionTable, grade: int, orbits: list) -> ResidualReport:

@@ -17,6 +17,7 @@ from pottsloop.freealg import (
     reflection_least,
     word_orbits,
 )
+from pottsloop.freealg import _reverse
 from conftest import drop_last, from_fractions, gseries, monomial, right_delta
 
 
@@ -204,8 +205,12 @@ def test_word_orbits_partition_the_words_up_to_ten_letters():
 
 
 def test_packed_images_match_the_word_operations():
-    for k in range(1, 7):
-        words = list(all_words(k))
+    rng = random.Random(15)
+    # every word of up to 6 letters and of 8 (6,561 words: the reversal crosses
+    # several 2,048-word slices), then seeded words up to the 32 letters of a 64-bit lane
+    cases = [(k, list(all_words(k))) for k in (1, 2, 3, 4, 5, 6, 8)]
+    cases += [(k, [Word(rng.choice(LETTERS) for _ in range(k)) for _ in range(40)]) for k in range(17, 33)]
+    for k, words in cases:
         rot, rev, s01, s12 = (image_of([word.bits for word in words], k) for image_of in GENERATORS)
         for i, word in enumerate(words):
             ls = word.letters()
@@ -213,6 +218,8 @@ def test_packed_images_match_the_word_operations():
             assert rev[i] == word.reverse().bits
             assert s01[i] == word.relabel((1, 0, 2)).bits
             assert s12[i] == word.relabel((0, 2, 1)).bits
+    with pytest.raises(ValueError, match="32"):
+        _reverse([0], 33)
     for k in range(8):
         least = set()
         for word in all_words(k):

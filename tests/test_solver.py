@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import solve_unreduced
-from pottsloop.freealg import NCSeries, Word, all_words, word_orbits
+from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
 from pottsloop.loopcat import Amp, _amp_rows, check_loops, check_sd
 from pottsloop.ring import Poly, XLaurent, xlaurent_grade_mask
 from pottsloop.solver import (
@@ -22,7 +22,7 @@ from pottsloop.solver import (
     solve_pure_gravity,
     solve_series,
 )
-from pottsloop.solver import _residual, _singletons
+from pottsloop.solver import _recast_words, _residual, _singletons
 
 
 def _one_slot_table(packed: int) -> SolutionTable:
@@ -224,6 +224,32 @@ def test_lazy_table_solves_once_per_orbit():
     assert all(r.passed for r in check_sd(lazy, 2, 2))
     # one recursion per orbit and g-order; solving word by word would make these equal
     assert 0 < 4 * lazy.rhs_evaluations < len(lazy._memo)
+
+
+def test_lazy_miss_canonicalises_once(monkeypatch):
+    # a representative's slot reached through an alias is read directly, not
+    # canonicalised again, so some misses cost no orbit_rep call of their own
+    import pottsloop.solver as solver
+
+    calls = []
+
+    def counted(bits, k):
+        calls.append(k)
+        return orbit_rep(bits, k)
+
+    monkeypatch.setattr(solver, "orbit_rep", counted)
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
+    assert all(r.passed for r in check_sd(lazy, 2, 2))
+    assert 0 < len(calls) < len(lazy._memo)
+
+
+def test_recast_words_match_a_per_orbit_reference():
+    for k in range(10):
+        for orbits_k in (word_orbits(k), _singletons(3, k)[k]):
+            want = []
+            for _, images in orbits_k:
+                want += [images[0]] if len(images) == 1 else reflection_least(list(images), k)
+            assert _recast_words(orbits_k, k) == want
 
 
 def test_lazy_memo_keys_do_not_collide():
