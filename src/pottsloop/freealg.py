@@ -9,8 +9,9 @@ on either side.
 A disk amplitude is a trace, so it is invariant under cyclic rotation of its
 word, under reversal (transposition) and under relabelling of the spins;
 ``orbit_rep`` names one word per orbit of that group, ``word_orbits`` lists
-the orbits of one word length and ``GENERATORS`` maps lists of packed words
-by the four generators of the group.  The reversal treats each word as one
+the orbits of one word length, ``GENERATORS`` maps lists of packed words
+by three generators of the group and ``symmetry_breaks`` checks a table
+layer against them.  The reversal treats each word as one
 64-bit lane, so it takes words of at most 32 letters and refuses longer ones.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 import struct
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .ring import XLaurent, _int_rows, _series_addmul
@@ -195,8 +197,9 @@ def packed_words(nlet: int, maxlen: int) -> list:
     return out
 
 
-# the four letters of one packed byte in reverse order
+# the four letters of one packed byte in reverse order, and then relabelled by (12)
 _REVERSED_BYTE = bytes((b >> 6) | ((b >> 2) & 12) | ((b << 2) & 48) | ((b & 3) << 6) for b in range(256))
+_REVERSED_12_BYTE = bytes(((r & 85) << 1) | ((r >> 1) & 85) for r in _REVERSED_BYTE)
 _LANE_LETTERS = 32  # letters of one 64-bit lane
 _LANE_SLICE = 2048  # lanes per slice: bounds the scratch buffers of one call
 
@@ -215,21 +218,27 @@ def _rotate(words: list, k: int) -> list:
     return [(w >> 2) | ((w & 3) << top) for w in words]
 
 
-def _reverse(words: list, k: int) -> list:
+def _reverse(words: list, k: int, table: bytes = _REVERSED_BYTE) -> list:
     # Each word is a 64-bit lane of 32 letters, k of them used.  Per slice: pack
     # the lanes highest byte first and reverse the letters of each byte, so the
     # bytes read lowest first hold each lane reversed; then drop the 32 - k zero
     # padding letters, now the low bits of each lane, with one shift of the
-    # whole slice, which moves only zeros across lane boundaries.
+    # whole slice, which moves only zeros across lane boundaries.  A table that
+    # also relabels must fix the letter 0, so that the padding stays zero.
     if k > _LANE_LETTERS:
         raise ValueError(f"cannot reverse {k}-letter words: a packed lane holds at most {_LANE_LETTERS} letters")
     pad = 2 * (_LANE_LETTERS - k)
     out = []
     for i in range(0, len(words), _LANE_SLICE):
         lanes = words[i : i + _LANE_SLICE]
-        buf = struct.pack(f">{len(lanes)}Q", *lanes).translate(_REVERSED_BYTE)
+        buf = struct.pack(f">{len(lanes)}Q", *lanes).translate(table)
         out += struct.unpack(f"<{len(lanes)}Q", (int.from_bytes(buf, "little") >> pad).to_bytes(len(buf), "little"))
     return out
+
+
+def _reverse12(words: list, k: int) -> list:
+    # the reversal and (12) in one pass: (12) fixes the letter 0 of the padding
+    return _reverse(words, k, _REVERSED_12_BYTE)
 
 
 def _swap01(words: list, k: int) -> list:
@@ -244,9 +253,30 @@ def _swap12(words: list, k: int) -> list:
     return [((w & low) << 1) | ((w >> 1) & low) for w in words]
 
 
-# the four generators of the orbit group: one rotation, the reversal, (01) and (12);
-# a set of words that holds the image of each of its words under all four is a union of orbits
-GENERATORS = (_rotate, _reverse, _swap01, _swap12)
+# three generators of the orbit group: one rotation, the reversal fused with (12), and
+# (01); conjugating (01) by the second gives (02), so with (01) they give all of S3 and
+# then the reversal.  A set of words that holds the image of each of its words under
+# all three is a union of orbits.
+GENERATORS = (_rotate, _reverse12, _swap01)
+
+
+def symmetry_breaks(layer: dict, k: int) -> dict:
+    """The words of a layer (packed k-letter word -> value) whose image under a generator differs.
+
+    Each such word maps to its first differing image; an absent image holds
+    0.  The layer is read in slices, which bound the scratch lists.
+    """
+    words, values = list(layer), list(layer.values())
+    broken = {}
+    for i in range(0, len(words), _LANE_SLICE):
+        ws, vs = words[i : i + _LANE_SLICE], values[i : i + _LANE_SLICE]
+        for image_of in GENERATORS:
+            images = image_of(ws, k)
+            if list(map(layer.get, images, repeat(0))) != vs:
+                for w, x, v in zip(ws, images, vs):
+                    if layer.get(x, 0) != v:
+                        broken.setdefault(w, x)
+    return broken
 
 
 def _orbit_images(bits: int, k: int) -> set:
@@ -254,10 +284,10 @@ def _orbit_images(bits: int, k: int) -> set:
     if k == 0:
         return {0}
     mask = (1 << (2 * k)) - 1
-    rotations = [((bits >> (2 * i)) | (bits << (2 * (k - i)))) & mask for i in range(k)]
-    reversals = _reverse(rotations, k)
-    # rotation i of the word, then rotation i of its reversal (the reversal of rotation k - i)
-    dihedral = [x for i in range(k) for x in (rotations[i], reversals[-i])]
+    nbytes = (k + 3) >> 2
+    rev = int.from_bytes(bits.to_bytes(nbytes, "big").translate(_REVERSED_BYTE), "little") >> (8 * nbytes - 2 * k)
+    # rotation i of the word, then rotation i of its reversal
+    dihedral = [((x >> (2 * i)) | (x << (2 * (k - i)))) & mask for i in range(k) for x in (bits, rev)]
     s = _swap01(dihedral, k)
     t = _swap12(dihedral, k)
     ts = _swap12(s, k)
@@ -266,8 +296,12 @@ def _orbit_images(bits: int, k: int) -> set:
 
 def reflection_least(words: list, k: int) -> list:
     """The words of a list closed under reversal and (12) that are least in their class."""
-    rev = _reverse(words, k)
-    return [w for w, r, s, rs in zip(words, rev, _swap12(words, k), _swap12(rev, k)) if w <= min(r, s, rs)]
+    out = []
+    for i in range(0, len(words), _LANE_SLICE):
+        ws = words[i : i + _LANE_SLICE]
+        images = zip(ws, _reverse(ws, k), _swap12(ws, k), _reverse12(ws, k))
+        out += [w for w, r, s, rs in images if w <= r and w <= s and w <= rs]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +311,13 @@ def word_orbits(k: int) -> tuple:
     One ``(orbit_rep, images)`` pair per orbit, ``images`` a tuple of every
     packed word of the orbit.  The sweep takes the first word not seen yet,
     names its orbit with ``orbit_rep`` and marks its images, so ``orbit_rep``
-    runs once per orbit.  Cached: the dense solve and its residual share it.
+    runs once per orbit.  It visits only the words that start with the letter
+    0 (every third packed word), since a relabelling puts one in every orbit.
+    Cached: the dense solve and its residual share it.
     """
     seen = set()
     out = []
-    for w in packed_words(3, k)[k]:
+    for w in packed_words(3, k)[k][::3]:
         if w not in seen:
             images = _orbit_images(w, k)
             seen |= images

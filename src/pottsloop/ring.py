@@ -462,10 +462,6 @@ class XLaurent:
             n >>= 1
         return r
 
-    def shift_x(self, k: int) -> "XLaurent":
-        """Multiply by x**k, truncating."""
-        return XLaurent._of_rows(self.low + k, self.coeffs, self.nx, self.ng)
-
     def shift_g(self, k: int) -> "XLaurent":
         """Multiply by g**k, truncating."""
         pad = (P_ZERO,) * k

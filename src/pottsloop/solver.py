@@ -43,11 +43,16 @@ representatives and stores each value under every word of the orbit, so
 its layers are the same plain dicts as a word-by-word solve.
 
 ``generating_residual`` therefore checks the symmetry instead of assuming
-it: every stored slot must equal its images under the four generators of
-the group, and the fixed point is then checked once per orbit.  The
-singleton partition (``_singletons``) turns the same solve loop and the
-same residual into the unreduced referee, which runs the recursion and the
-fixed point on every word.  The tests keep that referee at the benchmark
+it: every stored slot must equal its images under three generators of the
+group (one rotation, the reversal fused with (12), and (01)), and the
+fixed point is then checked once per orbit.  Both residual forms read the
+table through one reader per (length, order) (``_TableBase._reader``),
+fetched once per layer rather than once per read, and the lazy recursion
+reads through the same readers.  The recast form reads words one letter
+longer than its slot, so it runs only below the region's edge |w| + n = S.
+The singleton partition (``_singletons``) turns the same solve loop and
+the same residual into the unreduced referee, which runs the recursion and
+the fixed point on every word.  The tests keep that referee at the benchmark
 region (|w| + n <= 10, n <= 6): it must match the orbit solve slot for
 slot, and criterion 8, ``test_cyclic_symmetry`` and
 ``test_lazy_matches_dense`` read tables solved word by word.
@@ -57,17 +62,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional, Union
 
 from .freealg import (
     LETTERS,
     NCSeries,
-    GENERATORS,
     Word,
     orbit_rep,
     packed_words,
     reflection_least,
+    symmetry_breaks,
     word_orbits,
 )
 from .ring import P_C, P_ZERO, Poly, XLaurent, xlaurent_sqrt
@@ -223,10 +227,11 @@ def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int, orbits: list):
     return layers
 
 
-def _rhs(raw, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
+def _rhs(slots: list, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
     """Right-hand side of the edge-removal recursion at one slot, as a raw integer.
 
-    ``raw(bits, k, n)`` reads the raw values of strictly lower grades.
+    ``slots[k][n]`` is the reader (``_TableBase._reader``) of the words of
+    length k at g^n; the recursion reads strictly lower grades.
     """
     if k == 0:
         return 1 if n == 0 else 0
@@ -234,16 +239,14 @@ def _rhs(raw, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
     eq = ne = 0
     for t in range(1, k):
         ulen = t - 1
-        vlen = k - 1 - t
         u = (w >> 2) & ((1 << (2 * ulen)) - 1)
         v = w >> (2 * (t + 1))
+        u_slots, v_slots = slots[ulen], slots[k - 1 - t]
         conv = 0
-        for m in range(n + 1):
-            if (ulen + m) & 1:
-                continue
-            pu = raw(u, ulen, m)
+        for m in range(ulen & 1, n + 1, 2):  # the orders m with ulen + m even
+            pu = u_slots[m](u)
             if pu:
-                pv = raw(v, vlen, n - m)
+                pv = v_slots[n - m](v)
                 if pv:
                     conv += pu * pv
         if conv:
@@ -252,15 +255,19 @@ def _rhs(raw, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
             else:
                 ne += conv
     if n:
+        read = slots[k + 1][n - 1]
         u4 = (w >> 2) << 4
         for i in range(nlet):
-            val = raw(u4 | i | (i << 2), k + 1, n - 1)
+            val = read(u4 | i | (i << 2))
             if val:
                 if i == i0:
                     eq += val
                 else:
                     ne += val
     return eq * b + ne * a
+
+
+_zero = {}.get  # reads None: the reader of a slot that vanishes by parity
 
 
 class _TableBase:
@@ -279,6 +286,20 @@ class _TableBase:
 
     def _raw(self, bits: int, k: int, n: int) -> int:
         raise NotImplementedError
+
+    def _reader(self, k: int, n: int):
+        """The reader of the words of length k at g^n: packed bits -> raw value.
+
+        Fetched once per (length, order) and called once per word; a zero
+        slot may read None.  This one calls ``_raw``; a table overrides it
+        with a cheaper read inside its region and leaves the zeros and the
+        refusals outside the region to ``_raw``.
+        """
+        return lambda bits: self._raw(bits, k, n)
+
+    def _readers(self, kmax: int, nmax: int) -> list:
+        """``_reader(k, n)`` for every k <= kmax and n <= nmax, indexed [k][n]."""
+        return [[self._reader(k, n) for n in range(nmax + 1)] for k in range(kmax + 1)]
 
     def _digits(self, v: int, e: int, top: int):
         """Integer c-digits, ascending, of b**top times the raw value v at scale b**e.
@@ -312,16 +333,18 @@ class _TableBase:
         Returns (rows, den): rows[e][n] holds the digits of den times the sum
         at g^n, over den = b**M with M the largest scale (|w| + 3n)/2 read.
         """
-        raw, digits = self._raw, self._digits
+        digits = self._digits
         top = (max((w.n for ws in slots for w in ws), default=0) + 3 * ng) // 2
         rows = []
         for ws in slots:
+            k = ws[0].n if ws else 0  # the words of one slot share their length
             row = []
             for n in range(ng + 1):
+                read = self._reader(k, n)
                 v = 0
-                for w in ws:  # the words of one slot share their length
-                    v += raw(w.bits, w.n, n)
-                row.append(digits(v, (w.n + 3 * n) // 2, top) if v else ())
+                for w in ws:
+                    v += read(w.bits) or 0
+                row.append(digits(v, (k + 3 * n) // 2, top) if v else ())
             rows.append(row)
         return rows, self._b**top
 
@@ -374,6 +397,12 @@ class SolutionTable(_TableBase):
         if not d:
             return 0
         return d.get(bits, 0)
+
+    def _reader(self, k: int, n: int):
+        d = self.layers.get((n, k))
+        if d is None or n > self.ng or k + n > self.S:
+            return super()._reader(k, n)
+        return d.get
 
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
         terms = {}
@@ -452,7 +481,9 @@ class LazyTable(_TableBase):
     ``rhs_evaluations`` counts the slots the recursion solved.  A miss
     canonicalises its word once and reads the representative's key; only if
     that slot is missing too does ``_rhs`` run on the representative, whose
-    value is stored under both keys.  Values agree
+    value is stored under both keys.  One reader per (length, order) holds
+    that probe and miss path (``_memo_readers``), and the recursion reads
+    through them.  Values agree
     with the unreduced dense solver wherever both are defined (tested on
     every slot of a dense table).
     """
@@ -471,6 +502,7 @@ class LazyTable(_TableBase):
         self._nbits = spec.ng.bit_length()
         self._memo = {}
         self._rhs_evaluations = 0
+        self._slots = self._memo_readers()
 
     @property
     def rhs_evaluations(self) -> int:
@@ -485,19 +517,46 @@ class LazyTable(_TableBase):
                 f"coefficient (|w|={k}, n={n}) beyond lazy-table guards "
                 f"(max_len={self.max_len}, ng={self.ng})"
             )
-        kbits, nbits = self._kbits, self._nbits
-        key = ((bits << kbits) | k) << nbits | n
-        memo = self._memo
-        v = memo.get(key)
-        if v is None:
-            rep = orbit_rep(bits, k)
-            rkey = ((rep << kbits) | k) << nbits | n
-            v = memo.get(rkey)
-            if v is None:
-                v = memo[rkey] = _rhs(self._raw, self.nlet, self._b, self._a, rep, k, n)
-                self._rhs_evaluations += 1
-            memo[key] = v
-        return v
+        return self._slots[k][n](bits)
+
+    def _reader(self, k: int, n: int):
+        if (k + n) & 1 or n < 0 or n > self.ng or k > self.max_len:
+            return super()._reader(k, n)
+        return self._slots[k][n]
+
+    def _memo_readers(self) -> list:
+        """The readers of the recursion, indexed [k][n] for k <= max_len + 1 and n <= ng.
+
+        Up to max_len each holds the memo probe of its slot and the miss
+        path; one letter further, where a triangle removal at max_len reads,
+        every read is refused.
+        """
+        memo, shift, nbits = self._memo, self._kbits + self._nbits, self._nbits
+        probe = memo.get
+
+        def reader(k, n):
+            if (k + n) & 1:
+                return _zero
+            if k > self.max_len:
+                return self._reader(k, n)
+            tag = (k << nbits) | n  # the memo key of (bits, k, n) is (bits << shift) | tag
+
+            def read(bits):
+                key = (bits << shift) | tag
+                v = probe(key)
+                if v is None:
+                    rep = orbit_rep(bits, k)
+                    rkey = (rep << shift) | tag
+                    v = probe(rkey)
+                    if v is None:
+                        v = memo[rkey] = _rhs(self._slots, self.nlet, self._b, self._a, rep, k, n)
+                        self._rhs_evaluations += 1
+                    memo[key] = v
+                return v
+
+            return read
+
+        return [[reader(k, n) for n in range(self.ng + 1)] for k in range(self.max_len + 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,26 +596,6 @@ def build_rhs_potts(phi: NCSeries) -> NCSeries:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_split_sum(raw, w: int, k: int, n: int, letter: int) -> int:
-    """Raw coefficient of w in Phi x_letter Phi (splits at every matching letter)."""
-    acc = 0
-    for t in range(k):
-        if ((w >> (2 * t)) & 3) != letter:
-            continue
-        ulen, vlen = t, k - 1 - t
-        u = w & ((1 << (2 * t)) - 1)
-        v = w >> (2 * (t + 1))
-        for m in range(n + 1):
-            if (ulen + m) & 1:
-                continue
-            pu = raw(u, ulen, m)
-            if pu:
-                pv = raw(v, vlen, n - m)
-                if pv:
-                    acc += pu * pv
-    return acc
-
-
 @dataclass
 class ResidualReport:
     """Nonzero residual slots of the two generating-equation forms, and symmetry breaks.
@@ -581,22 +620,41 @@ def _failure(table: _TableBase, k: int, w: int, n: int, v: int, e: int) -> tuple
     return Word._raw(k, w), n, table._poly(v, e)
 
 
-def _recast_failures(table: _TableBase, words, k: int, n: int) -> list:
+def _recast_failures(table: _TableBase, slots: list, words, k: int, n: int) -> list:
     """Nonzero slots of the derivative (recast) form over words of length k at g^n.
 
     The form (1+c) D0 Phi - (1+c-2c^2)(Phi x0 Phi + g D0^2 Phi) - c (D1 Phi + D2 Phi)
     is evaluated with c = a/b and scaled by b**(E+1), E the propagator count of
     D0 Phi: (b+a) d0 - (b^2+ab-2a^2)(quad+dd0) - a (d1+d2) on raw integers.
     The scale is nonzero, so the form vanishes iff its raw value does.
+    ``slots`` holds the table's readers (``_TableBase._readers``) of the words
+    shorter than k.
     """
-    raw = table._raw
     b, a = table._b, table._a
+    read1, read2 = table._reader(k + 1, n), table._reader(k + 2, n - 1)
+    # Phi x0 Phi splits w = u 0 v at each letter t that is 0: (2t, mask of u, shift of v,
+    # the reader pairs of u and v at the orders m with t + m even)
+    splits = [
+        (2 * t, (1 << (2 * t)) - 1, 2 * t + 2, [(slots[t][m], slots[k - 1 - t][n - m]) for m in range(t & 1, n + 1, 2)])
+        for t in range(k)
+    ]
     bad = []
     for w in words:
         # prepending letter j to packed w is j | (w << 2)
-        d0 = raw(w << 2, k + 1, n)
-        d12 = raw(1 | (w << 2), k + 1, n) + raw(2 | (w << 2), k + 1, n)
-        qg = _prefix_split_sum(raw, w, k, n, 0) + raw(w << 4, k + 2, n - 1)
+        w2 = w << 2
+        d0 = read1(w2) or 0
+        d12 = (read1(1 | w2) or 0) + (read1(2 | w2) or 0)
+        qg = 0
+        for shift, mask, vshift, pairs in splits:
+            if not (w >> shift) & 3:
+                u, v = w & mask, w >> vshift
+                for read_u, read_v in pairs:
+                    pu = read_u(u)
+                    if pu:
+                        pv = read_v(v)
+                        if pv:
+                            qg += pu * pv
+        qg += read2(w2 << 2) or 0
         resid = (b + a) * d0 - (b * b + a * b - 2 * a * a) * qg - a * d12
         if resid:
             bad.append(_failure(table, k, w, n, resid, (k + 3 * n + 3) // 2))
@@ -606,24 +664,15 @@ def _recast_failures(table: _TableBase, words, k: int, n: int) -> list:
 def _symmetry_failures(table: SolutionTable, grade: int) -> list:
     """Stored slots of grade <= ``grade`` that differ from an image under a generator.
 
-    The generators are one rotation, the reversal, (01) and (12)
-    (``freealg.GENERATORS``).  Reading stored slots suffices: if an
+    The generators are one rotation, the reversal fused with (12), and (01)
+    (``freealg.symmetry_breaks``).  Reading stored slots suffices: if an
     orbit mixes stored and missing words, some stored word has a missing
     image under a generator.  Entries are (word, n, image).
     """
     bad = []
     for (n, k), d in table.layers.items():
-        if k == 0 or k + 2 * n > grade:
-            continue
-        words, values = list(d), list(d.values())
-        broken = {}
-        for image_of in GENERATORS:
-            images = image_of(words, k)
-            if list(map(d.get, images, repeat(0))) != values:
-                for w, x, v in zip(words, images, values):
-                    if d.get(x, 0) != v:
-                        broken.setdefault(w, x)
-        bad += [(Word._raw(k, w), n, Word._raw(k, x)) for w, x in broken.items()]
+        if k and k + 2 * n <= grade:
+            bad += [(Word._raw(k, w), n, Word._raw(k, x)) for w, x in symmetry_breaks(d, k).items()]
     return bad
 
 
@@ -646,29 +695,31 @@ def _residual(table: SolutionTable, grade: int, orbits: list) -> ResidualReport:
 
     The fixed point runs at each representative of ``orbits``, zero or not.
     The recast form runs at the words of :func:`_recast_words`, or at every
-    word once the symmetry check has failed.  With the singleton partition
-    (:func:`_singletons`) both run slot by slot.
+    word once the symmetry check has failed, and only at slots with
+    |w| + n < S: it reads words one letter longer.  With the singleton
+    partition (:func:`_singletons`) both run slot by slot.
     """
-    raw = table._raw
-    nlet, b, a = table.spec.nletters, table._b, table._a
+    nlet, b, a, S = table.spec.nletters, table._b, table._a, table.S
+    slots = table._readers(min(grade, S) + 1, table.ng)
     symmetry = _symmetry_failures(table, grade) if nlet == 3 else []
     bad_fp = []
     bad_rc = []
-    for k in range(min(grade, table.S) + 1):
+    for k in range(min(grade, S) + 1):
         recast_words = None
         for n in range(min((grade - k) // 2, table.ng) + 1):
             if (k + n) & 1 == 0:
+                read = slots[k][n]
                 for w, _ in orbits[k]:
-                    diff = raw(w, k, n) - _rhs(raw, nlet, b, a, w, k, n)
+                    diff = (read(w) or 0) - _rhs(slots, nlet, b, a, w, k, n)
                     if diff:
                         bad_fp.append(_failure(table, k, w, n, diff, (k + 3 * n) // 2))
-            elif nlet == 3:
+            elif nlet == 3 and k + n < S:
                 if recast_words is None:
                     if symmetry:
                         recast_words = [x for _, images in orbits[k] for x in images]
                     else:
                         recast_words = _recast_words(orbits[k], k)
-                bad_rc += _recast_failures(table, recast_words, k, n)
+                bad_rc += _recast_failures(table, slots, recast_words, k, n)
     return ResidualReport(bad_fp, bad_rc, symmetry, grade)
 
 
@@ -682,13 +733,14 @@ def generating_residual(table: SolutionTable, grade: Optional[int] = None) -> Re
     the table must be invariant under rotation, reversal and relabelling.
 
     The symmetry is checked first: every stored slot must equal its images
-    under the four generators of the orbit group (``symmetry``).  The
+    under three generators of the orbit group (``symmetry``).  The
     fixed point is then checked at one representative per orbit, whether
     its value is zero or not.  That suffices: by induction on the grade, a
     symmetric table that satisfies the recursion at its representatives
     equals the solution everywhere.  The recast form, once the symmetry
-    holds, is evaluated at one word per class of <reversal, (12)>.  Each
-    form re-reads the finished table instead of replaying the dense solve.
+    holds, is evaluated at one word per class of <reversal, (12)>, at the
+    slots with |w| + n < S.  Each form re-reads the finished table instead
+    of replaying the dense solve.
     """
     if grade is None:
         grade = table.grade_reached
@@ -703,10 +755,11 @@ def recast_residual_rect(table: _TableBase, kmax: int, ng: int) -> list:
     """
     bad = []
     words = packed_words(3, kmax)
+    slots = table._readers(kmax, ng)
     for k in range(kmax + 1):
         for n in range(ng + 1):
             if (k + n) & 1:
-                bad += _recast_failures(table, words[k], k, n)
+                bad += _recast_failures(table, slots, words[k], k, n)
     return bad
 
 

@@ -29,6 +29,11 @@ def gseries(coeffs, ng: int) -> XLaurent:
     return XLaurent(0, [coeffs], 0, ng)
 
 
+def shift_x(s: XLaurent, k: int) -> XLaurent:
+    """The series times x**k, truncated at its own x-order."""
+    return XLaurent._of_rows(s.low + k, s.coeffs, s.nx, s.ng)
+
+
 def monomial(word: Word, lmax: int, ng: int) -> NCSeries:
     """The series holding the one word with coefficient 1."""
     return NCSeries({word: gseries([1], ng)}, lmax, ng)

@@ -116,6 +116,16 @@ def test_check_loops_text(capsys):
     assert all("[PASS]" in l for l in lines)
 
 
+def test_check_loops_at_an_odd_grade(capsys):
+    # nx + ng = 5 solves an odd region, whose top slots the recast form cannot read
+    code, out = run(capsys, "check-loops", "--nx", "2", "--ng", "3")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.strip()]
+    assert len(lines) == 24
+    assert all("[PASS]" in l for l in lines)
+    assert "grade 5" in lines[0]
+
+
 def test_check_loops_printed_catalog_fails(capsys):
     code, out = run(capsys, "check-loops", "--nx", "2", "--ng", "2", "--catalog", "printed")
     assert code == 1

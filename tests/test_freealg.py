@@ -17,7 +17,7 @@ from pottsloop.freealg import (
     reflection_least,
     word_orbits,
 )
-from pottsloop.freealg import _reverse
+from pottsloop.freealg import _reverse, _reverse12, _rotate, _swap01, _swap12
 from conftest import drop_last, from_fractions, gseries, monomial, right_delta
 
 
@@ -210,22 +210,40 @@ def test_packed_images_match_the_word_operations():
     # several 2,048-word slices), then seeded words up to the 32 letters of a 64-bit lane
     cases = [(k, list(all_words(k))) for k in (1, 2, 3, 4, 5, 6, 8)]
     cases += [(k, [Word(rng.choice(LETTERS) for _ in range(k)) for _ in range(40)]) for k in range(17, 33)]
+    assert GENERATORS == (_rotate, _reverse12, _swap01)
     for k, words in cases:
-        rot, rev, s01, s12 = (image_of([word.bits for word in words], k) for image_of in GENERATORS)
+        packed = [word.bits for word in words]
+        maps = (_rotate, _reverse, _reverse12, _swap01, _swap12)
+        rot, rev, rev12, s01, s12 = (image_of(packed, k) for image_of in maps)
         for i, word in enumerate(words):
             ls = word.letters()
             assert rot[i] == Word(ls[1:] + ls[:1]).bits
             assert rev[i] == word.reverse().bits
+            assert rev12[i] == word.reverse().relabel((0, 2, 1)).bits
             assert s01[i] == word.relabel((1, 0, 2)).bits
             assert s12[i] == word.relabel((0, 2, 1)).bits
-    with pytest.raises(ValueError, match="32"):
-        _reverse([0], 33)
+    for image_of in (_reverse, _reverse12):
+        with pytest.raises(ValueError, match="32"):
+            image_of([0], 33)
     for k in range(8):
         least = set()
         for word in all_words(k):
             images = (word, word.reverse(), word.relabel((0, 2, 1)), word.reverse().relabel((0, 2, 1)))
             least.add(min(img.bits for img in images))
         assert set(reflection_least([word.bits for word in all_words(k)], k)) == least
+
+
+def test_three_generators_close_to_the_orbits():
+    # (reversal (12)) (01) (reversal (12)) = (02), so the three maps generate every
+    # rotation, the reversal and all of S3: each orbit is the closure of its representative
+    for k in range(1, 9):
+        for rep, images in word_orbits(k):
+            closure = {rep}
+            frontier = [rep]
+            while frontier:
+                frontier = list({x for image_of in GENERATORS for x in image_of(frontier, k)} - closure)
+                closure.update(frontier)
+            assert closure == set(images), (k, rep)
 
 
 def test_apply_operator_string_prefix_extraction():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import laurent
+from conftest import laurent, shift_x
 from pottsloop.freealg import EMPTY_WORD, Word, orbit_rep
 from pottsloop.loopcat import (
     CATALOG,
@@ -197,7 +197,7 @@ def _ref_loop(eq, t, nx, ng, variant):
         if term.p_label is not None:
             s = s * t.gseries(term.p_label, ng)
         coeff = XLaurent.constant(t.spec.const(Poly(term.coeff)), 0, ng).shift_g(term.g_power)
-        total = total + (s * coeff).shift_x(term.x_power)
+        total = total + shift_x(s * coeff, term.x_power)
     return total
 
 
@@ -267,4 +267,4 @@ def test_rows_match_series_arithmetic_on_a_generic_table(c):
         amp = Amp(label, delta, sym)
         assert laurent(_amp_rows(t, amp, nx, ng), nx, ng) == _ref_amp(t, amp, nx, ng)
     ref = _ref_resolvent(t, Word.from_string("1"), 2, Word.from_string("01"), nx, ng)
-    assert laurent(_amp_rows(t, Amp("1", letter=2, post="01"), nx, ng), nx, ng).shift_x(1) == ref
+    assert shift_x(laurent(_amp_rows(t, Amp("1", letter=2, post="01"), nx, ng), nx, ng), 1) == ref

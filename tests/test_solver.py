@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import solve_unreduced
+from conftest import shift_x, solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
 from pottsloop.loopcat import Amp, _amp_rows, check_loops, check_sd
 from pottsloop.ring import Poly, XLaurent, xlaurent_grade_mask
@@ -218,6 +218,71 @@ def test_residual_value_decodes_borrowing_digits(small_table):
     assert (Word._raw(k, rep), n, Poly((1, -1))) in report.fixed_point
 
 
+def test_orbit_residual_matches_the_unreduced_residual_on_a_corrupted_orbit(small_table):
+    # a whole orbit off by one keeps the table symmetric; the failures it causes
+    # downstream are the unreduced referee's, read at one word per class
+    n, k = 1, 3
+    rep, images = next((r, i) for r, i in word_orbits(k) if r in small_table.layers[(n, k)])
+    table = _corrupted(small_table, n, k, images)
+    orbit = generating_residual(table)
+    single = _residual(table, orbit.grade, _singletons(3, orbit.grade))
+    assert not orbit.symmetry and orbit.fixed_point and orbit.recast
+    # the fixed point at each orbit representative, the recast form at each <reversal, (12)> class
+    reps = [f for f in single.fixed_point if orbit_rep(f[0].bits, f[0].n) == f[0].bits]
+    least = [f for f in single.recast if reflection_least([f[0].bits], f[0].n)]
+    assert sorted(orbit.fixed_point, key=str) == sorted(reps, key=str)
+    assert sorted(orbit.recast, key=str) == sorted(least, key=str)
+    # and every other word of a class fails with the value of its representative
+    at_rep = {(orbit_rep(w.bits, w.n), m): v for w, m, v in reps}
+    assert all(at_rep[orbit_rep(w.bits, w.n), m] == v for w, m, v in single.fixed_point)
+
+
+def test_slot_readers_keep_the_region_guards(small_table):
+    # the readers fetched once per (length, order) refuse what _raw refused, with the same text
+    S, ng = small_table.S, small_table.ng
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=4)
+    cases = [
+        (small_table, 8, 0, f"coefficient (|w|=8, n=0) outside solved region |w|+n <= {S}, n <= {ng}"),
+        (small_table, 3, 5, f"coefficient (|w|=3, n=5) outside solved region |w|+n <= {S}, n <= {ng}"),
+        (small_table, 0, 4, f"coefficient (|w|=0, n=4) outside solved region |w|+n <= {S}, n <= {ng}"),
+        (lazy, 6, 0, "coefficient (|w|=6, n=0) beyond lazy-table guards (max_len=4, ng=2)"),
+        (lazy, 5, 1, "coefficient (|w|=5, n=1) beyond lazy-table guards (max_len=4, ng=2)"),
+        (lazy, 0, 4, "coefficient (|w|=0, n=4) beyond lazy-table guards (max_len=4, ng=2)"),
+    ]
+    for table, k, n, text in cases:
+        for read in (lambda: table._raw(0, k, n), lambda: table._readers(k, n)[k][n](0)):
+            with pytest.raises(TruncationError) as err:
+                read()
+            assert str(err.value) == text
+        # a slot that vanishes by parity reads zero even outside the region
+        assert table._raw(0, k + 1, n) == 0
+    # the readers of the lazy recursion refuse one letter past max_len too
+    with pytest.raises(TruncationError) as err:
+        lazy._slots[5][1](0)
+    assert str(err.value) == cases[4][3]
+    # and the recast form over a whole region, which reads one and two letters further
+    for table, kmax, n, text in (
+        (lazy, 4, 2, "coefficient (|w|=5, n=1) beyond lazy-table guards (max_len=4, ng=2)"),
+        (small_table, S, ng, f"coefficient (|w|=5, n=3) outside solved region |w|+n <= {S}, n <= {ng}"),
+    ):
+        with pytest.raises(TruncationError) as err:
+            recast_residual_rect(table, kmax, n)
+        assert str(err.value) == text
+
+
+def test_generating_residual_on_an_odd_solved_region():
+    # S = 7: the default grade reaches |w| + n = S, where the recast form would read
+    # eight-letter words; it runs below S, and both forms still see the top stored slots
+    table = solve_series(ModelSpec(kind="potts3", c="symbolic", ng=4, ltarget=3))
+    report = generating_residual(table)
+    assert report.ok and report.grade == table.S == 7
+    _, images = word_orbits(6)[0]  # 000000, 111111 and 222222
+    report = generating_residual(_corrupted(table, 0, 6, images))
+    assert not report.symmetry
+    assert ("000000", 0) in [(str(word), n) for word, n, _ in report.fixed_point]
+    assert ("00000", 0) in [(str(word), n) for word, n, _ in report.recast]
+
+
 def test_lazy_table_solves_once_per_orbit():
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
     assert lazy.rhs_evaluations == 0
@@ -415,10 +480,10 @@ def test_pure_gravity_branches_satisfy_vieta():
     k = b - g * pg.table.gseries("0", ng)
     r1, r2 = pg.branch, pg.branch_other
     assert r2.low == -3  # the rejected branch starts -g/x^3 + 1/x^2
-    assert r1 + r2 == b.shift_x(-2)
+    assert r1 + r2 == shift_x(b, -2)
     # x^2 r2 and k have no negative grade, so the product is exact up to grade lx
-    assert xlaurent_grade_mask(r1 * r2.shift_x(2) - k, lx).is_zero()
-    assert not xlaurent_grade_mask(r1 * r1.shift_x(2) - k, lx).is_zero()
+    assert xlaurent_grade_mask(r1 * shift_x(r2, 2) - k, lx).is_zero()
+    assert not xlaurent_grade_mask(r1 * shift_x(r1, 2) - k, lx).is_zero()
 
 
 def test_pure_gravity_variant_refuted_by_boundary_condition():
