@@ -105,8 +105,9 @@ def cmd_check_sd(args) -> int:
 
 
 def cmd_check_curve(args) -> int:
-    ltarget = max(args.nx - 6, 4)
-    table = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=ltarget))
+    # S >= nx + ng - 6 makes the curve residual exact, S >= ng + 4 holds the four-letter moments
+    S = max(args.nx + args.ng - 6, args.ng + 4)
+    table = LazyTable(ModelSpec(kind="potts3", c=args.c, ng=args.ng), max_len=S)
     variants = ("1202", "1212") if args.moment_variant == "auto" else (args.moment_variant,)
     checks = curve_mod.check_curve(table, args.nx, args.ng, variants)
     if args.moment_variant == "auto":
@@ -130,9 +131,13 @@ def cmd_check_curve(args) -> int:
     return 0 if ok else 1
 
 
+def _moment_table(args) -> LazyTable:
+    """The lazy table the moment words (up to four letters, orders up to --ng) are read from."""
+    return LazyTable(ModelSpec(kind="potts3", c=args.c, ng=args.ng), max_len=args.ng + 4)
+
+
 def cmd_check_recurrences(args) -> int:
-    table = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=4))
-    reports = curve_mod.check_recurrences(curve_mod.compute_moments(table))
+    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_moment_table(args)))
     ok = all(r.passed for r in reports)
     payload = {
         "recurrences": [
@@ -175,8 +180,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    table = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=4))
-    moments = curve_mod.compute_moments(table)
+    moments = curve_mod.compute_moments(_moment_table(args))
     rows = ["moment,g_power,value"]
     data = []
     for label in curve_mod.MOMENT_LABELS:

@@ -23,11 +23,11 @@ Truncation note.  y starts at x^-2, and with negative exponents present an
 upper x-truncation is not stable under multiplication.  The residual is
 therefore computed in the rescaled variable yhat = x^2 y as a plain power
 series, R = x^-10 sum_k (f_k x^(10-2k)) yhat^k, and phi enters masked to
-the anti-diagonal region |word| + n <= M of the solved table.  Slots of
-yhat (and of ytilde) then satisfy (x-degree + g-order) >= 1, every
-monomial of f_k x^(10-2k) has combined degree >= 14 - k, and a short
-bookkeeping argument gives that all computed residual slots with
-x-degree + g-order <= M + 16 are exact.
+the anti-diagonal region |word| + n <= M, with M the table's region edge
+S.  Slots of yhat (and of ytilde) then satisfy (x-degree + g-order) >= 1,
+every monomial of f_k x^(10-2k) has combined degree >= 14 - k, and a short
+bookkeeping argument gives that all computed residual slots with x-degree
++ g-order <= M + 16 are exact.
 The checker requires M >= nx + ng - 6 so the full reported rectangle is
 covered.
 """
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .freealg import Word
 from .ring import P_ZERO, Poly, XLaurent
-from .solver import ModelSpec, SolutionTable, TruncationError, _TableBase
+from .solver import ModelSpec, TruncationError, _TableBase
 
 MOMENT_LABELS = ("1", "11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")
 
@@ -281,11 +281,12 @@ class ShiftedResolvent:
     one_minus_c: Poly  # the scale: 1 - c, or the constant 1 - c0
 
 
-def build_shifted_resolvent(table: SolutionTable, nx: int, ng: int) -> ShiftedResolvent:
-    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the solved region.
+def build_shifted_resolvent(table: _TableBase, nx: int, ng: int) -> ShiftedResolvent:
+    """ytilde = -(1-c) x^3 phi - (1-c) g + x, phi masked to the table's region.
 
-    The mask keeps the slots |word| + g-order <= S of the table; the
-    residual is exact on the full reported rectangle only if
+    Any table serves, dense or demand-driven: the mask keeps the slots
+    |word| + g-order <= S, with S the table's region edge (``table.S``).
+    The residual is exact on the full reported rectangle only if
     S >= nx + ng - 6 (see module docstring), so a shallower table raises
     TruncationError.
     """
@@ -371,9 +372,13 @@ class CurveCheck:
 
 
 def check_curve(
-    table: SolutionTable, nx: int, ng: int, variants: Sequence[str] = ("1202", "1212")
+    table: _TableBase, nx: int, ng: int, variants: Sequence[str] = ("1202", "1212")
 ) -> list:
-    """Quintic residual for each requested moment-variant mapping."""
+    """Quintic residual for each requested moment-variant mapping.
+
+    The table may be dense or demand-driven; only phi's words 0^k and the
+    moment words are read.
+    """
     if nx < 0 or ng < 0:
         raise ValueError("truncation orders must be nonnegative")
     moments = compute_moments(table, ng)

@@ -114,9 +114,6 @@ class Word:
     def relabel(self, perm: Sequence[int]) -> "Word":
         return Word(perm[a] for a in self)
 
-    def count(self, a: int) -> int:
-        return sum(1 for b in self if b == a)
-
     # -- structure -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -42,13 +42,18 @@ partition of each word length (``freealg.word_orbits``), runs on the
 representatives and stores each value under every word of the orbit, so
 its layers are the same plain dicts as a word-by-word solve.
 
-``generating_residual`` therefore checks the symmetry instead of assuming
-it: every stored slot must equal its images under three generators of the
-group (one rotation, the reversal fused with (12), and (01)), and the
-fixed point is then checked once per orbit.  Both residual forms read the
-table through one reader per (length, order) (``_TableBase._reader``),
-fetched once per layer rather than once per read, and the lazy recursion
-reads through the same readers.  The recast form reads words one letter
+Both tables keep one contract (``_TableBase``): the parity and region
+guards live in ``_TableBase._reader``, and the region edge is ``S`` (|w| +
+n <= S dense, |w| <= S lazy), so a check that reads few words (the curve,
+the moment recurrences) takes either table.
+
+``generating_residual`` checks the symmetry instead of assuming it: every
+stored slot must equal its images under three generators of the group (one
+rotation, the reversal fused with (12), and (01)), and the fixed point is
+then checked once per orbit.  Both residual forms read the table through
+one reader per (length, order) (``_TableBase._reader``), fetched once per
+layer rather than once per read, and the lazy recursion reads through the
+same readers.  The recast form reads words one letter
 longer than its slot, so it runs only below the region's edge |w| + n = S.
 The singleton partition (``_singletons``) turns the same solve loop and
 the same residual into the unreduced referee, which runs the recursion and
@@ -271,11 +276,15 @@ _zero = {}.get  # reads None: the reader of a slot that vanishes by parity
 
 
 class _TableBase:
-    """Coefficient accessors over the raw integer values ``_raw``.
+    """Coefficient accessors over one reader per (length, order), ``_reader``.
 
-    ``_digits`` is the one decoder of the raw encoding; every value that
-    leaves a table (``p_coeff``, ``to_json``, ``to_ncseries``, residual
-    failures and the catalog's rows) is read through it.
+    A table says three things: which slots it holds (``_holds(k, n)``), the
+    text that names its region (``_region``, formatted with its edge ``S``
+    and ``ng``) and how to read a held slot (``_slot(k, n)``).  The guards
+    live in ``_reader`` alone.  ``_digits`` is the one decoder of the raw
+    encoding; every value that leaves a table (``p_coeff``, ``to_json``,
+    ``to_ncseries``, residual failures and the catalog's rows) is read
+    through it.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -284,18 +293,25 @@ class _TableBase:
         self.symbolic = spec.symbolic
         self._b, self._a = _weights(spec)
 
-    def _raw(self, bits: int, k: int, n: int) -> int:
-        raise NotImplementedError
-
     def _reader(self, k: int, n: int):
         """The reader of the words of length k at g^n: packed bits -> raw value.
 
         Fetched once per (length, order) and called once per word; a zero
-        slot may read None.  This one calls ``_raw``; a table overrides it
-        with a cheaper read inside its region and leaves the zeros and the
-        refusals outside the region to ``_raw``.
+        slot may read None.  A slot that vanishes by parity reads zero and
+        one the table does not hold is refused, whatever the table.
         """
-        return lambda bits: self._raw(bits, k, n)
+        if (k + n) & 1 or n < 0:
+            return _zero
+        if not self._holds(k, n):
+
+            def refuse(bits):
+                raise TruncationError(f"coefficient (|w|={k}, n={n}) " + self._region.format(S=self.S, ng=self.ng))
+
+            return refuse
+        return self._slot(k, n)
+
+    def _raw(self, bits: int, k: int, n: int) -> int:
+        return self._reader(k, n)(bits) or 0
 
     def _readers(self, kmax: int, nmax: int) -> list:
         """``_reader(k, n)`` for every k <= kmax and n <= nmax, indexed [k][n]."""
@@ -376,6 +392,8 @@ def _as_word(w) -> Word:
 class SolutionTable(_TableBase):
     """Dense solved table, complete on {|w| + n <= S, n <= ng}."""
 
+    _region = "outside solved region |w|+n <= {S}, n <= {ng}"
+
     def __init__(self, spec: ModelSpec, S: int, layers: dict):
         super().__init__(spec)
         self.S = S
@@ -385,24 +403,11 @@ class SolutionTable(_TableBase):
     def grade_reached(self) -> int:
         return min(self.S, 2 * self.ng)
 
-    def _raw(self, bits: int, k: int, n: int) -> int:
-        if (k + n) & 1 or n < 0:
-            return 0
-        if n > self.ng or k + n > self.S:
-            raise TruncationError(
-                f"coefficient (|w|={k}, n={n}) outside solved region "
-                f"|w|+n <= {self.S}, n <= {self.ng}"
-            )
-        d = self.layers.get((n, k))
-        if not d:
-            return 0
-        return d.get(bits, 0)
+    def _holds(self, k: int, n: int) -> bool:
+        return n <= self.ng and k + n <= self.S
 
-    def _reader(self, k: int, n: int):
-        d = self.layers.get((n, k))
-        if d is None or n > self.ng or k + n > self.S:
-            return super()._reader(k, n)
-        return d.get
+    def _slot(self, k: int, n: int):
+        return self.layers.get((n, k), {}).get
 
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
         terms = {}
@@ -482,19 +487,22 @@ class LazyTable(_TableBase):
     canonicalises its word once and reads the representative's key; only if
     that slot is missing too does ``_rhs`` run on the representative, whose
     value is stored under both keys.  One reader per (length, order) holds
-    that probe and miss path (``_memo_readers``), and the recursion reads
-    through them.  Values agree
-    with the unreduced dense solver wherever both are defined (tested on
-    every slot of a dense table).
+    that probe and miss path (``_slot``), and the recursion reads through
+    them.  The table holds every |w| <= S at n <= ng, with S the
+    ``max_len`` it was built with.  Values agree with the unreduced dense
+    solver wherever both are defined (tested on every slot of a dense
+    table).
     """
+
+    _region = "beyond lazy-table guards (max_len={S}, ng={ng})"
 
     def __init__(self, spec: ModelSpec, max_len: int):
         # a slot (k, n) reads k + 1 letters at n - 1, down to k + n letters at
-        # n = 0, and _raw refuses k > max_len, so every nonzero value the table
+        # n = 0, and the table refuses k > max_len, so every nonzero value it
         # holds has |w| + n <= max_len
         check_headroom(spec, max_len, max_len)
         super().__init__(spec)
-        self.max_len = max_len
+        self.S = max_len
         self.nlet = spec.nletters
         # memo key (bits, k, n) packed into one int; the k and n fields hold
         # every k <= max_len and n <= ng, so distinct slots never share a key
@@ -502,61 +510,37 @@ class LazyTable(_TableBase):
         self._nbits = spec.ng.bit_length()
         self._memo = {}
         self._rhs_evaluations = 0
-        self._slots = self._memo_readers()
+        # the recursion's readers; one letter past S, where a triangle removal
+        # at S reads, every read is refused
+        self._slots = self._readers(max_len + 1, spec.ng)
 
     @property
     def rhs_evaluations(self) -> int:
         """Slots solved by running the recursion: one per orbit and g-order read."""
         return self._rhs_evaluations
 
-    def _raw(self, bits: int, k: int, n: int) -> int:
-        if (k + n) & 1 or n < 0:
-            return 0
-        if n > self.ng or k > self.max_len:
-            raise TruncationError(
-                f"coefficient (|w|={k}, n={n}) beyond lazy-table guards "
-                f"(max_len={self.max_len}, ng={self.ng})"
-            )
-        return self._slots[k][n](bits)
+    def _holds(self, k: int, n: int) -> bool:
+        return n <= self.ng and k <= self.S
 
-    def _reader(self, k: int, n: int):
-        if (k + n) & 1 or n < 0 or n > self.ng or k > self.max_len:
-            return super()._reader(k, n)
-        return self._slots[k][n]
-
-    def _memo_readers(self) -> list:
-        """The readers of the recursion, indexed [k][n] for k <= max_len + 1 and n <= ng.
-
-        Up to max_len each holds the memo probe of its slot and the miss
-        path; one letter further, where a triangle removal at max_len reads,
-        every read is refused.
-        """
-        memo, shift, nbits = self._memo, self._kbits + self._nbits, self._nbits
+    def _slot(self, k: int, n: int):
+        memo, shift = self._memo, self._kbits + self._nbits
         probe = memo.get
+        tag = (k << self._nbits) | n  # the memo key of (bits, k, n) is (bits << shift) | tag
 
-        def reader(k, n):
-            if (k + n) & 1:
-                return _zero
-            if k > self.max_len:
-                return self._reader(k, n)
-            tag = (k << nbits) | n  # the memo key of (bits, k, n) is (bits << shift) | tag
-
-            def read(bits):
-                key = (bits << shift) | tag
-                v = probe(key)
+        def read(bits):
+            key = (bits << shift) | tag
+            v = probe(key)
+            if v is None:
+                rep = orbit_rep(bits, k)
+                rkey = (rep << shift) | tag
+                v = probe(rkey)
                 if v is None:
-                    rep = orbit_rep(bits, k)
-                    rkey = (rep << shift) | tag
-                    v = probe(rkey)
-                    if v is None:
-                        v = memo[rkey] = _rhs(self._slots, self.nlet, self._b, self._a, rep, k, n)
-                        self._rhs_evaluations += 1
-                    memo[key] = v
-                return v
+                    v = memo[rkey] = _rhs(self._slots, self.nlet, self._b, self._a, rep, k, n)
+                    self._rhs_evaluations += 1
+                memo[key] = v
+            return v
 
-            return read
-
-        return [[reader(k, n) for n in range(self.ng + 1)] for k in range(self.max_len + 2)]
+        return read
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +758,6 @@ class PureGravityResult:
     phi: XLaurent  # series solution as power series in x
     branch: XLaurent  # quadratic branch of the validated equation form
     branch_other: XLaurent  # the rejected branch (singular as x -> 0)
-    variant_coeffs: dict  # fixed point of the extra-1/x variant of the triangle term
     variant_first_mismatch: Optional[tuple]
 
 
@@ -842,7 +825,6 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
     phi = pure_gravity_phi(table, lx, ng)
     p1 = table.gseries(Word([0]), ng)
     lo, hi = _pure_gravity_branches(p1, lx, ng)
-    variant = {}
     first_mismatch = None
     if check_variant:
         variant = solve_pure_gravity_variant(min(ng, 4), min(lx, 6))
@@ -853,4 +835,4 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
             if variant.get((k, n), Fraction(0)) != mine_v:
                 first_mismatch = (k, n, variant.get((k, n), Fraction(0)), mine_v)
                 break
-    return PureGravityResult(table, phi, lo, hi, variant, first_mismatch)
+    return PureGravityResult(table, phi, lo, hi, first_mismatch)

@@ -227,6 +227,28 @@ def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, mon
     assert capsys.readouterr().out == ""
 
 
+def test_moment_commands_solve_no_dense_table(capsys, monkeypatch):
+    def no_dense_solve(spec):
+        raise AssertionError("a moment command reached the dense solve")
+
+    monkeypatch.setattr(cli, "solve_series", no_dense_solve)
+    code, out = run(capsys, *"check-curve --nx 10 --ng 10".split())
+    assert code == 0
+    assert out == (
+        "[PASS] quintic residual, fourth moment from word 1202\n"
+        "[FAIL] quintic residual, fourth moment from word 1212  first nonzero at x^6 g^6: "
+        "8*c^3+48*c^4-8*c^5-448*c^6-56*c^7+1968*c^8-648*c^9-4224*c^10+4080*c^11+2176*c^12"
+        "-5616*c^13+3680*c^14-1088*c^15+128*c^16\n"
+    )
+    code, out = run(capsys, *"check-recurrences --ng 8".split())
+    assert code == 0 and out == (GOLDEN / "check-recurrences.txt").read_text()
+    # the rows of g-order <= 4 are the golden --ng 4 export
+    code, out = run(capsys, *"export --ng 8".split())
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 48
+    assert [r for r in rows if not r.startswith("p") or int(r.split(",")[1]) <= 4] == (GOLDEN / "export.txt").read_text().splitlines()
+
+
 # one tiny run of every subcommand, with its exit code
 NO_NUMPY_RUNS = {
     "solve": ("solve --ng 1 --lmax 2", 0),

@@ -19,7 +19,7 @@ from pottsloop.curve import (
     quintic_residual,
 )
 from pottsloop.ring import Poly, XLaurent
-from pottsloop.solver import ModelSpec, TruncationError, solve_series
+from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
 
 
 def implied_moment_relations(m: MomentSet) -> list:
@@ -207,6 +207,30 @@ def test_numeric_branch_detects_perturbation(master_table):
     good = numeric_branch_check(master_table, Fraction(1, 5), Fraction(1, 64), xs, ng=8)
     bad = numeric_branch_check(master_table, Fraction(1, 5), Fraction(1, 32), xs, ng=2)
     assert good.max_deviation < bad.max_deviation
+
+
+@pytest.mark.parametrize(
+    "nx, ng, c",
+    [
+        (4, 4, "symbolic"),
+        (4, 4, Fraction(1, 4)),
+        (6, 6, "symbolic"),
+        (6, 6, Fraction(-2, 3)),
+        (3, 3, "symbolic"),
+        (2, 2, "symbolic"),
+        (10, 6, Fraction(1, 5)),
+    ],
+    ids=str,
+)
+def test_lazy_route_matches_the_dense_route(nx, ng, c):
+    # the CLI reads the curve and the moments off a LazyTable with the dense table's edge
+    dense = solve_series(ModelSpec(kind="potts3", c=c, ng=ng, ltarget=max(nx - 6, 4)))
+    lazy = LazyTable(dense.spec, max_len=max(nx + ng - 6, ng + 4))
+    assert lazy.S == dense.S
+    checks = check_curve(lazy, nx, ng)
+    assert checks == check_curve(dense, nx, ng)
+    assert [ch.variant for ch in checks] == ["1202", "1212"] and checks[0].passed
+    assert check_recurrences(compute_moments(lazy)) == check_recurrences(compute_moments(dense))
 
 
 def _shallow_residual():

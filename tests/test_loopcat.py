@@ -163,17 +163,21 @@ class GenericTable(_TableBase):
         super().__init__(spec)
         self._values = {}
 
-    def _raw(self, bits, k, n):
-        if (k + n) & 1 or n < 0:
-            return 0
-        key = (orbit_rep(bits, k), k, n)
-        if key not in self._values:
-            rng = random.Random(f"generic:{key}")
-            if self.symbolic:
-                self._values[key] = sum(rng.randrange(1, 1 << 16) << (64 * i) for i in range(3))
-            else:
-                self._values[key] = rng.randrange(1, 1 << 16)
-        return self._values[key]
+    def _holds(self, k, n):
+        return True  # no region: every slot the parity allows has a value
+
+    def _slot(self, k, n):
+        def read(bits):
+            key = (orbit_rep(bits, k), k, n)
+            if key not in self._values:
+                rng = random.Random(f"generic:{key}")
+                if self.symbolic:
+                    self._values[key] = sum(rng.randrange(1, 1 << 16) << (64 * i) for i in range(3))
+                else:
+                    self._values[key] = rng.randrange(1, 1 << 16)
+            return self._values[key]
+
+        return read
 
 
 def _ref_amp(t, amp, nx, ng):

@@ -414,16 +414,16 @@ def _largest_digit(table) -> int:
 def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
     for table in (referee_table, master_table):
         assert check_headroom(table.spec, table.S, table.S) >= _largest_digit(table)
-    # a filled lazy table: its guard bounds |w| + n <= max_len, which holds every nonzero value it reads
+    # a filled lazy table: its guard bounds |w| + n <= S, which holds every nonzero value it reads
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=4), max_len=14)
-    for k in range(lazy.max_len + 1):
-        for n in range(min(lazy.ng, lazy.max_len - k) + 1):
+    for k in range(lazy.S + 1):
+        for n in range(min(lazy.ng, lazy.S - k) + 1):
             lazy.p_coeff(Word([0] * k), n)
     kmask, nmask = (1 << lazy._kbits) - 1, (1 << lazy._nbits) - 1
     held = [(key >> lazy._nbits & kmask, key & nmask, v) for key, v in lazy._memo.items() if v]
-    assert all(k + n <= lazy.max_len for k, n, _ in held)
+    assert all(k + n <= lazy.S for k, n, _ in held)
     largest = max(max(lazy._digits(v, 0, 0)) for _, _, v in held)
-    assert check_headroom(lazy.spec, lazy.max_len, lazy.max_len) >= largest
+    assert check_headroom(lazy.spec, lazy.S, lazy.S) >= largest
     # the benchmark's dense region, whose trace reports solver.max_digit_bits 20
     assert _largest_digit(referee_table).bit_length() == 20
     assert check_headroom(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=6), 10, 10) is None
