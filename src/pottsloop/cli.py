@@ -67,8 +67,7 @@ def _results_json(results):
 
 def cmd_solve(args) -> int:
     spec = ModelSpec(kind=args.kind, c=args.c, ng=args.ng, ltarget=args.lmax)
-    table = solve_series(spec)
-    data = table.to_json()
+    data = LazyTable(spec, max_len=args.lmax + args.ng).to_json()
     text = "\n".join(f"{w}: {dict(g)}" for w, g in data.items()) + "\n"
     _emit(args, data, text)
     return 0
@@ -81,10 +80,10 @@ def _catalog_table(args) -> LazyTable:
 
 
 def cmd_check_loops(args) -> int:
-    grade = args.nx + args.ng
     table = _catalog_table(args)  # a refused truncation exits before the dense solve
-    dense = solve_series(ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx))
-    rep = generating_residual(dense, grade=min(grade, dense.grade_reached))
+    # line 0 referees the dense solve itself, so it solves one: its residual at grade
+    # min(nx + ng, 2 ng) reads only slots with |w| + n <= min(nx + ng, 2 ng + 1)
+    rep = generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng + 1))))
     gen = loopcat.CheckResult(0, f"generating equation (fixed-point and derivative forms, grade {rep.grade})", rep.ok)
     results = loopcat.check_loops(table, args.nx, args.ng, variant=args.catalog)
     ok = gen.passed and all(r.passed for r in results)
@@ -161,8 +160,7 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     from . import oracle
     spec = ModelSpec(kind=args.kind, c=args.c, ng=args.max_n, ltarget=args.max_len)
-    table = solve_series(spec)
-    rep = oracle.compare_with_solver(table, args.max_n, args.max_len)
+    rep = oracle.compare_with_solver(LazyTable(spec, max_len=args.max_len + args.max_n), args.max_n, args.max_len)
     lines = [f"checked {rep.checked} coefficients against the contraction oracle"]
     for w, n, got, expect in rep.mismatches:
         lines.append(f"MISMATCH {w} g^{n}: solver {got} oracle {expect}")

@@ -85,9 +85,6 @@ class Word:
     def letters(self) -> tuple:
         return tuple(self)
 
-    def __bool__(self) -> bool:
-        return self.n > 0
-
     # -- surgery -----------------------------------------------------------
 
     def __add__(self, other: "Word") -> "Word":
@@ -95,9 +92,6 @@ class Word:
 
     def prepend(self, a: int) -> "Word":
         return Word._raw(self.n + 1, a | (self.bits << 2))
-
-    def append(self, a: int) -> "Word":
-        return Word._raw(self.n + 1, self.bits | (a << (2 * self.n)))
 
     def drop_first(self) -> "Word":
         return Word._raw(self.n - 1, self.bits >> 2)
@@ -385,12 +379,6 @@ class NCSeries:
             out[w] = v if cur is None else cur + v
         return NCSeries(out, self.lmax, self.ng)
 
-    def __neg__(self) -> "NCSeries":
-        return NCSeries({w: -v for w, v in self.terms.items()}, self.lmax, self.ng)
-
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + (-other)
-
     def scale(self, v) -> "NCSeries":
         return NCSeries({w: g * v for w, g in self.terms.items()}, self.lmax, self.ng)
 
@@ -455,12 +443,4 @@ class NCSeries:
     def __repr__(self):
         n = len(self.terms)
         return f"NCSeries({n} words, lmax={self.lmax}, ng={self.ng})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in self.words():
-            parts.append(f"[{w}] {self.terms[w]}")
-        return "\n".join(parts)
 

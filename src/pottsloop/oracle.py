@@ -47,7 +47,7 @@ from itertools import product
 
 from .freealg import Word
 from .ring import Poly
-from .solver import TruncationError, _TableBase
+from .solver import _TableBase
 
 # desk-scale guard: diagrams are enumerated explicitly, and a moment sums
 # 3^n spin assignments over the weight classes
@@ -207,14 +207,14 @@ class CompareReport:
 def compare_with_solver(table: _TableBase, max_n: int, max_len: int) -> CompareReport:
     """Every table coefficient up to the bounds must equal the oracle's.
 
-    The table is any solved table, dense or demand-driven; slots it does not
-    hold (``TruncationError``) are skipped.  Oracle values are computed once
-    per cyclic class, as polynomials in c, and compared at the table's
-    coupling; the table is read per word, so cyclic symmetry of the table is
-    exercised as well.  The planar diagrams of each (|w|, n) are enumerated
-    once and collapsed into weight classes, which every cyclic class of that
-    length and order reuses.  A range that reaches beyond desk scale is
-    refused before any enumeration.
+    The table is any solved table, dense or demand-driven, and must hold
+    every slot in range: one it does not hold raises ``TruncationError``.
+    Oracle values are computed once per cyclic class, as polynomials in c,
+    and compared at the table's coupling; the table is read per word, so
+    cyclic symmetry of the table is exercised as well.  The planar diagrams
+    of each (|w|, n) are enumerated once and collapsed into weight classes,
+    which every cyclic class of that length and order reuses.  A range that
+    reaches beyond desk scale is refused before any enumeration.
     """
     from .freealg import all_words
 
@@ -234,10 +234,7 @@ def compare_with_solver(table: _TableBase, max_n: int, max_len: int) -> CompareR
             if key not in cache:
                 cache[key] = table.spec.const(planar_moment(w, n, nletters=nlet))
             expect = cache[key]
-            try:
-                got = table.p_coeff(w, n)
-            except TruncationError:
-                continue
+            got = table.p_coeff(w, n)
             checked += 1
             if got != expect:
                 mismatches.append((w, n, got, expect))

@@ -43,8 +43,9 @@ representatives and stores each value under every word of the orbit, so
 its layers are the same plain dicts as a word-by-word solve.
 
 Both tables keep one contract (``_TableBase``): the parity and region
-guards live in ``_TableBase._reader``, and the region edge is ``S`` (|w| +
-n <= S dense, |w| <= S lazy), so a check that reads few words (the curve,
+guards live in ``_TableBase._reader``, the region edge is ``S`` (|w| + n
+<= S dense, |w| <= S lazy) and ``to_json`` exports through the readers, so
+a command that reads few words (the export, the oracle compare, the curve,
 the moment recurrences) takes either table.
 
 ``generating_residual`` checks the symmetry instead of assuming it: every
@@ -380,6 +381,22 @@ class _TableBase:
         ng = self.ng if ng is None else ng
         return XLaurent(0, [[self.p_coeff(word, n) for n in range(ng + 1)]], 0, ng)
 
+    def to_json(self) -> dict:
+        """{word: {g-power: coefficient string}} for the words of up to ``spec.ltarget`` letters.
+
+        Every slot is read through ``_reader``, so either table exports the
+        same nonzero values, and a slot the table does not hold is refused.
+        """
+        out = {}
+        for k, words in enumerate(packed_words(self.spec.nletters, self.spec.ltarget)):
+            for n in range(self.ng + 1):
+                read = self._reader(k, n)
+                for bits in words:
+                    v = read(bits)
+                    if v:
+                        out.setdefault(str(Word._raw(k, bits)), {})[str(n)] = str(self._poly(v, (k + 3 * n) // 2))
+        return dict(sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
 
 def _as_word(w) -> Word:
     if isinstance(w, Word):
@@ -398,10 +415,6 @@ class SolutionTable(_TableBase):
         super().__init__(spec)
         self.S = S
         self.layers = layers
-
-    @property
-    def grade_reached(self) -> int:
-        return min(self.S, 2 * self.ng)
 
     def _holds(self, k: int, n: int) -> bool:
         return n <= self.ng and k + n <= self.S
@@ -423,16 +436,6 @@ class SolutionTable(_TableBase):
                     terms[w] = g
                 g[n] = self._poly(v, e)
         return NCSeries({w: XLaurent(0, [g], 0, ng) for w, g in terms.items()}, lmax, ng)
-
-    def to_json(self) -> dict:
-        """{word: {g-power: coefficient string}} for reported words."""
-        out = {}
-        for (n, k), d in sorted(self.layers.items()):
-            if k > self.spec.ltarget:
-                continue
-            for bits, v in d.items():
-                out.setdefault(str(Word._raw(k, bits)), {})[str(n)] = str(self._poly(v, (k + 3 * n) // 2))
-        return {w: dict(sorted(g.items(), key=lambda kv: int(kv[0]))) for w, g in sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))}
 
 
 def check_headroom(spec: ModelSpec, kmax: int, S: int) -> Optional[int]:
@@ -724,10 +727,11 @@ def generating_residual(table: SolutionTable, grade: Optional[int] = None) -> Re
     equals the solution everywhere.  The recast form, once the symmetry
     holds, is evaluated at one word per class of <reversal, (12)>, at the
     slots with |w| + n < S.  Each form re-reads the finished table instead
-    of replaying the dense solve.
+    of replaying the dense solve.  The default grade, min(S, 2 ng), is the
+    highest at which the table holds every slot of |w| + 2n <= grade.
     """
     if grade is None:
-        grade = table.grade_reached
+        grade = min(table.S, 2 * table.ng)
     return _residual(table, grade, _orbit_partition(table.spec.nletters, min(grade, table.S)))
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from pottsloop import cli
 from pottsloop.cli import main
+from pottsloop.solver import ModelSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -247,6 +248,22 @@ def test_moment_commands_solve_no_dense_table(capsys, monkeypatch):
     rows = out.splitlines()
     assert code == 0 and len(rows) == 48
     assert [r for r in rows if not r.startswith("p") or int(r.split(",")[1]) <= 4] == (GOLDEN / "export.txt").read_text().splitlines()
+
+
+def test_solve_and_compare_solve_no_dense_table(capsys, monkeypatch, master_table):
+    assert master_table.spec == ModelSpec(ng=8, ltarget=4)
+    dense = json.dumps(master_table.to_json(), indent=2, sort_keys=True) + "\n"
+
+    def no_dense_solve(spec):
+        raise AssertionError("solve or compare reached the dense solve")
+
+    monkeypatch.setattr(cli, "solve_series", no_dense_solve)
+    code, out = run(capsys, *"solve --ng 8 --lmax 4 --format json".split())
+    assert code == 0 and out == dense
+    code, out = run(capsys, *"compare --max-len 3".split())
+    assert code == 0 and out == (GOLDEN / "compare.txt").read_text()
+    code, out = run(capsys, *"solve --kind pure-gravity".split())
+    assert code == 0 and out == (GOLDEN / "solve-pure-gravity.txt").read_text()
 
 
 # one tiny run of every subcommand, with its exit code

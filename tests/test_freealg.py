@@ -51,7 +51,6 @@ def test_word_surgery_matches_letters():
         assert word.drop_first().letters() == tuple(ls[1:])
         assert drop_last(word).letters() == tuple(ls[:-1])
         assert word.prepend(2).letters() == (2, *ls)
-        assert word.append(1).letters() == (*ls, 1)
 
 
 def test_left_delta_examples():

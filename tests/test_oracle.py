@@ -21,7 +21,7 @@ from pottsloop.cli import main
 from pottsloop.freealg import Word, word_orbits
 from pottsloop.oracle import _planar_diagrams, _weight_classes, compare_with_solver, planar_moment
 from pottsloop.ring import Poly
-from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, solve_series
+from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, TruncationError, solve_series
 
 
 def test_gaussian_genus_split_classical():
@@ -281,3 +281,11 @@ def test_compare_reports_a_corrupted_lazy_memo_entry():
     lazy._memo[key] += 1
     rep = compare_with_solver(lazy, 2, 4)
     assert [(w, m) for w, m, _got, _expect in rep.mismatches] == [(word, n)]
+
+
+def test_compare_refuses_a_table_that_lacks_a_slot():
+    # neither table holds (three letters, g^1): the lazy one refuses the four-letter
+    # words that slot reads at g^0, the dense one solved |w| + n <= 3
+    for table in (LazyTable(ModelSpec(ng=2), max_len=3), solve_series(ModelSpec(ng=2, ltarget=1))):
+        with pytest.raises(TruncationError):
+            compare_with_solver(table, 2, 3)

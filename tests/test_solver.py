@@ -283,6 +283,19 @@ def test_generating_residual_on_an_odd_solved_region():
     assert ("00000", 0) in [(str(word), n) for word, n, _ in report.recast]
 
 
+@pytest.mark.parametrize(
+    "nx, ng, c",
+    [(10, 2, "symbolic"), (8, 4, "symbolic"), (5, 1, "symbolic"), (3, 3, "symbolic"), (2, 3, "symbolic"),
+     (1, 4, "symbolic"), (0, 0, "symbolic"), (5, 1, Fraction(1, 4)), (3, 3, Fraction(1, 4))],
+)
+def test_check_loops_line_zero_region_reads_what_the_residual_reads(nx, ng, c):
+    # check-loops line 0 solves ltarget min(nx, ng + 1): the same report, grade included,
+    # as the full ltarget nx region read at the grade min(nx + ng, 2 ng)
+    small = generating_residual(solve_series(ModelSpec(c=c, ng=ng, ltarget=min(nx, ng + 1))))
+    full = generating_residual(solve_series(ModelSpec(c=c, ng=ng, ltarget=nx)), grade=min(nx + ng, 2 * ng))
+    assert small == full
+
+
 def test_lazy_table_solves_once_per_orbit():
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
     assert lazy.rhs_evaluations == 0
