@@ -82,8 +82,8 @@ def _catalog_table(args) -> LazyTable:
 def cmd_check_loops(args) -> int:
     table = _catalog_table(args)  # a refused truncation exits before the dense solve
     # line 0 referees the dense solve itself, so it solves one: its residual at grade
-    # min(nx + ng, 2 ng) reads only slots with |w| + n <= min(nx + ng, 2 ng + 1)
-    rep = generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng + 1))))
+    # min(nx + ng, 2 ng) reads only slots with |w| + n <= min(nx + ng, 2 ng)
+    rep = generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng))))
     gen = loopcat.CheckResult(0, f"generating equation (fixed-point and derivative forms, grade {rep.grade})", rep.ok)
     results = loopcat.check_loops(table, args.nx, args.ng, variant=args.catalog)
     ok = gen.passed and all(r.passed for r in results)

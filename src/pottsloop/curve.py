@@ -135,27 +135,18 @@ def check_recurrences(m: MomentSet) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveCoefficients:
-    """The six x-polynomials of the quintic, lowest first (f0..f5)."""
-
-    fs: tuple
-    ng: int
-    variant: str  # which word fills the fourth moment slot: "1202" or "1212"
-
-
-def build_curve(m: MomentSet, ng: int, variant: str = "1202") -> CurveCoefficients:
-    """Transcription of the six curve coefficients, term by term.
+def build_curve(m: MomentSet, ng: int) -> tuple:
+    """Transcription of the six curve coefficients, term by term: (f0, (f1, ..., f5)).
 
     The coefficients are x-polynomials of degree six, so they are built at
-    that fixed truncation.  ``variant`` selects the word supplying the
+    that fixed truncation.  A moment variant selects the word supplying the
     fourth moment constant; the source is ambiguous between the cyclically
     distinct words 1202 and 1212, so both are accepted and the residual
-    check adjudicates.  Every c-constant is taken at the coupling the
-    moments were read at.
+    check adjudicates.  Only f0 reads that constant, so it comes as a
+    function of the variant, ``f0(variant)``, and f1..f5 serve every
+    variant.  Every c-constant is taken at the coupling the moments were
+    read at.
     """
-    if variant not in ("1202", "1212"):
-        raise ValueError("moment variant must be '1202' or '1212'")
     NX = 6
     m = m.retruncate(ng)
 
@@ -166,7 +157,6 @@ def build_curve(m: MomentSet, ng: int, variant: str = "1202") -> CurveCoefficien
     cm1 = cp(-1, 1)  # c - 1
     c2p1 = cp(1, 2)  # 2c + 1
     p1, p12, p012 = m.p1, m.p12, m.p012
-    p4th = m.p1202 if variant == "1202" else m.p1212
 
     f5 = cp(-4) * cm1**8 * g**3 * (cp(0, 2) * x + x) ** 6
 
@@ -227,34 +217,38 @@ def build_curve(m: MomentSet, ng: int, variant: str = "1202") -> CurveCoefficien
         )
     )
 
-    f0 = (
-        cp(0, 0, -1)
-        * (
-            cm1**2 * g * x**6
+    def f0(variant: str) -> XLaurent:
+        if variant not in ("1202", "1212"):
+            raise ValueError("moment variant must be '1202' or '1212'")
+        p4th = m.p1202 if variant == "1202" else m.p1212
+        return (
+            cp(0, 0, -1)
             * (
-                cp(4) * cm1 * c2p1 * g
+                cm1**2 * g * x**6
                 * (
-                    (D**3 * g**2 + cp(0, 9, 31, 18)) * p12
-                    + cm1 * cp(0, 1) * c2p1 * g
-                    * (cp(2) * cm1 * c2p1 * g * p4th + cp(5, 8) * p012)
+                    cp(4) * cm1 * c2p1 * g
+                    * (
+                        (D**3 * g**2 + cp(0, 9, 31, 18)) * p12
+                        + cm1 * cp(0, 1) * c2p1 * g
+                        * (cp(2) * cm1 * c2p1 * g * p4th + cp(5, 8) * p012)
+                    )
+                    + cp(3) * D**4 * g**3 * p1 * p1
+                    + cp(2) * p1 * (cp(2, 3) * D**3 * g**2 + cp(0, 18, 72, 80, -8))
                 )
-                + cp(3) * D**4 * g**3 * p1 * p1
-                + cp(2) * p1 * (cp(2, 3) * D**3 * g**2 + cp(0, 18, 72, 80, -8))
-            )
-            + c2p1**2
-            * (
-                cm1**4 * cp(0, 0, 1) * g**4
-                - cp(0, 0, 6) * cm1**3 * g**3 * x
-                + x**4 * (cp(0, 0, -12) + c2p1**2 * cm1**6 * g**4 - cp(0, 6) * c2p1 * cm1**3 * g**2)
-                - cm1**2 * x**6 * (cm1**2 * cp(3, 8, 1) * g**2 + cp(0, 12))
-                - cp(2) * cm1**2 * c2p1 * g * x**5 * (c2p1 * cm1**3 * g**2 + cp(0, 2))
-                + cp(0, 4) * cm1 * g * x**3 * (cp(2) * c2p1 * cm1**3 * g**2 + cp(0, 1))
-                - cp(0, 1) * cm1**2 * g**2 * x**2 * (cp(2) * cm1**3 * c2p1 * g**2 - cp(0, 9))
+                + c2p1**2
+                * (
+                    cm1**4 * cp(0, 0, 1) * g**4
+                    - cp(0, 0, 6) * cm1**3 * g**3 * x
+                    + x**4 * (cp(0, 0, -12) + c2p1**2 * cm1**6 * g**4 - cp(0, 6) * c2p1 * cm1**3 * g**2)
+                    - cm1**2 * x**6 * (cm1**2 * cp(3, 8, 1) * g**2 + cp(0, 12))
+                    - cp(2) * cm1**2 * c2p1 * g * x**5 * (c2p1 * cm1**3 * g**2 + cp(0, 2))
+                    + cp(0, 4) * cm1 * g * x**3 * (cp(2) * c2p1 * cm1**3 * g**2 + cp(0, 1))
+                    - cp(0, 1) * cm1**2 * g**2 * x**2 * (cp(2) * cm1**3 * c2p1 * g**2 - cp(0, 9))
+                )
             )
         )
-    )
 
-    return CurveCoefficients((f0, f1, f2, f3, f4, f5), ng, variant)
+    return f0, (f1, f2, f3, f4, f5)
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +299,31 @@ def build_shifted_resolvent(table: _TableBase, nx: int, ng: int) -> ShiftedResol
     return ShiftedResolvent(XLaurent(0, rows, NX, ng), one_minus_c)
 
 
-def quintic_residual(shifted: ShiftedResolvent, coeffs: CurveCoefficients) -> XLaurent:
+def quintic_residual(shifted: ShiftedResolvent, coeffs: Sequence[XLaurent]) -> XLaurent:
     """(1-c)^5 R with R = sum_k f_k y^k, as a Laurent series.
 
     Computed as sum_k (1-c)^(5-k) f_k ytilde^k, with polynomial coefficients
-    throughout.  The factor (1-c)^5 is nonzero, so the result vanishes
-    exactly where R does and R is identically zero on a solved table;
-    :func:`curve_witness` divides a reported slot back to R.  Exact on the
-    full reported rectangle, which :func:`build_shifted_resolvent` ensures.
+    throughout, over the leading f_k that ``coeffs`` holds; the sum is linear
+    in the f_k, so the residuals of a split of f0..f5 add up to theirs.  The
+    factor (1-c)^5 is nonzero, so the result vanishes exactly where R does
+    and R is identically zero on a solved table; :func:`curve_witness`
+    divides a reported slot back to R.  Exact on the full reported
+    rectangle, which :func:`build_shifted_resolvent` ensures.
     """
-    ng = coeffs.ng
-    ytilde = shifted.ytilde
-    NX = ytilde.nx
-    nx = NX - 10
-    acc = XLaurent.zero(NX, ng)
-    ypow = XLaurent.x_power(0, NX, ng)
-    for k in range(6):
-        fk = XLaurent(coeffs.fs[k].low + 10 - 2 * k, coeffs.fs[k].coeffs, NX, ng)
-        acc = acc + fk * shifted.one_minus_c ** (5 - k) * ypow
-        if k < 5:
+    NX, ng = shifted.ytilde.nx, shifted.ytilde.ng
+    # every term is a multiple of x^low, the lowest power of an f_k x^(10-2k), so the sum
+    # is x^low times a series truncated at x^top, top = NX - low, which reads ytilde no higher
+    low = min((f.low + 10 - 2 * k for k, f in enumerate(coeffs) if f.coeffs), default=0)
+    top = NX - low
+    ytilde = shifted.ytilde.retruncate(top, ng)
+    acc = XLaurent.zero(top, ng)
+    ypow = XLaurent.x_power(0, top, ng)
+    for k, f in enumerate(coeffs):
+        if k:
             ypow = ypow * ytilde
-    if acc.is_zero():
-        return XLaurent.zero(nx, ng)
-    return XLaurent(acc.low - 10, acc.coeffs, nx, ng)
+        fk = XLaurent(f.low + 10 - 2 * k - low, f.coeffs, top, ng)
+        acc = acc + fk * shifted.one_minus_c ** (5 - k) * ypow
+    return XLaurent(acc.low + low - 10, acc.coeffs, NX - 10, ng)
 
 
 def _divide_back(v: Poly, one_minus_c: Poly) -> str:
@@ -377,15 +373,18 @@ def check_curve(
     """Quintic residual for each requested moment-variant mapping.
 
     The table may be dense or demand-driven; only phi's words 0^k and the
-    moment words are read.
+    moment words are read.  Only f0 reads the fourth moment, so f1..f5, the
+    powers of ytilde and the sum over k = 1..5 are computed once; each
+    variant adds the residual of its own f0.
     """
     if nx < 0 or ng < 0:
         raise ValueError("truncation orders must be nonnegative")
     moments = compute_moments(table, ng)
     shifted = build_shifted_resolvent(table, nx, ng)
+    f0, rest = build_curve(moments, ng)
+    shared = quintic_residual(shifted, (XLaurent.zero(0, ng),) + rest)
     out = []
     for variant in variants:
-        coeffs = build_curve(moments, ng, variant)
-        fz = curve_witness(quintic_residual(shifted, coeffs), shifted)
+        fz = curve_witness(shared + quintic_residual(shifted, (f0(variant),)), shifted)
         out.append(CurveCheck(variant, fz is None, fz))
     return out

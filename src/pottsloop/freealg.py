@@ -116,9 +116,6 @@ class Word:
     def __hash__(self):
         return hash((self.n, self.bits))
 
-    def sort_key(self):
-        return (self.n, self.letters())
-
     def __repr__(self):
         return f"Word('{self}')"
 
@@ -303,12 +300,13 @@ def word_orbits(k: int) -> tuple:
     packed word of the orbit.  The sweep takes the first word not seen yet,
     names its orbit with ``orbit_rep`` and marks its images, so ``orbit_rep``
     runs once per orbit.  It visits only the words that start with the letter
-    0 (every third packed word), since a relabelling puts one in every orbit.
+    0, in ascending packed order, since a relabelling puts one in every orbit:
+    the words one letter shorter, shifted up past a leading 0.
     Cached: the dense solve and its residual share it.
     """
     seen = set()
     out = []
-    for w in packed_words(3, k)[k][::3]:
+    for w in [v << 2 for v in packed_words(3, max(k - 1, 0))[-1]]:
         if w not in seen:
             images = _orbit_images(w, k)
             seen |= images
@@ -347,10 +345,6 @@ class NCSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(lmax: int, ng: int) -> "NCSeries":
-        return NCSeries({}, lmax, ng)
-
-    @staticmethod
     def unit(lmax: int, ng: int) -> "NCSeries":
         return NCSeries({EMPTY_WORD: XLaurent.constant(1, 0, ng)}, lmax, ng)
 
@@ -361,9 +355,6 @@ class NCSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def words(self):
-        return sorted(self.terms, key=Word.sort_key)
 
     def _check(self, other: "NCSeries"):
         if self.lmax != other.lmax or self.ng != other.ng:

@@ -557,24 +557,27 @@ def build_rhs_potts(phi: NCSeries) -> NCSeries:
     rhs = 1 + sum_i x_i Phi (sum_j G_ij x_j) Phi
             + g sum_i (sum_j G_ij x_j) Delta_i^2 Phi
     with G_ii = 1 and G_ij = c for unequal spins, transcribed term by term,
-    at symbolic c.
+    at symbolic c.  Returned to its exact truncation, phi.lmax - 1: at a
+    longer word the triangle term would need Phi one letter past phi.lmax.
+    Only that term reads Phi's words of phi.lmax letters; the quadratic
+    term, the product (x_i Phi)(sum_j G_ij x_j Phi), runs on Phi cut to
+    phi.lmax - 1.
     """
-    ng, lmax = phi.ng, phi.lmax
+    ng, lmax = phi.ng, phi.lmax - 1
+    cut = NCSeries(phi.terms, lmax, ng)
+
+    def spread(s: NCSeries, i: int) -> NCSeries:
+        # sum_j G_ij x_j s
+        out = NCSeries({}, lmax, ng)
+        for j in LETTERS:
+            piece = s.mul_letter_left(j)
+            out = out + (piece if i == j else piece.scale(P_C))
+        return out
+
     rhs = NCSeries.unit(lmax, ng)
     for i in LETTERS:
-        right = NCSeries.zero(lmax, ng)
-        for j in LETTERS:
-            piece = phi.mul_letter_left(j)
-            if i != j:
-                piece = piece.scale(P_C)
-            right = right + piece
-        rhs = rhs + (phi * right).mul_letter_left(i)
-        gdd = phi.left_delta(i).left_delta(i).shift_g(1)
-        for j in LETTERS:
-            piece = gdd.mul_letter_left(j)
-            if i != j:
-                piece = piece.scale(P_C)
-            rhs = rhs + piece
+        dd = phi.left_delta(i).left_delta(i)
+        rhs = rhs + cut.mul_letter_left(i) * spread(cut, i) + spread(NCSeries(dd.terms, lmax, ng).shift_g(1), i)
     return rhs
 
 

@@ -266,6 +266,20 @@ def test_solve_and_compare_solve_no_dense_table(capsys, monkeypatch, master_tabl
     assert code == 0 and out == (GOLDEN / "solve-pure-gravity.txt").read_text()
 
 
+def test_check_loops_line_zero_solves_what_its_residual_reads(capsys, monkeypatch):
+    # at nx > ng the residual grade is 2 ng and every slot it reads has |w| + n <= 2 ng,
+    # so line 0 solves ltarget ng; the report is the one of the region a letter longer
+    specs, reports = [], []
+    solve, residual = cli.solve_series, cli.generating_residual
+    monkeypatch.setattr(cli, "solve_series", lambda spec: specs.append(spec) or solve(spec))
+    monkeypatch.setattr(cli, "generating_residual", lambda table: reports.append(residual(table)) or reports[-1])
+    monkeypatch.setattr(cli.loopcat, "check_loops", lambda *args, **kwargs: [])
+    code, out = run(capsys, *"check-loops --nx 12 --ng 5".split())
+    assert code == 0 and out == "[PASS]  0  generating equation (fixed-point and derivative forms, grade 10)\n"
+    assert specs == [ModelSpec(ng=5, ltarget=5)]
+    assert reports == [residual(solve(ModelSpec(ng=5, ltarget=6)))]
+
+
 # one tiny run of every subcommand, with its exit code
 NO_NUMPY_RUNS = {
     "solve": ("solve --ng 1 --lmax 2", 0),

@@ -22,6 +22,12 @@ from pottsloop.ring import Poly, XLaurent
 from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
 
 
+def six_coefficients(m: MomentSet, ng: int, variant: str = "1202") -> tuple:
+    """f0..f5 of the curve, with the fourth moment constant read from word ``variant``."""
+    f0, rest = build_curve(m, ng)
+    return (f0(variant),) + rest
+
+
 def implied_moment_relations(m: MomentSet) -> list:
     """Closed reductions of p1122 and p1120 to p1, p12, p012, verified exactly.
 
@@ -94,15 +100,15 @@ def test_implied_moment_reductions(master_table):
 
 
 def test_curve_coefficient_degrees(master_table):
-    cc = build_curve(compute_moments(master_table), 4)
+    cc = six_coefficients(compute_moments(master_table), 4)
     degs = []
-    for f in cc.fs:
+    for f in cc:
         es = [e for e, _ in f.items()]
         degs.append((min(es), max(es)) if es else (None, None))
     assert [d[1] for d in degs] == [6] * 6  # every coefficient has x-degree 6
     assert [d[0] for d in degs] == [0, 1, 2, 3, 4, 6]
     # the top coefficient is the single monomial -4 (c-1)^8 (2c+1)^6 g^3 x^6
-    f5 = cc.fs[5]
+    f5 = cc[5]
     assert [e for e, _ in f5.items()] == [6]
     g_orders = [n for n, v in enumerate(f5.coefficient(6).coeffs[0]) if not v.is_zero()]
     assert g_orders == [3]
@@ -143,6 +149,26 @@ def test_variant_discrimination_at_depth(master_table):
     assert checks["1212"].first_nonzero == (6, 6, W1212_X6G6)
 
 
+@pytest.mark.parametrize("route", ["dense", "lazy", "lazy-c-2_3"])
+def test_shared_sum_matches_each_variant_alone(master_table, route):
+    # check_curve sums the terms of f1..f5 once and adds each variant's f0 term: the same
+    # witnesses as the full residual of each variant built on its own
+    table = {
+        "dense": master_table,
+        "lazy": LazyTable(ModelSpec(ng=6), max_len=10),
+        "lazy-c-2_3": LazyTable(ModelSpec(c=Fraction(-2, 3), ng=6), max_len=10),
+    }[route]
+    moments, shifted = compute_moments(table, 6), build_shifted_resolvent(table, 6, 6)
+    alone = [
+        curve_witness(quintic_residual(shifted, six_coefficients(moments, 6, v)), shifted) for v in ("1202", "1212")
+    ]
+    assert [ch.first_nonzero for ch in check_curve(table, 6, 6)] == alone
+    assert [ch.first_nonzero for ch in check_curve(table, 6, 6, ("1212",))] == alone[1:]
+    assert alone[0] is None and alone[1][:2] == (6, 6)
+    if route != "lazy-c-2_3":
+        assert alone[1] == (6, 6, W1212_X6G6)
+
+
 def test_literal_shift_constant_fails(medium_table):
     """With the 1/(1-c) term at x^0 instead of x^-1 the curve cannot hold;
     the witness pins the adjudication of the shift convention."""
@@ -150,7 +176,7 @@ def test_literal_shift_constant_fails(medium_table):
     default = build_shifted_resolvent(medium_table, 3, 3)
     x = XLaurent.x_power(1, default.ytilde.nx, 3)
     shifted = replace(default, ytilde=default.ytilde - x + x**2)
-    coeffs = build_curve(moments, 3, "1202")
+    coeffs = six_coefficients(moments, 3)
     res = quintic_residual(shifted, coeffs)
     assert curve_witness(res, shifted) == (1, 3, W_LITERAL_SHIFT_X1G3)
 
@@ -177,7 +203,7 @@ def test_quintic_sensitive_to_moment_perturbation(master_table):
         *(getattr(m, "p" + lab) for lab in ("11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")),
     )
     shifted = build_shifted_resolvent(master_table, 6, 6)
-    res = quintic_residual(shifted, build_curve(bumped, 6, "1202"))
+    res = quintic_residual(shifted, six_coefficients(bumped, 6))
     assert res.first_nonzero() is not None
 
 
@@ -235,7 +261,7 @@ def test_lazy_route_matches_the_dense_route(nx, ng, c):
 
 def _shallow_residual():
     table = solve_series(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=4))  # S = 6
-    quintic_residual(build_shifted_resolvent(table, 12, 2), build_curve(compute_moments(table, 2), 2))
+    quintic_residual(build_shifted_resolvent(table, 12, 2), six_coefficients(compute_moments(table, 2), 2))
 
 
 def _foreign_coupling():
@@ -247,7 +273,7 @@ def _foreign_coupling():
     "call, error, match",
     [
         (_shallow_residual, TruncationError, "need at least 8"),
-        (lambda: build_curve(compute_moments(solve_series(ModelSpec(ng=2))), 2, "1221"), ValueError, "1202"),
+        (lambda: build_curve(compute_moments(solve_series(ModelSpec(ng=2))), 2)[0]("1221"), ValueError, "1202"),
         (_foreign_coupling, ValueError, "different coupling"),
         (lambda: check_curve(solve_series(ModelSpec(ng=2)), -1, 2), ValueError, "nonnegative"),
     ],

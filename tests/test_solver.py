@@ -77,13 +77,24 @@ def test_build_rhs_on_unit_series():
 
 
 def test_rhs_fixed_point_matches_ncseries_path(small_table):
-    """One application of the NCSeries-level rhs reproduces the table."""
+    """One application of the NCSeries-level rhs reproduces the table to its exact truncation."""
     lmax, ng = 4, 2
     phi = small_table.to_ncseries(lmax + 1, ng)
     rhs = build_rhs_potts(phi)
-    target = small_table.to_ncseries(lmax, ng)
-    for word in target.words():
-        assert rhs.coefficient(word) == target.coefficient(word)
+    assert (rhs.lmax, rhs.ng) == (lmax, ng)
+    assert rhs == small_table.to_ncseries(lmax, ng)
+    assert len(rhs.terms) == sum(3**k for k in range(lmax + 1))  # every word of up to lmax letters
+
+
+def test_rhs_reads_the_longest_words_of_phi(small_table):
+    # only the triangle term reads Phi at phi.lmax letters: g Delta_0^2 bumps 00012 into x_j 012
+    phi = small_table.to_ncseries(5, 2)
+    bump = Word.from_string("00012")
+    bumped = NCSeries({**phi.terms, bump: phi.coefficient(bump) + XLaurent.constant(1, 0, 2)}, 5, 2)
+    rhs, changed = build_rhs_potts(phi), build_rhs_potts(bumped)
+    diff = {str(w): changed.coefficient(w) - rhs.coefficient(w) for w in rhs.terms.keys() | changed.terms.keys()}
+    g, gc = XLaurent(0, [(0, 1)], 0, 2), XLaurent(0, [(0, Poly((0, 1)))], 0, 2)
+    assert {w: d for w, d in diff.items() if not d.is_zero()} == {"0012": g, "1012": gc, "2012": gc}
 
 
 def test_c_zero_decouples_colors():
@@ -286,12 +297,12 @@ def test_generating_residual_on_an_odd_solved_region():
 @pytest.mark.parametrize(
     "nx, ng, c",
     [(10, 2, "symbolic"), (8, 4, "symbolic"), (5, 1, "symbolic"), (3, 3, "symbolic"), (2, 3, "symbolic"),
-     (1, 4, "symbolic"), (0, 0, "symbolic"), (5, 1, Fraction(1, 4)), (3, 3, Fraction(1, 4))],
+     (1, 4, "symbolic"), (0, 0, "symbolic"), (5, 1, Fraction(1, 4)), (3, 3, Fraction(1, 4)), (4, 3, "symbolic")],
 )
 def test_check_loops_line_zero_region_reads_what_the_residual_reads(nx, ng, c):
-    # check-loops line 0 solves ltarget min(nx, ng + 1): the same report, grade included,
+    # check-loops line 0 solves ltarget min(nx, ng): the same report, grade included,
     # as the full ltarget nx region read at the grade min(nx + ng, 2 ng)
-    small = generating_residual(solve_series(ModelSpec(c=c, ng=ng, ltarget=min(nx, ng + 1))))
+    small = generating_residual(solve_series(ModelSpec(c=c, ng=ng, ltarget=min(nx, ng))))
     full = generating_residual(solve_series(ModelSpec(c=c, ng=ng, ltarget=nx)), grade=min(nx + ng, 2 * ng))
     assert small == full
 
