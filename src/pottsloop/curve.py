@@ -69,9 +69,6 @@ class MomentSet:
     def ng(self) -> int:
         return self.p1.ng
 
-    def retruncate(self, ng: int) -> "MomentSet":
-        return MomentSet(*(getattr(self, "p" + lab).retruncate(0, ng) for lab in MOMENT_LABELS), self.spec)
-
     def const(self, *coeffs: int) -> XLaurent:
         """The c-polynomial with these ascending coefficients as a g-series constant."""
         return XLaurent.constant(self.spec.const(Poly(coeffs)), 0, self.ng)
@@ -135,7 +132,7 @@ def check_recurrences(m: MomentSet) -> list:
 # ---------------------------------------------------------------------------
 
 
-def build_curve(m: MomentSet, ng: int) -> tuple:
+def build_curve(m: MomentSet) -> tuple:
     """Transcription of the six curve coefficients, term by term: (f0, (f1, ..., f5)).
 
     The coefficients are x-polynomials of degree six, so they are built at
@@ -145,10 +142,9 @@ def build_curve(m: MomentSet, ng: int) -> tuple:
     check adjudicates.  Only f0 reads that constant, so it comes as a
     function of the variant, ``f0(variant)``, and f1..f5 serve every
     variant.  Every c-constant is taken at the coupling the moments were
-    read at.
+    read at, and the g-order is theirs (``m.ng``).
     """
-    NX = 6
-    m = m.retruncate(ng)
+    NX, ng = 6, m.ng
 
     cp = m.const
     x = XLaurent.x_power(1, NX, ng)
@@ -294,7 +290,7 @@ def build_shifted_resolvent(table: _TableBase, nx: int, ng: int) -> ShiftedResol
     one_minus_c = table.spec.const(Poly((1, -1)))
     rows = [(P_ZERO, -one_minus_c), (1,), ()]
     for k in range(NX - 2):  # phi's x^k lands at x^(k+3)
-        phi_k = [table.p_coeff(Word([0] * k), n) if k + n <= mask and (k + n) % 2 == 0 else P_ZERO for n in range(ng + 1)]
+        phi_k = [table.p_coeff(Word([0] * k), n) if k + n <= mask else P_ZERO for n in range(ng + 1)]
         rows.append([-p * one_minus_c for p in phi_k])
     return ShiftedResolvent(XLaurent(0, rows, NX, ng), one_minus_c)
 
@@ -381,7 +377,7 @@ def check_curve(
         raise ValueError("truncation orders must be nonnegative")
     moments = compute_moments(table, ng)
     shifted = build_shifted_resolvent(table, nx, ng)
-    f0, rest = build_curve(moments, ng)
+    f0, rest = build_curve(moments)
     shared = quintic_residual(shifted, (XLaurent.zero(0, ng),) + rest)
     out = []
     for variant in variants:

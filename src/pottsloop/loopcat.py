@@ -427,9 +427,9 @@ def _sd_terms(rep):
     return tuple(terms)
 
 
-def _reproduces_catalog(rep, residual, table, nx, ng, variant):
+def _reproduces_catalog(rep, residual, table, nx, ng):
     """``residual`` (rows of ``rep``) equals npieces times the paired catalog residual."""
-    paired = _loop_rows(CATALOG[rep.index - 1].effective_terms(variant), table, nx, ng)
+    paired = _loop_rows(CATALOG[rep.index - 1].effective_terms(), table, nx, ng)
     diff = _combine([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
     return not _nonzero_slots(diff)[1]
 
@@ -481,7 +481,7 @@ def check_sd(table: _TableBase, nx: int, ng: int) -> list:
         fz, bad = _nonzero_slots(res)
         ok = fz is None
         label = str(rep)
-        if ok and not _reproduces_catalog(rep, res, table, nx, ng, "emended"):
+        if ok and not _reproduces_catalog(rep, res, table, nx, ng):
             ok = False
             label += "  (does not reproduce its catalog pairing)"
         out.append(CheckResult(rep.index, label, ok, fz, bad))

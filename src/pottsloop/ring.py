@@ -524,7 +524,7 @@ def xlaurent_grade_mask(a: XLaurent, cap: int) -> XLaurent:
     return XLaurent._of_rows(a.low, out, a.nx, a.ng)
 
 
-def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
+def xlaurent_sqrt(a: XLaurent, *, grade_cap: int) -> XLaurent:
     """Square root of a Laurent series whose (x^0, g^0) part is 1.
 
     Coupled Newton iteration (Karp & Markstein, ACM TOMS 1997): the root b
@@ -536,16 +536,16 @@ def xlaurent_sqrt(a: XLaurent, *, grade_cap: int | None = None) -> XLaurent:
     nilpotent part of ``a``, the next b errs at order min(2p, p + q) and the
     next z at min(2q, that), so both orders double each step: at most four
     products a step and no nested inverse.
-    With ``grade_cap`` every step is masked to the sloped region of
-    :func:`xlaurent_grade_mask`, where it is exact; the loop stops once
-    ``a - b^2`` vanishes there.
+    Every step is masked to the sloped region of :func:`xlaurent_grade_mask`
+    below ``grade_cap``, where it is exact; the loop stops once ``a - b^2``
+    vanishes there.
     """
     u = a[0]
     if not u.is_one():
         raise ValueError("series square root needs constant term 1")
 
     def cap(v):
-        return xlaurent_grade_mask(v, grade_cap) if grade_cap is not None else v
+        return xlaurent_grade_mask(v, grade_cap)
 
     a = cap(a)
     half = Fraction(1, 2)

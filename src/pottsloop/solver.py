@@ -27,7 +27,7 @@ integer is the packed polynomial.  At a rational c0 = a/b in lowest terms
 (b > 0) the integer is b**E * p_w^(n), so the recursion never divides and
 pays no gcd.  One table method (``_TableBase._digits``) decodes the raw
 encoding; every value that leaves the table is read through it, as a Poly
-(a constant at numeric c) or as the catalog's integer rows.
+(a constant at numeric c) or as integer rows (``_TableBase._rows``).
 
 A coefficient p_w^(n) = <tr X_w> at g^n is invariant under cyclic rotation
 of w (trace), reversal (transposition) and S3 relabelling of the spins, so
@@ -44,9 +44,10 @@ its layers are the same plain dicts as a word-by-word solve.
 
 Both tables keep one contract (``_TableBase``): the parity and region
 guards live in ``_TableBase._reader``, the region edge is ``S`` (|w| + n
-<= S dense, |w| <= S lazy) and ``to_json`` exports through the readers, so
-a command that reads few words (the export, the oracle compare, the curve,
-the moment recurrences) takes either table.
+<= S dense, |w| <= S lazy) and the one export, ``to_ncseries``, reads
+through the readers (``to_json`` formats it), so a command that reads few
+words (the export, the oracle compare, the curve, the moment recurrences)
+takes either table.
 
 ``generating_residual`` checks the symmetry instead of assuming it: every
 stored slot must equal its images under three generators of the group (one
@@ -283,9 +284,9 @@ class _TableBase:
     text that names its region (``_region``, formatted with its edge ``S``
     and ``ng``) and how to read a held slot (``_slot(k, n)``).  The guards
     live in ``_reader`` alone.  ``_digits`` is the one decoder of the raw
-    encoding; every value that leaves a table (``p_coeff``, ``to_json``,
-    ``to_ncseries``, residual failures and the catalog's rows) is read
-    through it.
+    encoding; every value that leaves a table (``p_coeff``, the export
+    ``to_ncseries`` that ``to_json`` formats, residual failures and the
+    rows of ``_rows``) is read through it.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -381,20 +382,28 @@ class _TableBase:
         ng = self.ng if ng is None else ng
         return XLaurent(0, [[self.p_coeff(word, n) for n in range(ng + 1)]], 0, ng)
 
-    def to_json(self) -> dict:
-        """{word: {g-power: coefficient string}} for the words of up to ``spec.ltarget`` letters.
+    def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
+        """The series of every word of up to ``lmax`` letters to g^ng: the one export.
 
         Every slot is read through ``_reader``, so either table exports the
         same nonzero values, and a slot the table does not hold is refused.
         """
-        out = {}
-        for k, words in enumerate(packed_words(self.spec.nletters, self.spec.ltarget)):
-            for n in range(self.ng + 1):
+        terms = {}
+        for k, words in enumerate(packed_words(self.spec.nletters, lmax)):
+            for n in range(ng + 1):
                 read = self._reader(k, n)
                 for bits in words:
                     v = read(bits)
                     if v:
-                        out.setdefault(str(Word._raw(k, bits)), {})[str(n)] = str(self._poly(v, (k + 3 * n) // 2))
+                        terms.setdefault(Word._raw(k, bits), [P_ZERO] * (ng + 1))[n] = self._poly(v, (k + 3 * n) // 2)
+        return NCSeries({w: XLaurent(0, [g], 0, ng) for w, g in terms.items()}, lmax, ng)
+
+    def to_json(self) -> dict:
+        """{word: {g-power: coefficient string}}: ``to_ncseries`` to ``spec.ltarget`` letters, formatted."""
+        out = {
+            str(w): {str(n): str(p) for n, p in enumerate(s.coeffs[0]) if not p.is_zero()}
+            for w, s in self.to_ncseries(self.spec.ltarget, self.ng).terms.items()
+        }
         return dict(sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
@@ -422,39 +431,24 @@ class SolutionTable(_TableBase):
     def _slot(self, k: int, n: int):
         return self.layers.get((n, k), {}).get
 
-    def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
-        terms = {}
-        for (n, k), d in self.layers.items():
-            if k > lmax or n > ng:
-                continue
-            e = (k + 3 * n) // 2
-            for bits, v in d.items():
-                w = Word._raw(k, bits)
-                g = terms.get(w)
-                if g is None:
-                    g = [P_ZERO] * (ng + 1)
-                    terms[w] = g
-                g[n] = self._poly(v, e)
-        return NCSeries({w: XLaurent(0, [g], 0, ng) for w, g in terms.items()}, lmax, ng)
 
-
-def check_headroom(spec: ModelSpec, kmax: int, S: int) -> Optional[int]:
+def check_headroom(spec: ModelSpec, S: int) -> Optional[int]:
     """Bound the packed digits of a symbolic region; refuse it if the bound reaches the guard.
 
-    The region is |w| <= kmax, |w| + n <= S, n <= ng.  Every digit of
-    p_w^(n) is at most its value at c = 1, which is nletters**n * pg(|w|, n)
-    with pg the one-matrix count (the same recursion on one letter).  The
-    signed recast combination stays within _RECAST_MARGIN times that, so a
-    bound below the guard makes every packed operation carry-free.  Returns
-    that bound, or None at numeric c, whose raw values are plain integers.
+    The region is |w| + n <= S, n <= ng.  Every digit of p_w^(n) is at most
+    its value at c = 1, which is nletters**n * pg(|w|, n) with pg the
+    one-matrix count (the same recursion on one letter).  The signed recast
+    combination stays within _RECAST_MARGIN times that, so a bound below the
+    guard makes every packed operation carry-free.  Returns that bound, or
+    None at numeric c, whose raw values are plain integers.
     """
     if not spec.symbolic:
         return None
     pg = _solve_dense(1, S, spec.ng, 1, 1, _singletons(1, S))
-    bound = _RECAST_MARGIN * max(spec.nletters**n * d.get(0, 0) for (n, k), d in pg.items() if k <= kmax)
+    bound = _RECAST_MARGIN * max(spec.nletters**n * d.get(0, 0) for (n, _), d in pg.items())
     if bound >= _GUARD:
         raise ValueError(
-            f"truncation |w| <= {kmax}, |w| + n <= {S}, n <= {spec.ng} refused at symbolic c: "
+            f"truncation |w| <= {S}, |w| + n <= {S}, n <= {spec.ng} refused at symbolic c: "
             f"packed digits may reach {bound} (a {bound.bit_length()}-bit bound), "
             f"beyond the 2^62 digit guard"
         )
@@ -473,7 +467,7 @@ def solve_series(spec: ModelSpec) -> SolutionTable:
     (:func:`check_headroom`).
     """
     S = spec.ltarget + spec.ng
-    check_headroom(spec, S, S)
+    check_headroom(spec, S)
     nlet = spec.nletters
     layers = _solve_dense(nlet, S, spec.ng, *_weights(spec), _orbit_partition(nlet, S))
     return SolutionTable(spec, S, layers)
@@ -503,7 +497,7 @@ class LazyTable(_TableBase):
         # a slot (k, n) reads k + 1 letters at n - 1, down to k + n letters at
         # n = 0, and the table refuses k > max_len, so every nonzero value it
         # holds has |w| + n <= max_len
-        check_headroom(spec, max_len, max_len)
+        check_headroom(spec, max_len)
         super().__init__(spec)
         self.S = max_len
         self.nlet = spec.nletters
@@ -768,11 +762,6 @@ class PureGravityResult:
     variant_first_mismatch: Optional[tuple]
 
 
-def pure_gravity_phi(table: SolutionTable, nx: int, ng: int) -> XLaurent:
-    rows = [[table.p_coeff(Word([0] * k), n) for n in range(ng + 1)] for k in range(nx + 1)]
-    return XLaurent(0, rows, nx, ng)
-
-
 def _pure_gravity_branches(p1: XLaurent, nx: int, ng: int):
     """Both roots of the quadratic generating equation for the one-matrix model.
 
@@ -829,7 +818,7 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
     """Series solution of the one-matrix generating equation plus branch data."""
     spec = ModelSpec(kind="pure-gravity", c="symbolic", ng=ng, ltarget=lx)
     table = solve_series(spec)
-    phi = pure_gravity_phi(table, lx, ng)
+    phi = XLaurent._from_ints(0, *table._rows([[Word([0] * k)] for k in range(lx + 1)], ng), lx, ng)
     p1 = table.gseries(Word([0]), ng)
     lo, hi = _pure_gravity_branches(p1, lx, ng)
     first_mismatch = None

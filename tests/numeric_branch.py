@@ -92,7 +92,7 @@ def numeric_branch_check(
         raise ValueError("numeric table was solved at a different coupling")
     ng = table.ng if ng is None else ng
     moments = compute_moments(table, ng)
-    f0, rest = build_curve(moments, ng)
+    f0, rest = build_curve(moments)
     fs_eval = []
     for f in (f0("1202"),) + rest:
         fs_eval.append(list(f.items()))

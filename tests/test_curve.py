@@ -22,9 +22,9 @@ from pottsloop.ring import Poly, XLaurent
 from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
 
 
-def six_coefficients(m: MomentSet, ng: int, variant: str = "1202") -> tuple:
+def six_coefficients(m: MomentSet, variant: str = "1202") -> tuple:
     """f0..f5 of the curve, with the fourth moment constant read from word ``variant``."""
-    f0, rest = build_curve(m, ng)
+    f0, rest = build_curve(m)
     return (f0(variant),) + rest
 
 
@@ -84,7 +84,7 @@ def test_recurrences_hold_at_numeric_c(c):
     m = compute_moments(solve_series(spec))
     for rep in check_recurrences(m) + implied_moment_relations(m):
         assert rep.passed, rep.line()
-    assert m.spec == spec and m.retruncate(2).spec == spec
+    assert m.spec == spec
 
 
 def test_recurrence_low_order_values(small_table):
@@ -100,7 +100,7 @@ def test_implied_moment_reductions(master_table):
 
 
 def test_curve_coefficient_degrees(master_table):
-    cc = six_coefficients(compute_moments(master_table), 4)
+    cc = six_coefficients(compute_moments(master_table, 4))
     degs = []
     for f in cc:
         es = [e for e, _ in f.items()]
@@ -160,7 +160,7 @@ def test_shared_sum_matches_each_variant_alone(master_table, route):
     }[route]
     moments, shifted = compute_moments(table, 6), build_shifted_resolvent(table, 6, 6)
     alone = [
-        curve_witness(quintic_residual(shifted, six_coefficients(moments, 6, v)), shifted) for v in ("1202", "1212")
+        curve_witness(quintic_residual(shifted, six_coefficients(moments, v)), shifted) for v in ("1202", "1212")
     ]
     assert [ch.first_nonzero for ch in check_curve(table, 6, 6)] == alone
     assert [ch.first_nonzero for ch in check_curve(table, 6, 6, ("1212",))] == alone[1:]
@@ -176,7 +176,7 @@ def test_literal_shift_constant_fails(medium_table):
     default = build_shifted_resolvent(medium_table, 3, 3)
     x = XLaurent.x_power(1, default.ytilde.nx, 3)
     shifted = replace(default, ytilde=default.ytilde - x + x**2)
-    coeffs = six_coefficients(moments, 3)
+    coeffs = six_coefficients(moments)
     res = quintic_residual(shifted, coeffs)
     assert curve_witness(res, shifted) == (1, 3, W_LITERAL_SHIFT_X1G3)
 
@@ -203,7 +203,7 @@ def test_quintic_sensitive_to_moment_perturbation(master_table):
         *(getattr(m, "p" + lab) for lab in ("11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")),
     )
     shifted = build_shifted_resolvent(master_table, 6, 6)
-    res = quintic_residual(shifted, six_coefficients(bumped, 6))
+    res = quintic_residual(shifted, six_coefficients(bumped))
     assert res.first_nonzero() is not None
 
 
@@ -261,7 +261,7 @@ def test_lazy_route_matches_the_dense_route(nx, ng, c):
 
 def _shallow_residual():
     table = solve_series(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=4))  # S = 6
-    quintic_residual(build_shifted_resolvent(table, 12, 2), six_coefficients(compute_moments(table, 2), 2))
+    quintic_residual(build_shifted_resolvent(table, 12, 2), six_coefficients(compute_moments(table, 2)))
 
 
 def _foreign_coupling():
@@ -273,7 +273,7 @@ def _foreign_coupling():
     "call, error, match",
     [
         (_shallow_residual, TruncationError, "need at least 8"),
-        (lambda: build_curve(compute_moments(solve_series(ModelSpec(ng=2))), 2)[0]("1221"), ValueError, "1202"),
+        (lambda: build_curve(compute_moments(solve_series(ModelSpec(ng=2))))[0]("1221"), ValueError, "1202"),
         (_foreign_coupling, ValueError, "different coupling"),
         (lambda: check_curve(solve_series(ModelSpec(ng=2)), -1, 2), ValueError, "nonnegative"),
     ],

@@ -270,7 +270,7 @@ def test_equality_prunes_zeros():
 def test_cyclic_concatenation_rule_on_solved_series(small_table):
     """For the solved (cyclic) series, right-operator strings concatenate
     onto the left string; on a non-cyclic witness the rule fails."""
-    phi = small_table.to_ncseries(6, 2)
+    phi = small_table.to_ncseries(5, 2)
     rng = random.Random(11)
     for _ in range(25):
         p = [rng.randrange(3) for _ in range(rng.randrange(3))]

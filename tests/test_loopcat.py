@@ -100,7 +100,7 @@ def test_sd_residuals_vanish_and_match_catalog(medium_table):
     for rep in SD_DESCRIPTORS:
         rows = _loop_rows(_sd_terms(rep), medium_table, 2, 3)
         assert laurent(rows, 2, 3).is_zero(), f"descriptor {rep.index}"
-        assert _reproduces_catalog(rep, rows, medium_table, 2, 3, "emended"), f"descriptor {rep.index}"
+        assert _reproduces_catalog(rep, rows, medium_table, 2, 3), f"descriptor {rep.index}"
 
 
 def test_check_sd_reports_a_broken_catalog_pairing(medium_table, monkeypatch):
@@ -262,7 +262,7 @@ def test_rows_match_series_arithmetic_on_a_generic_table(c):
         assert r.first_nonzero == ref.first_nonzero() and r.bad_slots == len(_slots(ref))
         entry = _ref_loop(CATALOG[rep.index - 1], t, nx, ng, "emended")
         pairs = (ref - entry * len(rep.pieces)).is_zero()
-        assert _reproduces_catalog(rep, rows, t, nx, ng, "emended") == pairs, rep.index
+        assert _reproduces_catalog(rep, rows, t, nx, ng) == pairs, rep.index
         if pairs:
             paired.append(rep.index)
     # the entries that pair with their generated identity as formal sums, up to symmetry

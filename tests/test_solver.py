@@ -97,6 +97,26 @@ def test_rhs_reads_the_longest_words_of_phi(small_table):
     assert {w: d for w, d in diff.items() if not d.is_zero()} == {"0012": g, "1012": gc, "2012": gc}
 
 
+def test_to_ncseries_refuses_a_slot_outside_the_region(small_table):
+    # (000000, g^2) has |w| + n = 8 > S = 7: the export is guarded like every other reader
+    with pytest.raises(TruncationError, match=r"\(\|w\|=6, n=2\)"):
+        small_table.to_ncseries(6, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, c",
+    [("potts3", "symbolic"), ("potts3", Fraction(1, 4)), ("potts3", Fraction(-2, 3)), ("pure-gravity", "symbolic")],
+    ids=str,
+)
+def test_lazy_export_matches_the_dense_export(kind, c):
+    spec = ModelSpec(kind=kind, c=c, ng=3, ltarget=4)
+    dense = solve_series(spec)
+    lazy = LazyTable(spec, max_len=dense.S)
+    for lmax, ng in ((4, 3), (5, 2), (7, 0)):
+        exported = lazy.to_ncseries(lmax, ng)
+        assert exported.terms and exported == dense.to_ncseries(lmax, ng)
+
+
 def test_c_zero_decouples_colors():
     """At c = 0 the colors are independent: mixed words lose their Gaussian
     part and factorise into products of single-color moments (they do not
@@ -427,7 +447,9 @@ def test_headroom_guard_refuses_before_solving(monkeypatch):
     ],
 )
 def test_shipped_truncations_fit_the_headroom(kind, kmax, S, ng):
-    check_headroom(ModelSpec(kind=kind, c="symbolic", ng=ng), kmax, S)
+    # the guard bounds the whole edge |w| + n <= S, which holds every word of up to kmax letters
+    assert kmax <= S
+    check_headroom(ModelSpec(kind=kind, c="symbolic", ng=ng), S)
 
 
 def _largest_digit(table) -> int:
@@ -437,7 +459,7 @@ def _largest_digit(table) -> int:
 
 def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
     for table in (referee_table, master_table):
-        assert check_headroom(table.spec, table.S, table.S) >= _largest_digit(table)
+        assert check_headroom(table.spec, table.S) >= _largest_digit(table)
     # a filled lazy table: its guard bounds |w| + n <= S, which holds every nonzero value it reads
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=4), max_len=14)
     for k in range(lazy.S + 1):
@@ -447,10 +469,10 @@ def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
     held = [(key >> lazy._nbits & kmask, key & nmask, v) for key, v in lazy._memo.items() if v]
     assert all(k + n <= lazy.S for k, n, _ in held)
     largest = max(max(lazy._digits(v, 0, 0)) for _, _, v in held)
-    assert check_headroom(lazy.spec, lazy.S, lazy.S) >= largest
+    assert check_headroom(lazy.spec, lazy.S) >= largest
     # the benchmark's dense region, whose trace reports solver.max_digit_bits 20
     assert _largest_digit(referee_table).bit_length() == 20
-    assert check_headroom(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=6), 10, 10) is None
+    assert check_headroom(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=6), 10) is None
 
 
 def test_region_guard_reports_bounds(small_table):
