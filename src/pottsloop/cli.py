@@ -73,14 +73,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _catalog_table(args) -> LazyTable:
-    """The lazy table the catalog and SD checks read at --nx, --ng."""
-    spec = ModelSpec(kind="potts3", c=args.c, ng=args.ng, ltarget=args.nx)
-    return LazyTable(spec, max_len=6 + args.nx + args.ng + 2)
+def _lazy_table(args, S: int) -> LazyTable:
+    """The lazy table at --c and --ng that holds every word of up to S letters."""
+    return LazyTable(ModelSpec(c=args.c, ng=args.ng), max_len=S)
 
 
 def cmd_check_loops(args) -> int:
-    table = _catalog_table(args)  # a refused truncation exits before the dense solve
+    # a refused truncation exits before the dense solve
+    table = _lazy_table(args, loopcat.catalog_edge(args.nx, args.ng))
     # line 0 referees the dense solve itself, so it solves one: its residual at grade
     # min(nx + ng, 2 ng) reads only slots with |w| + n <= min(nx + ng, 2 ng)
     rep = generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng))))
@@ -97,16 +97,14 @@ def cmd_check_loops(args) -> int:
 
 
 def cmd_check_sd(args) -> int:
-    results = loopcat.check_sd(_catalog_table(args), args.nx, args.ng)
+    results = loopcat.check_sd(_lazy_table(args, loopcat.catalog_edge(args.nx, args.ng)), args.nx, args.ng)
     ok = all(r.passed for r in results)
     _emit(args, {"reparameterisations": _results_json(results)}, _result_lines(results))
     return 0 if ok else 1
 
 
 def cmd_check_curve(args) -> int:
-    # S >= nx + ng - 6 makes the curve residual exact, S >= ng + 4 holds the four-letter moments
-    S = max(args.nx + args.ng - 6, args.ng + 4)
-    table = LazyTable(ModelSpec(kind="potts3", c=args.c, ng=args.ng), max_len=S)
+    table = _lazy_table(args, curve_mod.curve_edge(args.nx, args.ng))
     variants = ("1202", "1212") if args.moment_variant == "auto" else (args.moment_variant,)
     checks = curve_mod.check_curve(table, args.nx, args.ng, variants)
     if args.moment_variant == "auto":
@@ -130,13 +128,8 @@ def cmd_check_curve(args) -> int:
     return 0 if ok else 1
 
 
-def _moment_table(args) -> LazyTable:
-    """The lazy table the moment words (up to four letters, orders up to --ng) are read from."""
-    return LazyTable(ModelSpec(kind="potts3", c=args.c, ng=args.ng), max_len=args.ng + 4)
-
-
 def cmd_check_recurrences(args) -> int:
-    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_moment_table(args)))
+    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng))))
     ok = all(r.passed for r in reports)
     payload = {
         "recurrences": [
@@ -178,7 +171,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    moments = curve_mod.compute_moments(_moment_table(args))
+    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng)))
     rows = ["moment,g_power,value"]
     data = []
     for label in curve_mod.MOMENT_LABELS:

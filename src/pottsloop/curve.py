@@ -29,7 +29,7 @@ every monomial of f_k x^(10-2k) has combined degree >= 14 - k, and a short
 bookkeeping argument gives that all computed residual slots with x-degree
 + g-order <= M + 16 are exact.
 The checker requires M >= nx + ng - 6 so the full reported rectangle is
-covered.
+covered, and ``curve_edge`` builds a table that deep.
 """
 
 from __future__ import annotations
@@ -72,6 +72,16 @@ class MomentSet:
     def const(self, *coeffs: int) -> XLaurent:
         """The c-polynomial with these ascending coefficients as a g-series constant."""
         return XLaurent.constant(self.spec.const(Poly(coeffs)), 0, self.ng)
+
+
+def moment_edge(ng: int) -> int:
+    """The lazy-table edge the moments read to g^ng: the longest of ``MOMENT_LABELS`` plus ng."""
+    return ng + 4
+
+
+def curve_edge(nx: int, ng: int) -> int:
+    """The lazy-table edge ``check_curve`` reads to x^nx, g^ng: an exact residual and the moments."""
+    return max(nx + ng - 6, moment_edge(ng))
 
 
 def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:

@@ -456,6 +456,16 @@ class CheckResult:
         return f"[{status}] {self.index:>2}  {self.label}{extra}"
 
 
+def catalog_edge(nx: int, ng: int) -> int:
+    """The lazy-table edge ``check_loops`` and ``check_sd`` read to x^nx, g^ng.
+
+    The longest amplitude word is the x-block of nx letters plus at most 5
+    of label, shift and trailing word (over ``CATALOG``, both variants, and
+    every ``_sd_terms``), and a slot (k, n) recurses down to k + n letters.
+    """
+    return nx + ng + 5
+
+
 def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended") -> list:
     """Residuals of all cataloged scalar equations; one result per entry."""
     out = []

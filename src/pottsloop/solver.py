@@ -87,6 +87,7 @@ _B = 64
 _DIGIT = (1 << _B) - 1
 _GUARD = 1 << 62
 _RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 value
+_DENSE_SLOTS = 1 << 24  # slots (words times orders) a dense solve may hold: S 14, ng 7 has 8.07M, S 16, ng 8 72.6M
 
 
 class TruncationError(Exception):
@@ -463,12 +464,18 @@ def solve_series(spec: ModelSpec) -> SolutionTable:
     g-order for one extra letter, so reported words of length ltarget at
     order ng pull on words up to ltarget + ng at order zero and never
     longer.  The recursion runs once per orbit (:func:`_orbit_partition`).
-    A symbolic region beyond the packed headroom is refused
-    (:func:`check_headroom`).
+    A symbolic region beyond the packed headroom (:func:`check_headroom`)
+    and a region of more than 2^24 slots (words, not orbits) are refused
+    before the solve.
     """
     S = spec.ltarget + spec.ng
     check_headroom(spec, S)
     nlet = spec.nletters
+    slots = sum(nlet**k for n in range(spec.ng + 1) for k in range(n & 1, S - n + 1, 2))
+    if slots > _DENSE_SLOTS:
+        raise ValueError(
+            f"dense region |w| + n <= {S}, n <= {spec.ng} refused: {slots} slots, beyond the 2^24 slot bound"
+        )
     layers = _solve_dense(nlet, S, spec.ng, *_weights(spec), _orbit_partition(nlet, S))
     return SolutionTable(spec, S, layers)
 

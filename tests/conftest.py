@@ -5,7 +5,16 @@ import pytest
 
 from pottsloop.freealg import NCSeries, Word
 from pottsloop.ring import Poly, XLaurent
-from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, _singletons, _solve_dense, _weights, solve_series
+from pottsloop.solver import (
+    LazyTable,
+    ModelSpec,
+    SolutionTable,
+    TruncationError,
+    _singletons,
+    _solve_dense,
+    _weights,
+    solve_series,
+)
 
 
 def solve_unreduced(spec: ModelSpec) -> SolutionTable:
@@ -52,6 +61,28 @@ def drop_last(w: Word) -> Word:
 def right_delta(s: NCSeries, a: int) -> NCSeries:
     """Strip a trailing ``a``; words ending otherwise are annihilated (the mirror of ``left_delta``)."""
     return NCSeries({drop_last(w): v for w, v in s.terms.items() if len(w) and w[-1] == a}, s.lmax, s.ng)
+
+
+def assert_tight_edge(ng: int, edge: int, *checks) -> None:
+    """Each check on a c = 1/3 ``LazyTable`` to g^ng reads exactly to ``edge``.
+
+    Its results at the edge equal those two letters deeper, and two letters
+    short the table refuses a read.  So does one letter short at an even
+    edge; at an odd one the top layer it drops is all zero by parity.  The
+    checks share the table at each edge.
+    """
+
+    def table(S):
+        return LazyTable(ModelSpec(c=Fraction(1, 3), ng=ng), max_len=S)
+
+    at, deeper = table(edge), table(edge + 2)
+    for check in checks:
+        assert check(at) == check(deeper)
+    for S in (edge - 2, edge - 1) if edge % 2 == 0 else (edge - 2,):
+        short = table(S)
+        for check in checks:
+            with pytest.raises(TruncationError):
+                check(short)
 
 
 @pytest.fixture(scope="session")

@@ -214,9 +214,25 @@ def test_check_loops_refuses_before_the_dense_solve(capsys, monkeypatch):
         raise AssertionError("a refused catalog truncation reached the dense solve")
 
     monkeypatch.setattr(cli, "solve_series", no_dense_solve)
-    # the lazy catalog table at max_len 30, ng 14 is beyond the packed headroom
+    # the lazy catalog table at max_len 27, ng 14 is beyond the packed headroom (a 65-bit bound)
     assert main(["check-loops", "--nx", "8", "--ng", "14"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_check_loops_line_zero_refuses_a_region_past_the_size_guard(capsys, monkeypatch):
+    import pottsloop.solver as solver
+
+    one_letter = solver._solve_dense
+
+    def no_potts_solve(nlet, *args):
+        assert nlet == 1, "a refused region reached the three-letter solve"
+        return one_letter(nlet, *args)
+
+    monkeypatch.setattr(solver, "_solve_dense", no_potts_solve)
+    # line 0 would solve the dense region S 16, ng 8: 72.6M slots
+    assert main(["check-loops", "--nx", "8", "--ng", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "72637649 slots" in err
 
 
 def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, monkeypatch):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import laurent
+from conftest import assert_tight_edge, laurent
 from numeric_branch import numeric_branch_check
 from pottsloop.curve import (
+    MOMENT_LABELS,
     MomentSet,
     RecurrenceReport,
     build_curve,
@@ -15,7 +16,9 @@ from pottsloop.curve import (
     check_curve,
     check_recurrences,
     compute_moments,
+    curve_edge,
     curve_witness,
+    moment_edge,
     quintic_residual,
 )
 from pottsloop.ring import Poly, XLaurent
@@ -251,12 +254,23 @@ def test_numeric_branch_detects_perturbation(master_table):
 def test_lazy_route_matches_the_dense_route(nx, ng, c):
     # the CLI reads the curve and the moments off a LazyTable with the dense table's edge
     dense = solve_series(ModelSpec(kind="potts3", c=c, ng=ng, ltarget=max(nx - 6, 4)))
-    lazy = LazyTable(dense.spec, max_len=max(nx + ng - 6, ng + 4))
+    lazy = LazyTable(dense.spec, max_len=curve_edge(nx, ng))
     assert lazy.S == dense.S
     checks = check_curve(lazy, nx, ng)
     assert checks == check_curve(dense, nx, ng)
     assert [ch.variant for ch in checks] == ["1202", "1212"] and checks[0].passed
     assert check_recurrences(compute_moments(lazy)) == check_recurrences(compute_moments(dense))
+
+
+@pytest.mark.parametrize("nx, ng", [(0, 0), (3, 3), (4, 5), (6, 6), (10, 6), (12, 3), (2, 7)], ids=str)
+def test_curve_reads_to_its_edge(nx, ng):
+    assert_tight_edge(ng, curve_edge(nx, ng), lambda table: check_curve(table, nx, ng))
+
+
+@pytest.mark.parametrize("ng", range(8))
+def test_moments_read_to_their_edge(ng):
+    assert moment_edge(0) == max(map(len, MOMENT_LABELS))
+    assert_tight_edge(ng, moment_edge(ng), lambda table: check_recurrences(compute_moments(table)))
 
 
 def _shallow_residual():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import laurent, shift_x
+from conftest import assert_tight_edge, laurent, shift_x
 from pottsloop.freealg import EMPTY_WORD, Word, orbit_rep
 from pottsloop.loopcat import (
     CATALOG,
@@ -16,6 +16,7 @@ from pottsloop.loopcat import (
     _loop_rows,
     _reproduces_catalog,
     _sd_terms,
+    catalog_edge,
     check_loops,
     check_sd,
 )
@@ -29,6 +30,26 @@ def test_catalog_shape():
     assert len(SD_DESCRIPTORS) == 23
     emended = [eq.index for eq in CATALOG if eq.emended is not None]
     assert emended == [20, 21]
+
+
+def test_catalog_edge_covers_the_longest_word_read():
+    # an amplitude reads label a^(nx + delta) post, a scalar moment its own word
+    terms = [t for eq in CATALOG for v in ("emended", "printed") for t in eq.effective_terms(v)]
+    terms += [t for rep in SD_DESCRIPTORS for t in _sd_terms(rep)]
+    amp_words = [len(a.label) + a.delta + len(a.post) for t in terms for a in t.amps]
+    moment_words = [len(t.p_label or "") for t in terms]
+    assert catalog_edge(0, 0) == max(amp_words + moment_words) == 5
+
+
+@pytest.mark.parametrize("nx, ng", [(0, 0), (1, 0), (2, 3), (3, 2), (8, 2), (2, 8)], ids=str)
+def test_catalog_checks_read_to_their_edge(nx, ng):
+    assert_tight_edge(
+        ng,
+        catalog_edge(nx, ng),
+        lambda table: check_loops(table, nx, ng),
+        lambda table: check_loops(table, nx, ng, variant="printed"),
+        lambda table: check_sd(table, nx, ng),
+    )
 
 
 def test_extract_amplitude_examples(small_table):

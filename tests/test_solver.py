@@ -8,7 +8,7 @@ import pytest
 
 from conftest import shift_x, solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
-from pottsloop.loopcat import Amp, _amp_rows, check_loops, check_sd
+from pottsloop.loopcat import Amp, _amp_rows, catalog_edge, check_loops, check_sd
 from pottsloop.ring import Poly, XLaurent, xlaurent_grade_mask
 from pottsloop.solver import (
     LazyTable,
@@ -431,6 +431,33 @@ def test_headroom_guard_refuses_before_solving(monkeypatch):
         LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=10), max_len=32)
     # numeric-c raw values are plain integers and need no digit room
     LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=14, ltarget=16), max_len=30)
+
+
+def test_size_guard_refuses_before_solving(monkeypatch):
+    import pottsloop.solver as solver
+
+    one_letter, solved = solver._solve_dense, []
+
+    def no_potts_solve(nlet, S, ng, *args):
+        if nlet == 1:
+            return one_letter(nlet, S, ng, *args)
+        solved.append((S, ng))  # an accepted region, not solved here
+        return {}
+
+    monkeypatch.setattr(solver, "_solve_dense", no_potts_solve)
+    monkeypatch.setattr(solver, "_orbit_partition", lambda nlet, S: None)  # 14 letters alone take seconds
+    with pytest.raises(ValueError, match=r"\|w\| \+ n <= 16, n <= 8 refused: 72637649 slots, beyond the 2\^24"):
+        solve_series(ModelSpec(ng=8, ltarget=8))
+    # the largest regions measured to fit in memory pass the guard
+    solve_series(ModelSpec(ng=7, ltarget=7))
+    solve_series(ModelSpec(ng=8, ltarget=6))
+    assert solved == [(14, 7), (14, 8)]
+
+
+def test_catalog_edge_fits_the_headroom_at_nx_8_ng_12():
+    # the edge the catalog checks read bounds the digits at 58 bits; nx + ng + 8 reached 63
+    table = LazyTable(ModelSpec(ng=12), max_len=catalog_edge(8, 12))
+    assert check_headroom(table.spec, table.S).bit_length() == 58
 
 
 @pytest.mark.parametrize(
