@@ -19,8 +19,9 @@ those are never gcd-normalised.  A product accumulates all its terms into
 integer rows (``_series_addmul``) and builds each output coefficient once,
 at the end; ``XLaurent`` products, the ``NCSeries`` concatenation product
 of ``freealg`` and the catalog residuals of ``loopcat`` share these
-kernels.  The series square root refines the root and its reciprocal
-together, so it runs no series inverse of its own.
+kernels.  A product by a single slot v x^e g^j only shifts and scales,
+and the series square root is one pass of a slot recurrence, so neither
+runs a product of whole series.
 
 Everything is immutable after construction; all operations are pure.
 """
@@ -429,10 +430,27 @@ class XLaurent:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _single_slot(self) -> Optional[tuple]:
+        """(x exponent, g-order, ``Poly``) of a series with one nonzero slot, else None."""
+        if len(self.coeffs) != 1:
+            return None
+        slots = [(n, p) for n, p in enumerate(self.coeffs[0]) if p.coeffs]
+        return (self.low, *slots[0]) if len(slots) == 1 else None
+
+    def _shift_scale(self, e: int, j: int, v: Poly) -> "XLaurent":
+        """``self`` times v x^e g^j: rows shifted by e, g-rows by j (cut at ng), each coefficient scaled by v."""
+        keep = max(self.ng + 1 - j, 0)
+        pad = (P_ZERO,) * (self.ng + 1 - keep)
+        rows = [pad + (row[:keep] if v.is_one() else tuple(p * v for p in row[:keep])) for row in self.coeffs]
+        return XLaurent._of_rows(self.low + e, rows, self.nx, self.ng)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):  # a widened c-constant scales each coefficient
-            v = _as_poly(other)
-            return XLaurent._of_rows(self.low, [tuple(p * v for p in row) for row in self.coeffs], self.nx, self.ng)
+        """Truncated product.  A c-constant, or a factor with a single nonzero
+        slot v x^e g^j (x, g, their powers, a widened constant), shifts and
+        scales the other factor's rows; any other pair runs the integer
+        kernel (``_laurent_addmul``).  Both give the same series."""
+        if isinstance(other, (int, Fraction, Poly)):
+            return self._shift_scale(0, 0, _as_poly(other))
         pair = self._widen(other)
         if pair is None:
             return NotImplemented
@@ -440,6 +458,10 @@ class XLaurent:
         nx, ng = a.nx, a.ng
         if a.is_zero() or b.is_zero():
             return XLaurent.zero(nx, ng)
+        for s, t in ((a, b), (b, a)):
+            mono = t._single_slot()
+            if mono:
+                return s._shift_scale(*mono)
         low = a.low + b.low
         size = min(nx - low, len(a.coeffs) + len(b.coeffs) - 2) + 1
         if size <= 0:
@@ -464,8 +486,7 @@ class XLaurent:
 
     def shift_g(self, k: int) -> "XLaurent":
         """Multiply by g**k, truncating."""
-        pad = (P_ZERO,) * k
-        return XLaurent._of_rows(self.low, [(pad + row)[: self.ng + 1] for row in self.coeffs], self.nx, self.ng)
+        return self._shift_scale(0, k, P_ONE)
 
     def retruncate(self, nx: int, ng: int) -> "XLaurent":
         if nx > self.nx or ng > self.ng:
@@ -509,53 +530,52 @@ def _monomial(vs: str, var: str, e: int) -> str:
     return f"{vs}*{power}"
 
 
-def xlaurent_grade_mask(a: XLaurent, cap: int) -> XLaurent:
-    """Zero every slot with x-degree + g-degree above ``cap``.
-
-    Truncated Laurent arithmetic is exact on such a sloped region whenever
-    every negative x power carries at least as many powers of g: slot
-    grades are then nonnegative and add under multiplication, so
-    contributions from beyond the cap can never land inside it.
-    """
-    out = []
-    for e, row in enumerate(a.coeffs, a.low):
-        keep = min(max(cap - e + 1, 0), a.ng + 1)
-        out.append(row[:keep] + (P_ZERO,) * (a.ng + 1 - keep))
-    return XLaurent._of_rows(a.low, out, a.nx, a.ng)
-
-
 def xlaurent_sqrt(a: XLaurent, *, grade_cap: int) -> XLaurent:
     """Square root of a Laurent series whose (x^0, g^0) part is 1.
 
-    Coupled Newton iteration (Karp & Markstein, ACM TOMS 1997): the root b
-    and its reciprocal z are refined together,
+    Every slot of ``a`` must have grade x-degree + g-order >= 0, so its g^0
+    row starts at x^0; anything else raises ValueError naming the first
+    offending slot by g-order, then x-degree.  Grades then add under
+    multiplication and never fall below 0, so truncated arithmetic is exact
+    on the sloped region of grades up to ``grade_cap``, and the root is
+    computed there in one pass.  With a = 1 + alpha and b = 1 + beta, b^2 = a
+    reads
 
-        b <- b + (a - b^2) z / 2,    z <- z + z (1 - b z),
+        beta_s = (alpha_s - sum beta_s1 beta_s2) / 2
 
-    starting from b = z = 1.  If b errs at order p and z at order q in the
-    nilpotent part of ``a``, the next b errs at order min(2p, p + q) and the
-    next z at min(2q, that), so both orders double each step: at most four
-    products a step and no nested inverse.
-    Every step is masked to the sloped region of :func:`xlaurent_grade_mask`
-    below ``grade_cap``, where it is exact; the loop stops once ``a - b^2``
-    vanishes there.
+    at each slot s, the sum running over the splits s = s1 + s2 into two
+    non-constant slots.  Slots are visited by g-order, then by x-degree: a
+    split either lowers both g-orders or pairs a g^0 slot of positive
+    x-degree with a lower x-degree at the same order, so the sum reads only
+    slots already computed.
+
+    The pass runs on integers.  With alpha = A / d over one denominator and
+    h = x-degree + 2 g-order (at least 1 off the constant slot, and additive
+    over a split), m_s = (4d)^(h-1) A_s - sum m_s1 m_s2 is an integer
+    polynomial and beta_s = m_s / (2 d (4d)^(h-1)).
     """
-    u = a[0]
-    if not u.is_one():
+    if not a[0].is_one():
         raise ValueError("series square root needs constant term 1")
-
-    def cap(v):
-        return xlaurent_grade_mask(v, grade_cap)
-
-    a = cap(a)
-    half = Fraction(1, 2)
-    one = XLaurent.x_power(0, a.nx, a.ng)
-    b = z = one
-    err = cap(a - one)
-    for _ in range(64):
-        b = cap(b + cap(err * z) * half)
-        err = cap(a - b * b)
-        if err.is_zero():
-            return b
-        z = cap(z + z * cap(one - b * z))
-    raise ArithmeticError("series square root did not converge")
+    nx, ng = a.nx, a.ng
+    rows, d = _int_rows(a.coeffs)
+    m = [{} for _ in range(ng + 1)]  # m[n][e] = -m_s at the slot (x^e, g^n), if nonzero
+    for n in range(ng + 1):
+        for e in range(min(a.low, -n), min(nx, grade_cap - n) + 1):
+            i = e - a.low
+            alpha = rows[i][n] if 0 <= i < len(rows) and rows[i] and (e or n) else ()
+            if alpha and e + n < 0:
+                raise ValueError(f"series square root needs x-degree + g-order >= 0; slot x^{e} g^{n} has {e + n}")
+            acc = [-(4 * d) ** (e + 2 * n - 1) * v for v in alpha]
+            for n1 in range(n + 1):
+                m2 = m[n - n1]
+                for e1, v1 in m[n1].items():
+                    v2 = m2.get(e - e1)
+                    if v2:
+                        _addmul(acc, v1, v2)
+            if any(acc):
+                m[n][e] = _trim(acc)
+    rows = [
+        tuple(Poly(m[n].get(e, ()), -2 * d * (4 * d) ** max(e + 2 * n - 1, 0)) for n in range(ng + 1))
+        for e in range(-ng, nx + 1)
+    ]
+    return XLaurent._of_rows(-ng, rows, nx, ng) + 1

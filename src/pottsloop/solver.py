@@ -491,11 +491,11 @@ class LazyTable(_TableBase):
     canonicalises its word once and reads the representative's key; only if
     that slot is missing too does ``_rhs`` run on the representative, whose
     value is stored under both keys.  One reader per (length, order) holds
-    that probe and miss path (``_slot``), and the recursion reads through
-    them.  The table holds every |w| <= S at n <= ng, with S the
-    ``max_len`` it was built with.  Values agree with the unreduced dense
-    solver wherever both are defined (tested on every slot of a dense
-    table).
+    that probe and miss path (``_slot``); it is built once, with the table,
+    and the recursion and every later ``_reader`` call share it.  The table
+    holds every |w| <= S at n <= ng, with S the ``max_len`` it was built
+    with.  Values agree with the unreduced dense solver wherever both are
+    defined (tested on every slot of a dense table).
     """
 
     _region = "beyond lazy-table guards (max_len={S}, ng={ng})"
@@ -515,7 +515,9 @@ class LazyTable(_TableBase):
         self._memo = {}
         self._rhs_evaluations = 0
         # the recursion's readers; one letter past S, where a triangle removal
-        # at S reads, every read is refused
+        # at S reads, every read is refused.  While they are built ``_slot``
+        # makes each one; afterwards it hands out the one built here
+        self._slots = None
         self._slots = self._readers(max_len + 1, spec.ng)
 
     @property
@@ -527,6 +529,8 @@ class LazyTable(_TableBase):
         return n <= self.ng and k <= self.S
 
     def _slot(self, k: int, n: int):
+        if self._slots:
+            return self._slots[k][n]
         memo, shift = self._memo, self._kbits + self._nbits
         probe = memo.get
         tag = (k << self._nbits) | n  # the memo key of (bits, k, n) is (bits << shift) | tag

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from pottsloop.freealg import NCSeries, Word
-from pottsloop.ring import Poly, XLaurent
+from pottsloop.ring import P_ZERO, Poly, XLaurent
 from pottsloop.solver import (
     LazyTable,
     ModelSpec,
@@ -36,6 +36,21 @@ def from_fractions(fracs) -> Poly:
 def gseries(coeffs, ng: int) -> XLaurent:
     """The g-series (an x-order-0 ``XLaurent``) with these coefficients of g^0, g^1, ..."""
     return XLaurent(0, [coeffs], 0, ng)
+
+
+def grade_mask(a: XLaurent, cap: int) -> XLaurent:
+    """Zero every slot with x-degree + g-degree above ``cap``.
+
+    Truncated Laurent arithmetic is exact on such a sloped region whenever
+    every negative x power carries at least as many powers of g: slot
+    grades are then nonnegative and add under multiplication, so
+    contributions from beyond the cap can never land inside it.
+    """
+    out = []
+    for e, row in enumerate(a.coeffs, a.low):
+        keep = min(max(cap - e + 1, 0), a.ng + 1)
+        out.append(row[:keep] + (P_ZERO,) * (a.ng + 1 - keep))
+    return XLaurent._of_rows(a.low, out, a.nx, a.ng)
 
 
 def shift_x(s: XLaurent, k: int) -> XLaurent:

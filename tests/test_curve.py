@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_tight_edge, laurent
+from conftest import assert_tight_edge, grade_mask, laurent
 from numeric_branch import numeric_branch_check
 from pottsloop.curve import (
     MOMENT_LABELS,
     MomentSet,
     RecurrenceReport,
+    ShiftedResolvent,
     build_curve,
     build_shifted_resolvent,
     check_curve,
@@ -271,6 +272,27 @@ def test_curve_reads_to_its_edge(nx, ng):
 def test_moments_read_to_their_edge(ng):
     assert moment_edge(0) == max(map(len, MOMENT_LABELS))
     assert_tight_edge(ng, moment_edge(ng), lambda table: check_recurrences(compute_moments(table)))
+
+
+def test_masked_phi_leaves_the_residual_exact_to_mask_plus_six():
+    # phi masked to |w| + n <= M, as a table of edge M masks it: ytilde's x^(k+3) carries phi_k,
+    # so the mask is the sloped one at M + 3.  The residual agrees with an exact one at every
+    # slot with e + n <= M + 6, the module docstring's bound, and first differs at M + 7 or M + 8.
+    nx = ng = 8
+    edge = curve_edge(nx, ng)
+    spec = ModelSpec(c=Fraction(1, 3), ng=ng)
+    deep = build_shifted_resolvent(LazyTable(spec, max_len=edge + 2), nx, ng)
+    shallow = build_shifted_resolvent(LazyTable(spec, max_len=edge), nx, ng)
+    assert shallow.ytilde == grade_mask(deep.ytilde, edge + 3)
+    coeffs = six_coefficients(compute_moments(LazyTable(spec, max_len=moment_edge(ng))))
+    exact = quintic_residual(deep, coeffs)
+    assert exact.is_zero()
+    first = {}
+    for M in (0, 1, 4, 7):
+        masked = ShiftedResolvent(grade_mask(deep.ytilde, M + 3), deep.one_minus_c)
+        diff = quintic_residual(masked, coeffs) - exact
+        first[M] = min(e + n for e, row in diff.items() for n, v in enumerate(row) if not v.is_zero())
+    assert first == {0: 8, 1: 8, 4: 12, 7: 14}  # M + 7 or M + 8, by parity
 
 
 def _shallow_residual():

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import from_fractions, gseries, shift_x
+from conftest import from_fractions, grade_mask, gseries, shift_x
+from pottsloop import ring
 from pottsloop.ring import (
     P_C,
     P_ONE,
     Poly,
     XLaurent,
+    _int_rows,
+    _laurent_addmul,
     rat_to_str,
-    xlaurent_grade_mask,
     xlaurent_sqrt,
 )
 
@@ -232,9 +234,9 @@ def test_sqrt_of_the_pure_gravity_discriminant_within_the_grade_cap():
     b = one - g * XLaurent.x_power(-1, cap, ng)
     disc = b * b - 4 * (x * x) * (b - g * p1)
     s = xlaurent_sqrt(disc, grade_cap=cap)
-    assert xlaurent_grade_mask(s * s - disc, cap).is_zero()
+    assert grade_mask(s * s - disc, cap).is_zero()
     assert s.coefficient(0)[0] == P_ONE
-    assert s == xlaurent_grade_mask(s, cap)
+    assert s == grade_mask(s, cap)
 
 
 def test_sqrt_with_denominators():
@@ -255,6 +257,92 @@ def test_sqrt_refuses_a_constant_term_other_than_one():
     for const in (4, Fraction(1, 4), P_C, poly(1, 1)):
         with pytest.raises(ValueError):
             xlaurent_sqrt(XLaurent.constant(const, nx, ng) + x, grade_cap=nx + ng)
+
+
+def test_sqrt_refuses_a_slot_of_negative_grade():
+    # the root is exact on the sloped region only if no slot has x-degree + g-order < 0
+    nx, ng = 4, 2
+    one = XLaurent.x_power(0, nx, ng)
+    g = XLaurent(0, [(0, 1)], nx, ng)
+    with pytest.raises(ValueError, match=r"slot x\^-2 g\^1 has -1"):
+        xlaurent_sqrt(one + g * XLaurent.x_power(-2, nx, ng), grade_cap=6)
+    # the g^0 row starts at x^0; the first offending slot by g-order, then x-degree, is named
+    with pytest.raises(ValueError, match=r"slot x\^-1 g\^0 has -1"):
+        xlaurent_sqrt(one + XLaurent.x_power(-1, nx, ng) + g * g * XLaurent.x_power(-3, nx, ng), grade_cap=6)
+    # grade 0 below x^0 is allowed: the root of (1 - g/x)^2 is 1 - g/x
+    b = one - g * XLaurent.x_power(-1, nx, ng)
+    assert xlaurent_sqrt(b * b, grade_cap=6) == b
+
+
+def _kernel_product(a, b):
+    """a * b through the general integer kernel, for operands at one truncation."""
+    nx, ng = a.nx, a.ng
+    low = a.low + b.low
+    if a.is_zero() or b.is_zero() or low > nx:
+        return XLaurent.zero(nx, ng)
+    ra, da = _int_rows(a.coeffs)
+    rb, db = _int_rows(b.coeffs)
+    out = [[[] for _ in range(ng + 1)] for _ in range(nx - low + 1)]
+    _laurent_addmul(out, ra, rb)
+    return XLaurent._from_ints(low, out, da * db, nx, ng)
+
+
+def test_monomial_products_match_the_general_kernel(monkeypatch):
+    nx, ng = 4, 3
+
+    def mono(e, j, v=1):
+        return XLaurent(e, [[0] * j + [v]], nx, ng)
+
+    s = XLaurent(
+        -2,
+        [
+            [0, 0, poly(Fraction(1, 2), 3)],
+            [0, Fraction(-2, 3), 0, poly(0, 1, Fraction(5, 4))],
+            [1, 2],
+            [],
+            [poly(Fraction(1, 6), -1), 0, 7],
+            [0, 3, 0, Fraction(1, 9)],
+            [2],
+        ],
+        nx,
+        ng,
+    )
+    x, g = mono(1, 0), mono(0, 1)
+    zero = XLaurent.zero(nx, ng)
+    pairs = [
+        (s, mono(-1, 0)),  # a negative x-shift
+        (s, mono(-1, 2, poly(3, -2))),
+        (s, mono(0, ng)),  # g-rows cut at ng
+        (s.shift_g(1), mono(0, ng)),  # every g-order past ng
+        (s, mono(nx, 0)),  # rows past nx dropped
+        (shift_x(s, 3), mono(nx, 1)),  # every row past nx
+        (s, mono(2, 1, poly(Fraction(1, 3), Fraction(-2, 5)))),  # a c-polynomial with a denominator
+        (s, mono(0, 0, Fraction(-3, 4))),
+        (s, mono(0, 0, 1)),
+        (zero, mono(1, 1)),
+        (s, zero),
+        (mono(0, 1, P_C), mono(-1, 2, Fraction(1, 2))),  # two monomials
+    ]
+    pairs += [(s, x**k) for k in range(nx + 2)] + [(s, g**k) for k in range(ng + 2)]
+    expected = [_kernel_product(a, b) for a, b in pairs]
+    assert [i for i, want in enumerate(expected[:12]) if want.is_zero()] == [3, 5, 9, 10]
+    powers = [_kernel_product(x ** (k - 1), x) if k else mono(0, 0) for k in range(nx + 2)]
+    powers += [_kernel_product(g ** (k - 1), g) if k else mono(0, 0) for k in range(ng + 2)]
+
+    def no_kernel(*args):
+        raise AssertionError("a product by a monomial ran the general kernel")
+
+    monkeypatch.setattr(ring, "_laurent_addmul", no_kernel)
+    for (a, b), want in zip(pairs, expected):
+        assert a * b == want and b * a == want
+    assert [x**k for k in range(nx + 2)] + [g**k for k in range(ng + 2)] == powers
+    # numeric constants scale every coefficient, and a g-series monomial widens to the x-order
+    for v in (5, Fraction(-3, 4), poly(Fraction(2, 7), 1), 0):
+        assert s * v == v * s == expected[pairs.index((s, mono(0, 0, 1)))] * v
+        assert s * v == _kernel_product(s, XLaurent.constant(v, nx, ng))
+    assert s * gseries([0, 0, Fraction(1, 2)], ng) == _kernel_product(s, mono(0, 2, Fraction(1, 2)))
+    # a g-shift beyond ng leaves nothing
+    assert s._shift_scale(1, ng + 1, P_ONE) == zero
 
 
 def test_rational_string_forms():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import shift_x, solve_unreduced
+from conftest import grade_mask, shift_x, solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
 from pottsloop.loopcat import Amp, _amp_rows, catalog_edge, check_loops, check_sd
-from pottsloop.ring import Poly, XLaurent, xlaurent_grade_mask
+from pottsloop.ring import Poly, XLaurent
 from pottsloop.solver import (
     LazyTable,
     ModelSpec,
@@ -335,6 +335,16 @@ def test_lazy_table_solves_once_per_orbit():
     assert 0 < 4 * lazy.rhs_evaluations < len(lazy._memo)
 
 
+def test_lazy_readers_are_built_once():
+    # every reader of a held slot is the one the recursion reads through
+    lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=6)
+    for k in range(7):
+        for n in range(3):
+            if (k + n) % 2 == 0:
+                assert lazy._reader(k, n) is lazy._slots[k][n]
+    assert lazy._readers(6, 2)[4][2] is lazy._slots[4][2]
+
+
 def test_lazy_miss_canonicalises_once(monkeypatch):
     # a representative's slot reached through an alias is read directly, not
     # canonicalised again, so some misses cost no orbit_rep call of their own
@@ -555,8 +565,8 @@ def test_pure_gravity_branches_satisfy_vieta():
     assert r2.low == -3  # the rejected branch starts -g/x^3 + 1/x^2
     assert r1 + r2 == shift_x(b, -2)
     # x^2 r2 and k have no negative grade, so the product is exact up to grade lx
-    assert xlaurent_grade_mask(r1 * shift_x(r2, 2) - k, lx).is_zero()
-    assert not xlaurent_grade_mask(r1 * shift_x(r1, 2) - k, lx).is_zero()
+    assert grade_mask(r1 * shift_x(r2, 2) - k, lx).is_zero()
+    assert not grade_mask(r1 * shift_x(r1, 2) - k, lx).is_zero()
 
 
 def test_pure_gravity_variant_refuted_by_boundary_condition():
