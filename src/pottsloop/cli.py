@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import curve as curve_mod
 from . import loopcat
@@ -19,15 +18,11 @@ from .solver import LazyTable, ModelSpec, generating_residual, solve_series
 
 
 def _parse_c(s: str):
-    if s == "symbolic":
-        return "symbolic"
+    """The coupling as ``ModelSpec`` parses and validates it, refused while parsing when bad."""
     try:
-        c0 = Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"coupling {s!r} is neither 'symbolic' nor a rational")
-    if 1 + c0 - 2 * c0 * c0 == 0:
-        raise argparse.ArgumentTypeError(f"coupling {s} is a pole of the propagator (c in {{1, -1/2}})")
-    return c0
+        return ModelSpec(c=s).c
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _order(s: str) -> int:

@@ -34,15 +34,13 @@ covered, and ``curve_edge`` builds a table that deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Optional, Sequence
 
 from .freealg import Word
 from .ring import P_ZERO, Poly, XLaurent
 from .solver import ModelSpec, TruncationError, _TableBase
-
-MOMENT_LABELS = ("1", "11", "12", "112", "012", "1122", "1120", "1202", "1212", "0121")
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,9 @@ class MomentSet:
         return XLaurent.constant(self.spec.const(Poly(coeffs)), 0, self.ng)
 
 
+MOMENT_LABELS = tuple(f.name[1:] for f in fields(MomentSet) if f.name != "spec")  # field p<label>: the word <label>
+
+
 def moment_edge(ng: int) -> int:
     """The lazy-table edge the moments read to g^ng: the longest of ``MOMENT_LABELS`` plus ng."""
     return ng + 4
@@ -90,8 +91,7 @@ def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:
     Insufficient truncation surfaces as TruncationError from the table,
     carrying the required depth.
     """
-    ng = table.ng if ng is None else ng
-    return MomentSet(*(table.gseries(Word.from_string(lab), ng) for lab in MOMENT_LABELS), table.spec)
+    return MomentSet(*(table.gseries(label, ng) for label in MOMENT_LABELS), table.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,19 @@ def orbit_rep(bits: int, k: int) -> int:
     return int(best[::-1], 4)
 
 
+_LISTED_SLOTS = 1 << 20  # the largest admitted listing, every word of up to 12 letters at g^0, is 797,161 slots
+
+
+def check_listing(nlet: int, lmax: int, ng: int) -> None:
+    """Refuse a listing of every word of up to ``lmax`` letters at g^0..g^ng past 2^20 slots (words times orders)."""
+    slots = (ng + 1) * sum(nlet**k for k in range(lmax + 1))
+    if slots > _LISTED_SLOTS:
+        raise ValueError(
+            f"listing of every word of up to {lmax} letters to g^{ng} refused: "
+            f"{slots} slots, beyond the 2^20 slot bound"
+        )
+
+
 def packed_words(nlet: int, maxlen: int) -> list:
     """Packed words over the first ``nlet`` letters, one list per length up to maxlen."""
     out = [[0]]
@@ -207,21 +220,18 @@ def _rotate(words: list, k: int) -> list:
 
 
 def _reverse(words: list, k: int, table: bytes = _REVERSED_BYTE) -> list:
-    # Each word is a 64-bit lane of 32 letters, k of them used.  Per slice: pack
-    # the lanes highest byte first and reverse the letters of each byte, so the
-    # bytes read lowest first hold each lane reversed; then drop the 32 - k zero
-    # padding letters, now the low bits of each lane, with one shift of the
-    # whole slice, which moves only zeros across lane boundaries.  A table that
-    # also relabels must fix the letter 0, so that the padding stays zero.
+    # Each word is a 64-bit lane of 32 letters, k of them used.  Pack the lanes
+    # highest byte first and reverse the letters of each byte, so the bytes read
+    # lowest first hold each lane reversed; then drop the 32 - k zero padding
+    # letters, now the low bits of each lane, with one shift of the whole
+    # buffer, which moves only zeros across lane boundaries.  A table that also
+    # relabels must fix the letter 0, so that the padding stays zero.  Callers
+    # pass at most _LANE_SLICE words, which bounds the buffer.
     if k > _LANE_LETTERS:
         raise ValueError(f"cannot reverse {k}-letter words: a packed lane holds at most {_LANE_LETTERS} letters")
-    pad = 2 * (_LANE_LETTERS - k)
-    out = []
-    for i in range(0, len(words), _LANE_SLICE):
-        lanes = words[i : i + _LANE_SLICE]
-        buf = struct.pack(f">{len(lanes)}Q", *lanes).translate(table)
-        out += struct.unpack(f"<{len(lanes)}Q", (int.from_bytes(buf, "little") >> pad).to_bytes(len(buf), "little"))
-    return out
+    buf = struct.pack(f">{len(words)}Q", *words).translate(table)
+    rev = int.from_bytes(buf, "little") >> (2 * (_LANE_LETTERS - k))
+    return list(struct.unpack(f"<{len(words)}Q", rev.to_bytes(len(buf), "little")))
 
 
 def _reverse12(words: list, k: int) -> list:
@@ -272,8 +282,7 @@ def _orbit_images(bits: int, k: int) -> set:
     if k == 0:
         return {0}
     mask = (1 << (2 * k)) - 1
-    nbytes = (k + 3) >> 2
-    rev = int.from_bytes(bits.to_bytes(nbytes, "big").translate(_REVERSED_BYTE), "little") >> (8 * nbytes - 2 * k)
+    (rev,) = _reverse([bits], k)
     # rotation i of the word, then rotation i of its reversal
     dihedral = [((x >> (2 * i)) | (x << (2 * (k - i)))) & mask for i in range(k) for x in (bits, rev)]
     s = _swap01(dihedral, k)

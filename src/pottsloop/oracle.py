@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .freealg import Word
+from .freealg import Word, check_listing
 from .ring import Poly
 from .solver import _TableBase
 
@@ -214,18 +214,18 @@ def compare_with_solver(table: _TableBase, max_n: int, max_len: int) -> CompareR
     cyclic symmetry of the table is exercised as well.  The planar diagrams
     of each (|w|, n) are enumerated once and collapsed into weight classes,
     which every cyclic class of that length and order reuses.  A range that
-    reaches beyond desk scale is refused before any enumeration.
+    reaches beyond desk scale, or past the listing bound of
+    ``freealg.check_listing``, is refused before any enumeration.
     """
-    from .freealg import all_words
-
     _check_desk_scale(
         max((k + 3 * n for k in range(max_len + 1) for n in range(max_n + 1) if (k + n) % 2 == 0), default=0)
     )
     nlet = table.spec.nletters
+    check_listing(nlet, max_len, max_n)
     cache: dict = {}
     checked = 0
     mismatches = []
-    words = [w for k in range(max_len + 1) for w in all_words(k) if max(w.letters(), default=0) < nlet]
+    words = [Word(ls) for k in range(max_len + 1) for ls in product(range(nlet), repeat=k)]
     for w in words:
         for n in range(max_n + 1):
             if (len(w) + n) % 2:

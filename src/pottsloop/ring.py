@@ -142,16 +142,7 @@ class Poly:
         return Poly(out, self.den * other.den)
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        r = P_ONE
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
+        return _power(self, n, P_ONE)
 
     def scale(self, v: Rat) -> "Poly":
         v = Fraction(v)
@@ -204,6 +195,18 @@ P_ZERO = Poly()
 P_ONE = Poly((1,))
 P_C = Poly((0, 1))
 _COEFFS = attrgetter("coeffs")
+
+
+def _power(base, n: int, r):
+    """base**n by repeated squaring, from the unit r of base's type; n must be nonnegative."""
+    if n < 0:
+        raise ValueError(f"negative power {n} of a polynomial or series")
+    while n:
+        if n & 1:
+            r = r * base
+        base = base * base
+        n >>= 1
+    return r
 
 
 def _as_poly(v) -> Poly:
@@ -475,14 +478,7 @@ class XLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        r = XLaurent.x_power(0, self.nx, self.ng)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
+        return _power(self, n, XLaurent.x_power(0, self.nx, self.ng))
 
     def shift_g(self, k: int) -> "XLaurent":
         """Multiply by g**k, truncating."""

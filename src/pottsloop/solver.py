@@ -75,6 +75,7 @@ from .freealg import (
     LETTERS,
     NCSeries,
     Word,
+    check_listing,
     orbit_rep,
     packed_words,
     reflection_least,
@@ -96,7 +97,7 @@ class TruncationError(Exception):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What to solve: model kind, coupling mode and truncations."""
+    """What to solve: model kind, coupling ("symbolic", or a rational parsed once into a Fraction) and truncations."""
 
     kind: str = "potts3"  # "potts3" | "pure-gravity"
     c: Union[str, Fraction, int] = "symbolic"
@@ -108,15 +109,19 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.ng < 0 or self.ltarget < 0:
             raise ValueError("truncation orders must be nonnegative")
-        if self.kind == "potts3" and not self.symbolic:
-            c0 = Fraction(self.c)
+        if not self.symbolic:
+            try:
+                c0 = Fraction(self.c)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"coupling {self.c!r} is neither 'symbolic' nor a rational") from None
             # propagator normalisation 1 + c - 2c^2 = (1-c)(1+2c) must not vanish
-            if (1 + c0 - 2 * c0 * c0) == 0:
-                raise ValueError(f"coupling c = {c0} is a pole of the propagator")
+            if self.kind == "potts3" and 1 + c0 - 2 * c0 * c0 == 0:
+                raise ValueError(f"coupling c = {c0} is a pole of the propagator (c in {{1, -1/2}})")
+            object.__setattr__(self, "c", c0)
 
     @property
     def symbolic(self) -> bool:
-        return isinstance(self.c, str) and self.c == "symbolic"
+        return self.c == "symbolic"
 
     @property
     def nletters(self) -> int:
@@ -129,7 +134,7 @@ class ModelSpec:
         Every check takes its constants here, so they always match the
         coupling its table was solved at.
         """
-        return p if self.symbolic else Poly.constant(p.evaluate(Fraction(self.c)))
+        return p if self.symbolic else Poly.constant(p.evaluate(self.c))
 
 
 def _weights(spec: ModelSpec) -> tuple:
@@ -138,10 +143,7 @@ def _weights(spec: ModelSpec) -> tuple:
     A rational c0 = a/b in lowest terms gives (b, a); symbolic c gives
     (1, 2**_B), a shift by one packed c-power digit.
     """
-    if spec.symbolic:
-        return 1, 1 << _B
-    c0 = Fraction(spec.c)
-    return c0.denominator, c0.numerator
+    return (1, 1 << _B) if spec.symbolic else (spec.c.denominator, spec.c.numerator)
 
 
 def _orbit_partition(nlet: int, S: int) -> list:
@@ -378,17 +380,18 @@ class _TableBase:
         return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
     def gseries(self, word, ng: Optional[int] = None) -> XLaurent:
-        """The full g-series of a word's coefficient (an x-order-0 series)."""
-        word = _as_word(word)
+        """The full g-series of a word's coefficient (an x-order-0 series), read by ``_rows``."""
         ng = self.ng if ng is None else ng
-        return XLaurent(0, [[self.p_coeff(word, n) for n in range(ng + 1)]], 0, ng)
+        return XLaurent._from_ints(0, *self._rows([[_as_word(word)]], ng), 0, ng)
 
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
         """The series of every word of up to ``lmax`` letters to g^ng: the one export.
 
         Every slot is read through ``_reader``, so either table exports the
-        same nonzero values, and a slot the table does not hold is refused.
+        same nonzero values; a slot the table does not hold is refused, and
+        so is a listing past 2^20 slots (``check_listing``), before any read.
         """
+        check_listing(self.spec.nletters, lmax, ng)
         terms = {}
         for k, words in enumerate(packed_words(self.spec.nletters, lmax)):
             for n in range(ng + 1):
@@ -829,17 +832,16 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
     """Series solution of the one-matrix generating equation plus branch data."""
     spec = ModelSpec(kind="pure-gravity", c="symbolic", ng=ng, ltarget=lx)
     table = solve_series(spec)
-    phi = XLaurent._from_ints(0, *table._rows([[Word([0] * k)] for k in range(lx + 1)], ng), lx, ng)
-    p1 = table.gseries(Word([0]), ng)
-    lo, hi = _pure_gravity_branches(p1, lx, ng)
+    rows, den = table._rows([[Word([0] * k)] for k in range(max(lx, 1) + 1)], ng)  # p1 even at lx = 0
+    phi = XLaurent._from_ints(0, rows, den, lx, ng)
+    lo, hi = _pure_gravity_branches(XLaurent._from_ints(0, rows[1:2], den, 0, ng), lx, ng)
     first_mismatch = None
     if check_variant:
         variant = solve_pure_gravity_variant(min(ng, 4), min(lx, 6))
         for (k, n) in sorted(variant.keys() | {(1, 1), (2, 2)}, key=lambda t: (t[0] + 2 * t[1], t)):
-            if n > min(ng, 4) or k > min(lx, 6):
-                continue
-            mine_v = table.p_coeff(Word([0] * k), n).coefficient(0)
-            if variant.get((k, n), Fraction(0)) != mine_v:
-                first_mismatch = (k, n, variant.get((k, n), Fraction(0)), mine_v)
-                break
+            if n <= min(ng, 4) and k <= min(lx, 6):
+                want, mine = variant.get((k, n), Fraction(0)), phi.coefficient(k)[n].coefficient(0)
+                if want != mine:
+                    first_mismatch = (k, n, want, mine)
+                    break
     return PureGravityResult(table, phi, lo, hi, first_mismatch)

@@ -193,6 +193,7 @@ def test_usage_error_exit_code(capsys):
         "oracle --kind pure-gravity --word 01",  # the one-matrix model has only the letter 0
         "oracle --word 0011 --nvertices -1",
         "solve --c abc",
+        "solve --c -1/2",  # a pole of the propagator
         "check-curve --nx -1 --ng 2",  # an empty rectangle would print PASS
     ],
 )
@@ -233,6 +234,27 @@ def test_check_loops_line_zero_refuses_a_region_past_the_size_guard(capsys, monk
     assert main(["check-loops", "--nx", "8", "--ng", "8"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "72637649 slots" in err
+
+
+def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
+    import pottsloop.freealg as freealg
+    import pottsloop.solver as solver
+
+    enumerate_words = solver.packed_words
+
+    def one_letter_only(nlet, maxlen):
+        assert nlet == 1, "a refused listing reached the word enumeration"
+        return enumerate_words(nlet, maxlen)
+
+    monkeypatch.setattr(solver, "packed_words", one_letter_only)
+    # every word of up to 16 letters at g^0: 64,570,081 slots
+    assert main(["solve", "--ng", "0", "--lmax", "16"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "64570081 slots, beyond the 2^20 slot bound" in err
+    # the bound admits twelve letters at g^0 (797,161 slots) and refuses them at g^0..g^1
+    freealg.check_listing(3, 12, 0)
+    with pytest.raises(ValueError, match="1594322 slots"):
+        freealg.check_listing(3, 12, 1)
 
 
 def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, monkeypatch):

@@ -208,8 +208,8 @@ def test_word_orbits_partition_the_words_up_to_ten_letters():
 
 def test_packed_images_match_the_word_operations():
     rng = random.Random(15)
-    # every word of up to 6 letters and of 8 (6,561 words: the reversal crosses
-    # several 2,048-word slices), then seeded words up to the 32 letters of a 64-bit lane
+    # every word of up to 6 letters and of 8 (6,561 words: more than one of the callers'
+    # 2,048-word slices, in one buffer), then seeded words up to the 32 letters of a 64-bit lane
     cases = [(k, list(all_words(k))) for k in (1, 2, 3, 4, 5, 6, 8)]
     cases += [(k, [Word(rng.choice(LETTERS) for _ in range(k)) for _ in range(40)]) for k in range(17, 33)]
     assert GENERATORS == (_rotate, _reverse12, _swap01)

@@ -256,14 +256,22 @@ def test_compare_enumerates_each_size_once(monkeypatch, fresh_classes, small_tab
 
 def test_oversize_compare_refused_before_any_enumeration(monkeypatch, fresh_classes, small_table, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("diagrams enumerated before the desk-scale check")
+        raise AssertionError("diagrams or words enumerated before the size checks")
 
     monkeypatch.setattr(oracle, "_planar_diagrams", refuse)
-    # |w| = 2 at g^6 has 20 half-edges, beyond the 18 the oracle accepts
-    with pytest.raises(ValueError, match="20 half-edges exceeds desk scale"):
-        compare_with_solver(small_table, 6, 2)
-    assert main(["compare", "--max-n", "6", "--max-len", "2"]) == 2
-    assert "error: oracle input 20 half-edges exceeds desk scale" in capsys.readouterr().err
+    monkeypatch.setattr(oracle, "product", refuse)
+    for max_n, max_len, error in (
+        # |w| = 2 at g^6 has 20 half-edges, beyond the 18 the oracle accepts
+        (6, 2, "oracle input 20 half-edges exceeds desk scale"),
+        # every word of up to 16 letters, at one order: 64,570,081 slots
+        (0, 16, "listing of every word of up to 16 letters to g^0 refused: 64570081 slots, beyond the 2^20 slot bound"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            compare_with_solver(small_table, max_n, max_len)
+        assert error in str(exc.value)
+        assert main(["compare", "--max-n", str(max_n), "--max-len", str(max_len)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {error}" in err
 
 
 def test_compare_referees_a_lazy_table():

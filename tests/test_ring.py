@@ -210,6 +210,21 @@ def test_xlaurent_axioms_random():
         assert (a * b) * c == a * (b * c)
 
 
+def test_powers_by_squaring_and_negative_powers_refused():
+    nx, ng = 4, 2
+    s = XLaurent(0, [(1, P_C), (0, 2)], nx, ng)
+    p = poly(1, Fraction(1, 2), 3)
+    for base, one in ((s, XLaurent.x_power(0, nx, ng)), (p, P_ONE)):
+        acc = one
+        for n in range(7):
+            assert base**n == acc
+            acc = acc * base
+        # -1 >> 1 is -1, so an unguarded loop on a negative exponent never ends
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="negative power"):
+                base**n
+
+
 def test_xlaurent_inverse_and_sqrt():
     nx, ng = 6, 4
     one = XLaurent.x_power(0, nx, ng)

@@ -49,10 +49,15 @@ def test_packed_digit_guard_refuses_on_read(read):
 
 
 def test_modelspec_rejects_propagator_poles():
-    with pytest.raises(ValueError):
-        ModelSpec(kind="potts3", c=1, ng=2, ltarget=2)
-    with pytest.raises(ValueError):
-        ModelSpec(kind="potts3", c=Fraction(-1, 2), ng=2, ltarget=2)
+    for c in (1, "1", Fraction(-1, 2), "-2/4"):
+        with pytest.raises(ValueError, match="pole of the propagator"):
+            ModelSpec(kind="potts3", c=c, ng=2, ltarget=2)
+    for c in ("abc", "1/0", None):
+        with pytest.raises(ValueError, match="neither 'symbolic' nor a rational"):
+            ModelSpec(c=c)
+    # the coupling is parsed once, into a Fraction, whatever form it came in
+    assert ModelSpec(c="2/8").c == Fraction(1, 4) and type(ModelSpec(c=3).c) is Fraction
+    assert ModelSpec(c="2/8") == ModelSpec(c=Fraction(1, 4))
 
 
 def test_gaussian_examples(small_table):
