@@ -18,9 +18,9 @@ from .solver import LazyTable, ModelSpec, generating_residual, solve_series
 
 
 def _parse_c(s: str):
-    """The coupling as ``ModelSpec`` parses and validates it, refused while parsing when bad."""
+    """The coupling as ``ModelSpec`` parses it, refused while parsing when it is no coupling at all."""
     try:
-        return ModelSpec(c=s).c
+        return ModelSpec.parse_c(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -194,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--kind", choices=("potts3", "pure-gravity"), default="potts3")
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
+        sp.set_defaults(usage_error=sp.error)
 
     sp = sub.add_parser("solve", help="emit the solved coefficient table as JSON")
     common(sp, kind=True)
@@ -251,10 +252,19 @@ def _attach_negative_c(argv: list) -> list:
     return out
 
 
+def _check_coupling(args) -> None:
+    """Refuse, as a usage error before any work, a coupling that is a pole of the command's model."""
+    try:
+        ModelSpec(kind=getattr(args, "kind", "potts3"), c=args.c)
+    except ValueError as exc:
+        args.usage_error(f"argument --c: {exc}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_negative_c(sys.argv[1:] if argv is None else list(argv)))
+        _check_coupling(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

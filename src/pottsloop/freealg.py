@@ -8,16 +8,21 @@ on either side.
 
 A disk amplitude is a trace, so it is invariant under cyclic rotation of its
 word, under reversal (transposition) and under relabelling of the spins;
-``orbit_rep`` names one word per orbit of that group, ``word_orbits`` lists
-the orbits of one word length, ``GENERATORS`` maps lists of packed words
-by three generators of the group and ``symmetry_breaks`` checks a table
-layer against them.  The reversal treats each word as one
-64-bit lane, so it takes words of at most 32 letters and refuses longer ones.
+``orbit_rep`` names one word per orbit of that group, on the packed integer
+alone: a run mask of equal neighbours gives the starts of the longest
+cyclic runs, each start gives one candidate in each reading direction,
+a bit map relabels each candidate in first-occurrence order, and the
+least candidate is the one lower at the lowest differing letter.
+``word_orbits`` lists the orbits of one word length, ``GENERATORS`` maps
+lists of packed words by three generators of the group and
+``symmetry_breaks`` checks a table layer against them.  The list
+reversal treats each word as one 64-bit lane, so it takes words of at
+most 32 letters and refuses longer ones; the single-word reversal takes
+any length.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 from functools import lru_cache
 from itertools import repeat
@@ -127,16 +132,39 @@ class Word:
 
 EMPTY_WORD = Word()
 
-# letters of one packed byte (four letters, first letter lowest) as a string
-_BYTE_LETTERS = [a + b + c + d for d in "0123" for c in "0123" for b in "0123" for a in "0123"]
-_RUNS = re.compile(r"0+|1+|2+")
-# first-occurrence relabelling of a string that starts with x and whose first other letter is y
-_FIRST_OCCURRENCE = {
-    (x, y): str.maketrans(x + y + "012".replace(x, "").replace(y, ""), "012")
-    for x in "012"
-    for y in "012"
-    if x != y
-}
+# the four letters of one packed byte in reverse order, and then relabelled by (12)
+_REVERSED_BYTE = bytes((b >> 6) | ((b >> 2) & 12) | ((b << 2) & 48) | ((b & 3) << 6) for b in range(256))
+_REVERSED_12_BYTE = bytes(((r & 85) << 1) | ((r >> 1) & 85) for r in _REVERSED_BYTE)
+
+
+def _reverse_word(bits: int, k: int) -> int:
+    """The reversal of one packed k-letter word, of any length.
+
+    The bytes read highest first, each with its four letters reversed, hold
+    the word reversed from the lowest byte up, after the zero padding
+    letters of the top byte; one shift drops that padding.
+    """
+    n = (k + 3) >> 2
+    return int.from_bytes(bits.to_bytes(n, "big").translate(_REVERSED_BYTE), "little") >> (8 * n - 2 * k)
+
+
+def _first_occurrence(w: int, x: int, y: int, low: int) -> int:
+    """Relabel a packed word by the permutation that takes x to 0 and y to 1 (x != y).
+
+    Each letter is a high and a low bit, ``low`` the low bit of every letter;
+    (01) flips the low bit where the high bit is clear, (02) the high bit
+    where the low bit is clear, (12) swaps the two, and each 3-cycle writes
+    one bit from the other and the second from neither.
+    """
+    if x == 0:
+        return w if y == 1 else ((w & low) << 1) | ((w >> 1) & low)  # identity, (12)
+    if x == 1:
+        if y == 0:
+            return w ^ (low & ~(w >> 1))  # (01)
+        return ((w >> 1) & low) | ((low & ~(w | w >> 1)) << 1)  # 1 -> 0 -> 2 -> 1
+    if y == 1:
+        return w ^ ((low & ~w) << 1)  # (02)
+    return ((w & low) << 1) | (low & ~(w | w >> 1))  # 2 -> 0 -> 1 -> 2
 
 
 def orbit_rep(bits: int, k: int) -> int:
@@ -144,31 +172,54 @@ def orbit_rep(bits: int, k: int) -> int:
 
     The representative is the lexicographically least first-occurrence
     relabelling of the k rotations of the word and of its reversal.  Each of
-    those strings starts with its first run of equal letters renamed to 0s,
-    so only images that start at a longest cyclic run, in either reading
-    direction, can be least; the others are never built.
+    those starts with its first run of equal letters renamed to 0s and the
+    next letter renamed to 1, so only images that start at a longest cyclic
+    run, in either reading direction, can be least.  All on the packed
+    integer: the low bit of letter i is set in the run mask when letters i
+    and i + 1 (cyclically) are equal, and ANDing the mask with itself
+    rotated by one letter until it empties leaves the longest run length L
+    and the start of every longest run.  Each start gives two candidates:
+    the word rotated to start there, and its reversal rotated to start at
+    the run's last letter.  A candidate's first letter and the letter after
+    the run choose its first-occurrence relabelling, one bit map; the least
+    candidate is the one lower at the lowest differing letter, since the
+    first letter is packed lowest.  A constant word returns 0.
     """
-    s = "".join(map(_BYTE_LETTERS.__getitem__, bits.to_bytes((k + 3) >> 2, "little")))[:k]
-    e = len(s.rstrip(s[:1]))
-    if not e:
-        return 0  # empty or one-letter word
-    # rotate so that r starts where a cyclic run starts and ends where one ends
-    r = s[e:] + s[:e]
-    lens = list(map(len, _RUNS.findall(r)))
-    longest = max(lens)
-    r2 = r + r
-    rev2 = r2[::-1]
-    best = "3"  # every candidate starts with 0, so it sorts before this
-    end = 0
-    for length in lens:
-        end += length
-        if length == longest:
-            # the run r[end - longest:end] read forwards and read backwards
-            for t in (r2[end - longest : end - longest + k], rev2[k - end : 2 * k - end]):
-                t = t.translate(_FIRST_OCCURRENCE[t[0], t[longest]])
-                if t < best:
-                    best = t
-    return int(best[::-1], 4)
+    if k < 2:
+        return 0
+    width, top = 2 * k, 2 * k - 2
+    mask = (1 << width) - 1
+    low = mask // 3
+    d = bits ^ ((bits >> 2) | ((bits & 3) << top))
+    runs = low & ~(d | d >> 1)
+    if runs == low:
+        return 0
+    if runs:
+        run = 2
+        while True:
+            longer = runs & ((runs >> 2) | ((runs & 1) << top))
+            if not longer:
+                break
+            runs = longer
+            run += 1
+    else:
+        runs, run = low, 1
+    rev = _reverse_word(bits, k)
+    after = 2 * run
+    best = mask  # every candidate starts with 0, so it is below this
+    while runs:
+        start = runs & -runs
+        runs ^= start
+        i = start.bit_length() - 1  # the run starts at letter i / 2 of the word
+        j = (width - i - after) % width  # and its last letter is letter j / 2 of the reversal
+        for w in (((bits >> i) | (bits << (width - i))) & mask, ((rev >> j) | (rev << (width - j))) & mask):
+            w = _first_occurrence(w, w & 3, (w >> after) & 3, low)
+            diff = w ^ best
+            if diff:
+                letter = 3 << ((diff & -diff).bit_length() - 1 & ~1)
+                if w & letter < best & letter:
+                    best = w
+    return best
 
 
 _LISTED_SLOTS = 1 << 20  # the largest admitted listing, every word of up to 12 letters at g^0, is 797,161 slots
@@ -198,9 +249,6 @@ def packed_words(nlet: int, maxlen: int) -> list:
     return out
 
 
-# the four letters of one packed byte in reverse order, and then relabelled by (12)
-_REVERSED_BYTE = bytes((b >> 6) | ((b >> 2) & 12) | ((b << 2) & 48) | ((b & 3) << 6) for b in range(256))
-_REVERSED_12_BYTE = bytes(((r & 85) << 1) | ((r >> 1) & 85) for r in _REVERSED_BYTE)
 _LANE_LETTERS = 32  # letters of one 64-bit lane
 _LANE_SLICE = 2048  # lanes per slice: bounds the scratch buffers of one call
 
@@ -282,7 +330,7 @@ def _orbit_images(bits: int, k: int) -> set:
     if k == 0:
         return {0}
     mask = (1 << (2 * k)) - 1
-    (rev,) = _reverse([bits], k)
+    rev = _reverse_word(bits, k)
     # rotation i of the word, then rotation i of its reversal
     dihedral = [((x >> (2 * i)) | (x << (2 * (k - i)))) & mask for i in range(k) for x in (bits, rev)]
     s = _swap01(dihedral, k)

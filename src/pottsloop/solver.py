@@ -109,15 +109,21 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.ng < 0 or self.ltarget < 0:
             raise ValueError("truncation orders must be nonnegative")
-        if not self.symbolic:
-            try:
-                c0 = Fraction(self.c)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"coupling {self.c!r} is neither 'symbolic' nor a rational") from None
-            # propagator normalisation 1 + c - 2c^2 = (1-c)(1+2c) must not vanish
-            if self.kind == "potts3" and 1 + c0 - 2 * c0 * c0 == 0:
-                raise ValueError(f"coupling c = {c0} is a pole of the propagator (c in {{1, -1/2}})")
-            object.__setattr__(self, "c", c0)
+        c0 = self.parse_c(self.c)
+        # propagator normalisation 1 + c - 2c^2 = (1-c)(1+2c) must not vanish
+        if self.kind == "potts3" and c0 != "symbolic" and 1 + c0 - 2 * c0 * c0 == 0:
+            raise ValueError(f"coupling c = {c0} is a pole of the propagator (c in {{1, -1/2}})")
+        object.__setattr__(self, "c", c0)
+
+    @staticmethod
+    def parse_c(c) -> Union[str, Fraction]:
+        """A coupling as a spec holds it: "symbolic", or a Fraction; ValueError for anything else."""
+        if c == "symbolic":
+            return c
+        try:
+            return Fraction(c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"coupling {c!r} is neither 'symbolic' nor a rational") from None
 
     @property
     def symbolic(self) -> bool:

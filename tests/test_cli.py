@@ -202,6 +202,22 @@ def test_inputs_outside_the_model_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_a_potts_pole_is_refused_for_potts3_alone(capsys, monkeypatch):
+    # pure gravity has one letter and no propagator, so its table does not depend on c
+    code, out = run(capsys, *"solve --kind pure-gravity --c 1 --ng 2 --lmax 2 --format json".split())
+    assert code == 0 and json.loads(out) == {"ε": {"0": "1"}, "0": {"1": "1"}, "00": {"0": "1", "2": "4"}}
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a refused coupling reached the solver")
+
+    monkeypatch.setattr(cli, "LazyTable", no_table)
+    for c in ("1", "-1/2"):
+        assert main(["solve", "--c", c, "--ng", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --c: coupling c = {c} is a pole of the propagator (c in {{1, -1/2}})" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "table.json"
     code = main(["solve", "--ng", "0", "--lmax", "2", "--format", "json", "--out", str(path)])

@@ -1,5 +1,6 @@
 """Words, non-commutative series and the boundary derivative operators."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pottsloop.freealg import (
     reflection_least,
     word_orbits,
 )
-from pottsloop.freealg import _reverse, _reverse12, _rotate, _swap01, _swap12
+from pottsloop.freealg import _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
 from conftest import drop_last, from_fractions, gseries, monomial, right_delta
 
 
@@ -160,18 +161,23 @@ def test_nc_mul_matches_pairwise_product_over_denominators_random():
     assert {2, 3, 4} <= dens
 
 
-def test_orbit_rep_names_each_orbit_once():
+def _orbit(word: Word) -> set:
+    """Every word of a word's orbit: the rotations of it and of its reversal, under all six relabellings."""
     perms = list(itertools.permutations(LETTERS))
+    return {img.relabel(p) for d in (word, word.reverse()) for img in d.rotations() for p in perms}
+
+
+def test_orbit_rep_names_each_orbit_once():
     norbits = []
-    for k in range(8):
+    for k in range(9):
         seen = set()
         reps = set()
         for word in all_words(k):
             if word in seen:
                 continue
-            orbit = {img.relabel(p) for d in (word, word.reverse()) for img in d.rotations() for p in perms}
+            orbit = _orbit(word)
             rep = orbit_rep(word.bits, k)
-            assert Word._raw(k, rep) in orbit
+            assert rep == min(orbit, key=str).bits, str(word)  # the orbit's lexicographically least word
             for img in orbit:
                 assert orbit_rep(img.bits, k) == rep, (str(img), str(word))
             assert rep not in reps, str(word)  # words of different orbits never share one
@@ -183,9 +189,47 @@ def test_orbit_rep_names_each_orbit_once():
         assert {rep for rep, _ in word_orbits(k)} == reps
         for rep, images in word_orbits(k):
             word = Word._raw(k, rep)
-            orbit = {img.relabel(p) for d in (word, word.reverse()) for img in d.rotations() for p in perms}
-            assert {Word._raw(k, x) for x in images} == orbit
-    assert norbits == [1, 1, 2, 3, 6, 9, 22, 40]
+            assert {Word._raw(k, x) for x in images} == _orbit(word)
+    assert norbits == [1, 1, 2, 3, 6, 9, 22, 40, 100]
+
+
+def _short_runs(rng, pair, n) -> list:
+    """n letters in runs of one to three, alternating between the two letters of pair."""
+    out, i = [], 0
+    while len(out) < n:
+        out += [pair[i]] * rng.randint(1, 3)
+        i ^= 1
+    return out[:n]
+
+
+def test_orbit_rep_is_the_least_word_of_long_orbits():
+    # every word of up to 8 letters is checked with the orbit enumeration above
+    rng = random.Random(24)
+    words = []
+    for k in range(9, 41):
+        a, b = rng.sample(LETTERS, 2)
+        words += [
+            Word(rng.choice(LETTERS) for _ in range(k)),
+            Word([a] * k),  # constant
+            Word(i % 2 for i in range(k)),  # alternating: every letter starts a longest run
+            # the longest run wraps past the last letter: it holds the first two letters and the last two
+            Word([a, a] + _short_runs(rng, (b, 3 - a - b), k - 4) + [a, a]),
+        ]
+    for word in words:
+        assert orbit_rep(word.bits, len(word)) == min(_orbit(word), key=str).bits, str(word)
+
+
+def test_single_word_reversal_takes_any_length():
+    rng = random.Random(5)
+    for k in range(41):
+        for word in [Word(rng.choice(LETTERS) for _ in range(k)) for _ in range(5)] + [Word([2] * k)]:
+            assert _reverse_word(word.bits, k) == word.reverse().bits
+
+
+def test_word_orbits_unchanged_up_to_twelve_letters():
+    # the sweep order and each orbit's image order, as first listed with the string canonicaliser
+    orbits = repr([word_orbits.__wrapped__(k) for k in range(13)]).encode()
+    assert hashlib.sha256(orbits).hexdigest() == "1a2d346f5e4f3aece08262b65d3ecd0cd6f15a028ac1e9cb8c2b5226d684e6f3"
 
 
 def test_word_orbits_partition_the_words_up_to_ten_letters():

@@ -1,5 +1,6 @@
 """Graded fixed-point solver: examples, symmetries, residuals, pure gravity."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -365,6 +366,24 @@ def test_lazy_miss_canonicalises_once(monkeypatch):
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
     assert all(r.passed for r in check_sd(lazy, 2, 2))
     assert 0 < len(calls) < len(lazy._memo)
+
+
+@pytest.mark.parametrize(
+    "c, digest",
+    [
+        ("symbolic", "aae62b526047fd29714244f3015ffb26380c06621409e149a1bc8c07f5a989fc"),
+        ("3/7", "8deae6008029f51789a8f5e12faf7f01f49b46f6e528bf719a69c395522fe47a"),
+    ],
+    ids=("symbolic", "c3_7"),
+)
+def test_catalog_pass_leaves_the_pinned_memo(c, digest):
+    # the memo of one catalog pass, keys, values and insertion order, as first
+    # recorded with the string canonicaliser: canonicalisation moves no slot
+    lazy = LazyTable(ModelSpec(c=c, ng=5), max_len=18)
+    check_loops(lazy, 5, 5)
+    items = list(lazy._memo.items())
+    assert (lazy.rhs_evaluations, len(items)) == (4025, 14554)
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
 
 
 def test_recast_words_match_a_per_orbit_reference():
