@@ -17,14 +17,6 @@ from .freealg import Word
 from .solver import LazyTable, ModelSpec, generating_residual, solve_series
 
 
-def _parse_c(s: str):
-    """The coupling as ``ModelSpec`` parses it, refused while parsing when it is no coupling at all."""
-    try:
-        return ModelSpec.parse_c(s)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _order(s: str) -> int:
     """A truncation order, refused while parsing when negative so that no subcommand starts work."""
     try:
@@ -185,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, *, nx=False, ng=True, kind=False):
-        sp.add_argument("--c", type=_parse_c, default="symbolic", help="coupling: 'symbolic' or a rational like 1/4")
+        sp.add_argument("--c", default="symbolic", help="coupling: 'symbolic' or a rational like 1/4")
         if ng:
             sp.add_argument("--ng", type=_order, default=4, help="g truncation order")
         if nx:
@@ -253,9 +245,9 @@ def _attach_negative_c(argv: list) -> list:
 
 
 def _check_coupling(args) -> None:
-    """Refuse, as a usage error before any work, a coupling that is a pole of the command's model."""
+    """Parse --c once, as ``ModelSpec`` does; refuse, as a usage error before any work, no coupling or a pole."""
     try:
-        ModelSpec(kind=getattr(args, "kind", "potts3"), c=args.c)
+        args.c = ModelSpec(kind=getattr(args, "kind", "potts3"), c=args.c).c
     except ValueError as exc:
         args.usage_error(f"argument --c: {exc}")
 

@@ -235,6 +235,15 @@ def check_listing(nlet: int, lmax: int, ng: int) -> None:
         )
 
 
+def check_letters(words, nlet: int) -> None:
+    """ValueError for the first word with a letter past the first ``nlet``; free at three, where every Word fits."""
+    if nlet < 3:
+        for w in words:
+            bad = [a for a in w.letters() if a >= nlet]
+            if bad:
+                raise ValueError(f"letter {bad[0]} of word {w} outside the {nlet}-letter model")
+
+
 def packed_words(nlet: int, maxlen: int) -> list:
     """Packed words over the first ``nlet`` letters, one list per length up to maxlen."""
     out = [[0]]

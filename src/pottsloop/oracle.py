@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .freealg import Word, check_listing
+from .freealg import Word, check_letters, check_listing
 from .ring import Poly
 from .solver import _TableBase
 
@@ -174,9 +174,7 @@ def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
     word = word if isinstance(word, Word) else Word.from_string(str(word))
     if n < 0:
         raise ValueError(f"triangle order n = {n} is negative")
-    bad = [a for a in word.letters() if a >= nletters]
-    if bad:
-        raise ValueError(f"letter {bad[0]} of word {word} outside the {nletters}-letter model")
+    check_letters((word,), nletters)
     points = len(word) + 3 * n
     if points % 2:
         return Poly()

@@ -42,12 +42,13 @@ partition of each word length (``freealg.word_orbits``), runs on the
 representatives and stores each value under every word of the orbit, so
 its layers are the same plain dicts as a word-by-word solve.
 
-Both tables keep one contract (``_TableBase``): the parity and region
-guards live in ``_TableBase._reader``, the region edge is ``S`` (|w| + n
-<= S dense, |w| <= S lazy) and the one export, ``to_ncseries``, reads
-through the readers (``to_json`` formats it), so a command that reads few
-words (the export, the oracle compare, the curve, the moment recurrences)
-takes either table.
+Both tables keep one contract (``_TableBase``): one region, |w| + n <= S
+and n <= ng (an edge removal never raises |w| + n), one grid of readers
+built with the table, and the parity and region guards in
+``_TableBase._reader``.  The one export, ``to_ncseries``, reads through
+the readers (``to_json`` formats it), so a command that reads few words
+(the export, the oracle compare, the curve, the moment recurrences) takes
+either table.
 
 ``generating_residual`` checks the symmetry instead of assuming it: every
 stored slot must equal its images under three generators of the group (one
@@ -75,6 +76,7 @@ from .freealg import (
     LETTERS,
     NCSeries,
     Word,
+    check_letters,
     check_listing,
     orbit_rep,
     packed_words,
@@ -109,21 +111,15 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.ng < 0 or self.ltarget < 0:
             raise ValueError("truncation orders must be nonnegative")
-        c0 = self.parse_c(self.c)
-        # propagator normalisation 1 + c - 2c^2 = (1-c)(1+2c) must not vanish
-        if self.kind == "potts3" and c0 != "symbolic" and 1 + c0 - 2 * c0 * c0 == 0:
-            raise ValueError(f"coupling c = {c0} is a pole of the propagator (c in {{1, -1/2}})")
-        object.__setattr__(self, "c", c0)
-
-    @staticmethod
-    def parse_c(c) -> Union[str, Fraction]:
-        """A coupling as a spec holds it: "symbolic", or a Fraction; ValueError for anything else."""
-        if c == "symbolic":
-            return c
-        try:
-            return Fraction(c)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"coupling {c!r} is neither 'symbolic' nor a rational") from None
+        if self.c != "symbolic":
+            try:
+                c0 = Fraction(self.c)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"coupling {self.c!r} is neither 'symbolic' nor a rational") from None
+            # propagator normalisation 1 + c - 2c^2 = (1-c)(1+2c) must not vanish
+            if self.kind == "potts3" and 1 + c0 - 2 * c0 * c0 == 0:
+                raise ValueError(f"coupling c = {c0} is a pole of the propagator (c in {{1, -1/2}})")
+            object.__setattr__(self, "c", c0)
 
     @property
     def symbolic(self) -> bool:
@@ -287,39 +283,50 @@ _zero = {}.get  # reads None: the reader of a slot that vanishes by parity
 
 
 class _TableBase:
-    """Coefficient accessors over one reader per (length, order), ``_reader``.
+    """Coefficient accessors over one reader per held (length, order), ``_reader``.
 
-    A table says three things: which slots it holds (``_holds(k, n)``), the
-    text that names its region (``_region``, formatted with its edge ``S``
-    and ``ng``) and how to read a held slot (``_slot(k, n)``).  The guards
-    live in ``_reader`` alone.  ``_digits`` is the one decoder of the raw
-    encoding; every value that leaves a table (``p_coeff``, the export
-    ``to_ncseries`` that ``to_json`` formats, residual failures and the
-    rows of ``_rows``) is read through it.
+    Every table holds the region |w| + n <= S, n <= ng (``_holds``), and
+    its readers form one grid, ``_slots[k][n]``, built with the table: each
+    held slot of even parity gets ``_slot(k, n)``, every other entry is
+    None.  A table says only how to read a held slot (``_slot``); the
+    guards live in ``_reader`` alone.  ``_digits`` is the one decoder of
+    the raw encoding; every value that leaves a table (``p_coeff``, the
+    export ``to_ncseries`` that ``to_json`` formats, residual failures and
+    the rows of ``_rows``) is read through it.
     """
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, S: int):
         self.spec = spec
+        self.S = S
         self.ng = spec.ng
         self.symbolic = spec.symbolic
         self._b, self._a = _weights(spec)
+        self._slots = [
+            [self._slot(k, n) if not (k + n) & 1 and self._holds(k, n) else None for n in range(spec.ng + 1)]
+            for k in range(S + 1)
+        ]
+
+    def _holds(self, k: int, n: int) -> bool:
+        return n <= self.ng and k + n <= self.S
 
     def _reader(self, k: int, n: int):
         """The reader of the words of length k at g^n: packed bits -> raw value.
 
         Fetched once per (length, order) and called once per word; a zero
         slot may read None.  A slot that vanishes by parity reads zero and
-        one the table does not hold is refused, whatever the table.
+        one outside the region is refused, whatever the table.
         """
         if (k + n) & 1 or n < 0:
             return _zero
         if not self._holds(k, n):
 
             def refuse(bits):
-                raise TruncationError(f"coefficient (|w|={k}, n={n}) " + self._region.format(S=self.S, ng=self.ng))
+                raise TruncationError(
+                    f"coefficient (|w|={k}, n={n}) outside solved region |w|+n <= {self.S}, n <= {self.ng}"
+                )
 
             return refuse
-        return self._slot(k, n)
+        return self._slots[k][n]
 
     def _raw(self, bits: int, k: int, n: int) -> int:
         return self._reader(k, n)(bits) or 0
@@ -360,6 +367,7 @@ class _TableBase:
         Returns (rows, den): rows[e][n] holds the digits of den times the sum
         at g^n, over den = b**M with M the largest scale (|w| + 3n)/2 read.
         """
+        check_letters((w for ws in slots for w in ws), self.spec.nletters)
         digits = self._digits
         top = (max((w.n for ws in slots for w in ws), default=0) + 3 * ng) // 2
         rows = []
@@ -377,12 +385,14 @@ class _TableBase:
 
     def value_word(self, word: Word, n: int):
         """Coefficient in the raw domain: the packed polynomial (symbolic c) or a Fraction."""
+        check_letters((word,), self.spec.nletters)
         v = self._raw(word.bits, word.n, n)
         return v if self.symbolic else self._poly(v, (word.n + 3 * n) // 2).coefficient(0)
 
     def p_coeff(self, word, n: int) -> Poly:
         """Coefficient of g**n for the word, a polynomial in c (a constant at numeric c)."""
         word = _as_word(word)
+        check_letters((word,), self.spec.nletters)
         return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
     def gseries(self, word, ng: Optional[int] = None) -> XLaurent:
@@ -428,15 +438,9 @@ def _as_word(w) -> Word:
 class SolutionTable(_TableBase):
     """Dense solved table, complete on {|w| + n <= S, n <= ng}."""
 
-    _region = "outside solved region |w|+n <= {S}, n <= {ng}"
-
     def __init__(self, spec: ModelSpec, S: int, layers: dict):
-        super().__init__(spec)
-        self.S = S
         self.layers = layers
-
-    def _holds(self, k: int, n: int) -> bool:
-        return n <= self.ng and k + n <= self.S
+        super().__init__(spec, S)
 
     def _slot(self, k: int, n: int):
         return self.layers.get((n, k), {}).get
@@ -458,7 +462,7 @@ def check_headroom(spec: ModelSpec, S: int) -> Optional[int]:
     bound = _RECAST_MARGIN * max(spec.nletters**n * d.get(0, 0) for (n, _), d in pg.items())
     if bound >= _GUARD:
         raise ValueError(
-            f"truncation |w| <= {S}, |w| + n <= {S}, n <= {spec.ng} refused at symbolic c: "
+            f"truncation |w| + n <= {S}, n <= {spec.ng} refused at symbolic c: "
             f"packed digits may reach {bound} (a {bound.bit_length()}-bit bound), "
             f"beyond the 2^62 digit guard"
         )
@@ -499,23 +503,19 @@ class LazyTable(_TableBase):
     ``rhs_evaluations`` counts the slots the recursion solved.  A miss
     canonicalises its word once and reads the representative's key; only if
     that slot is missing too does ``_rhs`` run on the representative, whose
-    value is stored under both keys.  One reader per (length, order) holds
-    that probe and miss path (``_slot``); it is built once, with the table,
-    and the recursion and every later ``_reader`` call share it.  The table
-    holds every |w| <= S at n <= ng, with S the ``max_len`` it was built
-    with.  Values agree with the unreduced dense solver wherever both are
-    defined (tested on every slot of a dense table).
+    value is stored under both keys.  The reader of each held slot holds
+    that probe and miss path (``_slot``); the grid ``_slots`` is built once,
+    with the table, and the recursion and every ``_reader`` call share it.
+    The table holds the one region |w| + n <= S, n <= ng, with S the
+    ``max_len`` it was built with.  The recursion reads the grid unguarded
+    and never leaves the region: a held slot's splits and its triangle
+    removal read only held slots of even parity.  Values agree with the
+    unreduced dense solver wherever both are defined (tested on every slot
+    of a dense table).
     """
 
-    _region = "beyond lazy-table guards (max_len={S}, ng={ng})"
-
     def __init__(self, spec: ModelSpec, max_len: int):
-        # a slot (k, n) reads k + 1 letters at n - 1, down to k + n letters at
-        # n = 0, and the table refuses k > max_len, so every nonzero value it
-        # holds has |w| + n <= max_len
         check_headroom(spec, max_len)
-        super().__init__(spec)
-        self.S = max_len
         self.nlet = spec.nletters
         # memo key (bits, k, n) packed into one int; the k and n fields hold
         # every k <= max_len and n <= ng, so distinct slots never share a key
@@ -523,23 +523,14 @@ class LazyTable(_TableBase):
         self._nbits = spec.ng.bit_length()
         self._memo = {}
         self._rhs_evaluations = 0
-        # the recursion's readers; one letter past S, where a triangle removal
-        # at S reads, every read is refused.  While they are built ``_slot``
-        # makes each one; afterwards it hands out the one built here
-        self._slots = None
-        self._slots = self._readers(max_len + 1, spec.ng)
+        super().__init__(spec, max_len)
 
     @property
     def rhs_evaluations(self) -> int:
         """Slots solved by running the recursion: one per orbit and g-order read."""
         return self._rhs_evaluations
 
-    def _holds(self, k: int, n: int) -> bool:
-        return n <= self.ng and k <= self.S
-
     def _slot(self, k: int, n: int):
-        if self._slots:
-            return self._slots[k][n]
         memo, shift = self._memo, self._kbits + self._nbits
         probe = memo.get
         tag = (k << self._nbits) | n  # the memo key of (bits, k, n) is (bits << shift) | tag
@@ -756,8 +747,12 @@ def recast_residual_rect(table: _TableBase, kmax: int, ng: int) -> list:
     """Derivative-form residual over all words up to kmax, orders up to ng.
 
     Works through the generic coefficient interface, so a demand-driven
-    table serves it without a dense solve.  Returns the nonzero slots.
+    table serves it without a dense solve.  Returns the nonzero slots.  The
+    form is an identity of the three-letter model only, so a one-letter
+    table is refused.
     """
+    if table.spec.nletters != 3:
+        raise ValueError("the recast form is an identity of the 3-letter model; this table has 1 letter")
     bad = []
     words = packed_words(3, kmax)
     slots = table._readers(kmax, ng)

@@ -10,6 +10,7 @@ import pytest
 from conftest import grade_mask, shift_x, solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
 from pottsloop.loopcat import Amp, _amp_rows, catalog_edge, check_loops, check_sd
+from pottsloop.oracle import planar_moment
 from pottsloop.ring import Poly, XLaurent
 from pottsloop.solver import (
     LazyTable,
@@ -282,9 +283,9 @@ def test_slot_readers_keep_the_region_guards(small_table):
         (small_table, 8, 0, f"coefficient (|w|=8, n=0) outside solved region |w|+n <= {S}, n <= {ng}"),
         (small_table, 3, 5, f"coefficient (|w|=3, n=5) outside solved region |w|+n <= {S}, n <= {ng}"),
         (small_table, 0, 4, f"coefficient (|w|=0, n=4) outside solved region |w|+n <= {S}, n <= {ng}"),
-        (lazy, 6, 0, "coefficient (|w|=6, n=0) beyond lazy-table guards (max_len=4, ng=2)"),
-        (lazy, 5, 1, "coefficient (|w|=5, n=1) beyond lazy-table guards (max_len=4, ng=2)"),
-        (lazy, 0, 4, "coefficient (|w|=0, n=4) beyond lazy-table guards (max_len=4, ng=2)"),
+        (lazy, 6, 0, "coefficient (|w|=6, n=0) outside solved region |w|+n <= 4, n <= 2"),
+        (lazy, 5, 1, "coefficient (|w|=5, n=1) outside solved region |w|+n <= 4, n <= 2"),
+        (lazy, 0, 4, "coefficient (|w|=0, n=4) outside solved region |w|+n <= 4, n <= 2"),
     ]
     for table, k, n, text in cases:
         for read in (lambda: table._raw(0, k, n), lambda: table._readers(k, n)[k][n](0)):
@@ -293,13 +294,9 @@ def test_slot_readers_keep_the_region_guards(small_table):
             assert str(err.value) == text
         # a slot that vanishes by parity reads zero even outside the region
         assert table._raw(0, k + 1, n) == 0
-    # the readers of the lazy recursion refuse one letter past max_len too
-    with pytest.raises(TruncationError) as err:
-        lazy._slots[5][1](0)
-    assert str(err.value) == cases[4][3]
     # and the recast form over a whole region, which reads one and two letters further
     for table, kmax, n, text in (
-        (lazy, 4, 2, "coefficient (|w|=5, n=1) beyond lazy-table guards (max_len=4, ng=2)"),
+        (lazy, 4, 2, "coefficient (|w|=4, n=2) outside solved region |w|+n <= 4, n <= 2"),
         (small_table, S, ng, f"coefficient (|w|=5, n=3) outside solved region |w|+n <= {S}, n <= {ng}"),
     ):
         with pytest.raises(TruncationError) as err:
@@ -345,10 +342,60 @@ def test_lazy_readers_are_built_once():
     # every reader of a held slot is the one the recursion reads through
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=6)
     for k in range(7):
-        for n in range(3):
+        for n in range(min(2, 6 - k) + 1):
             if (k + n) % 2 == 0:
                 assert lazy._reader(k, n) is lazy._slots[k][n]
     assert lazy._readers(6, 2)[4][2] is lazy._slots[4][2]
+
+
+def test_both_tables_read_held_slots_through_one_grid(small_table):
+    # the grid is built with the table, one row per length up to S, and _reader hands it out
+    lazy = LazyTable(small_table.spec, max_len=small_table.S)
+    for table in (small_table, lazy):
+        assert len(table._slots) == table.S + 1
+        for k in range(table.S + 1):
+            for n in range(min(table.ng, table.S - k) + 1):
+                if (k + n) % 2 == 0:
+                    assert table._slots[k][n] is not None
+                    assert table._reader(k, n) is table._slots[k][n]
+
+
+def test_lazy_read_outside_the_region_refuses_at_the_guard():
+    # (0000, g^4) has |w| + n = 8 > 6: the guard names that slot, and the memo does not grow
+    # (a guard at |w| <= 6 let it through, wrote 104 memo entries and named (|w|=7, n=1))
+    lazy = LazyTable(ModelSpec(c="symbolic", ng=4), max_len=6)
+    lazy.p_coeff("0000", 2)  # a held slot fills part of the memo
+    filled = len(lazy._memo)
+    assert filled
+    with pytest.raises(TruncationError) as err:
+        lazy.p_coeff("0000", 4)
+    assert str(err.value) == "coefficient (|w|=4, n=4) outside solved region |w|+n <= 6, n <= 4"
+    assert len(lazy._memo) == filled
+
+
+def test_one_letter_tables_refuse_words_outside_their_model():
+    # the memo would relabel 12 onto its orbit representative 01 and solve a word the
+    # one-matrix model does not have; every word-level reader refuses it as the oracle does
+    spec = ModelSpec(kind="pure-gravity", ng=3, ltarget=4)
+    for table in (solve_series(spec), LazyTable(spec, max_len=7)):
+        for word, n in (("1", 1), ("12", 0), ("1111", 0)):
+            text = f"letter 1 of word {word} outside the 1-letter model"
+            for read in (
+                lambda: table.p_coeff(word, n),
+                lambda: table.value_word(Word.from_string(word), n),
+                lambda: table.gseries(word),
+            ):
+                with pytest.raises(ValueError) as err:
+                    read()
+                assert str(err.value) == text
+            with pytest.raises(ValueError) as err:
+                planar_moment(word, n, nletters=1)
+            assert str(err.value) == text
+        # the recast form is an identity of the three-letter model only
+        with pytest.raises(ValueError, match="3-letter model"):
+            recast_residual_rect(table, 3, 3)
+        assert not getattr(table, "_memo", None)  # refused before any read
+        assert table.p_coeff("0000", 0) == Poly((2,)) and table.gseries("0").coefficient(0)[1] == Poly((1,))
 
 
 def test_lazy_miss_canonicalises_once(monkeypatch):
@@ -456,12 +503,12 @@ def test_headroom_guard_refuses_before_solving(monkeypatch):
     # 4 * 3**n * pg(|w|, n) peaks at 71 bits over (S 30, ng 14)
     with pytest.raises(ValueError, match=r"\|w\| \+ n <= 30, n <= 14 .* 71-bit bound"):
         solve_series(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16))
-    with pytest.raises(ValueError, match=r"\|w\| <= 30, \|w\| \+ n <= 30, n <= 14 "):
+    with pytest.raises(ValueError, match=r"^truncation \|w\| \+ n <= 30, n <= 14 .* 71-bit bound"):
         LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16), max_len=30)
     # a lazy table holds only |w| + n <= max_len, so its bound covers that region and no more:
     # (ng 10, max_len 22) fits with a 50-bit bound, max_len 32 still reaches 64 bits
     LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=10), max_len=22)
-    with pytest.raises(ValueError, match=r"\|w\| <= 32, \|w\| \+ n <= 32, n <= 10 .* 64-bit bound"):
+    with pytest.raises(ValueError, match=r"^truncation \|w\| \+ n <= 32, n <= 10 .* 64-bit bound"):
         LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=10), max_len=32)
     # numeric-c raw values are plain integers and need no digit room
     LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=14, ltarget=16), max_len=30)
