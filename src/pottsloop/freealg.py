@@ -13,17 +13,21 @@ alone: a run mask of equal neighbours gives the starts of the longest
 cyclic runs, each start gives one candidate in each reading direction,
 a bit map relabels each candidate in first-occurrence order, and the
 least candidate is the one lower at the lowest differing letter.
-``word_orbits`` lists the orbits of one word length, ``GENERATORS`` maps
-lists of packed words by three generators of the group and
-``symmetry_breaks`` checks a table layer against them.  The list
-reversal treats each word as one 64-bit lane, so it takes words of at
-most 32 letters and refuses longer ones; the single-word reversal takes
-any length.
+``word_orbits`` lists the orbits of one word length, with one flag byte
+per word that starts with 0 and one Python step per orbit,
+``GENERATORS`` maps lists of packed words by three generators of the
+group and ``symmetry_breaks`` checks a table layer against them.  The
+list reversal and the orbit images treat each word as one 64-bit lane,
+so they take words of at most 32 letters and refuse longer ones; the
+single-word reversal takes any length.  ``check_letters`` and
+``check_order`` are the refusals of a word outside the model and of a
+negative triangle order.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -244,6 +248,12 @@ def check_letters(words, nlet: int) -> None:
                 raise ValueError(f"letter {bad[0]} of word {w} outside the {nlet}-letter model")
 
 
+def check_order(n: int) -> None:
+    """ValueError for a negative triangle order (a power of g)."""
+    if n < 0:
+        raise ValueError(f"triangle order n = {n} is negative")
+
+
 def packed_words(nlet: int, maxlen: int) -> list:
     """Packed words over the first ``nlet`` letters, one list per length up to maxlen."""
     out = [[0]]
@@ -335,17 +345,40 @@ def symmetry_breaks(layer: dict, k: int) -> dict:
 
 
 def _orbit_images(bits: int, k: int) -> set:
-    """Every packed word in the rotation/reversal/relabelling orbit of a k-letter word."""
+    """Every packed word in the rotation/reversal/relabelling orbit of a k-letter word.
+
+    The 2k rotations of the word and of its reversal are the 64-bit lanes of
+    one integer, and each relabelling is one bit operation on all of them,
+    with the low bit of each letter of each lane as mask; a letter never
+    moves a bit out of its lane.  So it takes words of at most 32 letters.
+    """
     if k == 0:
         return {0}
+    if k > _LANE_LETTERS:
+        raise ValueError(f"cannot relabel {k}-letter words: a packed lane holds at most {_LANE_LETTERS} letters")
     mask = (1 << (2 * k)) - 1
     rev = _reverse_word(bits, k)
     # rotation i of the word, then rotation i of its reversal
     dihedral = [((x >> (2 * i)) | (x << (2 * (k - i)))) & mask for i in range(k) for x in (bits, rev)]
-    s = _swap01(dihedral, k)
-    t = _swap12(dihedral, k)
-    ts = _swap12(s, k)
-    return {*dihedral, *s, *t, *ts, *_swap01(t, k), *_swap01(ts, k)}
+    # lanes in native byte order, read back through a memoryview: no tuple of
+    # the unpacked lanes, and each word a compact int, as the cache keeps it
+    width = 16 * k
+    low = _low_bits(k) * ((1 << (8 * width)) // ((1 << 64) - 1))  # every lane's low bits
+    d = int.from_bytes(struct.pack(f"{2 * k}Q", *dihedral), sys.byteorder)
+
+    def swap01(w):
+        return w ^ (low & ~(w >> 1))
+
+    def swap12(w):
+        return ((w & low) << 1) | ((w >> 1) & low)
+
+    s, t = swap01(d), swap12(d)
+    ts = swap12(s)
+    # the insertion order fixes the set's iteration order, which the images of word_orbits keep
+    images = set(dihedral)
+    for w in (s, t, ts, swap01(t), swap01(ts)):
+        images.update(memoryview(w.to_bytes(width, sys.byteorder)).cast("Q"))
+    return images
 
 
 def reflection_least(words: list, k: int) -> list:
@@ -363,20 +396,30 @@ def word_orbits(k: int) -> tuple:
     """The rotation/reversal/relabelling orbits of the 3-letter words of length k.
 
     One ``(orbit_rep, images)`` pair per orbit, ``images`` a tuple of every
-    packed word of the orbit.  The sweep takes the first word not seen yet,
-    names its orbit with ``orbit_rep`` and marks its images, so ``orbit_rep``
-    runs once per orbit.  It visits only the words that start with the letter
-    0, in ascending packed order, since a relabelling puts one in every orbit:
-    the words one letter shorter, shifted up past a leading 0.
-    Cached: the dense solve and its residual share it.
+    packed word of the orbit.  The sweep visits only the words that start
+    with the letter 0, in ascending packed order, since a relabelling puts
+    one in every orbit.  Such a word w is flagged at byte w >> 2 of one
+    buffer of 4^(k-1) bytes, whose indices that hold the unused letter 3 are
+    flagged up front; the next unflagged byte is the next unlisted word, so
+    the sweep's loop runs once per orbit: it names the orbit with
+    ``orbit_rep`` and flags its images that start with 0.  The buffer takes
+    256 KiB at k = 10, 4 MiB at 12 and 64 MiB at 14; the set of every image
+    that it replaces took 2, 16 and 128 MiB for its hash table alone, and was
+    probed word by word.  Cached: the dense solve and its residual share it.
     """
-    seen = set()
+    seen = b"\x00"
+    for i in range(k - 1):
+        seen = seen * 3 + b"\x01" * 4**i  # the letters 0, 1, 2 and then 3 at letter i
+    seen = bytearray(seen)
     out = []
-    for w in [v << 2 for v in packed_words(3, max(k - 1, 0))[-1]]:
-        if w not in seen:
-            images = _orbit_images(w, k)
-            seen |= images
-            out.append((orbit_rep(w, k), tuple(images)))
+    v = seen.find(0)
+    while v >= 0:
+        images = _orbit_images(v << 2, k)
+        for x in images:
+            if not x & 3:
+                seen[x >> 2] = 1
+        out.append((orbit_rep(v << 2, k), tuple(images)))
+        v = seen.find(0, v + 1)
     return tuple(out)
 
 

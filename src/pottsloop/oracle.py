@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .freealg import Word, check_letters, check_listing
+from .freealg import Word, check_letters, check_listing, check_order
 from .ring import Poly
 from .solver import _TableBase
 
@@ -172,8 +172,7 @@ def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
     ValueError.
     """
     word = word if isinstance(word, Word) else Word.from_string(str(word))
-    if n < 0:
-        raise ValueError(f"triangle order n = {n} is negative")
+    check_order(n)
     check_letters((word,), nletters)
     points = len(word) + 3 * n
     if points % 2:

@@ -78,6 +78,7 @@ from .freealg import (
     Word,
     check_letters,
     check_listing,
+    check_order,
     orbit_rep,
     packed_words,
     reflection_least,
@@ -314,7 +315,9 @@ class _TableBase:
 
         Fetched once per (length, order) and called once per word; a zero
         slot may read None.  A slot that vanishes by parity reads zero and
-        one outside the region is refused, whatever the table.
+        one outside the region is refused, whatever the table.  A negative
+        order reads zero too, since the recast form reads (k + 2, n - 1) at
+        n = 0; the public readers refuse one first (``check_order``).
         """
         if (k + n) & 1 or n < 0:
             return _zero
@@ -385,6 +388,7 @@ class _TableBase:
 
     def value_word(self, word: Word, n: int):
         """Coefficient in the raw domain: the packed polynomial (symbolic c) or a Fraction."""
+        check_order(n)
         check_letters((word,), self.spec.nletters)
         v = self._raw(word.bits, word.n, n)
         return v if self.symbolic else self._poly(v, (word.n + 3 * n) // 2).coefficient(0)
@@ -392,12 +396,14 @@ class _TableBase:
     def p_coeff(self, word, n: int) -> Poly:
         """Coefficient of g**n for the word, a polynomial in c (a constant at numeric c)."""
         word = _as_word(word)
+        check_order(n)
         check_letters((word,), self.spec.nletters)
         return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
     def gseries(self, word, ng: Optional[int] = None) -> XLaurent:
         """The full g-series of a word's coefficient (an x-order-0 series), read by ``_rows``."""
         ng = self.ng if ng is None else ng
+        check_order(ng)
         return XLaurent._from_ints(0, *self._rows([[_as_word(word)]], ng), 0, ng)
 
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
@@ -623,16 +629,22 @@ def _recast_failures(table: _TableBase, slots: list, words, k: int, n: int) -> l
     D0 Phi: (b+a) d0 - (b^2+ab-2a^2)(quad+dd0) - a (d1+d2) on raw integers.
     The scale is nonzero, so the form vanishes iff its raw value does.
     ``slots`` holds the table's readers (``_TableBase._readers``) of the words
-    shorter than k.
+    shorter than k.  The quadratic term visits only the word's letters 0 at
+    a position with reader pairs (every position but the odd ones at g^0),
+    lowest first, so it reads what a scan of every position reads, in the
+    same order.
     """
     b, a = table._b, table._a
     read1, read2 = table._reader(k + 1, n), table._reader(k + 2, n - 1)
-    # Phi x0 Phi splits w = u 0 v at each letter t that is 0: (2t, mask of u, shift of v,
-    # the reader pairs of u and v at the orders m with t + m even)
-    splits = [
-        (2 * t, (1 << (2 * t)) - 1, 2 * t + 2, [(slots[t][m], slots[k - 1 - t][n - m]) for m in range(t & 1, n + 1, 2)])
-        for t in range(k)
-    ]
+    # Phi x0 Phi splits w = u 0 v at each letter t that is 0, u = w[:t] and v = w[t+1:]; the
+    # splits with reader pairs of u and v (at the orders m with t + m even) are keyed by the
+    # low bit of letter t, and ``zeros`` holds that bit wherever such a letter t is 0
+    splits = {}
+    for t in range(k):
+        pairs = [(slots[t][m], slots[k - 1 - t][n - m]) for m in range(t & 1, n + 1, 2)]
+        if pairs:
+            splits[1 << (2 * t)] = pairs
+    low = sum(splits)
     bad = []
     for w in words:
         # prepending letter j to packed w is j | (w << 2)
@@ -640,15 +652,17 @@ def _recast_failures(table: _TableBase, slots: list, words, k: int, n: int) -> l
         d0 = read1(w2) or 0
         d12 = (read1(1 | w2) or 0) + (read1(2 | w2) or 0)
         qg = 0
-        for shift, mask, vshift, pairs in splits:
-            if not (w >> shift) & 3:
-                u, v = w & mask, w >> vshift
-                for read_u, read_v in pairs:
-                    pu = read_u(u)
-                    if pu:
-                        pv = read_v(v)
-                        if pv:
-                            qg += pu * pv
+        zeros = low & ~(w | w >> 1)
+        while zeros:
+            bit = zeros & -zeros  # the lowest zero letter first
+            zeros ^= bit
+            u, v = w & (bit - 1), w >> (bit.bit_length() + 1)
+            for read_u, read_v in splits[bit]:
+                pu = read_u(u)
+                if pu:
+                    pv = read_v(v)
+                    if pv:
+                        qg += pu * pv
         qg += read2(w2 << 2) or 0
         resid = (b + a) * d0 - (b * b + a * b - 2 * a * a) * qg - a * d12
         if resid:

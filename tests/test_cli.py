@@ -3,8 +3,10 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -373,3 +375,74 @@ def test_cli_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {name: code for name, (_, code) in NO_NUMPY_RUNS.items()}
+
+
+# Tier-1 contract sweep: one template per subcommand and failing variant, with
+# the exit codes it may give; {kind} and {word} vary only where the command
+# takes a model kind.
+_SWEEP_TEMPLATES = (
+    ("solve --kind {kind} --ng {a} --lmax {b}", (0,)),
+    ("check-loops --nx {a} --ng {b}", (0,)),
+    ("check-loops --nx {a} --ng {b} --catalog printed", (0, 1)),
+    ("check-sd --nx {a} --ng {b}", (0,)),
+    ("check-curve --nx {a} --ng {b}", (0,)),
+    ("check-curve --nx {a} --ng {b} --moment-variant 1212", (0, 1)),
+    ("check-recurrences --ng {a}", (0,)),
+    ("oracle --kind {kind} --word {word} --nvertices {a}", (0,)),
+    ("compare --kind {kind} --max-len {a} --max-n {b}", (0,)),
+    ("export --ng {a}", (0,)),
+)
+_SWEEP_COUPLINGS = ("symbolic", "1/4", "-2/3", "0", "2")
+_SWEEP_PER_TEMPLATE = 8
+
+# refusals, each before any output: bad couplings, poles, orders, letters and
+# choices, and truncations past a size or headroom guard
+_SWEEP_REFUSALS = (
+    "check-loops --nx 2 --ng 2 --c abc",
+    "solve --c 1/0",
+    "solve --c 1 --ng 2",
+    "compare --c -1/2",
+    "check-curve --nx -1 --ng 2",
+    "export --ng x",
+    "oracle --word 0113",
+    "oracle --kind pure-gravity --word 01",
+    "oracle --word 00 --nvertices 40",
+    "compare --max-len 16 --max-n 0",
+    "solve --ng 0 --lmax 16",
+    "check-loops --nx 8 --ng 8",
+    "check-curve --nx 14 --ng 16",
+    "check-recurrences --ng 40",
+    "compare --kind ising",
+    "check-curve --moment-variant 9999",
+    "check-sd --nx 3 --bogus",
+    "frobnicate",
+)
+
+
+def _sweep_calls() -> list:
+    """A fixed sample of (argv, allowed exit codes): every template at each coupling, kind, truncation up to 3 and format."""
+    rng = random.Random(26)
+    calls = []
+    for template, codes in _SWEEP_TEMPLATES:
+        grid = []
+        for c, kind, a, b, fmt in itertools.product(
+            _SWEEP_COUPLINGS, ("potts3", "pure-gravity"), range(4), range(4), ("text", "json")
+        ):
+            if ("{kind}" in template or kind == "potts3") and ("{b}" in template or b == 0):
+                word = ("0" * b if kind == "pure-gravity" else "0120"[:b]) or "ε"
+                argv = template.format(kind=kind, a=a, b=b, word=word).split()
+                grid.append((argv + ["--c", c, "--format", fmt], codes))
+        calls += rng.sample(grid, _SWEEP_PER_TEMPLATE)
+    return calls + [(argv.split(), (2,)) for argv in _SWEEP_REFUSALS]
+
+
+def test_cli_contract_sweep():
+    for argv, codes in _sweep_calls():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception escaping main fails the sweep here
+        assert code in codes, (argv, code, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue(), argv
+        else:
+            assert out.getvalue(), argv

@@ -18,7 +18,7 @@ from pottsloop.freealg import (
     reflection_least,
     word_orbits,
 )
-from pottsloop.freealg import _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
+from pottsloop.freealg import _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
 from conftest import drop_last, from_fractions, gseries, monomial, right_delta
 
 
@@ -162,9 +162,9 @@ def test_nc_mul_matches_pairwise_product_over_denominators_random():
 
 
 def _orbit(word: Word) -> set:
-    """Every word of a word's orbit: the rotations of it and of its reversal, under all six relabellings."""
-    perms = list(itertools.permutations(LETTERS))
-    return {img.relabel(p) for d in (word, word.reverse()) for img in d.rotations() for p in perms}
+    """Every word of a word's orbit: the rotations of each of its six relabellings and of their reversals."""
+    relabelled = [word.relabel(p) for p in itertools.permutations(LETTERS)]
+    return {img for d in relabelled for r in (d, d.reverse()) for img in r.rotations()}
 
 
 def test_orbit_rep_names_each_orbit_once():
@@ -224,6 +224,17 @@ def test_single_word_reversal_takes_any_length():
     for k in range(41):
         for word in [Word(rng.choice(LETTERS) for _ in range(k)) for _ in range(5)] + [Word([2] * k)]:
             assert _reverse_word(word.bits, k) == word.reverse().bits
+
+
+def test_orbit_images_are_the_orbit_on_one_lane_per_image():
+    # every word of up to 7 letters, and seeded words up to the 32 letters of one 64-bit lane
+    rng = random.Random(26)
+    words = [word for k in range(8) for word in all_words(k)]
+    words += [Word(rng.choice(LETTERS) for _ in range(k)) for k in range(17, 33) for _ in range(40)]
+    for word in words:
+        assert _orbit_images(word.bits, len(word)) == {img.bits for img in _orbit(word)}, str(word)
+    with pytest.raises(ValueError, match="33-letter words: a packed lane holds at most 32 letters"):
+        _orbit_images(Word([0, 1, 2] * 11).bits, 33)
 
 
 def test_word_orbits_unchanged_up_to_twelve_letters():

@@ -416,14 +416,22 @@ def test_lazy_miss_canonicalises_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "c, digest",
+    "c, digest, recast_digest",
     [
-        ("symbolic", "aae62b526047fd29714244f3015ffb26380c06621409e149a1bc8c07f5a989fc"),
-        ("3/7", "8deae6008029f51789a8f5e12faf7f01f49b46f6e528bf719a69c395522fe47a"),
+        (
+            "symbolic",
+            "aae62b526047fd29714244f3015ffb26380c06621409e149a1bc8c07f5a989fc",
+            "52d25cba9857935f4bdd65bb3d6bd3cb76917cbbe3a100d07da1279da16411d1",
+        ),
+        (
+            "3/7",
+            "8deae6008029f51789a8f5e12faf7f01f49b46f6e528bf719a69c395522fe47a",
+            "80fe9534d93155776a1f47b8bfcc711d0e70be86dc180e56329f8c634a8f1bc5",
+        ),
     ],
     ids=("symbolic", "c3_7"),
 )
-def test_catalog_pass_leaves_the_pinned_memo(c, digest):
+def test_catalog_pass_leaves_the_pinned_memo(c, digest, recast_digest):
     # the memo of one catalog pass, keys, values and insertion order, as first
     # recorded with the string canonicaliser: canonicalisation moves no slot
     lazy = LazyTable(ModelSpec(c=c, ng=5), max_len=18)
@@ -431,6 +439,25 @@ def test_catalog_pass_leaves_the_pinned_memo(c, digest):
     items = list(lazy._memo.items())
     assert (lazy.rhs_evaluations, len(items)) == (4025, 14554)
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+    # then the recast form, as first recorded with a scan of every split
+    # position: reading splits only at the letters 0 moves no read
+    assert recast_residual_rect(lazy, 5, 5) == []
+    items = list(lazy._memo.items())
+    assert (lazy.rhs_evaluations, len(items)) == (4036, 16673)
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == recast_digest
+
+
+def test_negative_orders_are_refused_by_every_reader():
+    for table in (solve_series(ModelSpec(ng=2, ltarget=4)), LazyTable(ModelSpec(ng=2), max_len=6)):
+        for read in (lambda: table.p_coeff("00", -2), lambda: table.value_word(Word.from_string("00"), -2)):
+            with pytest.raises(ValueError, match=r"^triangle order n = -2 is negative$"):
+                read()
+        with pytest.raises(ValueError, match=r"^triangle order n = -1 is negative$"):
+            table.gseries("00", -1)
+        assert not getattr(table, "_memo", None)  # refused before any read
+        assert table.p_coeff("00", 0) == Poly((1,)) and table.gseries("00", 0).coefficient(0)[0] == Poly((1,))
+    with pytest.raises(ValueError, match=r"^triangle order n = -2 is negative$"):
+        planar_moment("00", -2)
 
 
 def test_recast_words_match_a_per_orbit_reference():
