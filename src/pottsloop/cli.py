@@ -11,10 +11,12 @@ import json
 import re
 import sys
 
+# solver first: the largest module then compiles before the others load, which
+# lowers the peak memory of the import, and with it each command's peak RSS
+from .solver import LazyTable, ModelSpec, generating_residual, solve_series  # isort: skip
 from . import curve as curve_mod
 from . import loopcat
 from .freealg import Word
-from .solver import LazyTable, ModelSpec, generating_residual, solve_series
 
 
 def _order(s: str) -> int:
@@ -63,6 +65,16 @@ def cmd_solve(args) -> int:
 def _lazy_table(args, S: int) -> LazyTable:
     """The lazy table at --c and --ng that holds every word of up to S letters."""
     return LazyTable(ModelSpec(c=args.c, ng=args.ng), max_len=S)
+
+
+def _moment_table(args) -> LazyTable:
+    """The lazy table the moments read to --ng; at numeric c, refused past ``curve.MOMENT_NG`` as at symbolic c."""
+    if args.c != "symbolic" and args.ng > curve_mod.MOMENT_NG:
+        raise ValueError(
+            f"moment series to g^{args.ng} refused at c = {args.c}: beyond g^{curve_mod.MOMENT_NG}, "
+            f"the deepest order the symbolic headroom admits"
+        )
+    return _lazy_table(args, curve_mod.moment_edge(args.ng))
 
 
 def cmd_check_loops(args) -> int:
@@ -116,7 +128,7 @@ def cmd_check_curve(args) -> int:
 
 
 def cmd_check_recurrences(args) -> int:
-    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng))))
+    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_moment_table(args)))
     ok = all(r.passed for r in reports)
     payload = {
         "recurrences": [
@@ -158,7 +170,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng)))
+    moments = curve_mod.compute_moments(_moment_table(args))
     rows = ["moment,g_power,value"]
     data = []
     for label in curve_mod.MOMENT_LABELS:

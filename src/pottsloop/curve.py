@@ -75,6 +75,9 @@ class MomentSet:
 MOMENT_LABELS = tuple(f.name[1:] for f in fields(MomentSet) if f.name != "spec")  # field p<label>: the word <label>
 
 
+MOMENT_NG = 17  # the deepest g-order whose moment table the symbolic headroom admits
+
+
 def moment_edge(ng: int) -> int:
     """The lazy-table edge the moments read to g^ng: the longest of ``MOMENT_LABELS`` plus ng."""
     return ng + 4
@@ -104,6 +107,7 @@ class RecurrenceReport:
     name: str
     passed: bool
     first_bad_order: Optional[int] = None
+    bad_orders: int = 0  # failing g-orders
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -133,8 +137,13 @@ def check_recurrences(m: MomentSet) -> list:
         ("c (p1212 + p0121 - p1122 - p1120) = -D (p12 - p1^2)", r3),
     ):
         fz = r.first_nonzero()
-        out.append(RecurrenceReport(name, fz is None, None if fz is None else fz[1]))
+        out.append(RecurrenceReport(name, fz is None, None if fz is None else fz[1], _bad_slots(r)))
     return out
+
+
+def _bad_slots(r: XLaurent) -> int:
+    """The nonzero slots of a residual series."""
+    return sum(not v.is_zero() for _, row in r.items() for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +372,7 @@ class CurveCheck:
     variant: str
     passed: bool
     first_nonzero: Optional[tuple]
+    bad_slots: int = 0  # nonzero residual slots
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -391,6 +401,7 @@ def check_curve(
     shared = quintic_residual(shifted, (XLaurent.zero(0, ng),) + rest)
     out = []
     for variant in variants:
-        fz = curve_witness(shared + quintic_residual(shifted, (f0(variant),)), shifted)
-        out.append(CurveCheck(variant, fz is None, fz))
+        scaled = shared + quintic_residual(shifted, (f0(variant),))
+        fz = curve_witness(scaled, shifted)
+        out.append(CurveCheck(variant, fz is None, fz, _bad_slots(scaled)))
     return out

@@ -26,24 +26,23 @@ times the catalog residual) is checked on the solved table only, where
 both sides vanish; there it is implied by ``check_loops`` and says nothing
 about the two constructions term by term.
 
-Every residual is evaluated on integer rows, like the ``NCSeries``
-product: a series is (rows, den), rows[e][n] the integer c-digits of den
-times its x^e g^n coefficient.  The table reads its own values into rows
-(``_TableBase._rows``), products and term sums run on the row kernel of
-the ``XLaurent`` product (``ring._laurent_addmul``), a term sum over the
-lcm of its denominators, and a ``Poly`` is built only for the first
-nonzero slot a check reports.
+Every residual is evaluated on packed rows (``ring.PackedRows``): one
+integer per x^e g^n slot, read as the table stores it (``_TableBase._rows``):
+the c-polynomial at c = 2^64 at symbolic c, the scaled value at c = a/b.
+A product is one integer product per pair of slots.  Each series carries
+a bound on its digits from its values at c = 1, and is packed at 64 bits
+while the bound stays below 2^63, wider otherwise, so a slot is zero iff
+its integer is; only the first nonzero slot a check reports is decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional
 
 from .freealg import Word
-from .ring import P_ONE, Poly, _laurent_addmul
-from .solver import _TableBase
+from .ring import _B, P_ONE, PackedRows, Poly, balanced_digits, packed_mul, packed_sum
+from .solver import _GUARD, _TableBase
 
 # coefficient polynomials in c, ascending powers
 _ONE = (1,)
@@ -291,31 +290,16 @@ CATALOG = (
 # row series (see the module docstring)
 # ---------------------------------------------------------------------------
 
-
-def _mul(a, b, nx, ng):
-    out = [[[] for _ in range(ng + 1)] for _ in range(nx + 1)]
-    _laurent_addmul(out, a[0], b[0])
-    return out, a[1] * b[1]
+_AT_ONE = (1 << _B) - 1  # a packed table value, modulo this, is its value at c = 1
 
 
-def _combine(terms, nx, ng):
-    """Sum of (c-polynomial, g power, x power, row series) terms over the lcm denominator."""
-    den = lcm(*(p.den * d for p, _, _, (_, d) in terms))
-    out = [[[] for _ in range(ng + 1)] for _ in range(nx + 1)]
-    for p, gp, xp, (rows, d) in terms:
-        coeff = [()] * gp + [[a * (den // (p.den * d)) for a in p.coeffs]]
-        _laurent_addmul(out, [None] * xp + [coeff], rows)
-    return out, den
-
-
-def _nonzero_slots(s):
+def _nonzero_slots(s: PackedRows):
     """(first nonzero slot as (x exponent, g order, value string) or None, nonzero slot count)."""
-    rows, den = s
-    bad = [(e, n, d) for e, r in enumerate(rows) for n, d in enumerate(r) if any(d)]
+    bad = [(e, n, v) for e, row in enumerate(s.rows) for n, v in enumerate(row) if v]
     if not bad:
         return None, 0
-    e, n, d = bad[0]
-    return (e, n, str(Poly(d, den))), len(bad)
+    e, n, v = bad[0]
+    return (e, n, str(Poly(balanced_digits(v, s.width), s.den))), len(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +307,27 @@ def _nonzero_slots(s):
 # ---------------------------------------------------------------------------
 
 
-def _amp_rows(table, amp, nx, ng):
+def _amp_rows(table, amp, nx, ng) -> PackedRows:
     """Rows of an amplitude series: coefficient k is p(label a^(k+delta) post).
 
     A symmetrised amplitude averages in the reversed label.  Depth beyond
-    the table's solved region raises TruncationError with the bound.
+    the table's solved region raises TruncationError with the bound.  At
+    symbolic c a table value's digits are nonnegative and sum below 2^60
+    (the headroom refusal), so a sum of two is, mod 2^64 - 1, its value at
+    c = 1; a slot that reaches the 2^62 digit guard there is refused.
     """
     word, post = Word.from_string(amp.label), Word.from_string(amp.post)
     labels = [word] if not amp.sym or word.reverse() == word else [word, word.reverse()]
-    blocks = range(amp.delta, amp.delta + nx + 1)  # block length m at x^(m - delta)
-    rows, den = table._rows([[w + Word([amp.letter] * m) + post for w in labels] for m in blocks], ng)
-    return rows, den * len(labels)  # a symmetrised amplitude is the average
+    blocks = range(amp.delta, amp.delta + nx + 1)  # block a^m at x^(m - delta)
+    slots = [[w + Word._raw(m, amp.letter * (4**m - 1) // 3) + post for w in labels] for m in blocks]
+    rows, den = table._rows(slots, ng)
+    ones = [v % _AT_ONE for row in rows for v in row] if table.symbolic else [0]
+    if max(ones) >= _GUARD:
+        raise ArithmeticError(f"slot value {max(ones)} at c = 1 reaches the 2^62 digit guard; headroom violated")
+    return PackedRows(rows, den * len(labels), _B if table.symbolic else 0, max(ones), sum(ones))
 
 
-def _loop_rows(terms, table, nx, ng):
+def _loop_rows(terms, table, nx, ng) -> PackedRows:
     """Rows of a term sum: a catalog entry or a generated identity (vanishes on a solved table)."""
     cache = {}  # amplitude rows, per term sum
     series = []
@@ -345,11 +336,11 @@ def _loop_rows(terms, table, nx, ng):
         for a in term.amps:
             if a not in cache:
                 cache[a] = _amp_rows(table, a, nx, ng)
-            s = cache[a] if s is None else _mul(s, cache[a], nx, ng)
-        if term.p_label is not None:
-            s = _mul(s, table._rows([[Word.from_string(term.p_label)]], ng), nx, ng)
+            s = cache[a] if s is None else packed_mul(s, cache[a], nx, ng)
+        if term.p_label is not None:  # a scalar moment: the x^0 slot of its label's amplitude
+            s = packed_mul(s, _amp_rows(table, Amp(term.p_label), 0, ng), nx, ng)
         series.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
-    return _combine(series, nx, ng)
+    return packed_sum(series, nx, ng)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +421,7 @@ def _sd_terms(rep):
 def _reproduces_catalog(rep, residual, table, nx, ng):
     """``residual`` (rows of ``rep``) equals npieces times the paired catalog residual."""
     paired = _loop_rows(CATALOG[rep.index - 1].effective_terms(), table, nx, ng)
-    diff = _combine([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
+    diff = packed_sum([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
     return not _nonzero_slots(diff)[1]
 
 

@@ -26,8 +26,9 @@ letters and a between unequal ones.  At symbolic c, (b, a) = (1, 2**64): the
 integer is the packed polynomial.  At a rational c0 = a/b in lowest terms
 (b > 0) the integer is b**E * p_w^(n), so the recursion never divides and
 pays no gcd.  One table method (``_TableBase._digits``) decodes the raw
-encoding; every value that leaves the table is read through it, as a Poly
-(a constant at numeric c) or as integer rows (``_TableBase._rows``).
+encoding; every value that leaves the table as a Poly (a constant at
+numeric c) or a series is read through it.  The catalog reads the raw
+integers themselves, rescaled to one power of b (``_TableBase._rows``).
 
 A coefficient p_w^(n) = <tr X_w> at g^n is invariant under cyclic rotation
 of w (trace), reversal (transposition) and S3 relabelling of the spins, so
@@ -85,10 +86,8 @@ from .freealg import (
     symmetry_breaks,
     word_orbits,
 )
-from .ring import P_C, P_ZERO, Poly, XLaurent, xlaurent_sqrt
+from .ring import _B, P_C, P_ZERO, Poly, XLaurent, balanced_digits, xlaurent_sqrt
 
-_B = 64
-_DIGIT = (1 << _B) - 1
 _GUARD = 1 << 62
 _RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 value
 _DENSE_SLOTS = 1 << 24  # slots (words times orders) a dense solve may hold: S 14, ng 7 has 8.07M, S 16, ng 8 72.6M
@@ -291,9 +290,9 @@ class _TableBase:
     held slot of even parity gets ``_slot(k, n)``, every other entry is
     None.  A table says only how to read a held slot (``_slot``); the
     guards live in ``_reader`` alone.  ``_digits`` is the one decoder of
-    the raw encoding; every value that leaves a table (``p_coeff``, the
-    export ``to_ncseries`` that ``to_json`` formats, residual failures and
-    the rows of ``_rows``) is read through it.
+    the raw encoding; every value that leaves a table as a Poly
+    (``p_coeff``, the export ``to_ncseries`` that ``to_json`` formats,
+    residual failures and the series of ``_digit_rows``) is read through it.
     """
 
     def __init__(self, spec: ModelSpec, S: int):
@@ -338,53 +337,54 @@ class _TableBase:
         """``_reader(k, n)`` for every k <= kmax and n <= nmax, indexed [k][n]."""
         return [[self._reader(k, n) for n in range(nmax + 1)] for k in range(kmax + 1)]
 
-    def _digits(self, v: int, e: int, top: int):
-        """Integer c-digits, ascending, of b**top times the raw value v at scale b**e.
+    def _digits(self, v: int):
+        """Integer c-digits, ascending, of a raw value v or a combination of raw values.
 
         At symbolic c (b = 1) these are the packed base-2**64 digits; a
         signed combination (a residual) borrows from the next digit, and a
         digit of magnitude 2**62 or more means the headroom was violated.
-        At c = a/b the one digit is v * b**(top - e).
+        At c = a/b the one digit is v itself.
         """
         if not self.symbolic:
-            return (v * self._b ** (top - e),)
-        digits = []
-        while v:
-            d = v & _DIGIT
-            if d >= _GUARD:
-                d -= 1 << _B  # a negative digit: the next one lends 1
-                if d <= -_GUARD:
-                    raise ArithmeticError("packed digit exceeds guard; headroom violated")
-                v += 1 << _B
-            digits.append(d)
-            v >>= _B
+            return (v,)
+        digits = balanced_digits(v, _B)
+        if any(abs(d) >= _GUARD for d in digits):
+            raise ArithmeticError("packed digit exceeds guard; headroom violated")
         return digits
 
     def _poly(self, v: int, e: int) -> Poly:
         """The raw value v at scale b**e as a polynomial in c."""
-        return Poly(self._digits(v, e, e), self._b**e)
+        return Poly(self._digits(v), self._b**e)
 
     def _rows(self, slots, ng: int) -> tuple:
-        """Row series of table values; ``slots[e]`` lists the words summed at x^e.
+        """Row series of table values as integers; ``slots[e]`` lists the words summed at x^e.
 
-        Returns (rows, den): rows[e][n] holds the digits of den times the sum
-        at g^n, over den = b**M with M the largest scale (|w| + 3n)/2 read.
+        Returns (rows, den): rows[e][n] is den times the sum at g^n, over
+        den = b**M with M the largest scale (|w| + 3n)/2 read.  At symbolic
+        c (b = 1) that is the packed sum of the raw values; at c = a/b each
+        raw b**E p is rescaled to b**M p.  ``_digits`` decodes one.
         """
         check_letters((w for ws in slots for w in ws), self.spec.nletters)
-        digits = self._digits
+        b = self._b
         top = (max((w.n for ws in slots for w in ws), default=0) + 3 * ng) // 2
         rows = []
         for ws in slots:
             k = ws[0].n if ws else 0  # the words of one slot share their length
-            row = []
-            for n in range(ng + 1):
+            row = [0] * (ng + 1)
+            for n in range(k & 1, ng + 1, 2):  # an odd |w| + n vanishes by parity
                 read = self._reader(k, n)
                 v = 0
                 for w in ws:
                     v += read(w.bits) or 0
-                row.append(digits(v, (k + 3 * n) // 2, top) if v else ())
+                if v:
+                    row[n] = v * b ** (top - (k + 3 * n) // 2)
             rows.append(row)
-        return rows, self._b**top
+        return rows, b**top
+
+    def _digit_rows(self, slots, ng: int) -> tuple:
+        """``_rows`` decoded to c-digit lists, the rows ``XLaurent._from_ints`` takes."""
+        rows, den = self._rows(slots, ng)
+        return [[self._digits(v) for v in row] for row in rows], den
 
     def value_word(self, word: Word, n: int):
         """Coefficient in the raw domain: the packed polynomial (symbolic c) or a Fraction."""
@@ -401,10 +401,10 @@ class _TableBase:
         return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
     def gseries(self, word, ng: Optional[int] = None) -> XLaurent:
-        """The full g-series of a word's coefficient (an x-order-0 series), read by ``_rows``."""
+        """The full g-series of a word's coefficient (an x-order-0 series), read by ``_digit_rows``."""
         ng = self.ng if ng is None else ng
         check_order(ng)
-        return XLaurent._from_ints(0, *self._rows([[_as_word(word)]], ng), 0, ng)
+        return XLaurent._from_ints(0, *self._digit_rows([[_as_word(word)]], ng), 0, ng)
 
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
         """The series of every word of up to ``lmax`` letters to g^ng: the one export.
@@ -847,7 +847,7 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
     """Series solution of the one-matrix generating equation plus branch data."""
     spec = ModelSpec(kind="pure-gravity", c="symbolic", ng=ng, ltarget=lx)
     table = solve_series(spec)
-    rows, den = table._rows([[Word([0] * k)] for k in range(max(lx, 1) + 1)], ng)  # p1 even at lx = 0
+    rows, den = table._digit_rows([[Word([0] * k)] for k in range(max(lx, 1) + 1)], ng)  # p1 even at lx = 0
     phi = XLaurent._from_ints(0, rows, den, lx, ng)
     lo, hi = _pure_gravity_branches(XLaurent._from_ints(0, rows[1:2], den, 0, ng), lx, ng)
     first_mismatch = None

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from pottsloop.freealg import NCSeries, Word
-from pottsloop.ring import P_ZERO, Poly, XLaurent
+from pottsloop.ring import P_ZERO, Poly, XLaurent, balanced_digits
 from pottsloop.solver import (
     LazyTable,
     ModelSpec,
@@ -63,9 +63,9 @@ def monomial(word: Word, lmax: int, ng: int) -> NCSeries:
     return NCSeries({word: gseries([1], ng)}, lmax, ng)
 
 
-def laurent(rows, nx: int, ng: int) -> XLaurent:
-    """An XLaurent from x^0 out of the (rows, den) pair a ``loopcat`` row function returns."""
-    return XLaurent._from_ints(0, *rows, nx, ng)
+def laurent(s, nx: int, ng: int) -> XLaurent:
+    """An XLaurent from x^0 out of the integer rows a ``loopcat`` row function returns."""
+    return XLaurent._from_ints(0, [[balanced_digits(v, s.width) for v in row] for row in s.rows], s.den, nx, ng)
 
 
 def drop_last(w: Word) -> Word:

@@ -284,6 +284,31 @@ def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, mon
     assert capsys.readouterr().out == ""
 
 
+def test_numeric_moment_commands_refuse_past_the_symbolic_order(capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a refused moment order reached the lazy table")
+
+    monkeypatch.setattr(cli, "LazyTable", no_table)
+    for argv in ("export --ng 18 --c 1/3", "check-recurrences --ng 40 --c -2/3"):
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "beyond g^17, the deepest order the symbolic headroom admits" in err
+    # at the bound and below, the table is built
+    class Built(Exception):
+        pass
+
+    def built(spec, max_len):
+        raise Built(spec.ng, max_len)
+
+    monkeypatch.setattr(cli, "LazyTable", built)
+    for argv in ("export --ng 16 --c 1/3", "check-recurrences --ng 17 --c 2"):
+        with pytest.raises(Built):
+            main(argv.split())
+    monkeypatch.undo()
+    assert main("export --ng 3 --c 1/3".split()) == 0
+    assert capsys.readouterr().out
+
+
 def test_moment_commands_solve_no_dense_table(capsys, monkeypatch):
     def no_dense_solve(spec):
         raise AssertionError("a moment command reached the dense solve")
@@ -412,6 +437,8 @@ _SWEEP_REFUSALS = (
     "check-loops --nx 8 --ng 8",
     "check-curve --nx 14 --ng 16",
     "check-recurrences --ng 40",
+    "check-recurrences --ng 40 --c 1/3",
+    "export --ng 18 --c 1/3",
     "compare --kind ising",
     "check-curve --moment-variant 9999",
     "check-sd --nx 3 --bogus",

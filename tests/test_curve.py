@@ -9,6 +9,7 @@ from conftest import assert_tight_edge, grade_mask, laurent
 from numeric_branch import numeric_branch_check
 from pottsloop.curve import (
     MOMENT_LABELS,
+    MOMENT_NG,
     MomentSet,
     RecurrenceReport,
     ShiftedResolvent,
@@ -23,7 +24,7 @@ from pottsloop.curve import (
     quintic_residual,
 )
 from pottsloop.ring import Poly, XLaurent
-from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
+from pottsloop.solver import LazyTable, ModelSpec, TruncationError, check_headroom, solve_series
 
 
 def six_coefficients(m: MomentSet, variant: str = "1202") -> tuple:
@@ -318,3 +319,24 @@ def _foreign_coupling():
 def test_curve_refuses_inputs_it_cannot_check(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_failure_counts_sit_next_to_the_first_bad_slot(master_table):
+    # 1212 fails at one slot of the (6, 6) window and at two of the (8, 8) one
+    for n, bad in ((6, 1), (8, 2)):
+        checks = check_curve(master_table, n, n)
+        assert [(ch.passed, ch.bad_slots) for ch in checks] == [(True, 0), (False, bad)]
+        assert checks[1].first_nonzero[:2] == (6, 6)
+    # p11 bumped at g^2 and g^4: the first recurrence fails at g^3 and g^5, the second at g^2 and g^4
+    m = compute_moments(master_table, 6)
+    bumped = replace(m, p11=m.p11 + XLaurent(0, [(0, 0, 1, 0, 1)], 0, m.ng))
+    reports = check_recurrences(bumped)
+    assert [(r.first_bad_order, r.bad_orders) for r in reports] == [(3, 2), (2, 2), (None, 0)]
+    assert [r.line() for r in reports] == [replace(r, bad_orders=0).line() for r in reports]
+
+
+def test_moment_order_bound_is_the_symbolic_headroom():
+    # the numeric-c moment commands refuse --ng past MOMENT_NG, the order symbolic c reaches
+    assert check_headroom(ModelSpec(ng=MOMENT_NG), moment_edge(MOMENT_NG)) < 1 << 62
+    with pytest.raises(ValueError, match="beyond the 2\\^62 digit guard"):
+        check_headroom(ModelSpec(ng=MOMENT_NG + 1), moment_edge(MOMENT_NG + 1))

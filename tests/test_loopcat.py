@@ -290,3 +290,89 @@ def test_rows_match_series_arithmetic_on_a_generic_table(c):
         assert laurent(_amp_rows(t, amp, nx, ng), nx, ng) == _ref_amp(t, amp, nx, ng)
     ref = _ref_resolvent(t, Word.from_string("1"), 2, Word.from_string("01"), nx, ng)
     assert shift_x(laurent(_amp_rows(t, Amp("1", letter=2, post="01"), nx, ng), nx, ng), 1) == ref
+
+
+# ---------------------------------------------------------------------------
+# the packed evaluator: widths, aliasing, corrupted slots
+# ---------------------------------------------------------------------------
+
+
+def test_a_wider_packing_gives_the_same_results(medium_table, monkeypatch):
+    """65 or 130 sign bits per digit push every symbolic evaluation to 128 or 192 bits: same results."""
+    from pottsloop import ring
+
+    tables = (medium_table, GenericTable(ModelSpec(ng=3)))
+    runs = {}
+    for spare in (ring._SIGN_BITS, 65, 130):
+        monkeypatch.setattr(ring, "_SIGN_BITS", spare)
+        runs[spare] = [
+            (check_loops(t, 2, 3), check_loops(t, 2, 3, variant="printed"), check_sd(t, 2, 3)) for t in tables
+        ]
+        widths = {_loop_rows(eq.effective_terms(), t, 2, 3).width for eq in CATALOG for t in tables}
+        assert min(widths) >= 64 + 64 * (spare > 1) + 64 * (spare > 65), (spare, widths)
+    assert runs[1] == runs[65] == runs[130]
+    assert not all(r.passed for r in runs[1][1][0])  # the generic table fails every entry
+
+
+def test_a_residual_digit_past_the_sign_bit_is_evaluated_wide(monkeypatch):
+    """(a x)^2 - c x^2 with a = 2^32: the true residual 2^64 - c is zero at c = 2^64,
+    so a 64-bit packing would alias it to 0."""
+    from pottsloop import ring
+    from pottsloop.loopcat import _nonzero_slots
+
+    a = ring.PackedRows([[0], [1 << 32]], 1, 64, 1 << 32, 1 << 32)
+    one = ring.PackedRows([[0], [1]], 1, 64, 1, 1)
+
+    def residual():
+        square = ring.packed_mul(a, a, 2, 0)
+        return square, ring.packed_sum([(Poly((1,)), 0, 0, square), (Poly((0, -1)), 0, 1, one)], 2, 0)
+
+    square, res = residual()
+    assert (square.peak, res.peak) == (1 << 64, (1 << 64) + 1) and square.width == res.width == 128
+    assert _nonzero_slots(res) == ((2, 0, "18446744073709551616-c"), 1)
+    monkeypatch.setattr(ring, "packed_width", lambda bound: 64)  # what the bound prevents
+    assert _nonzero_slots(residual()[1]) == (None, 0)
+
+
+def test_a_corrupted_memo_slot_reads_as_in_series_arithmetic():
+    """One memo value of a solved symbolic lazy table gains c^2: the residuals that read it
+    fail exactly as plain XLaurent arithmetic on the same (corrupted) table says."""
+    nx = ng = 3
+    lazy = LazyTable(ModelSpec(ng=ng), max_len=catalog_edge(nx, ng))
+    assert all(r.passed for r in check_loops(lazy, nx, ng) + check_sd(lazy, nx, ng))
+    word, n = Word.from_string("1200"), 2
+    key = ((word.bits << lazy._kbits) | word.n) << lazy._nbits | n  # the memo's key packing
+    lazy._memo[key] += 1 << 128
+    failed = []
+    for eq, r in zip(CATALOG, check_loops(lazy, nx, ng)):
+        ref = _ref_loop(eq, lazy, nx, ng, "emended")
+        assert (r.first_nonzero, r.bad_slots) == (ref.first_nonzero(), len(_slots(ref))), eq.index
+        failed += [eq.index] * (not r.passed)
+    for rep, r in zip(SD_DESCRIPTORS, check_sd(lazy, nx, ng)):
+        ref = _ref_sd(rep, lazy, nx, ng)
+        assert (r.first_nonzero, r.bad_slots) == (ref.first_nonzero(), len(_slots(ref))), rep.index
+        failed += [-rep.index] * (not r.passed)
+    assert failed
+
+
+def test_the_wide_path_at_a_truncation_past_the_sign_bit(monkeypatch):
+    """At (12, 5) the bound of some residuals reaches 2^63: they are packed at 128 bits,
+    and every verdict and witness matches a packing at 192 bits or more."""
+    from pottsloop import ring
+
+    nx, ng = 12, 5
+    lazy = LazyTable(ModelSpec(ng=ng), max_len=catalog_edge(nx, ng))
+    peaks = [_loop_rows(_sd_terms(rep), lazy, nx, ng).peak for rep in SD_DESCRIPTORS]
+    assert max(peaks) >= 1 << 63 and {ring.packed_width(p) for p in peaks} == {64, 128}
+
+    def run():
+        return check_loops(lazy, nx, ng), check_loops(lazy, nx, ng, variant="printed"), check_sd(lazy, nx, ng)
+
+    loops, printed, sd = run()
+    assert all(r.passed for r in loops + sd)
+    assert [(r.index, r.first_nonzero) for r in printed if not r.passed] == [
+        (20, (1, 1, "-2*c^2-4*c^3+8*c^4-2*c^5")),
+        (21, (1, 1, "-2*c^2-4*c^3+8*c^4-2*c^5")),
+    ]
+    monkeypatch.setattr(ring, "_SIGN_BITS", 129)
+    assert run() == (loops, printed, sd)

@@ -297,3 +297,27 @@ def test_compare_refuses_a_table_that_lacks_a_slot():
     for table in (LazyTable(ModelSpec(ng=2), max_len=3), solve_series(ModelSpec(ng=2, ltarget=1))):
         with pytest.raises(TruncationError):
             compare_with_solver(table, 2, 3)
+
+
+@pytest.mark.parametrize("c", ["symbolic", Fraction(-2, 3)])
+def test_p_coeff_is_the_oracle_value_or_a_refusal(c):
+    """Every (word, n) up to two letters and one order past the region: each
+    table either returns the oracle's value or raises, never a silent 0."""
+    spec = ModelSpec(c=c, ng=2, ltarget=3)
+    tables = (solve_series(spec), LazyTable(spec, max_len=5))  # both hold |w| + n <= 5, n <= 2
+    words = [Word(w) for k in range(8) for w in product(range(3), repeat=k)]
+    oracle_values = {}
+    for table in tables:
+        refused = 0
+        for w in words:
+            for n in range(4):
+                try:
+                    got = table.p_coeff(w, n)
+                except TruncationError:
+                    assert (len(w) + n) % 2 == 0 and (len(w) + n > 5 or n > 2), (w, n)
+                    refused += 1
+                    continue
+                if (w, n) not in oracle_values:
+                    oracle_values[w, n] = spec.const(planar_moment(w, n))
+                assert got == oracle_values[w, n], (w, n)
+        assert refused == sum(1 for w in words for n in range(4) if (len(w) + n) % 2 == 0 and (len(w) + n > 5 or n > 2))

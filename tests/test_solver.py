@@ -603,7 +603,7 @@ def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
     kmask, nmask = (1 << lazy._kbits) - 1, (1 << lazy._nbits) - 1
     held = [(key >> lazy._nbits & kmask, key & nmask, v) for key, v in lazy._memo.items() if v]
     assert all(k + n <= lazy.S for k, n, _ in held)
-    largest = max(max(lazy._digits(v, 0, 0)) for _, _, v in held)
+    largest = max(max(lazy._digits(v)) for _, _, v in held)
     assert check_headroom(lazy.spec, lazy.S) >= largest
     # the benchmark's dense region, whose trace reports solver.max_digit_bits 20
     assert _largest_digit(referee_table).bit_length() == 20
