@@ -13,7 +13,7 @@ import sys
 
 # solver first: the largest module then compiles before the others load, which
 # lowers the peak memory of the import, and with it each command's peak RSS
-from .solver import LazyTable, ModelSpec, generating_residual, solve_series  # isort: skip
+from .solver import LazyTable, ModelSpec, check_headroom, generating_residual, solve_series  # isort: skip
 from . import curve as curve_mod
 from . import loopcat
 from .freealg import Word
@@ -63,8 +63,11 @@ def cmd_solve(args) -> int:
 
 
 def _lazy_table(args, S: int) -> LazyTable:
-    """The lazy table at --c and --ng that holds every word of up to S letters."""
-    return LazyTable(ModelSpec(c=args.c, ng=args.ng), max_len=S)
+    """The lazy table at --c and --ng of the words up to S letters, refused at any c where symbolic c is."""
+    spec = ModelSpec(c=args.c, ng=args.ng)
+    if not spec.symbolic:  # LazyTable checks the headroom itself at symbolic c
+        check_headroom(spec.replace(c="symbolic"), S)
+    return LazyTable(spec, max_len=S)
 
 
 def _moment_table(args) -> LazyTable:

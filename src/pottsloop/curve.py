@@ -34,17 +34,15 @@ covered, and ``curve_edge`` builds a table that deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Optional, Sequence
 
 from .freealg import Word
-from .ring import P_ZERO, Poly, XLaurent
+from .ring import P_ZERO, FrozenRecord, Poly, Record, XLaurent
 from .solver import ModelSpec, TruncationError, _TableBase
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(FrozenRecord):
     """The moment constants entering the curve and its recurrences.
 
     ``spec`` is the model the moments were read at; every check built from
@@ -72,7 +70,7 @@ class MomentSet:
         return XLaurent.constant(self.spec.const(Poly(coeffs)), 0, self.ng)
 
 
-MOMENT_LABELS = tuple(f.name[1:] for f in fields(MomentSet) if f.name != "spec")  # field p<label>: the word <label>
+MOMENT_LABELS = tuple(f[1:] for f in MomentSet._fields if f != "spec")  # field p<label>: the word <label>
 
 
 MOMENT_NG = 17  # the deepest g-order whose moment table the symbolic headroom admits
@@ -102,8 +100,7 @@ def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RecurrenceReport:
+class RecurrenceReport(Record):
     name: str
     passed: bool
     first_bad_order: Optional[int] = None
@@ -271,8 +268,7 @@ def build_curve(m: MomentSet) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftedResolvent:
+class ShiftedResolvent(FrozenRecord):
     """ytilde = (1-c) yhat = (1-c) x^2 y as a power series; y starts at x^-2.
 
     The shift is y = -x phi - g/x^2 + 1/((1-c) x).  The g^0 sector of the
@@ -367,8 +363,7 @@ def curve_witness(scaled: XLaurent, shifted: ShiftedResolvent) -> Optional[tuple
     return e, n, _divide_back(scaled.coefficient(e)[n], shifted.one_minus_c)
 
 
-@dataclass
-class CurveCheck:
+class CurveCheck(Record):
     variant: str
     passed: bool
     first_nonzero: Optional[tuple]

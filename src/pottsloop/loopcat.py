@@ -37,11 +37,10 @@ its integer is; only the first nonzero slot a check reports is decoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .freealg import Word
-from .ring import _B, P_ONE, PackedRows, Poly, balanced_digits, packed_mul, packed_sum
+from .ring import _B, P_ONE, FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
 from .solver import _GUARD, _TableBase
 
 # coefficient polynomials in c, ascending powers
@@ -53,8 +52,7 @@ _NC = (0, -1)  # -c
 _NC2 = (0, -2)  # -2c
 
 
-@dataclass(frozen=True, slots=True)
-class Amp:
+class Amp(FrozenRecord):
     """The amplitude series sum_k x^k p(label a^(k+delta) post), a = ``letter``.
 
     Catalog entries keep the 0-block and an empty ``post``; the generated
@@ -68,8 +66,7 @@ class Amp:
     post: str = ""  # the word after the block
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(FrozenRecord):
     coeff: tuple  # integer coefficients of the c-polynomial
     amps: tuple  # one or two Amp factors
     p_label: Optional[str] = None  # scalar moment factor
@@ -77,8 +74,7 @@ class Term:
     x_power: int = 0
 
 
-@dataclass(frozen=True)
-class LoopEquation:
+class LoopEquation(FrozenRecord):
     """One cataloged constraint.
 
     ``terms`` is the verbatim transcription of the source.  For two entries
@@ -348,8 +344,7 @@ def _loop_rows(terms, table, nx, ng) -> PackedRows:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reparameterisation:
+class Reparameterisation(FrozenRecord):
     """delta X0 = sum of pieces A (z - X_a)^-1 B."""
 
     index: int
@@ -430,8 +425,7 @@ def _reproduces_catalog(rep, residual, table, nx, ng):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     index: int
     label: str
     passed: bool

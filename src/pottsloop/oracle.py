@@ -41,12 +41,11 @@ triangle spin assignments once per class, times the multiplicity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 from .freealg import Word, check_letters, check_listing, check_order
-from .ring import Poly
+from .ring import Poly, Record
 from .solver import _TableBase
 
 # desk-scale guard: diagrams are enumerated explicitly, and a moment sums
@@ -191,8 +190,7 @@ def planar_moment(word, n: int, *, nletters: int = 3) -> Poly:
     return Poly(counts)
 
 
-@dataclass
-class CompareReport:
+class CompareReport(Record):
     checked: int
     mismatches: list
 

@@ -69,7 +69,6 @@ slot, and criterion 8, ``test_cyclic_symmetry`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -86,7 +85,7 @@ from .freealg import (
     symmetry_breaks,
     word_orbits,
 )
-from .ring import _B, P_C, P_ZERO, Poly, XLaurent, balanced_digits, xlaurent_sqrt
+from .ring import _B, P_C, P_ZERO, FrozenRecord, Poly, Record, XLaurent, balanced_digits, xlaurent_sqrt
 
 _GUARD = 1 << 62
 _RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 value
@@ -97,8 +96,7 @@ class TruncationError(Exception):
     """A coefficient outside the solved region was requested."""
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(FrozenRecord):
     """What to solve: model kind, coupling ("symbolic", or a rational parsed once into a Fraction) and truncations."""
 
     kind: str = "potts3"  # "potts3" | "pure-gravity"
@@ -106,7 +104,8 @@ class ModelSpec:
     ng: int = 4
     ltarget: int = 4
 
-    def __post_init__(self):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
         if self.kind not in ("potts3", "pure-gravity"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.ng < 0 or self.ltarget < 0:
@@ -468,7 +467,7 @@ def check_headroom(spec: ModelSpec, S: int) -> Optional[int]:
     bound = _RECAST_MARGIN * max(spec.nletters**n * d.get(0, 0) for (n, _), d in pg.items())
     if bound >= _GUARD:
         raise ValueError(
-            f"truncation |w| + n <= {S}, n <= {spec.ng} refused at symbolic c: "
+            f"truncation |w| + n <= {S}, n <= {spec.ng} refused: at symbolic c "
             f"packed digits may reach {bound} (a {bound.bit_length()}-bit bound), "
             f"beyond the 2^62 digit guard"
         )
@@ -597,8 +596,7 @@ def build_rhs_potts(phi: NCSeries) -> NCSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(Record):
     """Nonzero residual slots of the two generating-equation forms, and symmetry breaks.
 
     ``fixed_point`` and ``recast`` hold (word, n, value); ``symmetry`` holds
@@ -782,8 +780,7 @@ def recast_residual_rect(table: _TableBase, kmax: int, ng: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PureGravityResult:
+class PureGravityResult(Record):
     table: SolutionTable
     phi: XLaurent  # series solution as power series in x
     branch: XLaurent  # quadratic branch of the validated equation form

@@ -309,6 +309,43 @@ def test_numeric_moment_commands_refuse_past_the_symbolic_order(capsys, monkeypa
     assert capsys.readouterr().out
 
 
+def test_numeric_catalog_and_curve_commands_refuse_where_symbolic_c_does(capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a refused truncation reached the lazy table")
+
+    monkeypatch.setattr(cli, "LazyTable", no_table)
+    # catalog edge 39 and curve edge 34 at g^30; the catalog (12, 12) at edge 29; the curve at g^18
+    refused = {}
+    for argv, bits in (
+        ("check-sd --nx 4 --ng 30 --c 1/3", 117),
+        ("check-curve --nx 4 --ng 30 --c 1/3", 110),
+        ("check-sd --nx 12 --ng 12 --c -2/3", 63),
+        ("check-curve --nx 4 --ng 18 --c 2", 66),
+        ("check-loops --nx 12 --ng 12 --c 1/4", 63),
+    ):
+        assert main(argv.split()) == 2, argv
+        out, refused[argv] = capsys.readouterr()
+        assert out == "" and f"(a {bits}-bit bound), beyond the 2^62 digit guard" in refused[argv], argv
+
+    # where symbolic c admits the truncation, the numeric table is built
+    class Built(Exception):
+        pass
+
+    def built(spec, max_len):
+        raise Built(spec.ng, max_len)
+
+    monkeypatch.setattr(cli, "LazyTable", built)
+    for argv, edge in (("check-sd --nx 6 --ng 14 --c 1/3", 25), ("check-curve --nx 4 --ng 17 --c -2/3", 21)):
+        with pytest.raises(Built) as exc:
+            main(argv.split())
+        assert exc.value.args[1] == edge
+    # symbolic c refuses the same truncations, in the same words, when it builds the table
+    monkeypatch.undo()
+    for argv, err in refused.items():
+        assert main(argv.split()[:-2]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_moment_commands_solve_no_dense_table(capsys, monkeypatch):
     def no_dense_solve(spec):
         raise AssertionError("a moment command reached the dense solve")
@@ -439,6 +476,8 @@ _SWEEP_REFUSALS = (
     "check-recurrences --ng 40",
     "check-recurrences --ng 40 --c 1/3",
     "export --ng 18 --c 1/3",
+    "check-sd --nx 4 --ng 30 --c 1/3",
+    "check-curve --nx 4 --ng 30 --c 1/3",
     "compare --kind ising",
     "check-curve --moment-variant 9999",
     "check-sd --nx 3 --bogus",

@@ -1,6 +1,5 @@
 """Moment constants, recurrences, the quintic curve, numeric branch check."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,7 +179,7 @@ def test_literal_shift_constant_fails(medium_table):
     moments = compute_moments(medium_table, 3)
     default = build_shifted_resolvent(medium_table, 3, 3)
     x = XLaurent.x_power(1, default.ytilde.nx, 3)
-    shifted = replace(default, ytilde=default.ytilde - x + x**2)
+    shifted = default.replace(ytilde=default.ytilde - x + x**2)
     coeffs = six_coefficients(moments)
     res = quintic_residual(shifted, coeffs)
     assert curve_witness(res, shifted) == (1, 3, W_LITERAL_SHIFT_X1G3)
@@ -329,10 +328,10 @@ def test_failure_counts_sit_next_to_the_first_bad_slot(master_table):
         assert checks[1].first_nonzero[:2] == (6, 6)
     # p11 bumped at g^2 and g^4: the first recurrence fails at g^3 and g^5, the second at g^2 and g^4
     m = compute_moments(master_table, 6)
-    bumped = replace(m, p11=m.p11 + XLaurent(0, [(0, 0, 1, 0, 1)], 0, m.ng))
+    bumped = m.replace(p11=m.p11 + XLaurent(0, [(0, 0, 1, 0, 1)], 0, m.ng))
     reports = check_recurrences(bumped)
     assert [(r.first_bad_order, r.bad_orders) for r in reports] == [(3, 2), (2, 2), (None, 0)]
-    assert [r.line() for r in reports] == [replace(r, bad_orders=0).line() for r in reports]
+    assert [r.line() for r in reports] == [r.replace(bad_orders=0).line() for r in reports]
 
 
 def test_moment_order_bound_is_the_symbolic_headroom():

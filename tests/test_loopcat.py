@@ -1,7 +1,6 @@
 """Loop equation catalog and the reparameterisation generator."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,7 +128,7 @@ def test_check_sd_reports_a_broken_catalog_pairing(medium_table, monkeypatch):
     from pottsloop import loopcat
 
     eq = CATALOG[9]  # entry 10: phi(1) - g D phi(11) - c D0 phi(resolvent) = 0
-    altered = replace(eq, terms=(replace(eq.terms[0], coeff=(2,)),) + eq.terms[1:])
+    altered = eq.replace(terms=(eq.terms[0].replace(coeff=(2,)),) + eq.terms[1:])
     monkeypatch.setattr(loopcat, "CATALOG", CATALOG[:9] + (altered,) + CATALOG[10:])
     results = check_sd(medium_table, 2, 2)
     assert [r.index for r in results if not r.passed] == [10]
