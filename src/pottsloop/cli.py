@@ -30,13 +30,26 @@ def _order(s: str) -> int:
     return n
 
 
-def _emit(args, payload_json, payload_text) -> None:
-    text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n" if args.format == "json" else payload_text
+def _write(args, chunks) -> None:
+    """Write the output's pieces in turn, to --out or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _emit(args, payload_json, payload_text) -> None:
+    _write(args, [json.dumps(payload_json, indent=2, sort_keys=True) + "\n" if args.format == "json" else payload_text])
+
+
+def _json_object(rows):
+    """``json.dumps(dict(rows), indent=2, sort_keys=True) + "\\n"`` piece by piece, for nonempty rows in key order."""
+    sep = "{\n  "
+    for key, value in rows:
+        yield sep + json.dumps(key) + ": " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
 
 
 def _result_lines(results) -> str:
@@ -56,9 +69,9 @@ def _results_json(results):
 
 def cmd_solve(args) -> int:
     spec = ModelSpec(kind=args.kind, c=args.c, ng=args.ng, ltarget=args.lmax)
-    data = LazyTable(spec, max_len=args.lmax + args.ng).to_json()
-    text = "\n".join(f"{w}: {dict(g)}" for w, g in data.items()) + "\n"
-    _emit(args, data, text)
+    # the headroom and listing refusals come first; then each word is written as it is read
+    rows = LazyTable(spec, max_len=args.lmax + args.ng).listing(args.lmax, args.ng, args.format == "json")
+    _write(args, _json_object(rows) if args.format == "json" else (f"{w}: {g}\n" for w, g in rows))
     return 0
 
 

@@ -16,12 +16,12 @@ least candidate is the one lower at the lowest differing letter.
 ``word_orbits`` lists the orbits of one word length, with one flag byte
 per word that starts with 0 and one Python step per orbit,
 ``GENERATORS`` maps lists of packed words by three generators of the
-group and ``symmetry_breaks`` checks a table layer against them.  The
-list reversal and the orbit images treat each word as one 64-bit lane,
-so they take words of at most 32 letters and refuse longer ones; the
-single-word reversal takes any length.  ``check_letters`` and
-``check_order`` are the refusals of a word outside the model and of a
-negative triangle order.
+group and ``symmetry_breaks`` checks a table layer against them, one
+slice of words at a time.  The list reversal and the orbit images treat
+each word as one 64-bit lane, so they take words of at most 32 letters
+and refuse longer ones; the single-word reversal takes any length.
+``check_letters`` and ``check_order`` are the refusals of a word outside
+the model and of a negative triangle order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 import sys
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 from .ring import XLaurent, _int_rows, _series_addmul
@@ -329,19 +329,22 @@ def symmetry_breaks(layer: dict, k: int) -> dict:
     """The words of a layer (packed k-letter word -> value) whose image under a generator differs.
 
     Each such word maps to its first differing image; an absent image holds
-    0.  The layer is read in slices, which bound the scratch lists.
+    0.  Its keys and values are read in slices of ``_LANE_SLICE``, which
+    bound the scratch lists: no list holds the whole layer.
     """
-    words, values = list(layer), list(layer.values())
+    keys, values = iter(layer), iter(layer.values())
     broken = {}
-    for i in range(0, len(words), _LANE_SLICE):
-        ws, vs = words[i : i + _LANE_SLICE], values[i : i + _LANE_SLICE]
+    while True:
+        ws = list(islice(keys, _LANE_SLICE))
+        if not ws:
+            return broken
+        vs = list(islice(values, _LANE_SLICE))
         for image_of in GENERATORS:
             images = image_of(ws, k)
             if list(map(layer.get, images, repeat(0))) != vs:
                 for w, x, v in zip(ws, images, vs):
                     if layer.get(x, 0) != v:
                         broken.setdefault(w, x)
-    return broken
 
 
 def _orbit_images(bits: int, k: int) -> set:
@@ -381,14 +384,16 @@ def _orbit_images(bits: int, k: int) -> set:
     return images
 
 
-def reflection_least(words: list, k: int) -> list:
-    """The words of a list closed under reversal and (12) that are least in their class."""
-    out = []
-    for i in range(0, len(words), _LANE_SLICE):
-        ws = words[i : i + _LANE_SLICE]
-        images = zip(ws, _reverse(ws, k), _swap12(ws, k), _reverse12(ws, k))
-        out += [w for w, r, s, rs in images if w <= r and w <= s and w <= rs]
-    return out
+def reflection_least(words, k: int) -> list:
+    """The words of an iterable closed under reversal and (12) that are least in their class, read in slices."""
+    words, out = iter(words), []
+    while True:
+        ws = list(islice(words, _LANE_SLICE))
+        if not ws:
+            return out
+        for image_of in (_reverse, _swap12, _reverse12):  # one image list at a time, of the words kept so far
+            ws = [w for w, x in zip(ws, image_of(ws, k)) if w <= x]
+        out += ws
 
 
 @lru_cache(maxsize=None)

@@ -324,17 +324,20 @@ def _amp_rows(table, amp, nx, ng) -> PackedRows:
 
 
 def _loop_rows(terms, table, nx, ng) -> PackedRows:
-    """Rows of a term sum: a catalog entry or a generated identity (vanishes on a solved table)."""
-    cache = {}  # amplitude rows, per term sum
+    """Rows of a term sum: a catalog entry or a generated identity (vanishes on a solved table).
+
+    Amplitude rows are cached for the one sum, one probe per factor; a
+    scalar moment (the x^0 slot of its label's amplitude) under its label.
+    """
+    cache = {}
     series = []
     for term in terms:
         s = None
-        for a in term.amps:
-            if a not in cache:
-                cache[a] = _amp_rows(table, a, nx, ng)
-            s = cache[a] if s is None else packed_mul(s, cache[a], nx, ng)
-        if term.p_label is not None:  # a scalar moment: the x^0 slot of its label's amplitude
-            s = packed_mul(s, _amp_rows(table, Amp(term.p_label), 0, ng), nx, ng)
+        for a in term.amps if term.p_label is None else term.amps + (term.p_label,):
+            rows = cache.get(a)
+            if rows is None:
+                rows = cache[a] = _amp_rows(table, a, nx, ng) if type(a) is Amp else _amp_rows(table, Amp(a), 0, ng)
+            s = rows if s is None else packed_mul(s, rows, nx, ng)
         series.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
     return packed_sum(series, nx, ng)
 

@@ -46,10 +46,11 @@ its layers are the same plain dicts as a word-by-word solve.
 Both tables keep one contract (``_TableBase``): one region, |w| + n <= S
 and n <= ng (an edge removal never raises |w| + n), one grid of readers
 built with the table, and the parity and region guards in
-``_TableBase._reader``.  The one export, ``to_ncseries``, reads through
-the readers (``to_json`` formats it), so a command that reads few words
-(the export, the oracle compare, the curve, the moment recurrences) takes
-either table.
+``_TableBase._reader``.  One stream of each word's nonzero slots, read
+through the readers (``_TableBase._word_slots``), serves ``to_ncseries``,
+``to_json`` and the CLI ``solve`` writer, which writes each word as it
+reads it.  So a command that reads few words (the export, the oracle
+compare, the curve, the moment recurrences) takes either table.
 
 ``generating_residual`` checks the symmetry instead of assuming it: every
 stored slot must equal its images under three generators of the group (one
@@ -70,6 +71,7 @@ slot, and criterion 8, ``test_cyclic_symmetry`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 from .freealg import (
@@ -290,8 +292,8 @@ class _TableBase:
     None.  A table says only how to read a held slot (``_slot``); the
     guards live in ``_reader`` alone.  ``_digits`` is the one decoder of
     the raw encoding; every value that leaves a table as a Poly
-    (``p_coeff``, the export ``to_ncseries`` that ``to_json`` formats,
-    residual failures and the series of ``_digit_rows``) is read through it.
+    (``p_coeff``, the export stream ``_word_slots``, residual failures and
+    the series of ``_digit_rows``) is read through it.
     """
 
     def __init__(self, spec: ModelSpec, S: int):
@@ -405,31 +407,66 @@ class _TableBase:
         check_order(ng)
         return XLaurent._from_ints(0, *self._digit_rows([[_as_word(word)]], ng), 0, ng)
 
-    def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
-        """The series of every word of up to ``lmax`` letters to g^ng: the one export.
+    def _word_slots(self, lmax: int, ng: int, sort_keys: bool = False):
+        """(length, bits, [(n, Poly), ...]) per word with a nonzero slot to g^ng: the one export stream.
 
-        Every slot is read through ``_reader``, so either table exports the
-        same nonzero values; a slot the table does not hold is refused, and
-        so is a listing past 2^20 slots (``check_listing``), before any read.
+        Every word of up to ``lmax`` letters, in the order of its string
+        (``_string_order``), is read through ``_reader``.  A listing past
+        2^20 slots (``check_listing``) is refused when the stream is made,
+        before any read, and a slot the table does not hold when it is read.
         """
         check_listing(self.spec.nletters, lmax, ng)
+        reads, poly = self._readers(lmax, ng), self._poly
+        slots = (
+            (k, bits, [(n, poly(v, (k + 3 * n) // 2)) for n, v in enumerate([read(bits) for read in reads[k]]) if v])
+            for k, bits in _string_order(self.spec.nletters, lmax, sort_keys)
+        )
+        return (s for s in slots if s[2])
+
+    def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
+        """The series of every word of up to ``lmax`` letters to g^ng, read from ``_word_slots``."""
         terms = {}
-        for k, words in enumerate(packed_words(self.spec.nletters, lmax)):
-            for n in range(ng + 1):
-                read = self._reader(k, n)
-                for bits in words:
-                    v = read(bits)
-                    if v:
-                        terms.setdefault(Word._raw(k, bits), [P_ZERO] * (ng + 1))[n] = self._poly(v, (k + 3 * n) // 2)
-        return NCSeries({w: XLaurent(0, [g], 0, ng) for w, g in terms.items()}, lmax, ng)
+        for k, bits, slots in self._word_slots(lmax, ng):
+            row = [P_ZERO] * (ng + 1)
+            for n, p in slots:
+                row[n] = p
+            terms[Word._raw(k, bits)] = XLaurent(0, [row], 0, ng)
+        return NCSeries(terms, lmax, ng)
+
+    def listing(self, lmax: int, ng: int, sort_keys: bool = False):
+        """``_word_slots`` as (word, {g-power: coefficient}) strings, made lazily: ``solve`` writes each as read."""
+        return (
+            (str(Word._raw(k, bits)), {str(n): str(p) for n, p in slots})
+            for k, bits, slots in self._word_slots(lmax, ng, sort_keys)
+        )
 
     def to_json(self) -> dict:
-        """{word: {g-power: coefficient string}}: ``to_ncseries`` to ``spec.ltarget`` letters, formatted."""
-        out = {
-            str(w): {str(n): str(p) for n, p in enumerate(s.coeffs[0]) if not p.is_zero()}
-            for w, s in self.to_ncseries(self.spec.ltarget, self.ng).terms.items()
-        }
-        return dict(sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        """{word: {g-power: coefficient string}}: the ``listing`` to ``spec.ltarget`` letters, by (len, str)."""
+        return dict(self.listing(self.spec.ltarget, self.ng))
+
+
+def _lex(nlet: int, lo: int, hi: int, k: int = 0, bits: int = 0):
+    """(length, packed word) of each word of lo to hi letters that extends the k-letter ``bits``, a prefix first."""
+    if k < hi:
+        for a in range(nlet):
+            w = bits | a << 2 * k
+            if k >= lo - 1:
+                yield k + 1, w
+            yield from _lex(nlet, lo, hi, k + 1, w)
+
+
+def _string_order(nlet: int, lmax: int, sort_keys: bool):
+    """(length, packed word) of every word of up to lmax letters, in the order of its string.
+
+    With ``sort_keys``, the order ``json.dumps(sort_keys=True)`` gives the
+    keys: lexicographic, a prefix first, and "ε" last.  Otherwise that of
+    (len(str), str): by length and then lexicographic, with "ε", one
+    character long, after the one-letter words.
+    """
+    if sort_keys:
+        return chain(_lex(nlet, 1, lmax), [(0, 0)])
+    lengths = sorted(range(lmax + 1), key=lambda k: k or 1.5)
+    return chain.from_iterable(_lex(nlet, k, k) if k else [(0, 0)] for k in lengths)
 
 
 def _as_word(w) -> Word:
@@ -689,12 +726,14 @@ def _recast_words(orbits_k, k: int) -> list:
     Both maps fix the letter 0 that the recast form prepends, and on an
     orbit-symmetric table the form takes one value on each class.  The
     filter is per word, so one ``reflection_least`` pass over the images of
-    the whole layer keeps them in partition order.  When every orbit is one
-    word (the singleton partition), each is its own class and every word is
-    kept.
+    every orbit in turn keeps them in partition order, reading them in
+    slices rather than a flattened copy of the layer.  When every orbit is
+    one word (the singleton partition), each is its own class and every
+    word is kept.
     """
-    words = [x for _, images in orbits_k for x in images]
-    return words if len(words) == len(orbits_k) else reflection_least(words, k)
+    if all(len(images) == 1 for _, images in orbits_k):
+        return [w for w, _ in orbits_k]
+    return reflection_least(chain.from_iterable(images for _, images in orbits_k), k)
 
 
 def _residual(table: SolutionTable, grade: int, orbits: list) -> ResidualReport:

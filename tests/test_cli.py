@@ -9,13 +9,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from pottsloop import cli
 from pottsloop.cli import main
-from pottsloop.solver import ModelSpec
+from pottsloop.solver import LazyTable, ModelSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -258,13 +259,10 @@ def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
     import pottsloop.freealg as freealg
     import pottsloop.solver as solver
 
-    enumerate_words = solver.packed_words
+    def no_listing(*args):
+        raise AssertionError("a refused listing reached the word enumeration")
 
-    def one_letter_only(nlet, maxlen):
-        assert nlet == 1, "a refused listing reached the word enumeration"
-        return enumerate_words(nlet, maxlen)
-
-    monkeypatch.setattr(solver, "packed_words", one_letter_only)
+    monkeypatch.setattr(solver, "_lex", no_listing)
     # every word of up to 16 letters at g^0: 64,570,081 slots
     assert main(["solve", "--ng", "0", "--lmax", "16"]) == 2
     out, err = capsys.readouterr()
@@ -273,6 +271,30 @@ def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
     freealg.check_listing(3, 12, 0)
     with pytest.raises(ValueError, match="1594322 slots"):
         freealg.check_listing(3, 12, 1)
+
+
+def test_solve_streams_each_word_as_it_reads_it(tmp_path, monkeypatch):
+    # the export writes every word as it reads it, so above the lazy memo it holds a few
+    # words at a time, never the whole answer that to_json builds from the same memo
+    table = LazyTable(ModelSpec(ng=0, ltarget=8), max_len=8)
+    data = table.to_json()  # fills the memo of every word the export reads
+
+    def filled_table(spec, max_len):
+        assert (spec, max_len) == (table.spec, table.S)
+        return table
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "LazyTable", filled_table)
+    out = tmp_path / "solve.json"
+    code, streamed = traced(lambda: main(["solve", "--ng", "0", "--lmax", "8", "--format", "json", "--out", str(out)]))
+    assert code == 0 and out.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert streamed < traced(table.to_json)[1] / 4
 
 
 def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, monkeypatch):

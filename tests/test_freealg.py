@@ -16,9 +16,10 @@ from pottsloop.freealg import (
     all_words,
     orbit_rep,
     reflection_least,
+    symmetry_breaks,
     word_orbits,
 )
-from pottsloop.freealg import _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
+from pottsloop.freealg import _LANE_SLICE, _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
 from conftest import drop_last, from_fractions, gseries, monomial, right_delta
 
 
@@ -288,6 +289,36 @@ def test_packed_images_match_the_word_operations():
             images = (word, word.reverse(), word.relabel((0, 2, 1)), word.reverse().relabel((0, 2, 1)))
             least.add(min(img.bits for img in images))
         assert set(reflection_least([word.bits for word in all_words(k)], k)) == least
+
+
+def test_symmetry_breaks_across_slice_boundaries():
+    # every 8-letter word (6,561, four slices of 2,048) holds a value of its orbit; one
+    # image corrupted in the first slice, one in the last, and one image missing
+    k = 8
+    layer = {w: orbit_rep(w, k) + 1 for w in (word.bits for word in all_words(k))}
+    keys = list(layer)
+    layer[keys[5]] += 1
+    layer[keys[-7]] += 1
+    del layer[keys[3000]]
+    # per word: rotation, the reversal fused with (12), then (01); slice by slice and,
+    # inside one slice, generator by generator, as the report orders its words
+    maps = (
+        lambda ls: ls[1:] + ls[:1],
+        lambda ls: Word(reversed(ls)).relabel((0, 2, 1)).letters(),
+        lambda ls: Word(ls).relabel((1, 0, 2)).letters(),
+    )
+    items, want = list(layer.items()), {}
+    for i in range(0, len(items), _LANE_SLICE):
+        for image_of in maps:
+            for w, v in items[i : i + _LANE_SLICE]:
+                x = Word(image_of(Word._raw(k, w).letters())).bits
+                if layer.get(x, 0) != v:
+                    want.setdefault(w, x)
+    got = symmetry_breaks(layer, k)
+    assert list(got.items()) == list(want.items())
+    assert keys[5] in got and keys[-7] in got and keys[3000] in got.values()
+    words = [word.bits for word in all_words(k)]
+    assert reflection_least((w for w in words), k) == reflection_least(words, k)
 
 
 def test_three_generators_close_to_the_orbits():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -626,6 +627,21 @@ def test_generating_residual_zero_on_solved(small_table):
     rep = generating_residual(small_table)
     assert rep.ok
     assert not rep.fixed_point and not rep.recast
+
+
+def test_generating_residual_scratch_stays_below_one_layer():
+    # the residual reads each layer in slices: its scratch is 0.25 MB, where a list of
+    # the keys and one of the values of the 59,049-word (n = 0, |w| = 10) layer take
+    # 0.95 MB, and one flattened list of the 19,683 nine-letter recast images 0.16 MB
+    table = solve_series(ModelSpec(ng=6, ltarget=4))  # also caches the orbits it reads
+    tracemalloc.start()
+    try:
+        rep = generating_residual(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.grade == 10
+    assert peak < 320_000
 
 
 def test_generating_residual_detects_unsolved():
