@@ -83,16 +83,6 @@ def _lazy_table(args, S: int) -> LazyTable:
     return LazyTable(spec, max_len=S)
 
 
-def _moment_table(args) -> LazyTable:
-    """The lazy table the moments read to --ng; at numeric c, refused past ``curve.MOMENT_NG`` as at symbolic c."""
-    if args.c != "symbolic" and args.ng > curve_mod.MOMENT_NG:
-        raise ValueError(
-            f"moment series to g^{args.ng} refused at c = {args.c}: beyond g^{curve_mod.MOMENT_NG}, "
-            f"the deepest order the symbolic headroom admits"
-        )
-    return _lazy_table(args, curve_mod.moment_edge(args.ng))
-
-
 def cmd_check_loops(args) -> int:
     # a refused truncation exits before the dense solve
     table = _lazy_table(args, loopcat.catalog_edge(args.nx, args.ng))
@@ -144,7 +134,7 @@ def cmd_check_curve(args) -> int:
 
 
 def cmd_check_recurrences(args) -> int:
-    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_moment_table(args)))
+    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng))))
     ok = all(r.passed for r in reports)
     payload = {
         "recurrences": [
@@ -186,7 +176,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    moments = curve_mod.compute_moments(_moment_table(args))
+    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng)))
     rows = ["moment,g_power,value"]
     data = []
     for label in curve_mod.MOMENT_LABELS:
@@ -289,7 +279,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

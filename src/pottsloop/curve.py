@@ -73,9 +73,6 @@ class MomentSet(FrozenRecord):
 MOMENT_LABELS = tuple(f[1:] for f in MomentSet._fields if f != "spec")  # field p<label>: the word <label>
 
 
-MOMENT_NG = 17  # the deepest g-order whose moment table the symbolic headroom admits
-
-
 def moment_edge(ng: int) -> int:
     """The lazy-table edge the moments read to g^ng: the longest of ``MOMENT_LABELS`` plus ng."""
     return ng + 4

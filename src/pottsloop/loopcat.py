@@ -27,12 +27,13 @@ both sides vanish; there it is implied by ``check_loops`` and says nothing
 about the two constructions term by term.
 
 Every residual is evaluated on packed rows (``ring.PackedRows``): one
-integer per x^e g^n slot, read as the table stores it (``_TableBase._rows``):
-the c-polynomial at c = 2^64 at symbolic c, the scaled value at c = a/b.
-A product is one integer product per pair of slots.  Each series carries
-a bound on its digits from its values at c = 1, and is packed at 64 bits
-while the bound stays below 2^63, wider otherwise, so a slot is zero iff
-its integer is; only the first nonzero slot a check reports is decoded.
+integer per x^e g^n slot, as the table packs it: the c-polynomial at
+c = 2^64 at symbolic c, the scaled value at c = a/b.  The table gives an
+amplitude's rows with their packing and a bound on their digits from
+their values at c = 1 (``_TableBase._rows``).  A product is one integer
+product per pair of slots, packed at 64 bits while its bound stays below
+2^63, wider otherwise, so a slot is zero iff its integer is; only the
+first nonzero slot a check reports is decoded.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .freealg import Word
-from .ring import _B, P_ONE, FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
-from .solver import _GUARD, _TableBase
+from .ring import P_ONE, FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
+from .solver import _TableBase
 
 # coefficient polynomials in c, ascending powers
 _ONE = (1,)
@@ -286,8 +287,6 @@ CATALOG = (
 # row series (see the module docstring)
 # ---------------------------------------------------------------------------
 
-_AT_ONE = (1 << _B) - 1  # a packed table value, modulo this, is its value at c = 1
-
 
 def _nonzero_slots(s: PackedRows):
     """(first nonzero slot as (x exponent, g order, value string) or None, nonzero slot count)."""
@@ -307,20 +306,18 @@ def _amp_rows(table, amp, nx, ng) -> PackedRows:
     """Rows of an amplitude series: coefficient k is p(label a^(k+delta) post).
 
     A symmetrised amplitude averages in the reversed label.  Depth beyond
-    the table's solved region raises TruncationError with the bound.  At
-    symbolic c a table value's digits are nonnegative and sum below 2^60
-    (the headroom refusal), so a sum of two is, mod 2^64 - 1, its value at
-    c = 1; a slot that reaches the 2^62 digit guard there is refused.
+    the table's solved region raises TruncationError with the bound.  The
+    packing, the digit bounds at c = 1 and their 2^62 guard come from the
+    table (``_TableBase._rows``); the average only scales den by the label
+    count.
     """
     word, post = Word.from_string(amp.label), Word.from_string(amp.post)
     labels = [word] if not amp.sym or word.reverse() == word else [word, word.reverse()]
     blocks = range(amp.delta, amp.delta + nx + 1)  # block a^m at x^(m - delta)
     slots = [[w + Word._raw(m, amp.letter * (4**m - 1) // 3) + post for w in labels] for m in blocks]
-    rows, den = table._rows(slots, ng)
-    ones = [v % _AT_ONE for row in rows for v in row] if table.symbolic else [0]
-    if max(ones) >= _GUARD:
-        raise ArithmeticError(f"slot value {max(ones)} at c = 1 reaches the 2^62 digit guard; headroom violated")
-    return PackedRows(rows, den * len(labels), _B if table.symbolic else 0, max(ones), sum(ones))
+    rows = table._rows(slots, ng)
+    rows.den *= len(labels)
+    return rows
 
 
 def _loop_rows(terms, table, nx, ng) -> PackedRows:

@@ -236,24 +236,15 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for e in range(len(self.coeffs)):
-            q = Fraction(self.coeffs[e], self.den)
-            if q == 0:
-                continue
-            mag = rat_to_str(abs(q))
-            if e == 0:
-                term = mag
-            else:
-                var = "c" if e == 1 else f"c^{e}"
-                term = var if mag == "1" else f"{mag}*{var}"
-            if not parts:
-                parts.append(term if q > 0 else "-" + term)
-            else:
-                parts.append(("+" if q > 0 else "-") + term)
-        return "".join(parts)
+        for e, a in enumerate(self.coeffs):
+            if a:
+                mag = str(abs(a)) if self.den == 1 else rat_to_str(Fraction(abs(a), self.den))
+                if e:
+                    var = "c" if e == 1 else f"c^{e}"
+                    mag = var if mag == "1" else f"{mag}*{var}"
+                parts.append(("-" if a < 0 else "+" if parts else "") + mag)
+        return "".join(parts) or "0"
 
 
 P_ZERO = Poly()

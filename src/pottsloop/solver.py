@@ -28,7 +28,8 @@ integer is the packed polynomial.  At a rational c0 = a/b in lowest terms
 pays no gcd.  One table method (``_TableBase._digits``) decodes the raw
 encoding; every value that leaves the table as a Poly (a constant at
 numeric c) or a series is read through it.  The catalog reads the raw
-integers themselves, rescaled to one power of b (``_TableBase._rows``).
+integers themselves, rescaled to one power of b and packed with a bound on
+their digits (``_TableBase._rows``).
 
 A coefficient p_w^(n) = <tr X_w> at g^n is invariant under cyclic rotation
 of w (trace), reversal (transposition) and S3 relabelling of the spins, so
@@ -87,7 +88,7 @@ from .freealg import (
     symmetry_breaks,
     word_orbits,
 )
-from .ring import _B, P_C, P_ZERO, FrozenRecord, Poly, Record, XLaurent, balanced_digits, xlaurent_sqrt
+from .ring import _B, P_C, P_ZERO, FrozenRecord, PackedRows, Poly, Record, XLaurent, balanced_digits, xlaurent_sqrt
 
 _GUARD = 1 << 62
 _RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 value
@@ -357,13 +358,16 @@ class _TableBase:
         """The raw value v at scale b**e as a polynomial in c."""
         return Poly(self._digits(v), self._b**e)
 
-    def _rows(self, slots, ng: int) -> tuple:
-        """Row series of table values as integers; ``slots[e]`` lists the words summed at x^e.
+    def _rows(self, slots, ng: int) -> PackedRows:
+        """Row series of table values as ``ring.PackedRows``; ``slots[e]`` lists the words summed at x^e.
 
-        Returns (rows, den): rows[e][n] is den times the sum at g^n, over
-        den = b**M with M the largest scale (|w| + 3n)/2 read.  At symbolic
-        c (b = 1) that is the packed sum of the raw values; at c = a/b each
-        raw b**E p is rescaled to b**M p.  ``_digits`` decodes one.
+        rows[e][n] is den times the sum at g^n, over den = b**M with M the
+        largest scale (|w| + 3n)/2 read: at c = a/b each raw b**E p is
+        rescaled to b**M p, at symbolic c (b = 1) the raw values are summed
+        as packed.  There each is below 2^60 at c = 1 (``check_headroom``),
+        so a sum of fewer than 16 is, mod 2^64 - 1, its value at c = 1, which
+        bounds its digits; a slot that reaches the 2^62 digit guard there is
+        refused.
         """
         check_letters((w for ws in slots for w in ws), self.spec.nletters)
         b = self._b
@@ -380,12 +384,17 @@ class _TableBase:
                 if v:
                     row[n] = v * b ** (top - (k + 3 * n) // 2)
             rows.append(row)
-        return rows, b**top
+        if not self.symbolic:
+            return PackedRows(rows, b**top, 0, 0, 0)
+        ones = [v % ((1 << _B) - 1) for row in rows for v in row]
+        if max(ones) >= _GUARD:
+            raise ArithmeticError(f"slot value {max(ones)} at c = 1 reaches the 2^62 digit guard; headroom violated")
+        return PackedRows(rows, 1, _B, max(ones), sum(ones))
 
     def _digit_rows(self, slots, ng: int) -> tuple:
         """``_rows`` decoded to c-digit lists, the rows ``XLaurent._from_ints`` takes."""
-        rows, den = self._rows(slots, ng)
-        return [[self._digits(v) for v in row] for row in rows], den
+        s = self._rows(slots, ng)
+        return [[self._digits(v) for v in row] for row in s.rows], s.den
 
     def value_word(self, word: Word, n: int):
         """Coefficient in the raw domain: the packed polynomial (symbolic c) or a Fraction."""

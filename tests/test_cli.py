@@ -185,9 +185,16 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["check-loops", "--c", "1"]) == 2
     assert main(["solve", "--ng", "nope"]) == 2
+    # an --out that cannot be written: a directory, a missing parent directory
+    capsys.readouterr()
+    for argv in (["check-sd", "--nx", "1", "--ng", "1"], ["solve", "--ng", "1", "--lmax", "1"]):
+        for out in (tmp_path, tmp_path / "missing" / "x.txt"):
+            assert main(argv + ["--out", str(out)]) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -311,10 +318,11 @@ def test_numeric_moment_commands_refuse_past_the_symbolic_order(capsys, monkeypa
         raise AssertionError("a refused moment order reached the lazy table")
 
     monkeypatch.setattr(cli, "LazyTable", no_table)
-    for argv in ("export --ng 18 --c 1/3", "check-recurrences --ng 40 --c -2/3"):
-        assert main(argv.split()) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "beyond g^17, the deepest order the symbolic headroom admits" in err
+    refused = {}
+    for argv, bits in (("export --ng 18 --c 1/3", 66), ("check-recurrences --ng 40 --c -2/3", 147)):
+        assert main(argv.split()) == 2, argv
+        out, refused[argv] = capsys.readouterr()
+        assert out == "" and f"(a {bits}-bit bound), beyond the 2^62 digit guard" in refused[argv], argv
     # at the bound and below, the table is built
     class Built(Exception):
         pass
@@ -329,6 +337,10 @@ def test_numeric_moment_commands_refuse_past_the_symbolic_order(capsys, monkeypa
     monkeypatch.undo()
     assert main("export --ng 3 --c 1/3".split()) == 0
     assert capsys.readouterr().out
+    # symbolic c refuses the same orders, in the same words, when it builds the table
+    for argv, err in refused.items():
+        assert main(argv.split()[:-2]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_numeric_catalog_and_curve_commands_refuse_where_symbolic_c_does(capsys, monkeypatch):

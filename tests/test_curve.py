@@ -8,7 +8,6 @@ from conftest import assert_tight_edge, grade_mask, laurent
 from numeric_branch import numeric_branch_check
 from pottsloop.curve import (
     MOMENT_LABELS,
-    MOMENT_NG,
     MomentSet,
     RecurrenceReport,
     ShiftedResolvent,
@@ -335,7 +334,7 @@ def test_failure_counts_sit_next_to_the_first_bad_slot(master_table):
 
 
 def test_moment_order_bound_is_the_symbolic_headroom():
-    # the numeric-c moment commands refuse --ng past MOMENT_NG, the order symbolic c reaches
-    assert check_headroom(ModelSpec(ng=MOMENT_NG), moment_edge(MOMENT_NG)) < 1 << 62
-    with pytest.raises(ValueError, match="beyond the 2\\^62 digit guard"):
-        check_headroom(ModelSpec(ng=MOMENT_NG + 1), moment_edge(MOMENT_NG + 1))
+    # the moment commands, at any c, read to g^17 and refuse g^18: a 61- and a 66-bit bound
+    assert check_headroom(ModelSpec(ng=17), moment_edge(17)).bit_length() == 61
+    with pytest.raises(ValueError, match="\\(a 66-bit bound\\), beyond the 2\\^62 digit guard"):
+        check_headroom(ModelSpec(ng=18), moment_edge(18))
