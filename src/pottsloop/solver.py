@@ -36,13 +36,14 @@ of w (trace), reversal (transposition) and S3 relabelling of the spins, so
 both solvers run the recursion once per orbit and g-order.  This is exact
 in both domains: a numeric-c raw value b**E * p depends on (w, n) only
 through p and E = (|w| + 3n)/2, and both are orbit invariants.
-``LazyTable`` maps a memo miss to its orbit representative
-(``freealg.orbit_rep``, once per miss) and reads the representative's slot
-directly from the memo; only representatives run ``_rhs`` and every other
-word copies its representative's value.  The dense solve takes the orbit
-partition of each word length (``freealg.word_orbits``), runs on the
-representatives and stores each value under every word of the orbit, so
-its layers are the same plain dicts as a word-by-word solve.
+``LazyTable`` keeps one memo dict per slot, whose lookup is its reader: a
+miss maps the word to its orbit representative (``freealg.orbit_rep``,
+once per miss) and reads that in the same dict; only representatives run
+``_rhs`` and every other word copies its representative's value.  The
+dense solve takes the orbit partition of each word length
+(``freealg.word_orbits``), runs on the representatives and stores each
+value under every word of the orbit, so its layers are the same plain
+dicts as a word-by-word solve.
 
 Both tables keep one contract (``_TableBase``): one region, |w| + n <= S
 and n <= ng (an edge removal never raises |w| + n), one grid of readers
@@ -420,12 +421,14 @@ class _TableBase:
         """(length, bits, [(n, Poly), ...]) per word with a nonzero slot to g^ng: the one export stream.
 
         Every word of up to ``lmax`` letters, in the order of its string
-        (``_string_order``), is read through ``_reader``.  A listing past
-        2^20 slots (``check_listing``) is refused when the stream is made,
-        before any read, and a slot the table does not hold when it is read.
+        (``_string_order``), is read through ``_reader``, a lazy slot's
+        ``once`` storing no alias key.  A listing past 2^20 slots
+        (``check_listing``) is refused when the stream is made, before any
+        read, and a slot the table does not hold when it is read.
         """
         check_listing(self.spec.nletters, lmax, ng)
-        reads, poly = self._readers(lmax, ng), self._poly
+        reads = [[getattr(getattr(r, "__self__", None), "once", r) for r in row] for row in self._readers(lmax, ng)]
+        poly = self._poly
         slots = (
             (k, bits, [(n, poly(v, (k + 3 * n) // 2)) for n, v in enumerate([read(bits) for read in reads[k]]) if v])
             for k, bits in _string_order(self.spec.nletters, lmax, sort_keys)
@@ -544,62 +547,71 @@ def solve_series(spec: ModelSpec) -> SolutionTable:
     return SolutionTable(spec, S, layers)
 
 
-class LazyTable(_TableBase):
-    """Demand-driven solved table (memoised recursion on the same grading).
+class _Slot(dict):
+    """A ``LazyTable``'s memo of one held slot (k, n): packed word -> raw value.
 
-    Used for deep amplitude extraction where dense enumeration of all words
-    would be prohibitive.  The recursion runs once per rotation, reversal
-    and relabelling orbit (see the module docstring); ``_memo`` holds every
-    slot read, representative or not, under its own packed key, and
-    ``rhs_evaluations`` counts the slots the recursion solved.  A miss
-    canonicalises its word once and reads the representative's key; only if
-    that slot is missing too does ``_rhs`` run on the representative, whose
-    value is stored under both keys.  The reader of each held slot holds
-    that probe and miss path (``_slot``); the grid ``_slots`` is built once,
-    with the table, and the recursion and every ``_reader`` call share it.
-    The table holds the one region |w| + n <= S, n <= ng, with S the
-    ``max_len`` it was built with.  The recursion reads the grid unguarded
-    and never leaves the region: a held slot's splits and its triangle
-    removal read only held slots of even parity.  Values agree with the
-    unreduced dense solver wherever both are defined (tested on every slot
-    of a dense table).
+    A miss canonicalises the word once and reads the representative, runs
+    ``_rhs`` on it only if that is missing too and stores the value under both.
+    """
+
+    __slots__ = ("table", "k", "n")
+
+    def __init__(self, table, k: int, n: int):
+        self.table, self.k, self.n = table, k, n
+
+    def __missing__(self, bits):
+        rep = orbit_rep(bits, self.k)
+        v = self.get(rep)
+        if v is None:
+            t = self.table
+            v = self[rep] = _rhs(t._slots, t.nlet, t._b, t._a, rep, self.k, self.n)
+            t.rhs_evaluations += 1
+        self[bits] = v
+        return v
+
+    def once(self, bits):  # the export stream's read, which stores no alias key
+        v = self.get(bits)
+        return self[orbit_rep(bits, self.k)] if v is None else v
+
+
+class _MemoView:
+    """A ``LazyTable``'s slot dicts as one memo: ``len`` sums them, ``values`` chains them."""
+
+    def __init__(self, slots: list):
+        self._dicts = [read.__self__ for row in slots for read in row if read]
+
+    def __len__(self) -> int:
+        return sum(map(len, self._dicts))
+
+    def values(self):
+        return chain.from_iterable(d.values() for d in self._dicts)
+
+
+class LazyTable(_TableBase):
+    """Demand-driven solved table: the recursion memoised, run once per orbit (see the module docstring).
+
+    The memo is one ``_Slot`` dict per held slot, whose ``__getitem__`` is
+    that slot's reader in the grid ``_slots``, built once with the table;
+    ``_memo`` views the dicts as one.  The table holds the one region
+    |w| + n <= S, n <= ng, with S its ``max_len``.  The recursion reads the
+    grid unguarded and never leaves the region: a held slot's splits and
+    its triangle removal read only held slots of even parity.  Values agree
+    with the unreduced dense solver wherever both are defined (tested on
+    every slot of a dense table).
     """
 
     def __init__(self, spec: ModelSpec, max_len: int):
         check_headroom(spec, max_len)
         self.nlet = spec.nletters
-        # memo key (bits, k, n) packed into one int; the k and n fields hold
-        # every k <= max_len and n <= ng, so distinct slots never share a key
-        self._kbits = max_len.bit_length()
-        self._nbits = spec.ng.bit_length()
-        self._memo = {}
-        self._rhs_evaluations = 0
+        self.rhs_evaluations = 0  # slots the recursion solved: one per orbit and g-order read
         super().__init__(spec, max_len)
 
     @property
-    def rhs_evaluations(self) -> int:
-        """Slots solved by running the recursion: one per orbit and g-order read."""
-        return self._rhs_evaluations
+    def _memo(self) -> _MemoView:
+        return _MemoView(self._slots)
 
     def _slot(self, k: int, n: int):
-        memo, shift = self._memo, self._kbits + self._nbits
-        probe = memo.get
-        tag = (k << self._nbits) | n  # the memo key of (bits, k, n) is (bits << shift) | tag
-
-        def read(bits):
-            key = (bits << shift) | tag
-            v = probe(key)
-            if v is None:
-                rep = orbit_rep(bits, k)
-                rkey = (rep << shift) | tag
-                v = probe(rkey)
-                if v is None:
-                    v = memo[rkey] = _rhs(self._slots, self.nlet, self._b, self._a, rep, k, n)
-                    self._rhs_evaluations += 1
-                memo[key] = v
-            return v
-
-        return read
+        return _Slot(self, k, n).__getitem__
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ def solve_unreduced(spec: ModelSpec) -> SolutionTable:
     return SolutionTable(spec, S, layers)
 
 
+def memo_slots(lazy: LazyTable) -> dict:
+    """{(k, n): the memo dict of that held slot, packed word -> raw value} of a lazy table."""
+    return {(k, n): read.__self__ for k, row in enumerate(lazy._slots) for n, read in enumerate(row) if read}
+
+
 def from_fractions(fracs) -> Poly:
     """The polynomial in c with these ascending rational coefficients."""
     fracs = [Fraction(f) for f in fracs]

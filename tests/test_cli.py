@@ -284,7 +284,7 @@ def test_solve_streams_each_word_as_it_reads_it(tmp_path, monkeypatch):
     # the export writes every word as it reads it, so above the lazy memo it holds a few
     # words at a time, never the whole answer that to_json builds from the same memo
     table = LazyTable(ModelSpec(ng=0, ltarget=8), max_len=8)
-    data = table.to_json()  # fills the memo of every word the export reads
+    data = table.to_json()  # solves every slot the export reads
 
     def filled_table(spec, max_len):
         assert (spec, max_len) == (table.spec, table.S)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_tight_edge, laurent, shift_x
+from conftest import assert_tight_edge, laurent, memo_slots, shift_x
 from pottsloop.freealg import EMPTY_WORD, Word, orbit_rep
 from pottsloop.loopcat import (
     CATALOG,
@@ -340,8 +340,7 @@ def test_a_corrupted_memo_slot_reads_as_in_series_arithmetic():
     lazy = LazyTable(ModelSpec(ng=ng), max_len=catalog_edge(nx, ng))
     assert all(r.passed for r in check_loops(lazy, nx, ng) + check_sd(lazy, nx, ng))
     word, n = Word.from_string("1200"), 2
-    key = ((word.bits << lazy._kbits) | word.n) << lazy._nbits | n  # the memo's key packing
-    lazy._memo[key] += 1 << 128
+    memo_slots(lazy)[word.n, n][word.bits] += 1 << 128
     failed = []
     for eq, r in zip(CATALOG, check_loops(lazy, nx, ng)):
         ref = _ref_loop(eq, lazy, nx, ng, "emended")

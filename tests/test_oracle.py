@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from conftest import memo_slots
 from labelled_oracle import (
     PropagatorMatrix,
     _count_faces,
@@ -285,8 +286,7 @@ def test_compare_reports_a_corrupted_lazy_memo_entry():
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=4), max_len=6)
     assert compare_with_solver(lazy, 2, 4).ok
     word, n = Word.from_string("0121"), 2
-    key = ((word.bits << lazy._kbits) | word.n) << lazy._nbits | n  # the memo's key packing
-    lazy._memo[key] += 1
+    memo_slots(lazy)[word.n, n][word.bits] += 1
     rep = compare_with_solver(lazy, 2, 4)
     assert [(w, m) for w, m, _got, _expect in rep.mismatches] == [(word, n)]
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grade_mask, shift_x, solve_unreduced
+from conftest import grade_mask, memo_slots, shift_x, solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
 from pottsloop.loopcat import Amp, _amp_rows, catalog_edge, check_loops, check_sd
 from pottsloop.oracle import planar_moment
@@ -123,6 +123,19 @@ def test_lazy_export_matches_the_dense_export(kind, c):
     for lmax, ng in ((4, 3), (5, 2), (7, 0)):
         exported = lazy.to_ncseries(lmax, ng)
         assert exported.terms and exported == dense.to_ncseries(lmax, ng)
+
+
+def test_the_export_stream_stores_no_alias_key():
+    # solve reads each listed word once: a miss reads its representative's slot and stores no
+    # key of its own (at ten letters the memo keeps 1,741 entries where an alias store kept 66,430)
+    lazy = LazyTable(ModelSpec(ng=0, ltarget=8), max_len=8)
+    assert len(list(lazy.listing(8, 0))) == 7381
+    assert (lazy.rhs_evaluations, len(lazy._memo)) == (131, 287)
+    # only the stream reads eight-letter words, so their slot holds representatives alone
+    assert all(orbit_rep(bits, 8) == bits for bits in memo_slots(lazy)[8, 0])
+    # and the stream keeps the region guard of every reader
+    with pytest.raises(TruncationError, match=r"\(\|w\|=8, n=2\)"):
+        LazyTable(ModelSpec(ng=2), max_len=8).to_ncseries(8, 2)
 
 
 def test_c_zero_decouples_colors():
@@ -416,36 +429,65 @@ def test_lazy_miss_canonicalises_once(monkeypatch):
     assert 0 < len(calls) < len(lazy._memo)
 
 
-@pytest.mark.parametrize(
-    "c, digest, recast_digest",
-    [
-        (
-            "symbolic",
-            "aae62b526047fd29714244f3015ffb26380c06621409e149a1bc8c07f5a989fc",
-            "52d25cba9857935f4bdd65bb3d6bd3cb76917cbbe3a100d07da1279da16411d1",
-        ),
-        (
-            "3/7",
-            "8deae6008029f51789a8f5e12faf7f01f49b46f6e528bf719a69c395522fe47a",
-            "80fe9534d93155776a1f47b8bfcc711d0e70be86dc180e56329f8c634a8f1bc5",
-        ),
-    ],
-    ids=("symbolic", "c3_7"),
-)
-def test_catalog_pass_leaves_the_pinned_memo(c, digest, recast_digest):
-    # the memo of one catalog pass, keys, values and insertion order, as first
-    # recorded with the string canonicaliser: canonicalisation moves no slot
-    lazy = LazyTable(ModelSpec(c=c, ng=5), max_len=18)
+def _memo_digest(lazy: LazyTable) -> str:
+    """sha256 of the memo: each held slot's (bits, value) entries in insertion order, slots sorted by (k, n)."""
+    slots = {kn: list(d.items()) for kn, d in memo_slots(lazy).items() if d}
+    return hashlib.sha256(repr(sorted(slots.items())).encode()).hexdigest()
+
+
+_PINNED_MEMO = {
+    "symbolic": (
+        "f4b8fbf2eb2f3a61bf53638c57cfa82edd0a128aa008fc9651d3c2f1d333f76a",
+        "b56dae785764be34d05875b45b7bffbfd19ad5f5f42cea46512df5f259845ed9",
+    ),
+    "3/7": (
+        "358001f4c0280b0f3fdfc9f412d2305b5bb5a7a39263a90ca279f94aa7b3e3e5",
+        "8ab0db8eed5261cd7e4676239d090729d5ae57440c112aa577a87dc2d886bc7d",
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=["symbolic", "3/7"], ids=("symbolic", "c3_7"))
+def catalog_memo(request):
+    """A lazy table after one catalog pass and then the recast form: (table, memo after the pass, recast failures)."""
+    lazy = LazyTable(ModelSpec(c=request.param, ng=5), max_len=18)
     check_loops(lazy, 5, 5)
-    items = list(lazy._memo.items())
-    assert (lazy.rhs_evaluations, len(items)) == (4025, 14554)
-    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+    first = (lazy.rhs_evaluations, len(lazy._memo), _memo_digest(lazy))
+    return lazy, first, recast_residual_rect(lazy, 5, 5)
+
+
+def test_catalog_pass_leaves_the_pinned_memo(catalog_memo):
+    # the memo of one catalog pass, keys, values and insertion order per slot: the
+    # entries the string canonicaliser first recorded, so canonicalisation moves no slot
+    lazy, first, recast = catalog_memo
+    digest, recast_digest = _PINNED_MEMO[str(lazy.spec.c)]
+    assert first == (4025, 14554, digest)
     # then the recast form, as first recorded with a scan of every split
     # position: reading splits only at the letters 0 moves no read
-    assert recast_residual_rect(lazy, 5, 5) == []
-    items = list(lazy._memo.items())
-    assert (lazy.rhs_evaluations, len(items)) == (4036, 16673)
-    assert hashlib.sha256(repr(items).encode()).hexdigest() == recast_digest
+    assert recast == []
+    assert (lazy.rhs_evaluations, len(lazy._memo), _memo_digest(lazy)) == (4036, 16673, recast_digest)
+
+
+def test_catalog_memo_aliases_read_their_representative(catalog_memo):
+    # every key holds its representative's value, and the representatives are the solved slots
+    lazy = catalog_memo[0]
+    reps = 0
+    for (k, n), slot in memo_slots(lazy).items():
+        for bits, v in slot.items():
+            rep = orbit_rep(bits, k)
+            assert slot.get(rep) == v, (k, n, bits)
+            reps += rep == bits
+    assert reps == lazy.rhs_evaluations
+
+
+@pytest.mark.parametrize("catalog_memo", ["symbolic"], indirect=True, ids=("symbolic",))
+def test_catalog_memo_is_the_one_matrix_count_at_c_one(catalog_memo):
+    # at c = 1 every propagator is 1: p_w^(n)(1) = 3^n pg(|w|, n), the packed value mod 2^64 - 1
+    lazy = catalog_memo[0]
+    branch = solve_pure_gravity(lazy.ng, lazy.S, check_variant=False).branch
+    for (k, n), slot in memo_slots(lazy).items():
+        pg = branch.coefficient(k)[n].coefficient(0)
+        assert {v % ((1 << 64) - 1) for v in slot.values()} <= {3**n * pg}, (k, n)
 
 
 def test_negative_orders_are_refused_by_every_reader():
@@ -500,11 +542,11 @@ def test_numeric_tables_evaluate_the_symbolic_table(small_table, c0):
 def test_scaled_checks_detect_a_corrupted_raw_entry():
     lazy = LazyTable(ModelSpec(kind="potts3", c=Fraction(1, 4), ng=2, ltarget=2), max_len=12)
     lazy.value_word(Word([]), 0)
-    before = set(lazy._memo)
+    assert len(lazy._memo) == 1
     assert lazy.value_word(Word([0, 0]), 0) == 1
-    (key,) = set(lazy._memo) - before
-    assert lazy._memo[key] == 4  # p_00 = 1 stored as b**1 with b = 4
-    lazy._memo[key] += 1
+    slot = memo_slots(lazy)[2, 0]
+    assert len(lazy._memo) == 2 and slot == {0: 4}  # p_00 = 1 stored as b**1 with b = 4
+    slot[0] += 1
     bad = recast_residual_rect(lazy, 2, 2)
     assert bad and bad[0][:2] == (Word.from_string("0"), 0)
     assert not all(r.passed for r in check_loops(lazy, 2, 2))
@@ -601,8 +643,7 @@ def test_headroom_bound_covers_the_solved_digits(referee_table, master_table):
     for k in range(lazy.S + 1):
         for n in range(min(lazy.ng, lazy.S - k) + 1):
             lazy.p_coeff(Word([0] * k), n)
-    kmask, nmask = (1 << lazy._kbits) - 1, (1 << lazy._nbits) - 1
-    held = [(key >> lazy._nbits & kmask, key & nmask, v) for key, v in lazy._memo.items() if v]
+    held = [(k, n, v) for (k, n), slot in memo_slots(lazy).items() for v in slot.values() if v]
     assert all(k + n <= lazy.S for k, n, _ in held)
     largest = max(max(lazy._digits(v)) for _, _, v in held)
     assert check_headroom(lazy.spec, lazy.S) >= largest
