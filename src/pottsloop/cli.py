@@ -68,16 +68,16 @@ def _results_json(results):
 
 
 def cmd_solve(args) -> int:
-    spec = ModelSpec(kind=args.kind, c=args.c, ng=args.ng, ltarget=args.lmax)
-    # the headroom and listing refusals come first; then each word is written as it is read
-    rows = LazyTable(spec, max_len=args.lmax + args.ng).listing(args.lmax, args.ng, args.format == "json")
+    table = _lazy_table(args, args.lmax + args.ng, args.ng)  # refused here at any c where symbolic c is
+    # then the listing refusal, and each word is written as it is read
+    rows = table.listing(args.lmax, args.ng, args.format == "json")
     _write(args, _json_object(rows) if args.format == "json" else (f"{w}: {g}\n" for w, g in rows))
     return 0
 
 
-def _lazy_table(args, S: int) -> LazyTable:
-    """The lazy table at --c and --ng of the words up to S letters, refused at any c where symbolic c is."""
-    spec = ModelSpec(c=args.c, ng=args.ng)
+def _lazy_table(args, S: int, ng: int) -> LazyTable:
+    """The lazy table at --c and --kind to g^ng of the words up to S letters, refused at any c where symbolic c is."""
+    spec = ModelSpec(kind=getattr(args, "kind", "potts3"), c=args.c, ng=ng, ltarget=S - ng)
     if not spec.symbolic:  # LazyTable checks the headroom itself at symbolic c
         check_headroom(spec.replace(c="symbolic"), S)
     return LazyTable(spec, max_len=S)
@@ -85,7 +85,7 @@ def _lazy_table(args, S: int) -> LazyTable:
 
 def cmd_check_loops(args) -> int:
     # a refused truncation exits before the dense solve
-    table = _lazy_table(args, loopcat.catalog_edge(args.nx, args.ng))
+    table = _lazy_table(args, loopcat.catalog_edge(args.nx, args.ng), args.ng)
     # line 0 referees the dense solve itself, so it solves one: its residual at grade
     # min(nx + ng, 2 ng) reads only slots with |w| + n <= min(nx + ng, 2 ng)
     rep = generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng))))
@@ -102,14 +102,14 @@ def cmd_check_loops(args) -> int:
 
 
 def cmd_check_sd(args) -> int:
-    results = loopcat.check_sd(_lazy_table(args, loopcat.catalog_edge(args.nx, args.ng)), args.nx, args.ng)
+    results = loopcat.check_sd(_lazy_table(args, loopcat.catalog_edge(args.nx, args.ng), args.ng), args.nx, args.ng)
     ok = all(r.passed for r in results)
     _emit(args, {"reparameterisations": _results_json(results)}, _result_lines(results))
     return 0 if ok else 1
 
 
 def cmd_check_curve(args) -> int:
-    table = _lazy_table(args, curve_mod.curve_edge(args.nx, args.ng))
+    table = _lazy_table(args, curve_mod.curve_edge(args.nx, args.ng), args.ng)
     variants = ("1202", "1212") if args.moment_variant == "auto" else (args.moment_variant,)
     checks = curve_mod.check_curve(table, args.nx, args.ng, variants)
     if args.moment_variant == "auto":
@@ -134,7 +134,8 @@ def cmd_check_curve(args) -> int:
 
 
 def cmd_check_recurrences(args) -> int:
-    reports = curve_mod.check_recurrences(curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng))))
+    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng), args.ng))
+    reports = curve_mod.check_recurrences(moments)
     ok = all(r.passed for r in reports)
     payload = {
         "recurrences": [
@@ -157,8 +158,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import oracle
-    spec = ModelSpec(kind=args.kind, c=args.c, ng=args.max_n, ltarget=args.max_len)
-    rep = oracle.compare_with_solver(LazyTable(spec, max_len=args.max_len + args.max_n), args.max_n, args.max_len)
+    rep = oracle.compare_with_solver(_lazy_table(args, args.max_len + args.max_n, args.max_n), args.max_n, args.max_len)
     lines = [f"checked {rep.checked} coefficients against the contraction oracle"]
     for w, n, got, expect in rep.mismatches:
         lines.append(f"MISMATCH {w} g^{n}: solver {got} oracle {expect}")
@@ -176,7 +176,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng)))
+    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng), args.ng))
     rows = ["moment,g_power,value"]
     data = []
     for label in curve_mod.MOMENT_LABELS:

@@ -69,7 +69,10 @@ class Word:
         s = s.strip()
         if s in ("", "ε"):
             return EMPTY_WORD
-        return Word(int(ch) for ch in s)
+        for ch in s:
+            if ch not in "012":
+                raise ValueError(f"letter {ch!r} of word {s!r} outside alphabet {{0,1,2}}")
+        return Word(map(int, s))
 
     # -- queries -----------------------------------------------------------
 
@@ -351,9 +354,10 @@ def _orbit_images(bits: int, k: int) -> set:
     """Every packed word in the rotation/reversal/relabelling orbit of a k-letter word.
 
     The 2k rotations of the word and of its reversal are the 64-bit lanes of
-    one integer, and each relabelling is one bit operation on all of them,
-    with the low bit of each letter of each lane as mask; a letter never
-    moves a bit out of its lane.  So it takes words of at most 32 letters.
+    one integer, and each relabelling (``_first_occurrence``) is one bit
+    operation on all of them, with the low bit of each letter of each lane
+    as mask; a letter never moves a bit out of its lane.  So it takes words
+    of at most 32 letters.
     """
     if k == 0:
         return {0}
@@ -368,19 +372,11 @@ def _orbit_images(bits: int, k: int) -> set:
     width = 16 * k
     low = _low_bits(k) * ((1 << (8 * width)) // ((1 << 64) - 1))  # every lane's low bits
     d = int.from_bytes(struct.pack(f"{2 * k}Q", *dihedral), sys.byteorder)
-
-    def swap01(w):
-        return w ^ (low & ~(w >> 1))
-
-    def swap12(w):
-        return ((w & low) << 1) | ((w >> 1) & low)
-
-    s, t = swap01(d), swap12(d)
-    ts = swap12(s)
-    # the insertion order fixes the set's iteration order, which the images of word_orbits keep
+    # the five other relabellings, (01) and (12) first: the insertion order fixes the set's
+    # iteration order, which the images of word_orbits keep
     images = set(dihedral)
-    for w in (s, t, ts, swap01(t), swap01(ts)):
-        images.update(memoryview(w.to_bytes(width, sys.byteorder)).cast("Q"))
+    for x, y in ((1, 0), (0, 2), (1, 2), (2, 0), (2, 1)):
+        images.update(memoryview(_first_occurrence(d, x, y, low).to_bytes(width, sys.byteorder)).cast("Q"))
     return images
 
 

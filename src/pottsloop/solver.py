@@ -294,8 +294,8 @@ class _TableBase:
     None.  A table says only how to read a held slot (``_slot``); the
     guards live in ``_reader`` alone.  ``_digits`` is the one decoder of
     the raw encoding; every value that leaves a table as a Poly
-    (``p_coeff``, the export stream ``_word_slots``, residual failures and
-    the series of ``_digit_rows``) is read through it.
+    (``p_coeff`` and the series of ``gseries``, the export stream
+    ``_word_slots`` and residual failures) is read through it.
     """
 
     def __init__(self, spec: ModelSpec, S: int):
@@ -392,11 +392,6 @@ class _TableBase:
             raise ArithmeticError(f"slot value {max(ones)} at c = 1 reaches the 2^62 digit guard; headroom violated")
         return PackedRows(rows, 1, _B, max(ones), sum(ones))
 
-    def _digit_rows(self, slots, ng: int) -> tuple:
-        """``_rows`` decoded to c-digit lists, the rows ``XLaurent._from_ints`` takes."""
-        s = self._rows(slots, ng)
-        return [[self._digits(v) for v in row] for row in s.rows], s.den
-
     def value_word(self, word: Word, n: int):
         """Coefficient in the raw domain: the packed polynomial (symbolic c) or a Fraction."""
         check_order(n)
@@ -412,10 +407,10 @@ class _TableBase:
         return self._poly(self._raw(word.bits, word.n, n), (word.n + 3 * n) // 2)
 
     def gseries(self, word, ng: Optional[int] = None) -> XLaurent:
-        """The full g-series of a word's coefficient (an x-order-0 series), read by ``_digit_rows``."""
+        """The full g-series of a word's coefficient (an x-order-0 series): the g-row of ``p_coeff``."""
         ng = self.ng if ng is None else ng
         check_order(ng)
-        return XLaurent._from_ints(0, *self._digit_rows([[_as_word(word)]], ng), 0, ng)
+        return XLaurent(0, [[self.p_coeff(word, n) for n in range(ng + 1)]], 0, ng)
 
     def _word_slots(self, lmax: int, ng: int, sort_keys: bool = False):
         """(length, bits, [(n, Poly), ...]) per word with a nonzero slot to g^ng: the one export stream.
@@ -904,9 +899,8 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
     """Series solution of the one-matrix generating equation plus branch data."""
     spec = ModelSpec(kind="pure-gravity", c="symbolic", ng=ng, ltarget=lx)
     table = solve_series(spec)
-    rows, den = table._digit_rows([[Word([0] * k)] for k in range(max(lx, 1) + 1)], ng)  # p1 even at lx = 0
-    phi = XLaurent._from_ints(0, rows, den, lx, ng)
-    lo, hi = _pure_gravity_branches(XLaurent._from_ints(0, rows[1:2], den, 0, ng), lx, ng)
+    phi = XLaurent(0, [[table.p_coeff(Word([0] * k), n) for n in range(ng + 1)] for k in range(lx + 1)], lx, ng)
+    lo, hi = _pure_gravity_branches(table.gseries([0], ng), lx, ng)
     first_mismatch = None
     if check_variant:
         variant = solve_pure_gravity_variant(min(ng, 4), min(lx, 6))

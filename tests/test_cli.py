@@ -165,6 +165,13 @@ def test_oracle_word(capsys):
     assert out.strip() == "1+c^2"
 
 
+def test_oracle_refuses_a_word_outside_the_alphabet(capsys):
+    code = main(["oracle", "--word", "０"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: letter '０' of word '０' outside alphabet {0,1,2}\n"
+
+
 def test_compare(capsys):
     code, out = run(capsys, "compare", "--max-len", "3", "--max-n", "2")
     assert code == 0
@@ -319,7 +326,14 @@ def test_numeric_moment_commands_refuse_past_the_symbolic_order(capsys, monkeypa
 
     monkeypatch.setattr(cli, "LazyTable", no_table)
     refused = {}
-    for argv, bits in (("export --ng 18 --c 1/3", 66), ("check-recurrences --ng 40 --c -2/3", 147)):
+    # solve and compare build their tables in the same place, so they refuse the same way
+    for argv, bits in (
+        ("export --ng 18 --c 1/3", 66),
+        ("check-recurrences --ng 40 --c -2/3", 147),
+        ("solve --ng 20 --lmax 2 --c 1/3", 70),
+        ("solve --kind pure-gravity --ng 40 --lmax 2 --c 1/4", 79),
+        ("compare --max-len 2 --max-n 30 --c 1/3", 106),
+    ):
         assert main(argv.split()) == 2, argv
         out, refused[argv] = capsys.readouterr()
         assert out == "" and f"(a {bits}-bit bound), beyond the 2^62 digit guard" in refused[argv], argv

@@ -228,6 +228,15 @@ def test_single_word_reversal_takes_any_length():
             assert _reverse_word(word.bits, k) == word.reverse().bits
 
 
+def test_from_string_reads_only_the_letters_0_1_2():
+    # int() would read any Unicode decimal digit, so "٢1" was the word 21
+    for s, ch in (("٢1", "٢"), ("０", "０"), ("0a", "a"), ("0 1", " ")):
+        with pytest.raises(ValueError) as err:
+            Word.from_string(s)
+        assert str(err.value) == f"letter {ch!r} of word {s!r} outside alphabet {{0,1,2}}"
+    assert [str(Word.from_string(s)) for s in (" 012 ", "", "ε")] == ["012", "ε", "ε"]
+
+
 def test_orbit_images_are_the_orbit_on_one_lane_per_image():
     # every word of up to 7 letters, and seeded words up to the 32 letters of one 64-bit lane
     rng = random.Random(26)
