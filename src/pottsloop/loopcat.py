@@ -38,6 +38,7 @@ first nonzero slot a check reports is decoded.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from .freealg import Word
@@ -320,20 +321,32 @@ def _amp_rows(table, amp, nx, ng) -> PackedRows:
     return rows
 
 
-def _loop_rows(terms, table, nx, ng) -> PackedRows:
+def _factors(term) -> tuple:
+    """A term's cache keys: its amplitudes, then the label of its scalar moment if it has one."""
+    return term.amps if term.p_label is None else term.amps + (term.p_label,)
+
+
+def _loop_rows(terms, table, nx, ng, cache=None, uses=None) -> PackedRows:
     """Rows of a term sum: a catalog entry or a generated identity (vanishes on a solved table).
 
-    Amplitude rows are cached for the one sum, one probe per factor; a
-    scalar moment (the x^0 slot of its label's amplitude) under its label.
+    Amplitude rows are cached, one probe per factor; a scalar moment (the
+    x^0 slot of its label's amplitude) under its label.  A fresh cache
+    serves the one sum.  ``check_loops`` passes one ``cache`` to every
+    entry, so each amplitude is read once per call, and ``uses``, the reads
+    of each key left in the call: a row leaves the cache at its last read.
     """
-    cache = {}
+    cache = {} if cache is None else cache
     series = []
     for term in terms:
         s = None
-        for a in term.amps if term.p_label is None else term.amps + (term.p_label,):
+        for a in _factors(term):
             rows = cache.get(a)
             if rows is None:
                 rows = cache[a] = _amp_rows(table, a, nx, ng) if type(a) is Amp else _amp_rows(table, Amp(a), 0, ng)
+            if uses is not None:
+                uses[a] -= 1
+                if not uses[a]:
+                    del cache[a]
             s = rows if s is None else packed_mul(s, rows, nx, ng)
         series.append((table.spec.const(Poly(term.coeff)), term.g_power, term.x_power, s))
     return packed_sum(series, nx, ng)
@@ -454,8 +467,9 @@ def catalog_edge(nx: int, ng: int) -> int:
 def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended") -> list:
     """Residuals of all cataloged scalar equations; one result per entry."""
     out = []
+    cache, uses = {}, Counter(a for eq in CATALOG for t in eq.effective_terms(variant) for a in _factors(t))
     for eq in CATALOG:
-        fz, bad = _nonzero_slots(_loop_rows(eq.effective_terms(variant), table, nx, ng))
+        fz, bad = _nonzero_slots(_loop_rows(eq.effective_terms(variant), table, nx, ng, cache, uses))
         label = eq.template
         if variant == "emended" and eq.emended is not None:
             label += "  [emended transcription]"

@@ -39,7 +39,8 @@ through p and E = (|w| + 3n)/2, and both are orbit invariants.
 ``LazyTable`` keeps one memo dict per slot, whose lookup is its reader: a
 miss maps the word to its orbit representative (``freealg.orbit_rep``,
 once per miss) and reads that in the same dict; only representatives run
-``_rhs`` and every other word copies its representative's value.  The
+``_rhs``, on the split plan (``_splits``) the slot built at its first
+solve, and every other word copies its representative's value.  The
 dense solve takes the orbit partition of each word length
 (``freealg.word_orbits``), runs on the representatives and stores each
 value under every word of the orbit, so its layers are the same plain
@@ -60,8 +61,11 @@ rotation, the reversal fused with (12), and (01)), and the fixed point is
 then checked once per orbit.  Both residual forms read the table through
 one reader per (length, order) (``_TableBase._reader``), fetched once per
 layer rather than once per read, and the lazy recursion reads through the
-same readers.  The recast form reads words one letter
-longer than its slot, so it runs only below the region's edge |w| + n = S.
+same readers.  The fixed point runs ``_rhs`` on one split plan
+(``_splits``) per (length, order), as the lazy solve does; the dense solve
+keeps its own split code, so the residual checks it with independent code.
+The recast form reads words one letter longer than its slot, so it runs
+only below the region's edge |w| + n = S.
 The singleton partition (``_singletons``) turns the same solve loop and
 the same residual into the unreduced referee, which runs the recursion and
 the fixed point on every word.  The tests keep that referee at the benchmark
@@ -242,38 +246,53 @@ def _solve_dense(nlet: int, S: int, ng: int, b: int, a: int, orbits: list):
     return layers
 
 
-def _rhs(slots: list, nlet: int, b: int, a: int, w: int, k: int, n: int) -> int:
-    """Right-hand side of the edge-removal recursion at one slot, as a raw integer.
+def _splits(slots: list, k: int, n: int) -> tuple:
+    """The split plan of slot (k, n): (u mask, v shift, reader pairs) per split position with a pair.
 
-    ``slots[k][n]`` is the reader (``_TableBase._reader``) of the words of
-    length k at g^n; the recursion reads strictly lower grades.
+    Position t strips letter w[t] and splits the rest into u = w[1:t] and
+    v = w[t+1:], read at the orders (m, n - m) with |u| + m even, ascending
+    in m, so the plan makes the reads of a scan of every position and
+    order, in the same order.  ``slots[k][n]`` is the reader
+    (``_TableBase._reader``) of the words of length k at g^n.  A plan lives
+    as long as its slot, so it is kept in tuples, which hold no spare room.
     """
-    if k == 0:
-        return 1 if n == 0 else 0
-    i0 = w & 3
-    eq = ne = 0
+    plan = []
     for t in range(1, k):
-        ulen = t - 1
-        u = (w >> 2) & ((1 << (2 * ulen)) - 1)
-        v = w >> (2 * (t + 1))
-        u_slots, v_slots = slots[ulen], slots[k - 1 - t]
+        pairs = tuple((slots[t - 1][m], slots[k - 1 - t][n - m]) for m in range((t - 1) & 1, n + 1, 2))
+        if pairs:
+            plan.append(((1 << (2 * (t - 1))) - 1, 2 * (t + 1), pairs))
+    return tuple(plan)
+
+
+def _rhs(plan: tuple, tri, nlet: int, b: int, a: int, w: int) -> int:
+    """Right-hand side of the edge-removal recursion at a nonempty word, as a raw integer.
+
+    ``plan`` is the slot's split plan (:func:`_splits`) and ``tri`` the
+    reader of the triangle removal, ``slots[k + 1][n - 1]`` (None at
+    n = 0); both read strictly lower grades.  The empty word has no edge
+    to remove: its callers give it the unit, 1 at g^0 and 0 above.
+    """
+    i0 = w & 3
+    w2, w4 = w >> 2, w << 2  # letter t of w is the low letter of w4 >> (v shift)
+    eq = ne = 0
+    for mask_u, shift_v, pairs in plan:
+        u, v = w2 & mask_u, w >> shift_v
         conv = 0
-        for m in range(ulen & 1, n + 1, 2):  # the orders m with ulen + m even
-            pu = u_slots[m](u)
+        for read_u, read_v in pairs:
+            pu = read_u(u)
             if pu:
-                pv = v_slots[n - m](v)
+                pv = read_v(v)
                 if pv:
                     conv += pu * pv
         if conv:
-            if ((w >> (2 * t)) & 3) == i0:
+            if (w4 >> shift_v) & 3 == i0:
                 eq += conv
             else:
                 ne += conv
-    if n:
-        read = slots[k + 1][n - 1]
-        u4 = (w >> 2) << 4
+    if tri is not None:
+        u4 = w2 << 4
         for i in range(nlet):
-            val = read(u4 | i | (i << 2))
+            val = tri(u4 | i | (i << 2))
             if val:
                 if i == i0:
                     eq += val
@@ -546,20 +565,28 @@ class _Slot(dict):
     """A ``LazyTable``'s memo of one held slot (k, n): packed word -> raw value.
 
     A miss canonicalises the word once and reads the representative, runs
-    ``_rhs`` on it only if that is missing too and stores the value under both.
+    ``_rhs`` on it only if that is missing too and stores the value under
+    both.  The slot's first solve builds its split plan (``_splits``) and
+    fetches its triangle reader, and every later solve reuses both.
     """
 
-    __slots__ = ("table", "k", "n")
+    __slots__ = ("table", "k", "n", "plan", "tri")
 
     def __init__(self, table, k: int, n: int):
-        self.table, self.k, self.n = table, k, n
+        self.table, self.k, self.n, self.plan = table, k, n, None
 
     def __missing__(self, bits):
         rep = orbit_rep(bits, self.k)
         v = self.get(rep)
         if v is None:
             t = self.table
-            v = self[rep] = _rhs(t._slots, t.nlet, t._b, t._a, rep, self.k, self.n)
+            if not self.k:  # the empty word: 1 at g^0, 0 above
+                v = self[rep] = int(not self.n)
+            else:
+                if self.plan is None:  # the slot's first solve
+                    self.plan = _splits(t._slots, self.k, self.n)
+                    self.tri = t._slots[self.k + 1][self.n - 1] if self.n else None
+                v = self[rep] = _rhs(self.plan, self.tri, t.nlet, t._b, t._a, rep)
             t.rhs_evaluations += 1
         self[bits] = v
         return v
@@ -755,7 +782,8 @@ def _recast_words(orbits_k, k: int) -> list:
 def _residual(table: SolutionTable, grade: int, orbits: list) -> ResidualReport:
     """Both generating-equation forms over an orbit partition of the words.
 
-    The fixed point runs at each representative of ``orbits``, zero or not.
+    The fixed point runs at each representative of ``orbits``, zero or not,
+    through one split plan (``_splits``) and triangle reader per (k, n).
     The recast form runs at the words of :func:`_recast_words`, or at every
     word once the symmetry check has failed, and only at slots with
     |w| + n < S: it reads words one letter longer.  With the singleton
@@ -771,8 +799,9 @@ def _residual(table: SolutionTable, grade: int, orbits: list) -> ResidualReport:
         for n in range(min((grade - k) // 2, table.ng) + 1):
             if (k + n) & 1 == 0:
                 read = slots[k][n]
+                plan, tri = _splits(slots, k, n), slots[k + 1][n - 1] if n else None
                 for w, _ in orbits[k]:
-                    diff = (read(w) or 0) - _rhs(slots, nlet, b, a, w, k, n)
+                    diff = (read(w) or 0) - (_rhs(plan, tri, nlet, b, a, w) if k else int(not n))
                     if diff:
                         bad_fp.append(_failure(table, k, w, n, diff, (k + 3 * n) // 2))
             elif nlet == 3 and k + n < S:
@@ -843,13 +872,14 @@ class PureGravityResult(Record):
     variant_first_mismatch: Optional[tuple]
 
 
-def _pure_gravity_branches(p1: XLaurent, nx: int, ng: int):
+def _pure_gravity_branches(g_p1: XLaurent, nx: int, ng: int):
     """Both roots of the quadratic generating equation for the one-matrix model.
 
     The quadratic is x^2 Phi^2 - (1 - g/x) Phi + (1 - g/x - g p1) = 0; the
-    root regular at x = 0 is the disk generating function.  Internal
-    truncation is widened so that every kept slot is exact despite the
-    negative x powers (each carries at least one g).
+    root regular at x = 0 is the disk generating function.  ``g_p1`` is the
+    g-series g p1, the only form in which p1 enters.  Internal truncation is
+    widened so that every kept slot is exact despite the negative x powers
+    (each carries at least one g).
     """
     NX = nx + ng + 2
     one = XLaurent.x_power(0, NX, ng)
@@ -857,7 +887,7 @@ def _pure_gravity_branches(p1: XLaurent, nx: int, ng: int):
     x = XLaurent.x_power(1, NX, ng)
     g_over = g * XLaurent.x_power(-1, NX, ng)
     b = one - g_over
-    const = one - g_over - p1 * g
+    const = one - g_over - g_p1
     disc = b * b - 4 * (x * x) * const
     s = xlaurent_sqrt(disc, grade_cap=NX)
 
@@ -900,7 +930,9 @@ def solve_pure_gravity(ng: int, lx: int, *, check_variant: bool = True) -> PureG
     spec = ModelSpec(kind="pure-gravity", c="symbolic", ng=ng, ltarget=lx)
     table = solve_series(spec)
     phi = XLaurent(0, [[table.p_coeff(Word([0] * k), n) for n in range(ng + 1)] for k in range(lx + 1)], lx, ng)
-    lo, hi = _pure_gravity_branches(table.gseries([0], ng), lx, ng)
+    # g p1 reads p1 only to g^(ng - 1), which the table holds at every lx: (|w| = 1, n = ng) lies outside it at lx = 0
+    g_p1 = XLaurent(0, [[0] + [table.p_coeff([0], n) for n in range(ng)]], 0, ng)
+    lo, hi = _pure_gravity_branches(g_p1, lx, ng)
     first_mismatch = None
     if check_variant:
         variant = solve_pure_gravity_variant(min(ng, 4), min(lx, 6))

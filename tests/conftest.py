@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import lcm
+from itertools import permutations
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -134,3 +135,29 @@ def lazy_table():
 def medium_table():
     """Symbolic Potts table, region |w| + n <= 11 (deep enough for shallow catalog runs)."""
     return solve_series(ModelSpec(kind="potts3", c="symbolic", ng=3, ltarget=8))
+
+
+def burnside_orbits(k: int) -> int:
+    """Orbits of D_k x S3 on the three-letter words of length k, by Burnside's lemma.
+
+    Each pair (g, sigma) fixes prod over the cycles of g of #fix(sigma^L),
+    L the cycle's length; the orbit count is the mean over the 12k pairs.
+    """
+    if k == 0:
+        return 1
+    cycles = [[k // gcd(k, r)] * gcd(k, r) for r in range(k)]  # the rotations
+    if k % 2:
+        cycles += [[1] + [2] * (k // 2)] * k
+    else:
+        cycles += [[1, 1] + [2] * (k // 2 - 1)] * (k // 2) + [[2] * (k // 2)] * (k // 2)
+
+    def fix(sigma, L):  # the letters a with sigma^L(a) = a
+        power = list(range(3))
+        for _ in range(L):
+            power = [sigma[a] for a in power]
+        return sum(power[a] == a for a in range(3))
+
+    perms = list(permutations(range(3)))
+    total = sum(prod(fix(sigma, L) for L in cyc) for cyc in cycles for sigma in perms)
+    assert total % (12 * k) == 0
+    return total // (12 * k)

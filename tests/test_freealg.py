@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from pottsloop.freealg import (
     word_orbits,
 )
 from pottsloop.freealg import _LANE_SLICE, _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
-from conftest import drop_last, from_fractions, gseries, monomial, right_delta
+from conftest import burnside_orbits, drop_last, from_fractions, gseries, monomial, right_delta
 
 
 def w(s):
@@ -248,32 +247,6 @@ def test_orbit_images_are_the_orbit_on_one_lane_per_image():
         _orbit_images(Word([0, 1, 2] * 11).bits, 33)
 
 
-def _burnside_orbits(k: int) -> int:
-    """Orbits of D_k x S3 on the three-letter words of length k, by Burnside's lemma.
-
-    Each pair (g, sigma) fixes prod over the cycles of g of #fix(sigma^L),
-    L the cycle's length; the orbit count is the mean over the 12k pairs.
-    """
-    if k == 0:
-        return 1
-    cycles = [[k // math.gcd(k, r)] * math.gcd(k, r) for r in range(k)]  # the rotations
-    if k % 2:
-        cycles += [[1] + [2] * (k // 2)] * k
-    else:
-        cycles += [[1, 1] + [2] * (k // 2 - 1)] * (k // 2) + [[2] * (k // 2)] * (k // 2)
-
-    def fix(sigma, L):  # the letters a with sigma^L(a) = a
-        power = list(range(3))
-        for _ in range(L):
-            power = [sigma[a] for a in power]
-        return sum(power[a] == a for a in range(3))
-
-    perms = list(itertools.permutations(range(3)))
-    total = sum(math.prod(fix(sigma, L) for L in cyc) for cyc in cycles for sigma in perms)
-    assert total % (12 * k) == 0
-    return total // (12 * k)
-
-
 def test_word_orbits_unchanged_up_to_twelve_letters():
     # the sweep order and each orbit's image order, as first listed with the string canonicaliser
     orbits = [word_orbits.__wrapped__(k) for k in range(13)]
@@ -282,7 +255,7 @@ def test_word_orbits_unchanged_up_to_twelve_letters():
     )
     # the orbit census: a canonicaliser that split an orbit would pass every value check
     counts = [len(o) for o in orbits]
-    assert counts == [_burnside_orbits(k) for k in range(13)]
+    assert counts == [burnside_orbits(k) for k in range(13)]
     assert counts == [1, 1, 2, 3, 6, 9, 22, 40, 100, 225, 582, 1464, 3960]
 
 

@@ -152,6 +152,33 @@ def test_check_drivers_report_passes(medium_table):
     assert "PASS" in loops[0].line()
 
 
+@pytest.mark.parametrize("variant", ["emended", "printed"])
+def test_check_loops_reads_each_amplitude_once(medium_table, monkeypatch, variant):
+    # one cache serves every entry of a check_loops call: one read per distinct amplitude
+    # to x^2 or scalar moment (its label's amplitude to x^0), each row dropped at its last read
+    from pottsloop import loopcat
+
+    reads, caches = [], []
+
+    def counted(table, amp, nx, ng):
+        reads.append((amp, nx))
+        return _amp_rows(table, amp, nx, ng)
+
+    def spied(terms, table, nx, ng, cache=None, uses=None):
+        caches.append(cache)
+        return _loop_rows(terms, table, nx, ng, cache, uses)
+
+    monkeypatch.setattr(loopcat, "_amp_rows", counted)
+    monkeypatch.setattr(loopcat, "_loop_rows", spied)
+    terms = [t for eq in CATALOG for t in eq.effective_terms(variant)]
+    keys = {(a, 2) for t in terms for a in t.amps} | {(Amp(t.p_label), 0) for t in terms if t.p_label is not None}
+    results = check_loops(medium_table, 2, 3, variant=variant)
+    assert len(reads) == len(keys) < sum(len(t.amps) + (t.p_label is not None) for t in terms)
+    assert set(reads) == keys
+    assert len(caches) == len(CATALOG) and all(c is caches[0] for c in caches) and caches[0] == {}
+    assert [r.passed for r in results] == [variant == "emended" or eq.emended is None for eq in CATALOG]
+
+
 def test_check_sd_at_numeric_c():
     lazy = LazyTable(ModelSpec(kind="potts3", c="1/4", ng=4, ltarget=4), max_len=16)
     results = check_sd(lazy, 4, 4)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grade_mask, memo_slots, shift_x, solve_unreduced
+from conftest import burnside_orbits, grade_mask, memo_slots, shift_x, solve_unreduced
 from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
 from pottsloop.loopcat import Amp, _amp_rows, catalog_edge, check_loops, check_sd
 from pottsloop.oracle import planar_moment
@@ -25,7 +25,7 @@ from pottsloop.solver import (
     solve_pure_gravity,
     solve_series,
 )
-from pottsloop.solver import _recast_words, _residual, _singletons
+from pottsloop.solver import _recast_words, _residual, _singletons, _splits
 
 
 def _one_slot_table(packed: int) -> SolutionTable:
@@ -490,6 +490,47 @@ def test_catalog_memo_is_the_one_matrix_count_at_c_one(catalog_memo):
         assert {v % ((1 << 64) - 1) for v in slot.values()} <= {3**n * pg}, (k, n)
 
 
+def test_catalog_memo_holds_at_most_one_representative_per_orbit(catalog_memo):
+    # the orbit census: a canonicaliser that split an orbit would store more representatives than orbits
+    lazy = catalog_memo[0]
+    for (k, n), slot in memo_slots(lazy).items():
+        orbits = len(word_orbits(k)) if k <= 12 else burnside_orbits(k)
+        assert sum(orbit_rep(bits, k) == bits for bits in slot) <= orbits, (k, n)
+
+
+def test_each_slot_builds_its_split_plan_once(monkeypatch):
+    # a catalog pass solves many orbits per slot and builds one plan per slot
+    import pottsloop.solver as solver
+
+    calls = []
+
+    def counted(slots, k, n):
+        calls.append((k, n))
+        return _splits(slots, k, n)
+
+    monkeypatch.setattr(solver, "_splits", counted)
+    lazy = LazyTable(ModelSpec(c="3/7", ng=3), max_len=catalog_edge(3, 3))
+    assert all(r.passed for r in check_loops(lazy, 3, 3) + check_sd(lazy, 3, 3))
+    assert sorted(calls) == sorted(set(calls))
+    assert set(calls) == {(k, n) for (k, n), slot in memo_slots(lazy).items() if k and slot}
+    assert len(calls) < lazy.rhs_evaluations
+
+
+def test_the_residual_checks_the_dense_solve_with_its_own_split_code(monkeypatch):
+    # the lazy solve and the fixed-point residual read split plans, the dense solve does not:
+    # a plan that drops its last split position moves the lazy values and fails the dense table
+    import pottsloop.solver as solver
+
+    spec = ModelSpec(c="symbolic", ng=2, ltarget=4)
+    dense = solve_series(spec)
+    assert generating_residual(dense).ok
+    monkeypatch.setattr(solver, "_splits", lambda slots, k, n: _splits(slots, k, n)[:-1])
+    lazy = LazyTable(spec, max_len=dense.S)
+    words = [w for k in range(spec.ltarget + 1) for w in all_words(k)]
+    assert any(lazy.p_coeff(w, n) != dense.p_coeff(w, n) for w in words for n in range(spec.ng + 1))
+    assert generating_residual(dense).fixed_point
+
+
 def test_negative_orders_are_refused_by_every_reader():
     for table in (solve_series(ModelSpec(ng=2, ltarget=4)), LazyTable(ModelSpec(ng=2), max_len=6)):
         for read in (lambda: table.p_coeff("00", -2), lambda: table.value_word(Word.from_string("00"), -2)):
@@ -707,6 +748,15 @@ def test_pure_gravity_solution_and_branches():
         assert tab.p_coeff("", n).is_zero()  # only one trivial triangulation
     assert (pg.branch - pg.phi).is_zero()
     assert not (pg.branch_other - pg.phi).is_zero()
+
+
+def test_pure_gravity_solves_every_small_truncation():
+    # g p1 reads p1 only below g^ng: at lx = 0 and odd ng the slot (|w| = 1, n = ng) lies outside the table
+    for ng in range(7):
+        for lx in range(4):
+            pg = solve_pure_gravity(ng, lx)
+            assert (pg.branch - pg.phi).is_zero(), (ng, lx)
+            assert pg.phi.coefficient(0)[0] == Poly((1,))
 
 
 def test_pure_gravity_branches_satisfy_vieta():
