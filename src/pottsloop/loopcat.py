@@ -21,10 +21,10 @@ expectations factorise in the planar limit.  The generator emits catalog
 terms, whose amplitudes may carry another block letter and a word after
 the block, and one evaluator (``_loop_rows``) sums catalog entries and
 generated identities alike.  Each generated residual is checked to
-vanish.  Its pairing with the catalog entry (generated residual = npieces
-times the catalog residual) is checked on the solved table only, where
-both sides vanish; there it is implied by ``check_loops`` and says nothing
-about the two constructions term by term.
+vanish.  Its pairing with the catalog entry is that entry's
+``check_loops`` verdict on the same table: on the solved table, where
+both sides vanish, it says nothing about the two constructions term by
+term.
 
 Every residual is evaluated on packed rows (``ring.PackedRows``): one
 integer per x^e g^n slot, as the table packs it: the c-polynomial at
@@ -42,7 +42,7 @@ from collections import Counter
 from typing import Optional
 
 from .freealg import Word
-from .ring import P_ONE, FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
+from .ring import FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
 from .solver import _TableBase
 
 # coefficient polynomials in c, ascending powers
@@ -426,13 +426,6 @@ def _sd_terms(rep):
     return tuple(terms)
 
 
-def _reproduces_catalog(rep, residual, table, nx, ng):
-    """``residual`` (rows of ``rep``) equals npieces times the paired catalog residual."""
-    paired = _loop_rows(CATALOG[rep.index - 1].effective_terms(), table, nx, ng)
-    diff = packed_sum([(P_ONE, 0, 0, residual), (Poly((-len(rep.pieces),)), 0, 0, paired)], nx, ng)
-    return not _nonzero_slots(diff)[1]
-
-
 # ---------------------------------------------------------------------------
 # check drivers
 # ---------------------------------------------------------------------------
@@ -480,17 +473,18 @@ def check_loops(table: _TableBase, nx: int, ng: int, *, variant: str = "emended"
 def check_sd(table: _TableBase, nx: int, ng: int) -> list:
     """Residuals of all reparameterisation identities, plus their catalog pairing.
 
-    The pairing is evaluated on the solved table, where both the generated
-    and the catalog residual vanish, so it is implied by ``check_loops``
-    and adds no term-by-term comparison of the two constructions.
+    The pairing is the paired entry's ``check_loops`` verdict: a vanishing
+    generated residual equals npieces times the catalog residual exactly
+    when that residual vanishes too.  It adds no term-by-term comparison
+    of the two constructions.
     """
     out = []
+    catalog = check_loops(table, nx, ng)
     for rep in SD_DESCRIPTORS:
-        res = _loop_rows(_sd_terms(rep), table, nx, ng)
-        fz, bad = _nonzero_slots(res)
+        fz, bad = _nonzero_slots(_loop_rows(_sd_terms(rep), table, nx, ng))
         ok = fz is None
         label = str(rep)
-        if ok and not _reproduces_catalog(rep, res, table, nx, ng):
+        if ok and not catalog[rep.index - 1].passed:
             ok = False
             label += "  (does not reproduce its catalog pairing)"
         out.append(CheckResult(rep.index, label, ok, fz, bad))
