@@ -11,12 +11,10 @@ import json
 import re
 import sys
 
-# solver first: the largest module then compiles before the others load, which
-# lowers the peak memory of the import, and with it each command's peak RSS
-from .solver import LazyTable, ModelSpec, check_headroom, generating_residual, solve_series  # isort: skip
 from . import curve as curve_mod
 from . import loopcat
 from .freealg import Word
+from .solver import LazyTable, ModelSpec, check_headroom, generating_residual, solve_series
 
 
 def _order(s: str) -> int:

@@ -1,30 +1,18 @@
-"""Catalog of scalar loop equations and the reparameterisation generator.
+"""The loop-catalog checks: the reparameterisation generator and one evaluator.
 
-Every constraint on the fixed-spin disk amplitude is a linear/quadratic
-relation among amplitude series
-
-    phi_label(x) = sum_k x^k p(label 0^k),
-
-the expectation of a boundary word followed by a block of 0s conjugate to
-the expansion variable.  The catalog below transcribes the printed
-equations verbatim as data: each entry is a list of terms
-(coefficient polynomial in c) * g^a * x^b * [scalar moment] * product of
-(shifted, optionally reversal-symmetrised) amplitudes.  A residual is the
-term sum, which must vanish identically on the solved table.
-
-The same constraints are generated independently from invariance of the
-matrix integral under X0 -> X0 + eps (A (z - X_a)^-1 B + reverse): the
-Jacobian comes from the split rule (the resolvent splits the trace at each
-X0) and the merge rule (each explicit X0 in A or B splits off a closed
-trace), the action variation inserts S'(X0) at the end of the trace, and
-expectations factorise in the planar limit.  The generator emits catalog
-terms, whose amplitudes may carry another block letter and a word after
-the block, and one evaluator (``_loop_rows``) sums catalog entries and
-generated identities alike.  Each generated residual is checked to
-vanish.  Its pairing with the catalog entry is that entry's
-``check_loops`` verdict on the same table: on the solved table, where
-both sides vanish, it says nothing about the two constructions term by
-term.
+The constraints of the catalog (``catalog.CATALOG``) are generated
+independently from invariance of the matrix integral under
+X0 -> X0 + eps (A (z - X_a)^-1 B + reverse): the Jacobian comes from the
+split rule (the resolvent splits the trace at each X0) and the merge rule
+(each explicit X0 in A or B splits off a closed trace), the action
+variation inserts S'(X0) at the end of the trace, and expectations
+factorise in the planar limit.  The generator emits catalog terms, whose
+amplitudes may carry another block letter and a word after the block, and
+one evaluator (``_loop_rows``) sums catalog entries and generated
+identities alike.  Each generated residual is checked to vanish.  Its
+pairing with the catalog entry is that entry's ``check_loops`` verdict on
+the same table: on the solved table, where both sides vanish, it says
+nothing about the two constructions term by term.
 
 Every residual is evaluated on packed rows (``ring.PackedRows``): one
 integer per x^e g^n slot, as the table packs it: the c-polynomial at
@@ -33,7 +21,10 @@ amplitude's rows with their packing and a bound on their digits from
 their values at c = 1 (``_TableBase._rows``).  A product is one integer
 product per pair of slots, packed at 64 bits while its bound stays below
 2^63, wider otherwise, so a slot is zero iff its integer is; only the
-first nonzero slot a check reports is decoded.
+first nonzero slot a check reports is decoded.  The printed catalog
+(``CATALOG`` and its record types) lives in ``catalog``, and this module
+re-exports it; the reparameterisations that re-derive it entry by entry
+(``SD_DESCRIPTORS``) are transcribed here.
 """
 
 from __future__ import annotations
@@ -41,248 +32,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+from .catalog import _NC, _ND, _PC, CATALOG, Amp, LoopEquation, Term  # noqa: F401
 from .freealg import Word
 from .ring import FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
-from .solver import _TableBase
-
-# coefficient polynomials in c, ascending powers
-_ONE = (1,)
-_PC = (1, 1)  # 1 + c
-_ND = (-1, -1, 2)  # -(1 + c - 2c^2)
-_ND2 = (-2, -2, 4)  # -2(1 + c - 2c^2)
-_NC = (0, -1)  # -c
-_NC2 = (0, -2)  # -2c
-
-
-class Amp(FrozenRecord):
-    """The amplitude series sum_k x^k p(label a^(k+delta) post), a = ``letter``.
-
-    Catalog entries keep the 0-block and an empty ``post``; the generated
-    identities also read other blocks and trailing words.
-    """
-
-    label: str
-    delta: int = 0  # power of the x0 coefficient shift applied
-    sym: bool = False  # average with the reversed label
-    letter: int = 0  # the block letter a
-    post: str = ""  # the word after the block
-
-
-class Term(FrozenRecord):
-    coeff: tuple  # integer coefficients of the c-polynomial
-    amps: tuple  # one or two Amp factors
-    p_label: Optional[str] = None  # scalar moment factor
-    g_power: int = 0
-    x_power: int = 0
-
-
-class LoopEquation(FrozenRecord):
-    """One cataloged constraint.
-
-    ``terms`` is the verbatim transcription of the source.  For two entries
-    the transcribed subscripts are inconsistent with the reparameterisation
-    identity generated at the same position (the letter 2 appears where 0
-    belongs, in three amplitude labels); the corrected reading, forced term
-    by term by the generator in this module, is kept in ``emended`` and used
-    by default.  Entries with ``emended = None`` are consistent as printed.
-    """
-
-    index: int  # 1-based position, aligned with the reparameterisation list
-    template: str  # boundary-word labeling string
-    terms: tuple
-    emended: Optional[tuple] = None
-
-    def effective_terms(self, variant: str = "emended") -> tuple:
-        if variant == "emended" and self.emended is not None:
-            return self.emended
-        if variant not in ("emended", "printed"):
-            raise ValueError(f"unknown catalog variant {variant!r}")
-        return self.terms
-
-
-def _t(coeff, *amps, p=None, g=0, x=0):
-    return Term(tuple(coeff), amps, p, g, x)
-
-
-CATALOG = (
-    LoopEquation(1, "x0...x0", (
-        _t(_PC, Amp("", 1)),
-        _t(_ND, Amp(""), Amp(""), x=1),
-        _t(_ND, Amp("", 2), g=1),
-        _t(_NC2, Amp("1")),
-    )),
-    LoopEquation(2, "x1 x0...x0 x1", (
-        _t(_PC, Amp("101")),
-        _t(_ND, Amp("1"), Amp("1"), x=1),
-        _t(_ND, Amp("1001"), g=1),
-        _t(_NC, Amp("111")),
-        _t(_NC, Amp("121")),
-    )),
-    LoopEquation(3, "x1 x0...x0 (+ reverse)", (
-        _t(_PC, Amp("1", 1)),
-        _t(_ND, Amp(""), Amp("1"), x=1),
-        _t(_ND, Amp("1", 2), g=1),
-        _t(_NC, Amp("11")),
-        _t(_NC, Amp("12")),
-    )),
-    LoopEquation(4, "x2 x1 x0...x0 (+ reverse)", (
-        _t(_PC, Amp("12", 1)),
-        _t(_ND, Amp(""), Amp("12"), x=1),
-        _t(_ND, Amp("12", 2), g=1),
-        _t(_NC, Amp("121")),
-        _t(_NC, Amp("122", sym=True)),
-    )),
-    LoopEquation(5, "x1 x2 x1 x0...x0 (+ reverse)", (
-        _t(_PC, Amp("121", 1)),
-        _t(_ND, Amp(""), Amp("121"), x=1),
-        _t(_ND, Amp("121", 2), g=1),
-        _t(_NC, Amp("1212")),
-        _t(_NC, Amp("1121", sym=True)),
-    )),
-    LoopEquation(6, "x1 x0 x2 x0...x0 (+ reverse)", (
-        _t(_PC, Amp("102", 1)),
-        _t(_ND, Amp(""), Amp("102"), x=1),
-        _t(_ND, Amp("1"), p="1"),
-        _t(_ND, Amp("102", 2), g=1),
-        _t(_NC, Amp("1102", sym=True)),
-        _t(_NC, Amp("1201", sym=True)),
-    )),
-    LoopEquation(7, "x1 x0 x1 x0...x0 (+ reverse)", (
-        _t(_PC, Amp("101", 1)),
-        _t(_ND, Amp(""), Amp("101"), x=1),
-        _t(_ND, Amp("1"), p="1"),
-        _t(_ND, Amp("101", 2), g=1),
-        _t(_NC, Amp("1101", sym=True)),
-        _t(_NC, Amp("1202", sym=True)),
-    )),
-    LoopEquation(8, "x0 x1 x2 x0...x0 (+ reverse)", (
-        _t(_PC, Amp("12", 2)),
-        _t(_ND, Amp(""), Amp("12", 1), x=1),
-        _t(_ND, Amp("12")),
-        _t(_ND, Amp("12", 3), g=1),
-        _t(_NC, Amp("1201", sym=True)),
-        _t(_NC, Amp("1202", sym=True)),
-    )),
-    LoopEquation(9, "x1 x2 x0...x0 x0 (+ reverse)", (
-        _t(_PC, Amp("12", 2)),
-        _t(_ND, Amp("", 1), Amp("12"), x=1),
-        _t(_ND, Amp("12")),
-        _t(_ND, Amp("12", 3), g=1),
-        _t(_NC, Amp("112", 1, sym=True)),
-        _t(_NC, Amp("121", 1)),
-    )),
-    LoopEquation(10, "x2...x2", (
-        _t(_ONE, Amp("1")),
-        _t(_ND, Amp("11"), g=1),
-        _t(_NC, Amp("", 1)),
-    )),
-    LoopEquation(11, "x1 x2...x2 x1", (
-        _t(_PC, Amp("121")),
-        _t(_ND, Amp("1221"), g=1),
-        _t(_NC, Amp("111")),
-        _t(_NC, Amp("101")),
-    )),
-    LoopEquation(12, "x1 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("12")),
-        _t(_ND, Amp("112", sym=True), g=1),
-        _t(_NC, Amp("11")),
-        _t(_NC, Amp("1", 1)),
-    )),
-    LoopEquation(13, "x0 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("11")),
-        _t(_ND, Amp("")),
-        _t(_ND, Amp("111"), g=1),
-        _t(_NC, Amp("12")),
-        _t(_NC, Amp("1", 1)),
-    )),
-    LoopEquation(14, "x1 x1 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("112", sym=True)),
-        _t(_ND, Amp("1122"), g=1),
-        _t(_NC, Amp("111")),
-        _t(_NC, Amp("11", 1)),
-    )),
-    LoopEquation(15, "x2 x1 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("102")),
-        _t(_ND, Amp("1102", sym=True), g=1),
-        _t(_NC, Amp("101")),
-        _t(_NC, Amp("1", 2)),
-    )),
-    LoopEquation(16, "x2 x0 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("101")),
-        _t(_ND, Amp(""), p="1"),
-        _t(_ND, Amp("1101", sym=True), g=1),
-        _t(_NC, Amp("102")),
-        _t(_NC, Amp("1", 2)),
-    )),
-    LoopEquation(17, "x1 x0 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("121")),
-        _t(_ND, Amp(""), p="1"),
-        _t(_ND, Amp("1121", sym=True), g=1),
-        _t(_NC, Amp("112", sym=True)),
-        _t(_NC, Amp("12", 1)),
-    )),
-    LoopEquation(18, "x0 x1 x2...x2 x0 (+ reverse)", (
-        _t(_PC, Amp("1222", sym=True)),
-        _t(_ND2, Amp("12")),
-        _t(_ND, Amp("12222", sym=True), g=1),
-        _t(_NC, Amp("1212")),
-        _t(_NC, Amp("1202", sym=True)),
-    )),
-    LoopEquation(19, "x1 x2...x2 x0 x0 (+ reverse)", (
-        _t(_PC, Amp("1222", sym=True)),
-        _t(_ND, Amp("12")),
-        _t(_ND, Amp("1"), p="1"),
-        _t(_ND, Amp("12222", sym=True), g=1),
-        _t(_NC, Amp("1122")),
-        _t(_NC, Amp("1102", sym=True)),
-    )),
-    LoopEquation(20, "x0 x2...x2 x0 x2 (+ reverse)", (
-        _t(_PC, Amp("1211", sym=True)),
-        _t(_ND, Amp("12")),
-        _t(_ND, Amp("1"), p="1"),
-        _t(_ND, Amp("12111", sym=True), g=1),
-        _t(_NC, Amp("1001")),
-        _t(_NC, Amp("1201", sym=True)),
-    ), emended=(
-        _t(_PC, Amp("1011", sym=True)),
-        _t(_ND, Amp("10")),
-        _t(_ND, Amp("1"), p="1"),
-        _t(_ND, Amp("10111", sym=True), g=1),
-        _t(_NC, Amp("1001")),
-        _t(_NC, Amp("1201", sym=True)),
-    )),
-    LoopEquation(21, "x0 x2 x0 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("1211", sym=True)),
-        _t(_ND, Amp("12")),
-        _t(_ND, Amp(""), p="12"),
-        _t(_ND, Amp("12111", sym=True), g=1),
-        _t(_NC, Amp("1202", sym=True)),
-        _t(_NC, Amp("101", 1)),
-    ), emended=(
-        _t(_PC, Amp("1011", sym=True)),
-        _t(_ND, Amp("10")),
-        _t(_ND, Amp(""), p="12"),
-        _t(_ND, Amp("10111", sym=True), g=1),
-        _t(_NC, Amp("1202", sym=True)),
-        _t(_NC, Amp("101", 1)),
-    )),
-    LoopEquation(22, "x0 x2...x2 x1 x0 (+ reverse)", (
-        _t(_PC, Amp("1222", sym=True)),
-        _t(_ND2, Amp("12")),
-        _t(_ND, Amp("12222", sym=True), g=1),
-        _t(_NC, Amp("1212")),
-        _t(_NC, Amp("1202", sym=True)),
-    )),
-    LoopEquation(23, "x0 x0 x1 x2...x2 (+ reverse)", (
-        _t(_PC, Amp("1222", sym=True)),
-        _t(_ND, Amp("12")),
-        _t(_ND, Amp("1"), p="1"),
-        _t(_ND, Amp("12222", sym=True), g=1),
-        _t(_NC, Amp("1221")),
-        _t(_NC, Amp("112", 1, sym=True)),
-    )),
-)
-
+from .tables import _TableBase
 
 # ---------------------------------------------------------------------------
 # row series (see the module docstring)

@@ -46,7 +46,7 @@ from itertools import product
 
 from .freealg import Word, check_letters, check_listing, check_order
 from .ring import Poly, Record
-from .solver import _TableBase
+from .tables import _TableBase
 
 # desk-scale guard: diagrams are enumerated explicitly, and a moment sums
 # 3^n spin assignments over the weight classes

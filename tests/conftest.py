@@ -6,16 +6,9 @@ import pytest
 
 from pottsloop.freealg import NCSeries, Word
 from pottsloop.ring import P_ZERO, Poly, XLaurent, balanced_digits
-from pottsloop.solver import (
-    LazyTable,
-    ModelSpec,
-    SolutionTable,
-    TruncationError,
-    _singletons,
-    _solve_dense,
-    _weights,
-    solve_series,
-)
+from pottsloop.model import _weights
+from pottsloop.recursion import _singletons, _solve_dense
+from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, TruncationError, solve_series
 
 
 def solve_unreduced(spec: ModelSpec) -> SolutionTable:

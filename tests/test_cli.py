@@ -254,15 +254,15 @@ def test_check_loops_refuses_before_the_dense_solve(capsys, monkeypatch):
 
 
 def test_check_loops_line_zero_refuses_a_region_past_the_size_guard(capsys, monkeypatch):
-    import pottsloop.solver as solver
+    import pottsloop.recursion as recursion
 
-    one_letter = solver._solve_dense
+    one_letter = recursion._solve_dense
 
     def no_potts_solve(nlet, *args):
         assert nlet == 1, "a refused region reached the three-letter solve"
         return one_letter(nlet, *args)
 
-    monkeypatch.setattr(solver, "_solve_dense", no_potts_solve)
+    monkeypatch.setattr(recursion, "_solve_dense", no_potts_solve)
     # line 0 would solve the dense region S 16, ng 8: 72.6M slots
     assert main(["check-loops", "--nx", "8", "--ng", "8"]) == 2
     out, err = capsys.readouterr()
@@ -271,12 +271,12 @@ def test_check_loops_line_zero_refuses_a_region_past_the_size_guard(capsys, monk
 
 def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
     import pottsloop.freealg as freealg
-    import pottsloop.solver as solver
+    import pottsloop.tables as tables
 
     def no_listing(*args):
         raise AssertionError("a refused listing reached the word enumeration")
 
-    monkeypatch.setattr(solver, "_lex", no_listing)
+    monkeypatch.setattr(tables, "_lex", no_listing)
     # every word of up to 16 letters at g^0: 64,570,081 slots
     assert main(["solve", "--ng", "0", "--lmax", "16"]) == 2
     out, err = capsys.readouterr()
@@ -289,9 +289,13 @@ def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
 
 def test_solve_streams_each_word_as_it_reads_it(tmp_path, monkeypatch):
     # the export writes every word as it reads it, so above the lazy memo it holds a few
-    # words at a time, never the whole answer that to_json builds from the same memo
+    # words at a time, never the whole answer as one dict of the same listing
     table = LazyTable(ModelSpec(ng=0, ltarget=8), max_len=8)
-    data = table.to_json()  # solves every slot the export reads
+
+    def whole():
+        return dict(table.listing(8, 0))
+
+    data = whole()  # solves every slot the export reads
 
     def filled_table(spec, max_len):
         assert (spec, max_len) == (table.spec, table.S)
@@ -308,7 +312,7 @@ def test_solve_streams_each_word_as_it_reads_it(tmp_path, monkeypatch):
     out = tmp_path / "solve.json"
     code, streamed = traced(lambda: main(["solve", "--ng", "0", "--lmax", "8", "--format", "json", "--out", str(out)]))
     assert code == 0 and out.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
-    assert streamed < traced(table.to_json)[1] / 4
+    assert streamed < traced(whole)[1] / 4
 
 
 def test_check_curve_refuses_a_negative_order_before_the_dense_solve(capsys, monkeypatch):
@@ -418,7 +422,7 @@ def test_moment_commands_solve_no_dense_table(capsys, monkeypatch):
 
 def test_solve_and_compare_solve_no_dense_table(capsys, monkeypatch, master_table):
     assert master_table.spec == ModelSpec(ng=8, ltarget=4)
-    dense = json.dumps(master_table.to_json(), indent=2, sort_keys=True) + "\n"
+    dense = json.dumps(dict(master_table.listing(4, 8)), indent=2, sort_keys=True) + "\n"
 
     def no_dense_solve(spec):
         raise AssertionError("solve or compare reached the dense solve")

@@ -19,7 +19,7 @@ from pottsloop.freealg import (
     symmetry_breaks,
     word_orbits,
 )
-from pottsloop.freealg import _LANE_SLICE, _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
+from pottsloop.orbits import _LANE_SLICE, _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
 from conftest import burnside_orbits, drop_last, from_fractions, gseries, monomial, right_delta
 
 

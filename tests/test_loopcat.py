@@ -19,7 +19,8 @@ from pottsloop.loopcat import (
     check_sd,
 )
 from pottsloop.ring import Poly, XLaurent
-from pottsloop.solver import LazyTable, ModelSpec, TruncationError, _TableBase, solve_series
+from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
+from pottsloop.tables import _TableBase
 
 
 def test_catalog_shape():

@@ -1,5 +1,6 @@
 """The record types: one contract for every input and result class, and an import that stays light."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -122,3 +123,28 @@ def test_the_package_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_oracle_uncompiled():
+    """``cli`` imports ``oracle`` inside the two commands that use it, so the others never compile it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = "import sys, pottsloop.cli; print('pottsloop.oracle' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+_MAX_AST_NODES = 2500  # the largest module, series.py, has 2,469
+
+
+def test_no_module_compiles_past_the_node_bound():
+    """A deterministic stand-in for the import's memory high-water, which is the largest single module compile.
+
+    Without a bytecode cache every module compiles at import, and the compile
+    of a module of about 5,000 AST nodes raised the import's peak RSS by
+    about 2 MiB; at 2,500 nodes or fewer the rise is at most about 1 MiB.
+    """
+    package = Path(__file__).resolve().parent.parent / "src" / "pottsloop"
+    sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text()))) for p in sorted(package.glob("*.py"))}
+    assert {name: n for name, n in sizes.items() if n > _MAX_AST_NODES} == {}

@@ -25,7 +25,8 @@ from pottsloop.solver import (
     solve_pure_gravity,
     solve_series,
 )
-from pottsloop.solver import _recast_words, _residual, _singletons, _splits
+from pottsloop.recursion import _singletons, _splits
+from pottsloop.solver import _recast_words, _residual
 
 
 def _one_slot_table(packed: int) -> SolutionTable:
@@ -415,7 +416,7 @@ def test_one_letter_tables_refuse_words_outside_their_model():
 def test_lazy_miss_canonicalises_once(monkeypatch):
     # a representative's slot reached through an alias is read directly, not
     # canonicalised again, so some misses cost no orbit_rep call of their own
-    import pottsloop.solver as solver
+    import pottsloop.recursion as recursion
 
     calls = []
 
@@ -423,7 +424,7 @@ def test_lazy_miss_canonicalises_once(monkeypatch):
         calls.append(k)
         return orbit_rep(bits, k)
 
-    monkeypatch.setattr(solver, "orbit_rep", counted)
+    monkeypatch.setattr(recursion, "orbit_rep", counted)
     lazy = LazyTable(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=2), max_len=12)
     assert all(r.passed for r in check_sd(lazy, 2, 2))
     assert 0 < len(calls) < len(lazy._memo)
@@ -500,7 +501,7 @@ def test_catalog_memo_holds_at_most_one_representative_per_orbit(catalog_memo):
 
 def test_each_slot_builds_its_split_plan_once(monkeypatch):
     # a catalog pass solves many orbits per slot and builds one plan per slot
-    import pottsloop.solver as solver
+    import pottsloop.recursion as recursion
 
     calls = []
 
@@ -508,7 +509,7 @@ def test_each_slot_builds_its_split_plan_once(monkeypatch):
         calls.append((k, n))
         return _splits(slots, k, n)
 
-    monkeypatch.setattr(solver, "_splits", counted)
+    monkeypatch.setattr(recursion, "_splits", counted)
     lazy = LazyTable(ModelSpec(c="3/7", ng=3), max_len=catalog_edge(3, 3))
     assert all(r.passed for r in check_loops(lazy, 3, 3) + check_sd(lazy, 3, 3))
     assert sorted(calls) == sorted(set(calls))
@@ -520,11 +521,13 @@ def test_the_residual_checks_the_dense_solve_with_its_own_split_code(monkeypatch
     # the lazy solve and the fixed-point residual read split plans, the dense solve does not:
     # a plan that drops its last split position moves the lazy values and fails the dense table
     import pottsloop.solver as solver
+    import pottsloop.recursion as recursion
 
     spec = ModelSpec(c="symbolic", ng=2, ltarget=4)
     dense = solve_series(spec)
     assert generating_residual(dense).ok
-    monkeypatch.setattr(solver, "_splits", lambda slots, k, n: _splits(slots, k, n)[:-1])
+    for module in (recursion, solver):  # the lazy slot reads it in recursion, the residual in solver
+        monkeypatch.setattr(module, "_splits", lambda slots, k, n: _splits(slots, k, n)[:-1])
     lazy = LazyTable(spec, max_len=dense.S)
     words = [w for k in range(spec.ltarget + 1) for w in all_words(k)]
     assert any(lazy.p_coeff(w, n) != dense.p_coeff(w, n) for w in words for n in range(spec.ng + 1))
@@ -602,15 +605,15 @@ def test_lazy_guards_report_bounds():
 
 
 def test_headroom_guard_refuses_before_solving(monkeypatch):
-    import pottsloop.solver as solver
+    import pottsloop.recursion as recursion
 
-    one_letter = solver._solve_dense
+    one_letter = recursion._solve_dense
 
     def no_potts_solve(nlet, *args):
         assert nlet == 1, "a refused truncation reached the three-letter solve"
         return one_letter(nlet, *args)
 
-    monkeypatch.setattr(solver, "_solve_dense", no_potts_solve)
+    monkeypatch.setattr(recursion, "_solve_dense", no_potts_solve)
     # 4 * 3**n * pg(|w|, n) peaks at 71 bits over (S 30, ng 14)
     with pytest.raises(ValueError, match=r"\|w\| \+ n <= 30, n <= 14 .* 71-bit bound"):
         solve_series(ModelSpec(kind="potts3", c="symbolic", ng=14, ltarget=16))
@@ -626,9 +629,9 @@ def test_headroom_guard_refuses_before_solving(monkeypatch):
 
 
 def test_size_guard_refuses_before_solving(monkeypatch):
-    import pottsloop.solver as solver
+    import pottsloop.recursion as recursion
 
-    one_letter, solved = solver._solve_dense, []
+    one_letter, solved = recursion._solve_dense, []
 
     def no_potts_solve(nlet, S, ng, *args):
         if nlet == 1:
@@ -636,8 +639,8 @@ def test_size_guard_refuses_before_solving(monkeypatch):
         solved.append((S, ng))  # an accepted region, not solved here
         return {}
 
-    monkeypatch.setattr(solver, "_solve_dense", no_potts_solve)
-    monkeypatch.setattr(solver, "_orbit_partition", lambda nlet, S: None)  # 14 letters alone take seconds
+    monkeypatch.setattr(recursion, "_solve_dense", no_potts_solve)
+    monkeypatch.setattr(recursion, "_orbit_partition", lambda nlet, S: None)  # 14 letters alone take seconds
     with pytest.raises(ValueError, match=r"\|w\| \+ n <= 16, n <= 8 refused: 72637649 slots, beyond the 2\^24"):
         solve_series(ModelSpec(ng=8, ltarget=8))
     # the largest regions measured to fit in memory pass the guard
@@ -702,7 +705,7 @@ def test_region_guard_reports_bounds(small_table):
 def test_determinism():
     a = solve_series(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=3))
     b = solve_series(ModelSpec(kind="potts3", c="symbolic", ng=2, ltarget=3))
-    assert a.to_json() == b.to_json()
+    assert list(a.listing(3, 2)) == list(b.listing(3, 2))
 
 
 def test_generating_residual_zero_on_solved(small_table):
