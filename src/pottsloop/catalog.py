@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .ring import FrozenRecord
+from .record import FrozenRecord
 
 # coefficient polynomials in c, ascending powers
 _ONE = (1,)

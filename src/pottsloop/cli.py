@@ -11,10 +11,11 @@ import json
 import re
 import sys
 
-from . import curve as curve_mod
-from . import loopcat
-from .freealg import Word
-from .solver import LazyTable, ModelSpec, check_headroom, generating_residual, solve_series
+from . import curve, loopcat, solver
+from .model import ModelSpec
+from .moments import MOMENT_LABELS, check_recurrences, compute_moments, moment_edge
+from .recursion import LazyTable, check_headroom, solve_series
+from .words import Word
 
 
 def _order(s: str) -> int:
@@ -86,7 +87,7 @@ def cmd_check_loops(args) -> int:
     table = _lazy_table(args, loopcat.catalog_edge(args.nx, args.ng), args.ng)
     # line 0 referees the dense solve itself, so it solves one: its residual at grade
     # min(nx + ng, 2 ng) reads only slots with |w| + n <= min(nx + ng, 2 ng)
-    rep = generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng))))
+    rep = solver.generating_residual(solve_series(ModelSpec(c=args.c, ng=args.ng, ltarget=min(args.nx, args.ng))))
     gen = loopcat.CheckResult(0, f"generating equation (fixed-point and derivative forms, grade {rep.grade})", rep.ok)
     results = loopcat.check_loops(table, args.nx, args.ng, variant=args.catalog)
     ok = gen.passed and all(r.passed for r in results)
@@ -107,9 +108,9 @@ def cmd_check_sd(args) -> int:
 
 
 def cmd_check_curve(args) -> int:
-    table = _lazy_table(args, curve_mod.curve_edge(args.nx, args.ng), args.ng)
+    table = _lazy_table(args, curve.curve_edge(args.nx, args.ng), args.ng)
     variants = ("1202", "1212") if args.moment_variant == "auto" else (args.moment_variant,)
-    checks = curve_mod.check_curve(table, args.nx, args.ng, variants)
+    checks = curve.check_curve(table, args.nx, args.ng, variants)
     if args.moment_variant == "auto":
         ok = any(c.passed for c in checks)
     else:
@@ -132,8 +133,8 @@ def cmd_check_curve(args) -> int:
 
 
 def cmd_check_recurrences(args) -> int:
-    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng), args.ng))
-    reports = curve_mod.check_recurrences(moments)
+    moments = compute_moments(_lazy_table(args, moment_edge(args.ng), args.ng))
+    reports = check_recurrences(moments)
     ok = all(r.passed for r in reports)
     payload = {
         "recurrences": [
@@ -174,10 +175,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    moments = curve_mod.compute_moments(_lazy_table(args, curve_mod.moment_edge(args.ng), args.ng))
+    moments = compute_moments(_lazy_table(args, moment_edge(args.ng), args.ng))
     rows = ["moment,g_power,value"]
     data = []
-    for label in curve_mod.MOMENT_LABELS:
+    for label in MOMENT_LABELS:
         series = getattr(moments, "p" + label)
         for n in range(series.ng + 1):
             v = series[n]

@@ -6,7 +6,6 @@ coefficients f_0..f_5 are transcribed verbatim in ``moments``
 (``build_curve``), with four moment constants (series in g) substituted
 from the solved table.  Verifying that every Laurent coefficient of the
 residual vanishes, at symbolic c, is the headline check of the package.
-This module re-exports the moment constants and their recurrences.
 
 Polynomial coefficients.  The shift 1/((1-c) x) is the only rational
 function of c in the check, so the residual is computed for the scaled
@@ -38,20 +37,14 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .freealg import Word
 from .model import TruncationError
-from .moments import (  # noqa: F401
-    MOMENT_LABELS,
-    MomentSet,
-    RecurrenceReport,
-    _bad_slots,
-    build_curve,
-    check_recurrences,
-    compute_moments,
-    moment_edge,
-)
-from .ring import P_ZERO, FrozenRecord, Poly, Record, XLaurent
+from .moments import _bad_slots, build_curve, compute_moments, moment_edge
+from .moments import check_recurrences  # noqa: F401  (perfbench/worker.py imports it from here)
+from .poly import P_ZERO, Poly
+from .record import FrozenRecord, Record
+from .series import XLaurent
 from .tables import _TableBase
+from .words import Word
 
 
 def curve_edge(nx: int, ng: int) -> int:

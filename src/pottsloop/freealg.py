@@ -1,29 +1,20 @@
-"""Words over the three boundary letters and truncated non-commutative series.
+"""Truncated non-commutative series over words in the three boundary letters.
 
 ``NCSeries`` maps words to g-series coefficients (``XLaurent`` of x-order
 0) and carries the boundary derivative operators that add or strip letters
 on either side.  The words themselves (``Word``, ``packed_words`` and the
 refusals of a word or order outside the model) live in ``words``, and
 their rotation/reversal/relabelling orbits (``orbit_rep``, ``word_orbits``,
-``symmetry_breaks``) in ``orbits``; this module re-exports their public
-names, so ``pottsloop.freealg`` stays the one import of them.
+``symmetry_breaks``) in ``orbits``.
 """
 
 from __future__ import annotations
 
-from .orbits import GENERATORS, orbit_rep, reflection_least, symmetry_breaks, word_orbits  # noqa: F401
 from .poly import _int_rows, _series_addmul
-from .ring import XLaurent
-from .words import (  # noqa: F401
-    EMPTY_WORD,
-    LETTERS,
-    Word,
-    all_words,
-    check_letters,
-    check_listing,
-    check_order,
-    packed_words,
-)
+from .series import XLaurent
+from .words import EMPTY_WORD, Word
+from .words import all_words  # noqa: F401  (perfbench/worker.py imports it from here)
+
 
 class NCSeries:
     """Truncated non-commutative power series: word -> g-series coefficient.

@@ -22,8 +22,8 @@ their values at c = 1 (``_TableBase._rows``).  A product is one integer
 product per pair of slots, packed at 64 bits while its bound stays below
 2^63, wider otherwise, so a slot is zero iff its integer is; only the
 first nonzero slot a check reports is decoded.  The printed catalog
-(``CATALOG`` and its record types) lives in ``catalog``, and this module
-re-exports it; the reparameterisations that re-derive it entry by entry
+(``CATALOG`` and its record types) lives in ``catalog``; the
+reparameterisations that re-derive it entry by entry
 (``SD_DESCRIPTORS``) are transcribed here.
 """
 
@@ -32,10 +32,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .catalog import _NC, _ND, _PC, CATALOG, Amp, LoopEquation, Term  # noqa: F401
-from .freealg import Word
-from .ring import FrozenRecord, PackedRows, Poly, Record, balanced_digits, packed_mul, packed_sum
+from .catalog import _NC, _ND, _PC, CATALOG, Amp, Term
+from .poly import Poly
+from .record import FrozenRecord, Record
+from .ring import PackedRows, balanced_digits, packed_mul, packed_sum
 from .tables import _TableBase
+from .words import Word
 
 # ---------------------------------------------------------------------------
 # row series (see the module docstring)

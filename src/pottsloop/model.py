@@ -17,7 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .ring import _B, FrozenRecord, Poly
+from .poly import Poly
+from .record import FrozenRecord
+from .ring import _B
 
 
 class TruncationError(Exception):

@@ -14,7 +14,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import ModelSpec
-from .ring import FrozenRecord, Poly, Record, XLaurent
+from .poly import Poly
+from .record import FrozenRecord, Record
+from .series import XLaurent
 from .tables import _TableBase
 
 
@@ -52,6 +54,7 @@ MOMENT_LABELS = tuple(f[1:] for f in MomentSet._fields if f != "spec")  # field 
 def moment_edge(ng: int) -> int:
     """The lazy-table edge the moments read to g^ng: the longest of ``MOMENT_LABELS`` plus ng."""
     return ng + 4
+
 
 def compute_moments(table: _TableBase, ng: Optional[int] = None) -> MomentSet:
     """Read every moment constant off the solved table.

@@ -44,9 +44,10 @@ from collections import Counter
 from functools import cache
 from itertools import product
 
-from .freealg import Word, check_letters, check_listing, check_order
-from .ring import Poly, Record
+from .poly import Poly
+from .record import Record
 from .tables import _TableBase
+from .words import Word, check_letters, check_listing, check_order
 
 # desk-scale guard: diagrams are enumerated explicitly, and a moment sums
 # 3^n spin assignments over the weight classes

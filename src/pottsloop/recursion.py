@@ -38,9 +38,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional
 
-from .freealg import orbit_rep, packed_words, word_orbits
 from .model import ModelSpec, _weights
+from .orbits import orbit_rep, word_orbits
 from .tables import _GUARD, _TableBase
+from .words import packed_words
 
 _RECAST_MARGIN = 4  # the signed recast residual stays within 4x a slot's c = 1 value
 _DENSE_SLOTS = 1 << 24  # slots (words times orders) a dense solve may hold: S 14, ng 7 has 8.07M, S 16, ng 8 72.6M

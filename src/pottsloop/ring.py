@@ -1,7 +1,6 @@
 """Exact coefficient arithmetic: polynomials in ``c``, series in ``x`` and ``g``, packed rows.
 
-The arithmetic lives in four modules, and this one re-exports the public
-names of the other three, so ``pottsloop.ring`` stays the one import of it:
+The arithmetic lives in four modules:
 
   * ``record``: ``Record`` and ``FrozenRecord``, the base of the package's
     input and result types, below every module that defines one;
@@ -36,10 +35,7 @@ from __future__ import annotations
 
 from math import lcm
 
-# the arithmetic's public names, one import for every module and test that uses them
-from .poly import P_C, P_ONE, P_ZERO, Poly, rat_to_str  # noqa: F401
-from .record import FrozenRecord, Record  # noqa: F401
-from .series import XLaurent, xlaurent_sqrt  # noqa: F401
+from .poly import Poly  # noqa: F401  (perfbench/worker.py imports it from here)
 
 # ---------------------------------------------------------------------------
 # packed row series: one integer per slot

@@ -4,10 +4,9 @@ The solve lives in three modules: ``model`` says what to solve
 (``ModelSpec``), ``tables`` how a solved table is read (``_TableBase``)
 and ``recursion`` runs the edge-removal recursion into a dense table
 (``solve_series``) or a demand-driven one (``LazyTable``).  This module
-re-exports their public names, so ``pottsloop.solver`` stays the one
-import of the solver, and holds the checks of a solved table: the
-generating equation as an operator on ``NCSeries``, the two residual forms
-and the pure-gravity closed form.
+holds the checks of a solved table: the generating equation as an
+operator on ``NCSeries``, the two residual forms and the pure-gravity
+closed form.
 
 ``generating_residual`` checks the symmetry instead of assuming it: every
 stored slot must equal its images under three generators of the group (one
@@ -34,11 +33,16 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .freealg import LETTERS, NCSeries, Word, packed_words, reflection_least, symmetry_breaks
-from .model import ModelSpec, TruncationError  # noqa: F401
-from .recursion import LazyTable, SolutionTable, _orbit_partition, _rhs, _splits, check_headroom, solve_series  # noqa: F401
-from .ring import P_C, Record, XLaurent, xlaurent_sqrt
+from .freealg import NCSeries
+from .model import ModelSpec
+from .orbits import reflection_least, symmetry_breaks
+from .poly import P_C
+from .record import Record
+from .recursion import LazyTable  # noqa: F401  (perfbench/worker.py imports it from here)
+from .recursion import SolutionTable, _orbit_partition, _rhs, _splits, solve_series
+from .series import XLaurent, xlaurent_sqrt
 from .tables import _TableBase
+from .words import LETTERS, Word, packed_words
 
 # ---------------------------------------------------------------------------
 # generating equation as an operator on NCSeries (reference-scale path)

@@ -26,9 +26,12 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional
 
-from .freealg import NCSeries, Word, check_letters, check_listing, check_order
+from .freealg import NCSeries
 from .model import ModelSpec, TruncationError, _weights
-from .ring import _B, P_ZERO, PackedRows, Poly, XLaurent, balanced_digits
+from .poly import P_ZERO, Poly
+from .ring import _B, PackedRows, balanced_digits
+from .series import XLaurent
+from .words import Word, check_letters, check_listing, check_order
 
 _GUARD = 1 << 62
 

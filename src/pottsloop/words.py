@@ -11,6 +11,7 @@ bound.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 LETTERS = (0, 1, 2)
@@ -165,7 +166,5 @@ def all_words(length: int):
     if length == 0:
         yield EMPTY_WORD
         return
-    import itertools
-
-    for ls in itertools.product(LETTERS, repeat=length):
+    for ls in product(LETTERS, repeat=length):
         yield Word(ls)

@@ -4,11 +4,13 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from pottsloop.freealg import NCSeries, Word
-from pottsloop.ring import P_ZERO, Poly, XLaurent, balanced_digits
-from pottsloop.model import _weights
-from pottsloop.recursion import _singletons, _solve_dense
-from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, TruncationError, solve_series
+from pottsloop.freealg import NCSeries
+from pottsloop.model import ModelSpec, TruncationError, _weights
+from pottsloop.poly import P_ZERO, Poly
+from pottsloop.recursion import LazyTable, SolutionTable, _singletons, _solve_dense, solve_series
+from pottsloop.ring import balanced_digits
+from pottsloop.series import XLaurent
+from pottsloop.words import Word
 
 
 def solve_unreduced(spec: ModelSpec) -> SolutionTable:

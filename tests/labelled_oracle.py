@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from pottsloop import oracle
-from pottsloop.freealg import Word
-from pottsloop.ring import P_C, P_ONE, P_ZERO, Poly
-from pottsloop.solver import ModelSpec
+from pottsloop.model import ModelSpec
+from pottsloop.poly import P_C, P_ONE, P_ZERO, Poly
+from pottsloop.words import Word
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from pottsloop.curve import build_curve, compute_moments
-from pottsloop.freealg import Word
-from pottsloop.solver import SolutionTable
+from pottsloop.moments import build_curve, compute_moments
+from pottsloop.recursion import SolutionTable
+from pottsloop.words import Word
 
 
 @dataclass

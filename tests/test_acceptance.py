@@ -13,19 +13,15 @@ import pytest
 
 from conftest import monomial, right_delta
 from numeric_branch import numeric_branch_check
-from pottsloop.curve import check_curve, check_recurrences, compute_moments
-from pottsloop.freealg import Word, all_words
+from pottsloop.curve import check_curve
 from pottsloop.loopcat import check_loops, check_sd
+from pottsloop.model import ModelSpec
+from pottsloop.moments import check_recurrences, compute_moments
 from pottsloop.oracle import compare_with_solver, planar_moment
-from pottsloop.ring import Poly
-from pottsloop.solver import (
-    LazyTable,
-    ModelSpec,
-    generating_residual,
-    recast_residual_rect,
-    solve_pure_gravity,
-    solve_series,
-)
+from pottsloop.poly import Poly
+from pottsloop.recursion import LazyTable, solve_series
+from pottsloop.solver import generating_residual, recast_residual_rect, solve_pure_gravity
+from pottsloop.words import Word, all_words
 
 NUMERIC_SPOTS = (Fraction(1, 5), Fraction(1, 4), Fraction(1, 3))
 

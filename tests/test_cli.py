@@ -16,7 +16,8 @@ import pytest
 
 from pottsloop import cli
 from pottsloop.cli import main
-from pottsloop.solver import LazyTable, ModelSpec
+from pottsloop.model import ModelSpec
+from pottsloop.recursion import LazyTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -270,8 +271,8 @@ def test_check_loops_line_zero_refuses_a_region_past_the_size_guard(capsys, monk
 
 
 def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
-    import pottsloop.freealg as freealg
     import pottsloop.tables as tables
+    import pottsloop.words as words
 
     def no_listing(*args):
         raise AssertionError("a refused listing reached the word enumeration")
@@ -282,9 +283,9 @@ def test_solve_refuses_a_listing_past_the_slot_bound(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and "64570081 slots, beyond the 2^20 slot bound" in err
     # the bound admits twelve letters at g^0 (797,161 slots) and refuses them at g^0..g^1
-    freealg.check_listing(3, 12, 0)
+    words.check_listing(3, 12, 0)
     with pytest.raises(ValueError, match="1594322 slots"):
-        freealg.check_listing(3, 12, 1)
+        words.check_listing(3, 12, 1)
 
 
 def test_solve_streams_each_word_as_it_reads_it(tmp_path, monkeypatch):
@@ -440,9 +441,9 @@ def test_check_loops_line_zero_solves_what_its_residual_reads(capsys, monkeypatc
     # at nx > ng the residual grade is 2 ng and every slot it reads has |w| + n <= 2 ng,
     # so line 0 solves ltarget ng; the report is the one of the region a letter longer
     specs, reports = [], []
-    solve, residual = cli.solve_series, cli.generating_residual
+    solve, residual = cli.solve_series, cli.solver.generating_residual
     monkeypatch.setattr(cli, "solve_series", lambda spec: specs.append(spec) or solve(spec))
-    monkeypatch.setattr(cli, "generating_residual", lambda table: reports.append(residual(table)) or reports[-1])
+    monkeypatch.setattr(cli.solver, "generating_residual", lambda table: reports.append(residual(table)) or reports[-1])
     monkeypatch.setattr(cli.loopcat, "check_loops", lambda *args, **kwargs: [])
     code, out = run(capsys, *"check-loops --nx 12 --ng 5".split())
     assert code == 0 and out == "[PASS]  0  generating equation (fixed-point and derivative forms, grade 10)\n"

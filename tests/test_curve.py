@@ -7,22 +7,26 @@ import pytest
 from conftest import assert_tight_edge, grade_mask, laurent
 from numeric_branch import numeric_branch_check
 from pottsloop.curve import (
+    ShiftedResolvent,
+    build_shifted_resolvent,
+    check_curve,
+    curve_edge,
+    curve_witness,
+    quintic_residual,
+)
+from pottsloop.model import ModelSpec, TruncationError
+from pottsloop.moments import (
     MOMENT_LABELS,
     MomentSet,
     RecurrenceReport,
-    ShiftedResolvent,
     build_curve,
-    build_shifted_resolvent,
-    check_curve,
     check_recurrences,
     compute_moments,
-    curve_edge,
-    curve_witness,
     moment_edge,
-    quintic_residual,
 )
-from pottsloop.ring import Poly, XLaurent
-from pottsloop.solver import LazyTable, ModelSpec, TruncationError, check_headroom, solve_series
+from pottsloop.poly import Poly
+from pottsloop.recursion import LazyTable, check_headroom, solve_series
+from pottsloop.series import XLaurent
 
 
 def six_coefficients(m: MomentSet, variant: str = "1202") -> tuple:
@@ -130,7 +134,8 @@ def test_reduction_chain_equations_hold(medium_table):
     """The eight catalog entries that express phi1, phi11, phi12, sym phi112,
     phi121, phi111, phi1122 and sym phi1121 in terms of the resolvent, the
     inputs the curve elimination consumes."""
-    from pottsloop.loopcat import CATALOG, _loop_rows
+    from pottsloop.catalog import CATALOG
+    from pottsloop.loopcat import _loop_rows
 
     for index in (1, 10, 2, 12, 4, 13, 14, 17):
         res = laurent(_loop_rows(CATALOG[index - 1].effective_terms(), medium_table, 2, 3), 2, 3)

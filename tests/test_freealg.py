@@ -7,19 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from pottsloop.freealg import (
-    EMPTY_WORD,
+from pottsloop.freealg import NCSeries
+from pottsloop.orbits import (
+    _LANE_SLICE,
     GENERATORS,
-    LETTERS,
-    NCSeries,
-    Word,
-    all_words,
+    _orbit_images,
+    _reverse,
+    _reverse12,
+    _reverse_word,
+    _rotate,
+    _swap01,
+    _swap12,
     orbit_rep,
     reflection_least,
     symmetry_breaks,
     word_orbits,
 )
-from pottsloop.orbits import _LANE_SLICE, _orbit_images, _reverse, _reverse12, _reverse_word, _rotate, _swap01, _swap12
+from pottsloop.words import EMPTY_WORD, LETTERS, Word, all_words
 from conftest import burnside_orbits, drop_last, from_fractions, gseries, monomial, right_delta
 
 

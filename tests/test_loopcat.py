@@ -6,21 +6,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_tight_edge, laurent, memo_slots, shift_x
-from pottsloop.freealg import EMPTY_WORD, Word, orbit_rep
-from pottsloop.loopcat import (
-    CATALOG,
-    Amp,
-    SD_DESCRIPTORS,
-    _amp_rows,
-    _loop_rows,
-    _sd_terms,
-    catalog_edge,
-    check_loops,
-    check_sd,
-)
-from pottsloop.ring import Poly, XLaurent
-from pottsloop.solver import LazyTable, ModelSpec, TruncationError, solve_series
+from pottsloop.catalog import CATALOG, Amp
+from pottsloop.loopcat import SD_DESCRIPTORS, _amp_rows, _loop_rows, _sd_terms, catalog_edge, check_loops, check_sd
+from pottsloop.model import ModelSpec, TruncationError
+from pottsloop.orbits import orbit_rep
+from pottsloop.poly import Poly
+from pottsloop.recursion import LazyTable, solve_series
+from pottsloop.series import XLaurent
 from pottsloop.tables import _TableBase
+from pottsloop.words import EMPTY_WORD, Word
 
 
 def test_catalog_shape():

@@ -19,10 +19,12 @@ from labelled_oracle import (
 )
 from pottsloop import oracle
 from pottsloop.cli import main
-from pottsloop.freealg import Word, word_orbits
+from pottsloop.model import ModelSpec, TruncationError
 from pottsloop.oracle import _planar_diagrams, _weight_classes, compare_with_solver, planar_moment
-from pottsloop.ring import Poly
-from pottsloop.solver import LazyTable, ModelSpec, SolutionTable, TruncationError, solve_series
+from pottsloop.orbits import word_orbits
+from pottsloop.poly import Poly
+from pottsloop.recursion import LazyTable, SolutionTable, solve_series
+from pottsloop.words import Word
 
 
 def test_gaussian_genus_split_classical():

@@ -1,6 +1,7 @@
-"""The record types: one contract for every input and result class, and an import that stays light."""
+"""The record types: one contract for every input and result class, an import that stays light, one home per name."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -9,11 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from pottsloop.curve import MOMENT_LABELS, CurveCheck, MomentSet, RecurrenceReport, ShiftedResolvent
-from pottsloop.loopcat import Amp, CheckResult, LoopEquation, Reparameterisation, Term
+from pottsloop.catalog import Amp, LoopEquation, Term
+from pottsloop.curve import CurveCheck, ShiftedResolvent, check_curve, curve_edge
+from pottsloop.loopcat import CheckResult, Reparameterisation
+from pottsloop.model import ModelSpec
+from pottsloop.moments import MOMENT_LABELS, MomentSet, RecurrenceReport
 from pottsloop.oracle import CompareReport
-from pottsloop.ring import FrozenRecord, Poly, Record
-from pottsloop.solver import ModelSpec, PureGravityResult, ResidualReport
+from pottsloop.poly import Poly
+from pottsloop.record import FrozenRecord, Record
+from pottsloop.recursion import LazyTable
+from pottsloop.solver import PureGravityResult, ResidualReport
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pottsloop"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 # (record, a value for every field, the defaults of its trailing fields)
 RECORDS = (
@@ -115,7 +125,7 @@ print(loaded)
 
 def test_the_package_import_loads_neither_dataclasses_nor_inspect():
     """``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``: about 0.9 MiB on every command's peak RSS."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     # -S: no site hook loads anything before the package does
     proc = subprocess.run(
@@ -127,7 +137,7 @@ def test_the_package_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_import_leaves_the_oracle_uncompiled():
     """``cli`` imports ``oracle`` inside the two commands that use it, so the others never compile it."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = "import sys, pottsloop.cli; print('pottsloop.oracle' in sys.modules)"
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
@@ -145,6 +155,103 @@ def test_no_module_compiles_past_the_node_bound():
     of a module of about 5,000 AST nodes raised the import's peak RSS by
     about 2 MiB; at 2,500 nodes or fewer the rise is at most about 1 MiB.
     """
-    package = Path(__file__).resolve().parent.parent / "src" / "pottsloop"
-    sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text()))) for p in sorted(package.glob("*.py"))}
+    sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text()))) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: n for name, n in sizes.items() if n > _MAX_AST_NODES} == {}
+
+
+def _modules() -> dict:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _own_names(tree: ast.Module) -> set:
+    """The names a module's own top-level code binds: functions, classes and assignments, not imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _package_imports(tree: ast.Module):
+    """(module, name, line) for every ``from pottsloop.module import name`` in a file outside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pottsloop."):
+            for alias in node.names:
+                yield node.module.split(".", 1)[1], alias.name, node.lineno
+
+
+def _layout() -> list:
+    """The modules of README's layout table, in its order."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| module     | contents |") + 2
+    rows = lines[start : lines.index("", start)]
+    return [row.split("|")[1].strip().strip("`") for row in rows]
+
+
+def test_every_import_names_the_module_that_defines_it():
+    """One home per name: an import names the module whose own code defines the name, and no module
+    imports a name its code does not use, except the names ``perfbench/worker.py`` imports from it."""
+    modules = _modules()
+    homes = {m: _own_names(tree) for m, tree in modules.items()}
+    kept = {(m, name) for m, name, _ in _package_imports(ast.parse(WORKER.read_text()))}
+    elsewhere, unused = [], []
+    for m, tree in modules.items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    if alias.name not in homes[node.module]:
+                        elsewhere.append(f"{m}.py:{node.lineno} .{node.module}.{alias.name}")
+                    if alias.name not in used and (m, alias.name) not in kept:
+                        unused.append(f"{m}.py:{node.lineno} {alias.name}")
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for m, name, line in _package_imports(ast.parse(path.read_text())):
+            if name not in homes[m]:
+                elsewhere.append(f"{path.name}:{line} pottsloop.{m}.{name}")
+    assert elsewhere == []
+    assert unused == []
+
+
+def test_no_module_imports_one_below_it_in_the_layout():
+    """README's layout table lists every module, and each imports only modules listed above it."""
+    order = _layout()
+    modules = _modules()
+    assert sorted(order) == sorted(set(modules) - {"__init__"})
+    upward = []
+    for m, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for target in [node.module] if node.module else [a.name for a in node.names]:
+                    if order.index(target) >= order.index(m):
+                        upward.append(f"{m}.py:{node.lineno} imports {target}")
+    assert upward == []
+
+
+def test_the_benchmark_worker_resolves_every_name_it_reads(monkeypatch):
+    """Every ``from pottsloop.X import name`` in ``perfbench/worker.py`` resolves, and the functions its
+    ``--trace 1`` wraps are called through their module's globals, so a wrapped name records a span."""
+    tree = ast.parse(WORKER.read_text())
+    missing = [f"pottsloop.{m}.{name}" for m, name, _ in _package_imports(tree)
+               if not hasattr(importlib.import_module(f"pottsloop.{m}"), name)]
+    assert missing == []
+    wraps = [(ast.unparse(node.args[0]), node.args[1].value) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "wrap"]
+    assert wraps == [("pottsloop.curve", "build_shifted_resolvent"), ("pottsloop.curve", "quintic_residual")]
+    calls = []
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for path, name in wraps:
+        module = importlib.import_module(path)
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    checks = check_curve(LazyTable(ModelSpec(ng=2), max_len=curve_edge(2, 2)), 2, 2, ("1202",))
+    assert [c.passed for c in checks] == [True]
+    assert {name for _, name in wraps} <= set(calls)

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import from_fractions, grade_mask, gseries, shift_x
 from pottsloop import series
-from pottsloop.poly import _int_rows, _laurent_addmul
-from pottsloop.ring import P_C, P_ONE, Poly, XLaurent, rat_to_str, xlaurent_sqrt
+from pottsloop.poly import P_C, P_ONE, Poly, _int_rows, _laurent_addmul, rat_to_str
+from pottsloop.series import XLaurent, xlaurent_sqrt
 
 
 def poly(*coeffs):

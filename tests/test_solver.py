@@ -9,24 +9,24 @@ from fractions import Fraction
 import pytest
 
 from conftest import burnside_orbits, grade_mask, memo_slots, shift_x, solve_unreduced
-from pottsloop.freealg import NCSeries, Word, all_words, orbit_rep, reflection_least, word_orbits
-from pottsloop.loopcat import Amp, _amp_rows, catalog_edge, check_loops, check_sd
+from pottsloop.catalog import Amp
+from pottsloop.freealg import NCSeries
+from pottsloop.loopcat import _amp_rows, catalog_edge, check_loops, check_sd
+from pottsloop.model import ModelSpec, TruncationError
 from pottsloop.oracle import planar_moment
-from pottsloop.ring import Poly, XLaurent
+from pottsloop.orbits import orbit_rep, reflection_least, word_orbits
+from pottsloop.poly import Poly
+from pottsloop.recursion import LazyTable, SolutionTable, _singletons, _splits, check_headroom, solve_series
+from pottsloop.series import XLaurent
 from pottsloop.solver import (
-    LazyTable,
-    ModelSpec,
-    SolutionTable,
-    TruncationError,
+    _recast_words,
+    _residual,
     build_rhs_potts,
-    check_headroom,
     generating_residual,
     recast_residual_rect,
     solve_pure_gravity,
-    solve_series,
 )
-from pottsloop.recursion import _singletons, _splits
-from pottsloop.solver import _recast_words, _residual
+from pottsloop.words import Word, all_words
 
 
 def _one_slot_table(packed: int) -> SolutionTable:
