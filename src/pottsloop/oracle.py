@@ -44,10 +44,10 @@ from collections import Counter
 from functools import cache
 from itertools import product
 
-from .poly import Poly
+from .poly import P_ZERO, Poly
 from .record import Record
 from .tables import _TableBase
-from .words import Word, check_letters, check_listing, check_order
+from .words import Word, check_letters, check_order
 
 # desk-scale guard: diagrams are enumerated explicitly, and a moment sums
 # 3^n spin assignments over the weight classes
@@ -206,32 +206,31 @@ def compare_with_solver(table: _TableBase, max_n: int, max_len: int) -> CompareR
     The table is any solved table, dense or demand-driven, and must hold
     every slot in range: one it does not hold raises ``TruncationError``.
     Oracle values are computed once per cyclic class, as polynomials in c,
-    and compared at the table's coupling; the table is read per word, so
-    cyclic symmetry of the table is exercised as well.  The planar diagrams
-    of each (|w|, n) are enumerated once and collapsed into weight classes,
-    which every cyclic class of that length and order reuses.  A range that
-    reaches beyond desk scale, or past the listing bound of
-    ``freealg.check_listing``, is refused before any enumeration.
+    and compared at the table's coupling.  The table is read through the
+    export stream ``solve`` writes from (``_TableBase._word_slots``), once
+    per word, so cyclic symmetry of the table is exercised as well; every
+    parity-allowed slot of a listed word is checked, and one the stream
+    does not return reads zero.  The planar diagrams of each (|w|, n) are
+    enumerated once and collapsed into weight classes, which every cyclic
+    class of that length and order reuses.  A range that reaches beyond
+    desk scale, or past the listing bound of ``words.check_listing``, is
+    refused before any enumeration.
     """
     _check_desk_scale(
         max((k + 3 * n for k in range(max_len + 1) for n in range(max_n + 1) if (k + n) % 2 == 0), default=0)
     )
     nlet = table.spec.nletters
-    check_listing(nlet, max_len, max_n)
     cache: dict = {}
     checked = 0
     mismatches = []
-    words = [Word(ls) for k in range(max_len + 1) for ls in product(range(nlet), repeat=k)]
-    for w in words:
-        for n in range(max_n + 1):
-            if (len(w) + n) % 2:
-                continue
-            key = (min(r.bits for r in w.rotations()), len(w), n)
+    for k, bits, slots in table._word_slots(max_len, max_n):
+        w, values = Word._raw(k, bits), dict(slots)
+        for n in range(k & 1, max_n + 1, 2):
+            key = (min(r.bits for r in w.rotations()), k, n)
             if key not in cache:
                 cache[key] = table.spec.const(planar_moment(w, n, nletters=nlet))
-            expect = cache[key]
-            got = table.p_coeff(w, n)
+            got = values.get(n, P_ZERO)
             checked += 1
-            if got != expect:
-                mismatches.append((w, n, got, expect))
+            if got != cache[key]:
+                mismatches.append((w, n, got, cache[key]))
     return CompareReport(checked, mismatches)

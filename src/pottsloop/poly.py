@@ -21,14 +21,6 @@ from typing import Iterable, Union
 Rat = Union[int, Fraction]
 
 
-def rat_to_str(q: Fraction) -> str:
-    """Render a rational as ``p/q`` (or just ``p`` for integers)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _trim(coeffs: list) -> list:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -159,7 +151,7 @@ class Poly:
         parts = []
         for e, a in enumerate(self.coeffs):
             if a:
-                mag = str(abs(a)) if self.den == 1 else rat_to_str(Fraction(abs(a), self.den))
+                mag = str(abs(a)) if self.den == 1 else str(Fraction(abs(a), self.den))
                 if e:
                     var = "c" if e == 1 else f"c^{e}"
                     mag = var if mag == "1" else f"{mag}*{var}"

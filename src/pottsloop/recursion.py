@@ -19,13 +19,13 @@ both solvers run the recursion once per orbit and g-order.  This is exact
 in both domains: a numeric-c raw value b**E * p depends on (w, n) only
 through p and E = (|w| + 3n)/2, and both are orbit invariants.  The dense
 solve (``_solve_dense``, filling a ``SolutionTable``) takes the orbit
-partition of each word length (``freealg.word_orbits``), runs on the
+partition of each word length (``orbits.word_orbits``), runs on the
 representatives and stores each value under every word of the orbit, so
 its layers are the same plain dicts as a word-by-word solve; the singleton
 partition (``_singletons``) makes it the unreduced referee, which solves
 every word.  ``LazyTable`` keeps one memo dict per slot, whose lookup is
 its reader: a miss maps the word to its orbit representative
-(``freealg.orbit_rep``, once per miss) and reads that in the same dict;
+(``orbits.orbit_rep``, once per miss) and reads that in the same dict;
 only representatives run ``_rhs``, on the split plan (``_splits``) the
 slot built at its first solve, and every other word copies its
 representative's value.  The fixed-point residual (``solver``) runs
@@ -51,7 +51,7 @@ def _orbit_partition(nlet: int, S: int) -> list:
     """The canonical orbits of the words of each length up to S.
 
     Three letters: one entry per rotation/reversal/relabelling orbit
-    (``freealg.word_orbits``).  One letter: each word is its own orbit.
+    (``orbits.word_orbits``).  One letter: each word is its own orbit.
     """
     if nlet == 3:
         return [word_orbits(k) for k in range(S + 1)]

@@ -1,17 +1,8 @@
-"""Exact coefficient arithmetic: polynomials in ``c``, series in ``x`` and ``g``, packed rows.
+"""Packed row series (``PackedRows``): one integer per slot of a series in ``x`` and ``g``.
 
-The arithmetic lives in four modules:
-
-  * ``record``: ``Record`` and ``FrozenRecord``, the base of the package's
-    input and result types, below every module that defines one;
-  * ``poly``: ``Poly``, univariate polynomials in the spin-coupling
-    parameter ``c`` with rational coefficients, stored as integers over one
-    denominator, and the integer kernels of the series products;
-  * ``series``: ``XLaurent``, series in the boundary fugacity ``x``
-    (Laurent, truncated above) and the triangle coupling ``g`` (truncated
-    at a fixed order), with ``Poly`` coefficients.  A series in ``g`` alone
-    is an ``XLaurent`` of x-order 0;
-  * this module: ``PackedRows``, one integer per slot (below).
+The rest of the coefficient arithmetic lives below this module:
+polynomials in ``c`` in ``poly`` and the one series class, ``XLaurent``,
+in ``series``.
 
 Every quantity the package computes is a polynomial in ``c``.  The one
 rational function of ``c`` in the equations, the 1/(1-c) shift of the

@@ -160,7 +160,7 @@ def _symmetry_failures(table: SolutionTable, grade: int) -> list:
     """Stored slots of grade <= ``grade`` that differ from an image under a generator.
 
     The generators are one rotation, the reversal fused with (12), and (01)
-    (``freealg.symmetry_breaks``).  Reading stored slots suffices: if an
+    (``orbits.symmetry_breaks``).  Reading stored slots suffices: if an
     orbit mixes stored and missing words, some stored word has a missing
     image under a generator.  Entries are (word, n, image).
     """

@@ -15,10 +15,10 @@ Both tables keep one contract (``_TableBase``): one region, |w| + n <= S
 and n <= ng (an edge removal never raises |w| + n), one grid of readers
 built with the table, and the parity and region guards in
 ``_TableBase._reader``.  One stream of each word's nonzero slots, read
-through the readers (``_TableBase._word_slots``), serves ``to_ncseries``
-and the CLI ``solve`` writer, which writes each word as it reads it.  So a
-command that reads few words (the export, the oracle compare, the curve,
-the moment recurrences) takes either table.
+through the readers (``_TableBase._word_slots``), serves ``to_ncseries``,
+the oracle compare and the CLI ``solve`` writer, which writes each word as
+it reads it.  So a command that reads few words (the export, the oracle
+compare, the curve, the moment recurrences) takes either table.
 """
 
 from __future__ import annotations
@@ -166,22 +166,22 @@ class _TableBase:
         return XLaurent(0, [[self.p_coeff(word, n) for n in range(ng + 1)]], 0, ng)
 
     def _word_slots(self, lmax: int, ng: int, sort_keys: bool = False):
-        """(length, bits, [(n, Poly), ...]) per word with a nonzero slot to g^ng: the one export stream.
+        """(length, bits, [(n, Poly), ...]) per word, its nonzero slots to g^ng: the one export stream.
 
         Every word of up to ``lmax`` letters, in the order of its string
         (``_string_order``), is read through ``_reader``, a lazy slot's
-        ``once`` storing no alias key.  A listing past 2^20 slots
-        (``check_listing``) is refused when the stream is made, before any
-        read, and a slot the table does not hold when it is read.
+        ``once`` storing no alias key; a word with no nonzero slot comes
+        with an empty list.  A listing past 2^20 slots (``check_listing``)
+        is refused when the stream is made, before any read, and a slot the
+        table does not hold when it is read.
         """
         check_listing(self.spec.nletters, lmax, ng)
         reads = [[getattr(getattr(r, "__self__", None), "once", r) for r in row] for row in self._readers(lmax, ng)]
         poly = self._poly
-        slots = (
+        return (
             (k, bits, [(n, poly(v, (k + 3 * n) // 2)) for n, v in enumerate([read(bits) for read in reads[k]]) if v])
             for k, bits in _string_order(self.spec.nletters, lmax, sort_keys)
         )
-        return (s for s in slots if s[2])
 
     def to_ncseries(self, lmax: int, ng: int) -> NCSeries:
         """The series of every word of up to ``lmax`` letters to g^ng, read from ``_word_slots``."""
@@ -194,10 +194,14 @@ class _TableBase:
         return NCSeries(terms, lmax, ng)
 
     def listing(self, lmax: int, ng: int, sort_keys: bool = False):
-        """``_word_slots`` as (word, {g-power: coefficient}) strings, made lazily: ``solve`` writes each as read."""
+        """``_word_slots`` as (word, {g-power: coefficient}) strings, made lazily: ``solve`` writes each as read.
+
+        A word with no nonzero slot is left out.
+        """
         return (
             (str(Word._raw(k, bits)), {str(n): str(p) for n, p in slots})
             for k, bits, slots in self._word_slots(lmax, ng, sort_keys)
+            if slots
         )
 
 

@@ -17,7 +17,7 @@ from labelled_oracle import (
     enumerate_diagrams,
     verify_propagator,
 )
-from pottsloop import oracle
+from pottsloop import oracle, tables
 from pottsloop.cli import main
 from pottsloop.model import ModelSpec, TruncationError
 from pottsloop.oracle import _planar_diagrams, _weight_classes, compare_with_solver, planar_moment
@@ -262,7 +262,7 @@ def test_oversize_compare_refused_before_any_enumeration(monkeypatch, fresh_clas
         raise AssertionError("diagrams or words enumerated before the size checks")
 
     monkeypatch.setattr(oracle, "_planar_diagrams", refuse)
-    monkeypatch.setattr(oracle, "product", refuse)
+    monkeypatch.setattr(tables, "_lex", refuse)
     for max_n, max_len, error in (
         # |w| = 2 at g^6 has 20 half-edges, beyond the 18 the oracle accepts
         (6, 2, "oracle input 20 half-edges exceeds desk scale"),
@@ -282,6 +282,14 @@ def test_compare_referees_a_lazy_table():
     rep = compare_with_solver(lazy, 3, 6)
     assert rep.ok, rep.mismatches[:3]
     assert rep.checked == 2186  # every word of up to six letters, two parity-allowed orders each
+
+
+def test_compare_reads_the_table_through_the_export_stream():
+    # compare reads each listed word once, as solve does: it leaves what listing(8, 0) leaves
+    # (test_the_export_stream_stores_no_alias_key), where a per-slot read kept 7,381 entries
+    lazy = LazyTable(ModelSpec(ng=0, ltarget=8), max_len=8)
+    assert compare_with_solver(lazy, 0, 8).checked == 7381  # every word of even length, at g^0
+    assert (lazy.rhs_evaluations, len(lazy._memo)) == (131, 287)
 
 
 def test_compare_reports_a_corrupted_lazy_memo_entry():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -213,6 +214,19 @@ def test_every_import_names_the_module_that_defines_it():
                 elsewhere.append(f"{path.name}:{line} pottsloop.{m}.{name}")
     assert elsewhere == []
     assert unused == []
+
+
+def test_every_module_reference_in_the_docs_names_the_module_that_defines_it():
+    """Every `` `module.name` `` in README.md and in the package's own text names the module whose own
+    code defines ``name``, by the rule of the import test above; a ``*.py`` file name is no reference."""
+    homes = {m: _own_names(tree) for m, tree in _modules().items()}
+    stale = []
+    for path in [ROOT / "README.md", *sorted(PACKAGE.glob("*.py"))]:
+        for line, text in enumerate(path.read_text().splitlines(), 1):
+            for m, name in re.findall(r"`(\w+)\.(\w+)`", text):
+                if m in homes and name != "py" and name not in homes[m]:
+                    stale.append(f"{path.name}:{line} {m}.{name}")
+    assert stale == []
 
 
 def test_no_module_imports_one_below_it_in_the_layout():
